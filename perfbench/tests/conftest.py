@@ -1,0 +1,7 @@
+"""Make the checkout's library and the benchmark modules importable."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(os.path.dirname(BENCH), "src"), BENCH]
