@@ -2,8 +2,7 @@
 
 Everything downstream (polytopes, fans, GIT data) reduces to a handful of
 primitives implemented here: Hermite normal form, saturated integer kernels,
-unimodular inverses, rational Gaussian elimination, and an exact-rational
-simplex used for every cone-membership and feasibility question.
+unimodular inverses and rational Gaussian elimination.
 
 Floats are banned throughout the package; vectors are tuples of ``int`` or
 ``fractions.Fraction``, matrices are tuples of row tuples.  HNF is the single
@@ -76,14 +75,6 @@ def primitive_vector(v):
     if g == 0:
         raise DomainError("zero_vector", "primitive_vector of the zero vector")
     return tuple(a // g for a in v)
-
-
-def as_fraction_vector(v):
-    return tuple(Fraction(a) for a in v)
-
-
-def is_integral(value):
-    return Fraction(value).denominator == 1
 
 
 def to_int_vector(v):
@@ -320,162 +311,6 @@ def integer_solution(A, b):
         return None
     v = transpose(u)
     return tuple(sum(v[i][k] * y[k] for k in range(n)) for i in range(n))
-
-
-# ---------------------------------------------------------------------------
-# exact simplex (Bland's rule, two phases)
-# ---------------------------------------------------------------------------
-
-def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    T[row] = [a / piv for a in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [a - f * b for a, b in zip(T[i], T[row])]
-    basis[row] = col
-
-
-def _run_simplex(T, basis, cost):
-    """Maximise over the tableau T (rows = constraints, last column = rhs).
-
-    ``cost`` is the reduced-cost row (length = #columns of T, last entry =
-    current objective value, negated bookkeeping as usual).  Bland's rule keeps
-    the run deterministic and cycle-free.  Returns "optimal" or "unbounded".
-    """
-    ncols = len(T[0]) - 1
-    while True:
-        enter = next((j for j in range(ncols) if cost[j] > 0), None)
-        if enter is None:
-            return "optimal"
-        best = None
-        for i, row in enumerate(T):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
-            return "unbounded"
-        leave = best[1]
-        _pivot(T, basis, leave, enter)
-        f = cost[enter]
-        if f:
-            cost[:] = [a - f * b for a, b in zip(cost, T[leave])]
-
-
-def simplex_max(A, b, c):
-    """Maximise <c, x> subject to A x = b, x >= 0, all exact.
-
-    Returns (status, x, value) with status in "optimal" / "infeasible" /
-    "unbounded"; x and value are None unless optimal.
-    """
-    m = len(A)
-    n = len(c)
-    rows = []
-    rhs = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        r = Fraction(b[i])
-        if r < 0:
-            row = [-v for v in row]
-            r = -r
-        rows.append(row)
-        rhs.append(r)
-    # phase 1: artificial variables, maximise -sum(artificials)
-    T = [rows[i] + [Fraction(1 if k == i else 0) for k in range(m)] + [rhs[i]]
-         for i in range(m)]
-    basis = [n + i for i in range(m)]
-    cost = [Fraction(0)] * (n + m + 1)
-    for j in range(n):
-        cost[j] = sum(T[i][j] for i in range(m))
-    cost[-1] = sum(rhs)
-    status = _run_simplex(T, basis, cost)
-    assert status == "optimal"  # phase 1 is always bounded
-    if cost[-1] != 0:
-        return "infeasible", None, None
-    # drive any remaining artificial variables out of the basis
-    for i in range(m):
-        if basis[i] >= n:
-            enter = next((j for j in range(n) if T[i][j] != 0), None)
-            if enter is not None:
-                _pivot(T, basis, i, enter)
-    keep = [i for i in range(m) if basis[i] < n]
-    T = [T[i][:n] + [T[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    # phase 2
-    cost = [Fraction(v) for v in c] + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        if cost[bi] != 0:
-            f = cost[bi]
-            cost = [a - f * t for a, t in zip(cost, T[i])]
-    status = _run_simplex(T, basis, cost)
-    if status == "unbounded":
-        return "unbounded", None, None
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = T[i][-1]
-    return "optimal", tuple(x), -cost[-1]
-
-
-def positive_combination(gens, target, strict=False):
-    """Exact coefficients writing ``target`` as a combination of ``gens``.
-
-    Non-strict: all coefficients >= 0.  Strict: all coefficients > 0 (this is
-    membership in the relative interior of the generated cone).  Returns a
-    tuple of Fractions, or None when no such combination exists.
-    """
-    target = as_fraction_vector(target)
-    m = len(gens)
-    if m == 0:
-        return () if is_zero_vector(target) else None
-    d = len(target)
-    cols = [as_fraction_vector(g) for g in gens]
-    if any(len(g) != d for g in cols):
-        raise DomainError("dimension_mismatch", "generators and target disagree on dimension")
-    if not strict:
-        A = [[cols[j][i] for j in range(m)] for i in range(d)]
-        status, x, _ = simplex_max(A, target, [Fraction(0)] * m)
-        return x if status == "optimal" else None
-    # strict: a_i = b_i + delta with b >= 0, maximise delta subject to delta <= 1
-    colsum = [sum(cols[j][i] for j in range(m)) for i in range(d)]
-    A = [[cols[j][i] for j in range(m)] + [colsum[i], Fraction(0)] for i in range(d)]
-    A.append([Fraction(0)] * m + [Fraction(1), Fraction(1)])  # delta + slack = 1
-    b = list(target) + [Fraction(1)]
-    c = [Fraction(0)] * m + [Fraction(1), Fraction(0)]
-    status, x, value = simplex_max(A, b, c)
-    if status != "optimal" or value <= 0:
-        return None
-    delta = x[m]
-    return tuple(x[j] + delta for j in range(m))
-
-
-def linear_feasible(ineqs, eqs, n):
-    """A point satisfying <a, x> >= r for (a, r) in ineqs and <a, x> = r in eqs.
-
-    Variables are free (not sign-constrained).  Returns a Fraction tuple or
-    None.  Feasibility only; no objective.
-    """
-    # x = p - q with p, q >= 0; inequality rows get a surplus variable.
-    k = len(ineqs)
-    A = []
-    b = []
-    for idx, (a, r) in enumerate(list(ineqs) + list(eqs)):
-        if len(a) != n:
-            raise DomainError("dimension_mismatch",
-                              f"constraint normal has length {len(a)}, expected {n}")
-        a = as_fraction_vector(a)
-        row = list(a) + [-v for v in a]
-        surplus = [Fraction(0)] * k
-        if idx < k:
-            surplus[idx] = Fraction(-1)
-        A.append(row + surplus)
-        b.append(Fraction(r))
-    if not A:
-        return tuple(Fraction(0) for _ in range(n))
-    status, x, _ = simplex_max(A, b, [Fraction(0)] * (2 * n + k))
-    if status != "optimal":
-        return None
-    return tuple(x[i] - x[n + i] for i in range(n))
 
 
 def random_unimodular_matrix(n, rng, steps=8):

@@ -14,7 +14,7 @@ from .forward import ConvexPartitionWithBasis
 from .laurent import LaurentPolynomial
 from .polyhedra import Fan, Polytope
 from .scaffolding import Scaffolding, Strut
-from .toric import GitData, StackyFan
+from .toric import GitData
 
 
 def _encode_number(x):
@@ -98,14 +98,6 @@ def encode_fan(fan):
 
 def decode_fan(obj):
     return Fan(
-        _decode_int(_field(obj, "dim")),
-        [_int_vector(r) for r in _field(obj, "rays")],
-        [_int_vector(c) for c in _field(obj, "max_cones")],
-    )
-
-
-def decode_stacky_fan(obj):
-    return StackyFan(
         _decode_int(_field(obj, "dim")),
         [_int_vector(r) for r in _field(obj, "rays")],
         [_int_vector(c) for c in _field(obj, "max_cones")],

@@ -16,7 +16,6 @@ from .exact import (
     dot,
     gcd_list,
     kernel_basis,
-    linear_feasible,
     primitive_vector,
     rank,
     solve_linear,
@@ -629,16 +628,6 @@ class Cone:
             out.append(Cone.from_rays(gens, dim=self.dim))
         return out
 
-    def relative_interior_point(self):
-        if not self.rays and not self.lineality:
-            return tuple(0 for _ in range(self.dim))
-        total = tuple(0 for _ in range(self.dim))
-        for r in self.rays:
-            total = vadd(total, r)
-        if not any(total) and self.lineality:
-            return self.lineality[0]
-        return total
-
 
 def cone_over(polytope, height=1):
     """The cone over polytope x {height} in one more dimension."""
@@ -715,9 +704,6 @@ class Fan:
                 key = (facet.rays, facet.lineality)
                 ridge_counts[key] = ridge_counts.get(key, 0) + 1
         return all(v == 2 for v in ridge_counts.values())
-
-    def support_contains(self, v):
-        return any(self.cone(c).contains(v) for c in self.max_cones)
 
 
 def fans_equal(f1, f2):
@@ -910,6 +896,6 @@ def polytopes_intersect(p, q):
     """Whether two polytopes given by H-representations meet."""
     if p.dim != q.dim:
         raise DomainError("dimension_mismatch", "polytopes in different spaces")
-    ineqs = [(a, rhs) for a, rhs in list(p.inequalities) + list(q.inequalities)]
-    eqs = [(a, rhs) for a, rhs in list(p.equations) + list(q.equations)]
-    return linear_feasible(ineqs, eqs, p.dim) is not None
+    ineqs = list(p.inequalities) + list(q.inequalities)
+    eqs = list(p.equations) + list(q.equations)
+    return bool(_hrep_to_vertices(ineqs, eqs, p.dim))

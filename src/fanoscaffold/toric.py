@@ -14,11 +14,13 @@ from .errors import DomainError
 from .exact import (
     det,
     dot,
+    hermite_normal_form,
+    identity_matrix,
+    is_zero_vector,
     kernel_basis,
-    linear_feasible,
-    positive_combination,
     rank,
     solve_linear,
+    transpose,
     unimodular_inverse,
 )
 from .polyhedra import Cone, Fan, Polytope
@@ -47,10 +49,10 @@ class GitData:
             raise DomainError("zero_character", "every coordinate needs a nonzero weight")
         if rank(list(characters)) != r:
             raise DomainError("not_full_rank", "characters do not span the weight space")
-        # Pointedness: some functional is strictly positive on all weights.
-        if linear_feasible([(d, 1) for d in characters], [], r) is None:
+        cone = Cone.from_rays(characters, dim=r)
+        if cone.lineality:
             raise DomainError("not_pointed", "character cone contains a line")
-        if positive_combination(characters, omega) is None:
+        if not cone.contains(omega):
             raise DomainError("omega_outside", "omega is not in the character cone")
         self.r = r
         self.R = R
@@ -69,35 +71,48 @@ class GitData:
 
 
 def covers(git, subset):
-    """Whether omega is a strictly positive combination of the given weights."""
+    """Whether omega is a strictly positive combination of the given weights.
+
+    That is, omega lies in the relative interior of the cone they span:
+    every equation normal vanishes on omega and every facet normal is
+    strictly positive there.
+    """
     idx = sorted(set(subset))
     if any(i < 0 or i >= git.R for i in idx):
         raise DomainError("bad_index", "subset index out of range")
-    gens = [git.characters[i] for i in idx]
-    return positive_combination(gens, git.omega, strict=True) is not None
+    cone = Cone.from_rays([git.characters[i] for i in idx], dim=git.r)
+    return all(dot(e, git.omega) == 0 for e in cone.eq_normals) and all(
+        dot(a, git.omega) > 0 for a in cone.ineq_normals
+    )
 
 
 def irrelevant_collection(git):
-    """All covering subsets of coordinates and the minimal ones.
+    """The minimal covering subsets of coordinates.
 
-    Returns (covers, minimal) as tuples of index tuples, ordered by size
-    then lexicographically.  Exponential in R, so capped at R <= 16.
+    Returns a tuple of index tuples, ordered by size then lexicographically.
+    In a pointed character cone a covering subset is minimal exactly when
+    its weights are linearly independent (drop a weight along any linear
+    relation otherwise), so only subsets of size <= r are tried, each with
+    one exact linear solve.  Capped at R <= 16.
     """
     if git.R > 16:
         raise DomainError("too_many_coordinates", "subset enumeration capped at R = 16")
-    found = []
-    for size in range(1, git.R + 1):
+    minimal = []
+    for size in range(1, git.r + 1):
         for comb in combinations(range(git.R), size):
-            if covers(git, comb):
-                found.append(comb)
-    sets = [frozenset(c) for c in found]
-    minimal = [
-        c
-        for c, s in zip(found, sets)
-        if not any(t < s for t in sets)
-    ]
-    key = lambda c: (len(c), c)
-    return tuple(sorted(found, key=key)), tuple(sorted(minimal, key=key))
+            gens = [git.characters[i] for i in comb]
+            if rank(gens) != size:
+                continue
+            coeffs = solve_linear(transpose(gens), git.omega)
+            if coeffs is not None and all(c > 0 for c in coeffs):
+                minimal.append(comb)
+    return tuple(minimal)
+
+
+def _max_cones(git):
+    """Maximal cones of the quotient fan: complements of the minimal covers."""
+    everything = set(range(git.R))
+    return [tuple(sorted(everything - set(c))) for c in irrelevant_collection(git)]
 
 
 class StackyFan:
@@ -147,8 +162,10 @@ def git_to_stacky_fan(git):
 
     Picks the first coordinate subset whose weights form a unimodular basis,
     normalizes the weight matrix against it and reads the rays off the
-    normalized rows.  Maximal cones are the complements of the minimal
-    covering subsets.
+    normalized rows.  Without such a subset the rays are the columns of a
+    basis of the integer relations among the weights (Gale duality), which
+    needs the weights to generate the whole character lattice.  Maximal
+    cones are the complements of the minimal covering subsets.
     """
     r, R = git.r, git.R
     basis = None
@@ -158,7 +175,11 @@ def git_to_stacky_fan(git):
             basis = comb
             break
     if basis is None:
-        raise DomainError("no_unimodular_basis", "quotient lattice has torsion")
+        hnf, _ = hermite_normal_form(git.characters)
+        if tuple(row for row in hnf if not is_zero_vector(row)) != identity_matrix(r):
+            raise DomainError("no_unimodular_basis", "quotient lattice has torsion")
+        relations = kernel_basis(transpose(git.characters), ncols=R)
+        return StackyFan(R - r, transpose(relations), _max_cones(git))
     bmat = [[git.characters[basis[l]][k] for l in range(r)] for k in range(r)]
     binv = unimodular_inverse(bmat)
     norm = [
@@ -175,10 +196,7 @@ def git_to_stacky_fan(git):
             rays.append(tuple(-norm[k][j] for j in nonbasis))
         else:
             rays.append(tuple(1 if p == pos[i] else 0 for p in range(n)))
-    _, minimal = irrelevant_collection(git)
-    everything = set(range(R))
-    max_cones = [tuple(sorted(everything - set(c))) for c in minimal]
-    return StackyFan(n, rays, max_cones)
+    return StackyFan(n, rays, _max_cones(git))
 
 
 def stacky_fan_to_git(sfan):
@@ -222,6 +240,16 @@ def _span_normals(git):
     return sorted(normals)
 
 
+def _walls(git):
+    """The cones spanned by the weights on each span hyperplane."""
+    walls = []
+    for h in _span_normals(git):
+        on_wall = [d for d in git.characters if dot(h, d) == 0]
+        if on_wall:
+            walls.append(Cone.from_rays(on_wall, dim=git.r))
+    return walls
+
+
 def in_chamber_interior(git, omega):
     """Whether a character lies inside a full-dimensional GKZ chamber.
 
@@ -234,13 +262,9 @@ def in_chamber_interior(git, omega):
         raise DomainError("dimension_mismatch", "character length differs from r")
     if not any(w):
         return False
-    if positive_combination(git.characters, w) is None:
+    if not Cone.from_rays(git.characters, dim=git.r).contains(w):
         return False
-    for h in _span_normals(git):
-        on_wall = [d for d in git.characters if dot(h, d) == 0]
-        if on_wall and positive_combination(on_wall, w) is not None:
-            return False
-    return True
+    return not any(wall.contains(w) for wall in _walls(git))
 
 
 def secondary_fan(git):
@@ -269,11 +293,7 @@ def secondary_fan(git):
                     seen.add(key)
                     nxt.append(piece)
         cells = nxt
-    walls = []
-    for h in _span_normals(git):
-        on_wall = [d for d in git.characters if dot(h, d) == 0]
-        if on_wall:
-            walls.append(Cone.from_rays(on_wall, dim=r))
+    walls = _walls(git)
     parent = list(range(len(cells)))
 
     def find(i):

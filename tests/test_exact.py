@@ -10,14 +10,11 @@ from fanoscaffold.exact import (
     identity_matrix,
     integer_solution,
     kernel_basis,
-    linear_feasible,
     mat_mul,
     mat_vec,
-    positive_combination,
     primitive_vector,
     rank,
     row_space_equal,
-    simplex_max,
     solve_linear,
     transpose,
     unimodular_inverse,
@@ -106,67 +103,6 @@ def test_primitive_vector():
     assert primitive_vector((2, -4, 6)) == (1, -2, 3)
     with pytest.raises(DomainError):
         primitive_vector((0, 0))
-
-
-def test_positive_combination_basic():
-    gens = [(1, 0), (0, 1)]
-    a = positive_combination(gens, (2, 3), strict=True)
-    assert a == (2, 3)
-    # (1, 0) is on the boundary of the cone: non-strict works, strict does not
-    assert positive_combination(gens, (1, 0)) is not None
-    assert positive_combination(gens, (1, 0), strict=True) is None
-    assert positive_combination(gens, (-1, 0)) is None
-    # empty generating set spans {0}
-    assert positive_combination([], (0, 0)) == ()
-    assert positive_combination([], (1, 0)) is None
-
-
-def test_positive_combination_redundant_generators():
-    gens = [(1, 0), (1, 1), (0, 1)]
-    a = positive_combination(gens, (1, 1), strict=True)
-    assert a is not None
-    assert all(x > 0 for x in a)
-    total = (sum(a[i] * g[0] for i, g in enumerate(gens)),
-             sum(a[i] * g[1] for i, g in enumerate(gens)))
-    assert total == (1, 1)
-
-
-def test_positive_combination_random_exact():
-    rng = random.Random(3)
-    for _ in range(25):
-        d = rng.randint(1, 4)
-        m = rng.randint(1, 6)
-        gens = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(m)]
-        coeffs = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(m)]
-        target = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(d))
-        a = positive_combination(gens, target)
-        assert a is not None
-        got = tuple(sum(x * g[i] for x, g in zip(a, gens)) for i in range(d))
-        assert got == target
-
-
-def test_simplex_unbounded_and_infeasible():
-    # max x subject to x - y = 1, x,y >= 0 is unbounded
-    status, _, _ = simplex_max([[1, -1]], [1], [1, 0])
-    assert status == "unbounded"
-    # x + y = -1 with x,y >= 0 is infeasible
-    status, _, _ = simplex_max([[1, 1]], [-1], [0, 0])
-    assert status == "infeasible"
-    # bounded optimum
-    status, x, value = simplex_max([[1, 1, 1]], [3], [1, 2, 0])
-    assert status == "optimal" and value == 6 and x == (0, 3, 0)
-
-
-def test_linear_feasible():
-    # triangle x >= 0, y >= 0, x + y <= 2; ask for a point with x + y >= 1
-    pt = linear_feasible([((1, 0), 0), ((0, 1), 0), ((-1, -1), -2), ((1, 1), 1)], [], 2)
-    assert pt is not None
-    x, y = pt
-    assert x >= 0 and y >= 0 and x + y <= 2 and x + y >= 1
-    assert linear_feasible([((1,), 0), ((-1,), 1)], [], 1) is None
-    # equations force the answer
-    pt = linear_feasible([], [((1, 1), 2), ((1, -1), 0)], 2)
-    assert pt == (1, 1)
 
 
 def test_transpose_empty():

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import dot, kernel_basis, positive_combination, primitive_vector, rank
+from fanoscaffold.exact import dot, kernel_basis, primitive_vector, rank, solve_linear
 from fanoscaffold.polyhedra import (
     Cone,
     Fan,
@@ -21,12 +21,29 @@ from fanoscaffold.polyhedra import (
 )
 
 
+def in_cone(gens, target):
+    """Caratheodory: target lies in the cone of gens iff some linearly
+    independent subset of at most d generators writes it with coefficients
+    >= 0."""
+    d = len(target)
+    if not any(target):
+        return True
+    for size in range(1, min(d, len(gens)) + 1):
+        for sub in combinations(gens, size):
+            if rank(sub) != size:
+                continue
+            coeffs = solve_linear([[g[k] for g in sub] for k in range(d)], target)
+            if coeffs is not None and all(c >= 0 for c in coeffs):
+                return True
+    return False
+
+
 def brute_extreme_rays(gens):
     """A generator is extreme iff it is not a nonnegative combination of the others."""
     out = set()
     for i, g in enumerate(gens):
         others = [h for j, h in enumerate(gens) if j != i]
-        if positive_combination(others, g) is None:
+        if not in_cone(others, g):
             out.add(primitive_vector(g))
     return out
 
@@ -158,7 +175,7 @@ def test_polytope_vertices_against_bruteforce():
         lifted = [q + (1,) for q in pts]
         for i, q in enumerate(pts):
             others = [lifted[j] for j in range(len(pts)) if j != i]
-            if not others or positive_combination(others, lifted[i]) is None:
+            if not in_cone(others, lifted[i]):
                 brute_verts.add(tuple(Fraction(c) for c in q))
         assert set(p.vertices) == brute_verts
         # Every input point satisfies the H-rep.

@@ -1,8 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
+from fanoscaffold.exact import rank
 from fanoscaffold.polyhedra import Fan, Polytope
 from fanoscaffold.toric import (
     GitData,
@@ -65,9 +69,38 @@ def test_covers():
 
 def test_irrelevant_collection_p2():
     git = p2_git()
-    all_covers, minimal = irrelevant_collection(git)
-    assert len(all_covers) == 7
-    assert minimal == ((0,), (1,), (2,))
+    subsets = [c for k in range(1, 4) for c in combinations(range(3), k)]
+    assert sum(covers(git, c) for c in subsets) == 7
+    assert irrelevant_collection(git) == ((0,), (1,), (2,))
+
+
+@st.composite
+def git_with_wall_omega(draw):
+    """GIT data with a pointed cone and omega a sum of some weights.
+
+    Every weight has positive coordinate sum, so the character cone is
+    pointed; summing a random subset puts omega on walls often.
+    """
+    r = draw(st.integers(1, 3))
+    R = draw(st.integers(r, 7))
+    weight = st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(
+        lambda w: sum(w) > 0
+    )
+    chars = draw(st.lists(weight, min_size=R, max_size=R))
+    chosen = draw(st.lists(st.sampled_from(range(R)), min_size=1, unique=True))
+    omega = tuple(sum(chars[i][k] for i in chosen) for k in range(r))
+    assume(rank(chars) == r)
+    return GitData(r, R, chars, omega)
+
+
+@settings(max_examples=100, deadline=None)
+@given(git_with_wall_omega())
+def test_irrelevant_collection_is_minimal_covers(git):
+    subsets = [c for k in range(1, git.R + 1) for c in combinations(range(git.R), k)]
+    found = [frozenset(c) for c in subsets if covers(git, c)]
+    minimal = [c for c in subsets if frozenset(c) in found
+               and not any(t < frozenset(c) for t in found)]
+    assert irrelevant_collection(git) == tuple(minimal)
 
 
 def test_git_to_stacky_fan_p2():
@@ -76,6 +109,17 @@ def test_git_to_stacky_fan_p2():
     assert sf.rays == ((-1, -1), (1, 0), (0, 1))
     assert sf.max_cones == ((0, 1), (0, 2), (1, 2))
     assert sf.fan().is_complete()
+
+
+def test_git_to_stacky_fan_without_unimodular_basis():
+    # P(2,3): no single weight is a basis, but together they generate Z.
+    sf = git_to_stacky_fan(GitData(1, 2, [(2,), (3,)], (1,)))
+    assert sf.rays == ((3,), (-2,))
+    assert sf.max_cones == ((0,), (1,))
+    # Weights (2),(2) only generate 2Z: the quotient has torsion.
+    with pytest.raises(DomainError) as ei:
+        git_to_stacky_fan(GitData(1, 2, [(2,), (2,)], (1,)))
+    assert ei.value.kind == "no_unimodular_basis"
 
 
 def test_git_to_stacky_fan_p1p1():
