@@ -1,9 +1,13 @@
 """Integer Laurent polynomials, classical periods and algebraic mutations.
 
 A Laurent polynomial is stored as a dict from exponent tuples to nonzero
-integer coefficients.  The classical period is read off from the constant
-terms of powers, with Newton-polytope pruning so that moderate depths stay
-fast; mutations are performed by exact division of the graded pieces.
+integer coefficients.  The classical period is the sequence of constant
+terms ct(f^d).  classical_period builds f^k only up to k = ceil(d / 2) and
+reads ct(f^(a+b)) = sum_e [f^a]_e * [f^b]_(-e) off pairs of neighbouring
+powers; its terms are keyed by single ints that pack the exponent and its
+facet values (Kronecker substitution), and pruned against the Newton
+polytope.  classical_period_naive powers in full and is the oracle.
+Mutations are performed by exact division of the graded pieces.
 """
 
 from .errors import DomainError
@@ -161,56 +165,109 @@ def monomial_substitution(f, matrix, shift=None):
     return LaurentPolynomial(f.nvars, out)
 
 
-def _prune(terms, ineqs, eqs, remaining):
-    """Drop exponents that cannot reach 0 within `remaining` more factors.
+MAX_PERIOD_DEPTH = 64
 
-    An exponent e survives when -e could lie in k * Newton for some
-    0 <= k <= remaining, tested one constraint at a time (sound, not sharp).
+
+def _packing(f, inequalities, d_max):
+    """Pack the exponents of classical_period's powers into single ints.
+
+    Returns (weights, mask, base, step).  key(e) = dot(weights, e) is linear
+    in e, so key(e1 + e2) = key(e1) + key(e2), key(-e) = -key(e) and key 0 is
+    the constant term.  Its low n*w bits hold e as signed base-2^w digits,
+    which is injective on every exponent of f^k for k <= ceil(d_max / 2).
+    Above them sits one field of B = width bits per facet inequality
+    <a, x> >= b, holding <a, e>.  A term of f^k with at most r further
+    factors passes every facet test (<a, e> <= r * max(-b, 0)) exactly when
+    (base + r * step - key) & mask == mask: each field of that difference
+    is the slack plus 2^(B-1), kept in [1, 2^B) by the choice of B, and its
+    top bit is set exactly when the slack is nonnegative.
+    """
+    n = f.nvars
+    top = (d_max + 1) // 2 * max(abs(x) for e in f.terms for x in e)
+    w = top.bit_length() + 1
+    low = n * w
+    # Every slack is at most d_max * mx in absolute value.
+    mx = max(
+        [abs(b) for _, b in inequalities]
+        + [abs(dot(a, e)) for a, _ in inequalities for e in f.terms],
+        default=0,
+    )
+    width = (d_max * mx).bit_length() + 1
+    weights = [1 << (w * i) for i in range(n)]
+    mask = step = 0
+    for j, (a, b) in enumerate(inequalities):
+        shift = low + width * j
+        for i in range(n):
+            weights[i] += a[i] << shift
+        mask += 1 << (shift + width - 1)
+        step += max(-b, 0) << shift
+    return weights, mask, mask + (1 << (low - 1)), step
+
+
+def _next_power(power, terms, cap, mask):
+    """The terms of power * f that pass the facet test against cap.
+
+    Each key is tested once, when first formed; rejected keys are kept so
+    that they are neither accumulated nor tested again.
     """
     out = {}
-    for e, c in terms.items():
-        ok = True
-        for a, b in ineqs:
-            bound = b if b < 0 else 0
-            if -dot(a, e) < remaining * bound:
-                ok = False
-                break
-        if ok:
-            for a, b in eqs:
-                val = -dot(a, e)
-                if b == 0:
-                    if val != 0:
-                        ok = False
-                        break
+    rejected = set()
+    for t, c in terms:
+        for key, a in power.items():
+            key += t
+            if key in out:
+                out[key] += a * c
+            elif key not in rejected:
+                if (cap - key) & mask == mask:
+                    out[key] = a * c
                 else:
-                    if val % b != 0 or not (0 <= val // b <= remaining):
-                        ok = False
-                        break
-        if ok:
-            out[e] = c
+                    rejected.add(key)
     return out
 
 
-def classical_period(f, d_max):
-    """Constant terms of f^0, f^1, ..., f^d_max.
+def _pair(p, q):
+    """Constant term of p * q: sum over e of p[e] * q[-e], over the smaller."""
+    if len(q) < len(p):
+        p, q = q, p
+    get = q.get
+    return sum(c * get(-key, 0) for key, c in p.items())
 
-    Powers are pruned against the Newton polytope: a term is kept only
-    while it can still be cancelled back to exponent zero by the remaining
-    factors.  The result equals naive powering.
+
+def classical_period(f, d_max):
+    """Constant terms of f^0, f^1, ..., f^d_max; equal to naive powering.
+
+    Only the powers P_k = f^k with k <= ceil(d_max / 2) are built.  Once P_k
+    is ready it gives ct(f^(2k-1)) = sum_e P_k[e] * P_(k-1)[-e] and, when
+    2k <= d_max, ct(f^(2k)) = sum_e P_k[e] * P_k[-e].  A term e of P_k meets
+    at most d_max - k further factors, from later powers or from its
+    pairing partner, so it is dropped unless -e could lie in j * Newton(f)
+    for some 0 <= j <= d_max - k, tested one facet at a time (sound, not
+    sharp).  Exponents are packed into single ints (_packing): a product of
+    terms is one addition and the facet test one subtraction and one mask.
+    When the affine hull of Newton(f) misses the origin, every term of f^k
+    with k >= 1 lies on <a, x> = k * rhs with rhs != 0, so those constant
+    terms are 0.  Depths above MAX_PERIOD_DEPTH raise degree_too_large.
     """
     if f.is_zero():
         raise DomainError("zero_polynomial", "period of the zero polynomial")
     if d_max < 0:
         raise DomainError("bad_exponent", "d_max must be nonnegative")
+    if d_max > MAX_PERIOD_DEPTH:
+        raise DomainError(
+            "degree_too_large", f"period depth capped at {MAX_PERIOD_DEPTH}"
+        )
     newton = f.newton_polytope()
-    ineqs = [(a, rhs) for a, rhs in newton.inequalities]
-    eqs = [(a, rhs) for a, rhs in newton.equations]
-    out = [1]
-    power = LaurentPolynomial.one(f.nvars)
-    for s in range(1, d_max + 1):
-        power = power * f
-        power = LaurentPolynomial(f.nvars, _prune(power.terms, ineqs, eqs, d_max - s))
-        out.append(power.constant_term())
+    out = [1] + [0] * d_max
+    if any(rhs for _, rhs in newton.equations):
+        return tuple(out)
+    weights, mask, base, step = _packing(f, newton.inequalities, d_max)
+    terms = [(dot(weights, e), c) for e, c in f.terms.items()]
+    power = {0: 1}
+    for k in range(1, (d_max + 1) // 2 + 1):
+        prev, power = power, _next_power(power, terms, base + (d_max - k) * step, mask)
+        out[2 * k - 1] = _pair(power, prev)
+        if 2 * k <= d_max:
+            out[2 * k] = _pair(power, power)
     return tuple(out)
 
 

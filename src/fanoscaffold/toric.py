@@ -165,7 +165,8 @@ def git_to_stacky_fan(git):
     normalized rows.  Without such a subset the rays are the columns of a
     basis of the integer relations among the weights (Gale duality), which
     needs the weights to generate the whole character lattice.  Maximal
-    cones are the complements of the minimal covering subsets.
+    cones are the complements of the minimal covering subsets.  R == r
+    (a point quotient) raises point_quotient.
     """
     r, R = git.r, git.R
     basis = None
@@ -180,6 +181,10 @@ def git_to_stacky_fan(git):
             raise DomainError("no_unimodular_basis", "quotient lattice has torsion")
         relations = kernel_basis(transpose(git.characters), ncols=R)
         return StackyFan(R - r, transpose(relations), _max_cones(git))
+    if R == r:
+        raise DomainError(
+            "point_quotient", "R equals r: the quotient is a point and has no fan"
+        )
     bmat = [[git.characters[basis[l]][k] for l in range(r)] for k in range(r)]
     binv = unimodular_inverse(bmat)
     norm = [

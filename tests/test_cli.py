@@ -36,6 +36,15 @@ def test_period_reports_the_zero_polynomial(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "zero_polynomial"
 
 
+def test_period_depth_is_capped(tmp_path, capsys):
+    cubic = jsonio.encode_laurent(fixture("cubic-surface")["laurent"])
+    f = write_json(tmp_path, "f.json", cubic)
+    code, out, err = invoke(capsys, "period", "--f", f,
+                            "--max-degree", "100000000000000000000000")
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out)["error"]["kind"] == "degree_too_large"
+
+
 def test_usage_errors_exit_with_two(tmp_path, capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     code, _, err = invoke(capsys, "period", "--f", str(tmp_path / "gone.json"),

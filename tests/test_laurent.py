@@ -1,10 +1,14 @@
 import random
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import random_unimodular_matrix
 from fanoscaffold.laurent import (
+    MAX_PERIOD_DEPTH,
     LaurentPolynomial,
     algebraic_mutation,
     classical_period,
@@ -71,6 +75,61 @@ def test_period_pruned_equals_naive():
     # Newton polytope without the origin inside is still handled.
     g = poly(1, ((0,), 1), ((1,), 1))
     assert classical_period(g, 4) == classical_period_naive(g, 4) == (1, 1, 1, 1, 1)
+
+
+@st.composite
+def small_laurent(draw):
+    """1-6 terms in up to 4 variables, coefficients in +-3 so that terms of
+    powers cancel; a third lie on a hyperplane (last exponent 0 or 1), so
+    the Newton polytope has equations, through the origin or not."""
+    n = draw(st.integers(1, 4))
+    level = draw(st.sampled_from([None, None, None, None, 0, 1]))
+    exponent = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    terms = {}
+    for e in draw(st.lists(exponent, min_size=1, max_size=6)):
+        if level is not None:
+            e[-1] = level
+        terms[tuple(e)] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return L(n, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_laurent(), st.integers(0, 7))
+def test_period_equals_naive(f, d):
+    assert classical_period(f, d) == classical_period_naive(f, d)
+
+
+def closed_form_period(d, step, coeff):
+    """Period that is coeff(m) at degree step * m and 0 elsewhere."""
+    return tuple(coeff(k // step) if k % step == 0 else 0 for k in range(d + 1))
+
+
+def test_period_deep_closed_forms():
+    # x + y + 1/(xy): (3m)!/(m!)^3 at degree 3m.
+    p2 = poly(2, ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1))
+    assert classical_period(p2, 30) == closed_form_period(
+        30, 3, lambda m: factorial(3 * m) // factorial(m) ** 3
+    )
+    # x + y + z + 1/(xyz): (4m)!/(m!)^4 at degree 4m.
+    p3 = poly(3, ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 1))
+    assert classical_period(p3, 24) == closed_form_period(
+        24, 4, lambda m: factorial(4 * m) // factorial(m) ** 4
+    )
+    # x + 1/x + y + 1/y: C(2m, m)^2 at degree 2m.
+    p1p1 = poly(2, ((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1))
+    assert classical_period(p1p1, 30) == closed_form_period(
+        30, 2, lambda m: comb(2 * m, m) ** 2
+    )
+
+
+def test_period_depth_cap():
+    f = poly(2, ((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1))
+    coeffs = classical_period(f, MAX_PERIOD_DEPTH)
+    assert MAX_PERIOD_DEPTH == 64
+    assert coeffs[64] == comb(64, 32) ** 2 and coeffs[63] == 0
+    with pytest.raises(DomainError) as ei:
+        classical_period(f, MAX_PERIOD_DEPTH + 1)
+    assert ei.value.kind == "degree_too_large"
 
 
 def test_period_zero_error():

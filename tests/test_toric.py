@@ -122,6 +122,13 @@ def test_git_to_stacky_fan_without_unimodular_basis():
     assert ei.value.kind == "no_unimodular_basis"
 
 
+def test_git_to_stacky_fan_of_a_point_quotient():
+    for git in (GitData(1, 1, [(1,)], (1,)), GitData(2, 2, [(1, 0), (0, 1)], (1, 1))):
+        with pytest.raises(DomainError) as ei:
+            git_to_stacky_fan(git)
+        assert ei.value.kind == "point_quotient"
+
+
 def test_git_to_stacky_fan_p1p1():
     sf = git_to_stacky_fan(p1p1_git())
     assert sf.rays == ((-1, 0), (1, 0), (0, -1), (0, 1))
