@@ -2,7 +2,8 @@
 
 Everything downstream (polytopes, fans, GIT data) reduces to a handful of
 primitives implemented here: Hermite normal form, saturated integer kernels,
-unimodular inverses and rational Gaussian elimination.
+and one fraction-free (Bareiss) Gauss-Jordan elimination behind ``rank``,
+``det``, ``unimodular_inverse`` and ``solve_linear``.
 
 Floats are banned throughout the package; vectors are tuples of ``int`` or
 ``fractions.Fraction``, matrices are tuples of row tuples.  HNF is the single
@@ -11,7 +12,7 @@ through it.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import DomainError
 
@@ -170,27 +171,65 @@ def row_space_equal(A, B):
     return HA == HB
 
 
-def rank(A):
-    A = [list(map(Fraction, row)) for row in A]
-    if not A:
-        return 0
-    m, n = len(A), len(A[0])
-    r = 0
+def _clear_denominators(vec):
+    """vec times the least positive integer that makes it integral.
+
+    Entries are ``int`` or ``Fraction``.
+    """
+    m = lcm(*(c.denominator for c in vec))
+    return tuple(c.numerator * (m // c.denominator) for c in vec)
+
+
+def _row_reduce(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968).
+
+    Each row is first scaled to integers by ``_clear_denominators``.  The
+    pivot of each column is its first nonzero entry at or below the current
+    row.  Every other row is updated as (p * row - f * pivot_row) // prev,
+    where p is the new pivot and prev the one before it; the division is
+    exact.  Returns (M, pivots, sign, p): M is the reduced integer matrix,
+    pivots its pivot columns, sign the sign of the row swaps and p the last
+    pivot (1 when there is none).  Every pivot entry of M equals p and every
+    other entry of a pivot column is 0; for a square invertible matrix,
+    sign * p is the determinant of the scaled rows.
+    """
+    M = [_clear_denominators(row) for row in rows]
+    m = len(M)
+    n = len(M[0]) if m else 0
+    pivots = []
+    sign = prev = 1
     for col in range(n):
-        piv = next((i for i in range(r, m) if A[i][col] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if M[i][col]), None)
         if piv is None:
             continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][col]
-        A[r] = [a * inv for a in A[r]]
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        top = M[r]
+        p = top[col]
         for i in range(m):
-            if i != r and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        r += 1
-        if r == m:
+            if i != r:
+                f = M[i][col]
+                M[i] = [(p * a - f * b) // prev for a, b in zip(M[i], top)]
+        prev = p
+        pivots.append(col)
+        if len(pivots) == m:
             break
-    return r
+    return M, pivots, sign, prev
+
+
+def _determinant(A, reduced):
+    """det A read off ``_row_reduce`` of the square A, or of [A | I]."""
+    _, pivots, sign, p = reduced
+    if pivots != list(range(len(A))):
+        return Fraction(0)
+    scale = prod(lcm(*(c.denominator for c in row)) for row in A)
+    return Fraction(sign * p, scale)
+
+
+def rank(A):
+    return len(_row_reduce(A)[1])
 
 
 def det(A):
@@ -198,23 +237,7 @@ def det(A):
     n = len(A)
     if any(len(row) != n for row in A):
         raise DomainError("not_square", "determinant of a non-square matrix")
-    M = [list(map(Fraction, row)) for row in A]
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign = -sign
-        d *= M[col][col]
-        inv = 1 / M[col][col]
-        for i in range(col + 1, n):
-            if M[i][col] != 0:
-                f = M[i][col] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-    return d * sign
+    return _determinant(A, _row_reduce(A))
 
 
 def unimodular_inverse(A):
@@ -222,22 +245,15 @@ def unimodular_inverse(A):
     n = len(A)
     if any(len(row) != n for row in A):
         raise DomainError("not_unimodular", "matrix is not square")
-    d = det(A)
+    # One reduction of [A | I] gives [p I | p A^-1] and the determinant.
+    reduced = _row_reduce(
+        [tuple(row) + e for row, e in zip(A, identity_matrix(n))]
+    )
+    d = _determinant(A, reduced)
     if d not in (1, -1):
         raise DomainError("not_unimodular", f"determinant is {d}, not +-1")
-    # Solve A X = I exactly; entries are integral because det = +-1.
-    M = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if M[i][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [a * inv for a in M[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-    return tuple(to_int_vector(M[i][n:]) for i in range(n))
+    M, _, _, p = reduced
+    return tuple(to_int_vector(Fraction(c, p) for c in row[n:]) for row in M)
 
 
 def solve_linear(A, b):
@@ -245,34 +261,13 @@ def solve_linear(A, b):
 
     Free variables are set to 0, so the result is deterministic.
     """
-    A = [list(map(Fraction, row)) for row in A]
-    b = [Fraction(v) for v in b]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = 1 / A[r][col]
-        A[r] = [a * inv for a in A[r]]
-        b[r] *= inv
-        for i in range(m):
-            if i != r and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * v for a, v in zip(A[i], A[r])]
-                b[i] -= f * b[r]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if b[i] != 0:
-            return None
+    M, pivots, _, p = _row_reduce([tuple(row) + (v,) for row, v in zip(A, b)])
+    n = len(M[0]) - 1 if M else 0
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
     for i, col in enumerate(pivots):
-        x[col] = b[i]
+        x[col] = Fraction(M[i][n], p)
     return tuple(x)
 
 

@@ -8,9 +8,8 @@ mutation-equivalent answers related by a monomial change of variables.
 """
 
 from .errors import DomainError
-from .exact import det, unimodular_inverse
 from .laurent import LaurentPolynomial
-from .toric import git_to_stacky_fan, is_nef
+from .toric import basis_coordinates, git_to_stacky_fan, is_nef
 
 
 class ConvexPartitionWithBasis:
@@ -94,15 +93,7 @@ def normalized_matrix(git, part):
         raise DomainError("bad_partition", f"basis block needs exactly {r} columns")
     if part.columns() != set(range(git.R)):
         raise DomainError("bad_partition", "blocks do not partition the columns")
-    bmat = [[git.characters[part.B[l]][k] for l in range(r)] for k in range(r)]
-    binv = unimodular_inverse(bmat)
-    return tuple(
-        tuple(
-            sum(binv[k][t] * git.characters[i][t] for t in range(r))
-            for i in range(git.R)
-        )
-        for k in range(r)
-    )
+    return basis_coordinates(git, part.B, git.characters)
 
 
 def validate_partition(git, part):
@@ -119,18 +110,15 @@ def validate_partition(git, part):
         return [f"basis block has {len(part.B)} columns, expected {r}"]
     if part.columns() != set(range(git.R)):
         return ["blocks do not partition the coordinate set"]
-    bmat = [[git.characters[part.B[l]][k] for l in range(r)] for k in range(r)]
-    if abs(det(bmat)) != 1:
+    try:
+        # Column R holds the coordinates of omega.
+        coords = basis_coordinates(git, part.B, git.characters + (git.omega,))
+    except DomainError:
         return ["basis block is not unimodular"]
-    norm = normalized_matrix(git, part)
-    binv = unimodular_inverse(bmat)
-    omega_coeffs = [
-        sum(binv[k][t] * git.omega[t] for t in range(r)) for k in range(r)
-    ]
-    if any(c < 0 for c in omega_coeffs):
+    if any(row[git.R] < 0 for row in coords):
         failures.append("omega is not a nonnegative combination of the basis")
     for i, s in enumerate(part.S):
-        totals = [sum(norm[k][j] for j in s) for k in range(r)]
+        totals = [sum(row[j] for j in s) for row in coords]
         if any(t < 0 for t in totals):
             failures.append(
                 f"group {i} total divisor is not generated by the basis"

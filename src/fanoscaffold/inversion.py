@@ -8,10 +8,10 @@ coordinate, and per shape ray, in that order.
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
 
 from .errors import DomainError
 from .exact import (
+    _clear_denominators,
     dot,
     kernel_basis,
     primitive_vector,
@@ -409,19 +409,13 @@ def _face_cones_check(scaf, basis, theta):
             sol = solve_linear(theta_cols, v)
             if sol is None:
                 return False
-            pulled.append(primitive_vector(_clear_fractions(sol)))
+            pulled.append(primitive_vector(_clear_denominators(sol)))
         lhs = Cone.from_rays(pulled, dim=len(theta))
         rhs = Cone.from_rays([target.vertices[i] for i in indices],
                              dim=len(theta))
         if lhs != rhs:
             return False
     return True
-
-
-def _clear_fractions(vec):
-    fracs = [Fraction(x) for x in vec]
-    denom = lcm(*(f.denominator for f in fracs))
-    return tuple(int(f * denom) for f in fracs)
 
 
 def ci_data(scaf):

@@ -1,10 +1,12 @@
 """Exact polyhedral geometry: cones, polytopes and fans over the rationals.
 
 Everything is computed with integer and Fraction arithmetic.  The workhorse
-is :func:`dd_cone`, an incremental double description conversion; convex
-hulls, facet enumeration, duals, normal and face fans are all thin wrappers
-around it.  Intended for small instances (ambient dimension up to about 10);
-no attempt is made at large-scale performance.
+is :func:`dd_cone`, an incremental double description conversion that is
+integer-only: constraints are scaled to primitive integer vectors on entry,
+and every ray and lineality direction stays a primitive integer vector.
+Convex hulls, facet enumeration, duals, normal and face fans are all thin
+wrappers around it.  Intended for small instances (ambient dimension up to
+about 10); no attempt is made at large-scale performance.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from itertools import product as _product
 
 from .errors import DomainError
 from .exact import (
+    _clear_denominators,
     det,
     dot,
     gcd_list,
@@ -25,21 +28,6 @@ from .exact import (
     vscale,
     vsub,
 )
-
-
-def _clear_denominators(vec):
-    """Scale a rational vector by a positive integer to make it integral."""
-    lcm = 1
-    for c in vec:
-        f = Fraction(c)
-        lcm = lcm * f.denominator // _gcd2(lcm, f.denominator)
-    return tuple(int(Fraction(c) * lcm) for c in vec)
-
-
-def _gcd2(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _normalize_constraint(vec):
@@ -57,16 +45,14 @@ def _reduce_mod_rows(vec, rows, pivots):
     an integral primitive representative, or the zero tuple if vec lies in
     the row span.
     """
-    work = [Fraction(c) for c in vec]
+    work = tuple(vec)
     for row, p in zip(rows, pivots):
         if work[p]:
-            coef = work[p] / row[p]
-            for k in range(len(work)):
-                work[k] -= coef * row[k]
-    out = _clear_denominators(work)
-    if all(c == 0 for c in out):
-        return tuple(0 for _ in out)
-    return primitive_vector(out)
+            # row[p] > 0, so this is a positive multiple of the rational step.
+            work = vsub(vscale(row[p], work), vscale(work[p], row))
+    if not any(work):
+        return work
+    return primitive_vector(work)
 
 
 def dd_cone(inequalities, equations=(), dim=None):
@@ -134,26 +120,13 @@ def dd_cone(inequalities, equations=(), dim=None):
         if d0 < 0:
             l0 = vneg(l0)
             d0 = -d0
-        new_lin = []
-        for l in lin:
-            d = dot(a, l)
-            if d:
-                l = _normalize_constraint(
-                    tuple(Fraction(c) - Fraction(d, d0) * c0 for c, c0 in zip(l, l0))
-                )
-            new_lin.append(l)
-        lin = new_lin
-        new_rays = []
-        for r, z in rays:
-            d = dot(a, r)
-            if d:
-                r = primitive_vector(
-                    _clear_denominators(
-                        tuple(Fraction(c) - Fraction(d, d0) * c0 for c, c0 in zip(r, l0))
-                    )
-                )
-            new_rays.append((r, z))
-        rays = new_rays
+        # d0 > 0, so d0 * v - d * l0 is a positive multiple of v - (d / d0) l0.
+        def orthogonal(v):
+            d = dot(a, v)
+            return primitive_vector(vsub(vscale(d0, v), vscale(d, l0))) if d else v
+
+        lin = [orthogonal(l) for l in lin]
+        rays = [(orthogonal(r), z) for r, z in rays]
         return l0 if keep_ray else True
 
     for e in eqs:
@@ -354,9 +327,6 @@ class Polytope:
                 return False
         return True
 
-    def contains_polytope(self, other):
-        return all(self.contains(v) for v in other.vertices)
-
     def translate(self, v):
         w = tuple(Fraction(c) for c in v)
         verts = tuple(sorted(vadd(p, w) for p in self.vertices))
@@ -509,9 +479,7 @@ def _affine_rank(points):
     if not points:
         return -1
     base = points[0]
-    rows = [vsub(p, base) for p in points[1:]]
-    rows = [_clear_denominators(r) for r in rows]
-    return rank(rows) if rows else 0
+    return rank([vsub(p, base) for p in points[1:]])
 
 
 def _ceil(f):

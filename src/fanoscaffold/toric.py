@@ -185,12 +185,7 @@ def git_to_stacky_fan(git):
         raise DomainError(
             "point_quotient", "R equals r: the quotient is a point and has no fan"
         )
-    bmat = [[git.characters[basis[l]][k] for l in range(r)] for k in range(r)]
-    binv = unimodular_inverse(bmat)
-    norm = [
-        [sum(binv[k][t] * git.characters[i][t] for t in range(r)) for i in range(R)]
-        for k in range(r)
-    ]
+    norm = basis_coordinates(git, basis, git.characters)
     nonbasis = [i for i in range(R) if i not in basis]
     n = R - r
     pos = {j: p for p, j in enumerate(nonbasis)}
@@ -202,6 +197,22 @@ def git_to_stacky_fan(git):
         else:
             rays.append(tuple(1 if p == pos[i] else 0 for p in range(n)))
     return StackyFan(n, rays, _max_cones(git))
+
+
+def basis_coordinates(git, basis, vectors):
+    """Coordinates of vectors of the weight space in a basis of weights.
+
+    basis lists r coordinate indices.  Returns r rows, row l holding the
+    coefficient of the weight of basis[l] in each vector, so every basis
+    weight gets a unit column.  Raises not_unimodular unless the basis
+    weights have determinant +-1, which makes integer vectors get integer
+    coordinates.
+    """
+    r = git.r
+    binv = unimodular_inverse(
+        [[git.characters[i][k] for i in basis] for k in range(r)]
+    )
+    return tuple(tuple(dot(row, v) for v in vectors) for row in binv)
 
 
 def stacky_fan_to_git(sfan):
@@ -245,10 +256,10 @@ def _span_normals(git):
     return sorted(normals)
 
 
-def _walls(git):
-    """The cones spanned by the weights on each span hyperplane."""
+def _walls(git, normals):
+    """The cones spanned by the weights on each hyperplane in normals."""
     walls = []
-    for h in _span_normals(git):
+    for h in normals:
         on_wall = [d for d in git.characters if dot(h, d) == 0]
         if on_wall:
             walls.append(Cone.from_rays(on_wall, dim=git.r))
@@ -269,7 +280,8 @@ def in_chamber_interior(git, omega):
         return False
     if not Cone.from_rays(git.characters, dim=git.r).contains(w):
         return False
-    return not any(wall.contains(w) for wall in _walls(git))
+    walls = _walls(git, _span_normals(git))
+    return not any(wall.contains(w) for wall in walls)
 
 
 def secondary_fan(git):
@@ -285,7 +297,8 @@ def secondary_fan(git):
         raise DomainError("rank_too_large", "secondary fan capped at rank 4")
     support = Cone.from_rays(git.characters, dim=r)
     cells = [support]
-    for h in _span_normals(git):
+    normals = _span_normals(git)
+    for h in normals:
         nxt = []
         seen = set()
         for cell in cells:
@@ -298,7 +311,7 @@ def secondary_fan(git):
                     seen.add(key)
                     nxt.append(piece)
         cells = nxt
-    walls = _walls(git)
+    walls = _walls(git, normals)
     parent = list(range(len(cells)))
 
     def find(i):

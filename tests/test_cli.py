@@ -1,6 +1,11 @@
 """End-to-end checks of the command-line front end."""
 
+import io
 import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
 
 from fanoscaffold import jsonio
 from fanoscaffold.cli import run
@@ -14,6 +19,59 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Every subcommand that accepts --fixtures.  tests/golden/ holds the stdout
+# of each sweep (<subcommand>.out) and the exit codes (exit_codes.json);
+# `PYTHONPATH=src python tests/test_cli.py` rewrites them, which is only
+# right for an intended change of CLI output.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SWEEPS = tuple(
+    (name, "--fixtures")
+    for name in (
+        "newton",
+        "forward",
+        "invert",
+        "scaffold-validate",
+        "scaffold-dual-check",
+        "embed-check",
+        "ci-data",
+        "secondary-fan",
+        "fano-nef-partition",
+        "p-s",
+        "amenable-validate",
+        "amenable-tower",
+        "amenable-binomials",
+        "anticanonical",
+        "mutability",
+    )
+) + (("period", "--fixtures", "--max-degree", "8"),)
+
+
+def sweep(argv):
+    """cli.run in-process: (exit code, stdout as UTF-8 bytes)."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(list(argv))
+    return code, buf.getvalue().encode("utf-8")
+
+
+def capture_golden():
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for argv in GOLDEN_SWEEPS:
+        codes[argv[0]], out = sweep(argv)
+        (GOLDEN / (argv[0] + ".out")).write_bytes(out)
+    codes_json = json.dumps(codes, indent=1, sort_keys=True) + "\n"
+    (GOLDEN / "exit_codes.json").write_text(codes_json)
+
+
+@pytest.mark.parametrize("argv", GOLDEN_SWEEPS, ids=lambda argv: argv[0])
+def test_fixture_sweep_matches_the_golden_snapshot(argv):
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    code, out = sweep(argv)
+    assert code == codes[argv[0]]
+    assert out == (GOLDEN / (argv[0] + ".out")).read_bytes()
 
 
 def write_json(tmp_path, name, obj):
@@ -235,3 +293,7 @@ def test_mutability_sweep_hits_the_weighted_fixture(capsys):
     results = json.loads(out)["fixtures"]
     assert set(results) == {"circulant-five"}
     assert results["circulant-five"]["ok"] is True
+
+
+if __name__ == "__main__":
+    capture_golden()

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
@@ -13,6 +16,7 @@ from fanoscaffold.exact import (
     mat_mul,
     mat_vec,
     primitive_vector,
+    random_unimodular_matrix,
     rank,
     row_space_equal,
     solve_linear,
@@ -132,3 +136,115 @@ def test_integer_solution_random():
         x = integer_solution(A, b)
         assert x is not None
         assert mat_vec(A, x) == tuple(b)
+
+
+# Oracles for the row reduction that use no elimination at all: cofactor
+# expansion for determinants, and minors for ranks.
+
+def cofactor_det(A):
+    if not A:
+        return Fraction(1)
+    return Fraction(sum(
+        (-1) ** j * A[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in A[1:]])
+        for j in range(len(A))
+        if A[0][j]
+    ))
+
+
+def minor_rank(A):
+    m, n = len(A), len(A[0])
+    for k in range(min(m, n), 0, -1):
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                if cofactor_det([[A[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def greedy_columns(A):
+    """The column basis picked greedily from the left."""
+    basis = []
+    for j in range(len(A[0])):
+        if minor_rank([[row[c] for c in basis + [j]] for row in A]) > len(basis):
+            basis.append(j)
+    return basis
+
+
+ENTRIES = st.one_of(
+    st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)
+)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    m = draw(st.integers(0 if square else 1, 4))
+    n = m if square else draw(st.integers(1, 5))
+    if square and m and draw(st.booleans()):
+        A = [list(row) for row in random_unimodular_matrix(m, draw(st.randoms()))]
+        if m >= 2 and draw(st.booleans()):
+            # Still determinant +-1, but the inverse may not be integral.
+            q = draw(st.sampled_from([2, 3, Fraction(1, 2)]))
+            A[0] = [q * c for c in A[0]]
+            A[1] = [Fraction(c) / q for c in A[1]]
+        return A
+    A = [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        # Force a row that depends on the others.
+        i = draw(st.integers(0, m - 1))
+        j, k = (draw(st.sampled_from([t for t in range(m) if t != i])) for _ in "jk")
+        a, b = draw(ENTRIES), draw(ENTRIES)
+        A[i] = [a * x + b * y for x, y in zip(A[j], A[k])]
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(), st.data())
+def test_rank_and_solve_against_minors(A, data):
+    m, n = len(A), len(A[0])
+    r = minor_rank(A)
+    assert rank(A) == r
+    b = data.draw(st.one_of(
+        st.lists(ENTRIES, min_size=m, max_size=m),
+        st.lists(ENTRIES, min_size=n, max_size=n).map(lambda x0: list(mat_vec(A, x0))),
+    ))
+    x = solve_linear(A, b)
+    if minor_rank([row + [v] for row, v in zip(A, b)]) > r:
+        assert x is None
+    else:
+        assert all(isinstance(c, Fraction) for c in x)
+        assert mat_vec(A, x) == tuple(b)
+        basis = greedy_columns(A)
+        assert all(x[j] == 0 for j in range(n) if j not in basis)
+    if m != n:
+        with pytest.raises(DomainError) as err:
+            det(A)
+        assert err.value.kind == "not_square"
+        with pytest.raises(DomainError) as err:
+            unimodular_inverse(A)
+        assert err.value.kind == "not_unimodular"
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(square=True))
+def test_det_and_inverse_against_cofactors(A):
+    n = len(A)
+    d = cofactor_det(A)
+    assert det(A) == d and isinstance(det(A), Fraction)
+    if d not in (1, -1):
+        with pytest.raises(DomainError) as err:
+            unimodular_inverse(A)
+        assert err.value.kind == "not_unimodular"
+        return
+    def minor(i, j):
+        return [row[:j] + row[j + 1:] for t, row in enumerate(A) if t != i]
+
+    adjugate = [[(-1) ** (i + j) * cofactor_det(minor(j, i)) for j in range(n)]
+                for i in range(n)]
+    if any(c.denominator != 1 for row in adjugate for c in row):
+        with pytest.raises(DomainError) as err:
+            unimodular_inverse(A)
+        assert err.value.kind == "not_integral"
+        return
+    X = unimodular_inverse(A)
+    assert all(type(c) is int for row in X for c in row)
+    assert mat_mul(A, X) == identity_matrix(n)
