@@ -33,7 +33,11 @@ from .nefpart import (
     fano_nef_partition_from_inversion,
     p_s_polytope,
 )
-from .scaffolding import dual_cone_check, validate_scaffolding
+from .scaffolding import (
+    dual_cone_check,
+    require_valid_scaffolding,
+    validate_scaffolding,
+)
 from .toric import secondary_fan
 
 _FILE_FLAGS = {
@@ -47,12 +51,6 @@ _FILE_FLAGS = {
 }
 
 
-def _decode_polytope_list(obj):
-    if not isinstance(obj, list):
-        raise ValueError("expected a JSON list of polytopes")
-    return [jsonio.decode_polytope(entry) for entry in obj]
-
-
 _DECODERS = {
     "laurent": jsonio.decode_laurent,
     "git": jsonio.decode_git,
@@ -60,7 +58,7 @@ _DECODERS = {
     "scaffolding": jsonio.decode_scaffolding,
     "polytope": jsonio.decode_polytope,
     "mutation": jsonio.decode_mutation,
-    "polytopes": _decode_polytope_list,
+    "polytopes": jsonio.decode_polytopes,
 }
 
 
@@ -193,6 +191,7 @@ def _cmd_embed_check(args, data):
 
 
 def _cmd_ci_data(args, data):
+    require_valid_scaffolding(data["scaffolding"])
     info = ci_data(data["scaffolding"])
     return {
         "functionals": [list(row) for row in info["functionals"]],
@@ -260,6 +259,7 @@ def _cmd_cayley(args, data):
 
 
 def _cmd_p_s(args, data):
+    require_valid_scaffolding(data["scaffolding"])
     out = p_s_polytope(data["scaffolding"])
     if args.emit_tikz:
         return _tikz_cycle(out)

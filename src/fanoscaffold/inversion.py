@@ -34,8 +34,8 @@ from .scaffolding import (
     Scaffolding,
     Strut,
     product_structure,
+    require_valid_scaffolding,
     unit_strut_basis,
-    validate_scaffolding,
 )
 from .toric import GitData
 
@@ -127,10 +127,7 @@ def laurent_inversion(scaf, omega=None):
     then one per shape ray in the fan's canonical order.  By default omega
     is the sum of the strut columns.
     """
-    ok, report = validate_scaffolding(scaf)
-    if not ok:
-        raise DomainError("invalid_scaffolding", "; ".join(report["failures"]))
-    basis = report["unit_basis"]
+    basis = require_valid_scaffolding(scaf)["unit_basis"]
     chosen = set(basis)
     row_struts = tuple(i for i in range(len(scaf.struts)) if i not in chosen)
     u = scaf.u

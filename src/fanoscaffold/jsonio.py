@@ -49,16 +49,18 @@ def _decode_int(x):
     return x
 
 
+def _list(x, what):
+    if not isinstance(x, list):
+        raise ValueError("expected a list of %s, got %r" % (what, x))
+    return x
+
+
 def _int_vector(row):
-    if not isinstance(row, list):
-        raise ValueError("expected a list of integers, got %r" % (row,))
-    return tuple(_decode_int(x) for x in row)
+    return tuple(_decode_int(x) for x in _list(row, "integers"))
 
 
 def _number_vector(row):
-    if not isinstance(row, list):
-        raise ValueError("expected a list of numbers, got %r" % (row,))
-    return tuple(_decode_number(x) for x in row)
+    return tuple(_decode_number(x) for x in _list(row, "numbers"))
 
 
 def _field(obj, key):
@@ -77,8 +79,8 @@ def encode_polytope(p):
 
 
 def decode_polytope(obj):
-    vertices = _field(obj, "vertices")
-    if not isinstance(vertices, list) or not vertices:
+    vertices = _list(_field(obj, "vertices"), "vertices")
+    if not vertices:
         raise ValueError("vertices must be a non-empty list")
     dim = _decode_int(_field(obj, "dim"))
     points = [_number_vector(v) for v in vertices]
@@ -99,8 +101,8 @@ def encode_fan(fan):
 def decode_fan(obj):
     return Fan(
         _decode_int(_field(obj, "dim")),
-        [_int_vector(r) for r in _field(obj, "rays")],
-        [_int_vector(c) for c in _field(obj, "max_cones")],
+        [_int_vector(r) for r in _list(_field(obj, "rays"), "rays")],
+        [_int_vector(c) for c in _list(_field(obj, "max_cones"), "cones")],
     )
 
 
@@ -124,7 +126,7 @@ def decode_git(obj):
     return GitData(
         _decode_int(_field(obj, "r")),
         _decode_int(_field(obj, "R")),
-        [_int_vector(c) for c in _field(obj, "characters")],
+        [_int_vector(c) for c in _list(_field(obj, "characters"), "characters")],
         _number_vector(_field(obj, "omega")),
     )
 
@@ -139,7 +141,7 @@ def encode_laurent(f):
 def decode_laurent(obj):
     nvars = _decode_int(_field(obj, "vars"))
     terms = {}
-    for entry in _field(obj, "terms"):
+    for entry in _list(_field(obj, "terms"), "terms"):
         e = _int_vector(_field(entry, "e"))
         if len(e) != nvars:
             raise ValueError("exponent length does not match vars")
@@ -160,7 +162,7 @@ def decode_partition(obj):
     choices = obj.get("choices") if isinstance(obj, dict) else None
     return ConvexPartitionWithBasis(
         _int_vector(_field(obj, "B")),
-        [_int_vector(g) for g in _field(obj, "S")],
+        [_int_vector(g) for g in _list(_field(obj, "S"), "index groups")],
         _int_vector(obj.get("U", [])) if isinstance(obj, dict) else (),
         None if choices is None else _int_vector(choices),
     )
@@ -180,7 +182,7 @@ def encode_scaffolding(scaf):
 def decode_scaffolding(obj):
     struts = [
         Strut(_int_vector(_field(s, "coeffs")), _int_vector(s.get("chi", [])))
-        for s in _field(obj, "struts")
+        for s in _list(_field(obj, "struts"), "struts")
     ]
     return Scaffolding(
         decode_fan(_field(obj, "shape")),
@@ -188,6 +190,10 @@ def decode_scaffolding(obj):
         struts,
         decode_polytope(_field(obj, "target")),
     )
+
+
+def decode_polytopes(obj):
+    return [decode_polytope(entry) for entry in _list(obj, "polytopes")]
 
 
 def decode_mutation(obj):

@@ -619,12 +619,16 @@ class Fan:
             v = _normalize_constraint(r)
             if v is None:
                 raise DomainError("zero_vector", "fan ray must be nonzero")
+            if len(v) != dim:
+                raise DomainError("dimension_mismatch", "ray length differs from dim")
             prim.append(v)
         order = sorted(set(prim))
         lookup = {r: i for i, r in enumerate(order)}
         remap = [lookup[r] for r in prim]
         cones = set()
         for c in max_cones:
+            if any(i < 0 or i >= len(remap) for i in c):
+                raise DomainError("bad_index", "cone index out of range")
             cones.add(tuple(sorted(set(remap[i] for i in c))))
         self.dim = dim
         self.rays = tuple(order)

@@ -158,6 +158,14 @@ def validate_scaffolding(scaf):
     return not report["failures"], report
 
 
+def require_valid_scaffolding(scaf):
+    """The report of validate_scaffolding; raises invalid_scaffolding on failure."""
+    ok, report = validate_scaffolding(scaf)
+    if not ok:
+        raise DomainError("invalid_scaffolding", "; ".join(report["failures"]))
+    return report
+
+
 def strut_cone(scaf, index):
     """Dual cone of the cone over (strut piece) x {1}.
 

@@ -22,6 +22,7 @@ from .exact import (
     solve_linear,
     transpose,
     unimodular_inverse,
+    vneg,
 )
 from .polyhedra import Cone, Fan, Polytope
 
@@ -287,56 +288,53 @@ def in_chamber_interior(git, omega):
 def secondary_fan(git):
     """The GKZ chamber decomposition of the character cone.
 
-    Splits the support cone along every hyperplane spanned by weights, then
-    merges adjacent cells whose common facet lies on no wall.  Returns the
-    chambers as canonical cones, sorted by their ray tuples.  Capped at
-    rank 4.
+    Cuts the pointed support cone by every hyperplane spanned by weights
+    into cells keyed by sign vectors, the side of each normal a cell lies
+    on; a cell whose rays lie on one side of a hyperplane is kept whole.
+    The support is convex, so two cells share a facet exactly when their
+    sign vectors differ in one place k, and the facet is the face of either
+    cell on hyperplane k: the sum of the cell's rays on it probes the facet
+    without intersecting cells.  Cells whose common facet lies on no wall
+    merge.  Returns the chambers as canonical cones, sorted by their ray
+    tuples.  Capped at rank 4.
     """
     r = git.r
     if r > 4:
         raise DomainError("rank_too_large", "secondary fan capped at rank 4")
-    support = Cone.from_rays(git.characters, dim=r)
-    cells = [support]
+    cells = {(): Cone.from_rays(git.characters, dim=r)}
     normals = _span_normals(git)
     for h in normals:
-        nxt = []
-        seen = set()
-        for cell in cells:
-            for side in (h, tuple(-c for c in h)):
-                piece = cell.intersect(Cone.from_hrep([side], dim=r))
-                if piece.cone_dim() != r:
-                    continue
-                key = (piece.rays, piece.lineality)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(piece)
+        halves = {1: Cone.from_hrep([h], dim=r), -1: Cone.from_hrep([vneg(h)], dim=r)}
+        nxt = {}
+        for signs, cell in cells.items():
+            values = [dot(h, v) for v in cell.rays]
+            if min(values) < 0 < max(values):
+                for side, half in halves.items():
+                    nxt[signs + (side,)] = cell.intersect(half)
+            else:
+                nxt[signs + (1 if max(values) > 0 else -1,)] = cell
         cells = nxt
     walls = _walls(git, normals)
-    parent = list(range(len(cells)))
+    parent = {signs: signs for signs in cells}
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
 
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            shared = cells[i].intersect(cells[j])
-            if shared.cone_dim() != r - 1:
-                continue
-            probe = tuple(sum(v[k] for v in shared.rays) for k in range(r))
-            if not any(w.contains(probe) for w in walls):
-                parent[find(i)] = find(j)
+    for signs, cell in cells.items():
+        for k, h in enumerate(normals):
+            flipped = signs[:k] + (-1,) + signs[k + 1:]
+            if signs[k] > 0 and flipped in cells:
+                probe = tuple(map(sum, zip(*(v for v in cell.rays if dot(h, v) == 0))))
+                if not any(w.contains(probe) for w in walls):
+                    parent[find(signs)] = find(flipped)
     groups = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault(find(i), []).append(cell)
-    chambers = []
-    for members in groups.values():
-        gens = [v for cell in members for v in cell.rays]
-        chambers.append(Cone.from_rays(gens, dim=r))
-    chambers.sort(key=lambda c: c.rays)
-    return tuple(chambers)
+    for signs, cell in cells.items():
+        groups.setdefault(find(signs), []).extend(cell.rays)
+    chambers = [Cone.from_rays(gens, dim=r) for gens in groups.values()]
+    return tuple(sorted(chambers, key=lambda c: c.rays))
 
 
 class PLFunction:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fanoscaffold import jsonio
-from fanoscaffold.cli import run
+from fanoscaffold.cli import _FILE_FLAGS, run
 from fanoscaffold.fixtures import fixture
 from fanoscaffold.laurent import LaurentPolynomial, algebraic_mutation
 from fanoscaffold.mutations import segment_factor
@@ -111,6 +111,68 @@ def test_usage_errors_exit_with_two(tmp_path, capsys):
     bad = write_json(tmp_path, "bad.json", {"vars": 2})
     assert invoke(capsys, "period", "--f", bad, "--max-degree", "2")[0] == 2
     assert invoke(capsys, "p-s", "--fixtures", "--emit-tikz")[0] == 2
+
+
+# (subcommand, input kind, path to the field that becomes the integer 5)
+MALFORMED_FIELDS = (
+    ("secondary-fan", "git", ("characters",)),
+    ("period", "laurent", ("terms",)),
+    ("forward", "partition", ("B",)),
+    ("forward", "partition", ("S",)),
+    ("forward", "partition", ("U",)),
+    ("forward", "partition", ("choices",)),
+    ("embed-check", "scaffolding", ("struts",)),
+    ("embed-check", "scaffolding", ("shape", "rays")),
+    ("embed-check", "scaffolding", ("shape", "max_cones")),
+    ("embed-check", "scaffolding", ("target", "vertices")),
+    ("cayley", "polytopes", ()),
+)
+
+
+def encoded_inputs():
+    fx = fixture("dp6-squares")
+    square = jsonio.encode_polytope(Polytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    return {
+        "git": jsonio.encode_git(fx["git"]),
+        "laurent": jsonio.encode_laurent(fx["laurent"]),
+        "partition": jsonio.encode_partition(fx["partition"]),
+        "scaffolding": jsonio.encode_scaffolding(fx["scaffolding"]),
+        "polytopes": [square, square],
+    }
+
+
+@pytest.mark.parametrize("command, kind, path", MALFORMED_FIELDS,
+                         ids=lambda v: v if isinstance(v, str) else ".".join(v))
+def test_a_field_that_is_not_a_list_exits_with_two(tmp_path, capsys, command, kind, path):
+    inputs = encoded_inputs()
+    if path:
+        owner = inputs[kind]
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = 5
+    else:
+        inputs[kind] = 5
+    argv = [command]
+    needed = {"forward": ("git", "partition")}.get(command, (kind,))
+    for key in needed:
+        argv += [_FILE_FLAGS[key], write_json(tmp_path, key + ".json", inputs[key])]
+    if command == "period":
+        argv += ["--max-degree", "2"]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and not out
+    assert err and "Traceback" not in err
+
+
+def test_reports_reject_an_invalid_scaffolding(tmp_path, capsys):
+    obj = jsonio.encode_scaffolding(fixture("dp6-squares")["scaffolding"])
+    obj["target"]["vertices"] = [[2 * x for x in v] for v in obj["target"]["vertices"]]
+    scaf = write_json(tmp_path, "s.json", obj)
+    for command in ("invert", "ci-data", "p-s"):
+        code, out, err = invoke(capsys, command, "--scaffolding", scaf)
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(out)["error"] == {
+            "kind": "invalid_scaffolding", "detail": "strut hull differs from the target"
+        }
 
 
 def test_invert_prints_the_weight_matrix(tmp_path, capsys):

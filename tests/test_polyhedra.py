@@ -283,6 +283,14 @@ def test_fan_canonicalization_and_equality():
     assert f1.ray_index((5, 0)) == f1.rays.index((1, 0))
     incomplete = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
     assert not incomplete.is_complete()
+    for rays, cones, kind in (
+        ([(1, 0), (0, 1, 1)], [(0, 1)], "dimension_mismatch"),
+        ([(1, 0), (0, 1)], [(0, 2)], "bad_index"),
+        ([(1, 0), (0, 1)], [(-1, 0)], "bad_index"),
+    ):
+        with pytest.raises(DomainError) as ei:
+            Fan(2, rays, cones)
+        assert ei.value.kind == kind
 
 
 def test_restrict_fan():

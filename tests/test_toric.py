@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import rank
-from fanoscaffold.polyhedra import Fan, Polytope
+from fanoscaffold.exact import mat_vec, random_unimodular_matrix, rank
+from fanoscaffold.polyhedra import Cone, Fan, Polytope
 from fanoscaffold.toric import (
     GitData,
     PLFunction,
@@ -169,6 +170,34 @@ def test_secondary_fan_chambers():
     simple = secondary_fan(p1p1_git())
     assert len(simple) == 1
     assert simple[0].rays == ((0, 1), (1, 0))
+
+
+def gkz_chamber(git, p):
+    """The intersection of the cones of full-rank r-subsets of weights containing p."""
+    chamber = None
+    for sigma in combinations(range(git.R), git.r):
+        gens = [git.characters[i] for i in sigma]
+        if rank(gens) == git.r:
+            cone = Cone.from_rays(gens, dim=git.r)
+            if cone.contains(p):
+                chamber = cone if chamber is None else chamber.intersect(cone)
+    return chamber
+
+
+@settings(max_examples=60, deadline=None)
+@given(git_with_wall_omega(), st.integers(0, 2**32))
+def test_secondary_fan_against_simplicial_cones(git, seed):
+    assume(git.R <= git.r + 3)
+    chambers = secondary_fan(git)
+    for c in chambers:
+        probe = tuple(sum(v[k] for v in c.rays) for k in range(git.r))
+        assert gkz_chamber(git, probe) == c
+        assert in_chamber_interior(git, probe)
+    u = random_unimodular_matrix(git.r, random.Random(seed))
+    moved = GitData(git.r, git.R, [mat_vec(u, d) for d in git.characters],
+                    mat_vec(u, git.omega))
+    expected = sorted(tuple(sorted(mat_vec(u, v) for v in c.rays)) for c in chambers)
+    assert [c.rays for c in secondary_fan(moved)] == expected
 
 
 def test_in_chamber_interior():
