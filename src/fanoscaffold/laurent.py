@@ -12,7 +12,7 @@ Mutations are performed by exact division of the graded pieces.
 
 from .errors import DomainError
 from .exact import det, dot, mat_vec, vadd, vsub
-from .polyhedra import Polytope
+from .polyhedra import Polytope, convex_hull
 
 
 class LaurentPolynomial:
@@ -256,11 +256,11 @@ def classical_period(f, d_max):
         raise DomainError(
             "degree_too_large", f"period depth capped at {MAX_PERIOD_DEPTH}"
         )
-    newton = f.newton_polytope()
+    inequalities, equations = convex_hull(list(f.terms))
     out = [1] + [0] * d_max
-    if any(rhs for _, rhs in newton.equations):
+    if any(rhs for _, rhs in equations):
         return tuple(out)
-    weights, mask, base, step = _packing(f, newton.inequalities, d_max)
+    weights, mask, base, step = _packing(f, inequalities, d_max)
     terms = [(dot(weights, e), c) for e, c in f.terms.items()]
     power = {0: 1}
     for k in range(1, (d_max + 1) // 2 + 1):

@@ -5,8 +5,12 @@ is :func:`dd_cone`, an incremental double description conversion that is
 integer-only: constraints are scaled to primitive integer vectors on entry,
 and every ray and lineality direction stays a primitive integer vector.
 Convex hulls, facet enumeration, duals, normal and face fans are all thin
-wrappers around it.  Intended for small instances (ambient dimension up to
-about 10); no attempt is made at large-scale performance.
+wrappers around it; Polytope.from_points makes one conversion and reads its
+vertices off the facet incidences.  Lattice points are enumerated on
+integer rows, one interval of the last coordinate per line of the bounding
+box, in boxes of at most MAX_LATTICE_BOX points (larger ones raise
+lattice_box_too_large).  Intended for small instances (ambient dimension
+up to about 10); no attempt is made at large-scale performance.
 """
 
 from fractions import Fraction
@@ -28,6 +32,9 @@ from .exact import (
     vscale,
     vsub,
 )
+
+# Largest bounding box, in lattice points, that integral_points enumerates.
+MAX_LATTICE_BOX = 10**6
 
 
 def _normalize_constraint(vec):
@@ -208,16 +215,22 @@ def convex_hull(points):
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
         raise DomainError("empty_polytope", "no points given")
+    return _lifted_hull(pts)[1:]
+
+
+def _lifted_hull(pts):
+    """(lifted points, inequalities, equations) of the hull of Fraction points.
+
+    Each point p lifts to the primitive integer multiple of (p, 1); one
+    dd_cone call on the lifted points gives the facets as the rays (a, -rhs)
+    that are >= 0 on all of them.
+    """
     n = len(pts[0])
     lifted = [_normalize_constraint(p + (1,)) for p in pts]
     facet_rays, aff_lin = dd_cone(lifted, dim=n + 1)
-    ineqs = []
-    for v in facet_rays:
-        ineqs.append((v[:n], -v[n]))
-    eqs = []
-    for v in aff_lin:
-        eqs.append((v[:n], -v[n]))
-    return tuple(ineqs), tuple(eqs)
+    ineqs = tuple((v[:n], -v[n]) for v in facet_rays)
+    eqs = tuple((v[:n], -v[n]) for v in aff_lin)
+    return lifted, ineqs, eqs
 
 
 def _hrep_to_vertices(inequalities, equations, n):
@@ -263,7 +276,13 @@ class Polytope:
 
     @classmethod
     def from_points(cls, points):
-        pts = [tuple(Fraction(c) for c in p) for p in points]
+        """The convex hull of points, from one double description pass.
+
+        The vertices are read off the facet incidences of that pass: a
+        point is a vertex exactly when no other point lies on every facet
+        it lies on, that is, when the facets through it meet in it alone.
+        """
+        pts = sorted({tuple(Fraction(c) for c in p) for p in points})
         if not pts:
             raise DomainError("empty_polytope", "no points given")
         n = len(pts[0])
@@ -272,9 +291,22 @@ class Polytope:
         for p in pts:
             if len(p) != n:
                 raise DomainError("dimension_mismatch", "points of mixed length")
-        ineqs, eqs = convex_hull(pts)
-        verts = _hrep_to_vertices(ineqs, eqs, n)
-        return cls(n, verts, ineqs, eqs)
+        lifted, ineqs, eqs = _lifted_hull(pts)
+        # Bit i of on_facet[j] is set when point i lies on facet j.
+        on_facet = []
+        for a, rhs in ineqs:
+            row = a + (-rhs,)
+            on_facet.append(sum(1 << i for i, q in enumerate(lifted) if not dot(row, q)))
+        everything = (1 << len(pts)) - 1
+        verts = []
+        for i, p in enumerate(pts):
+            meet = everything
+            for mask in on_facet:
+                if mask >> i & 1:
+                    meet &= mask
+            if meet == 1 << i:
+                verts.append(p)
+        return cls(n, tuple(verts), ineqs, eqs)
 
     @classmethod
     def from_hrep(cls, inequalities, equations=(), dim=None):
@@ -384,19 +416,59 @@ class Polytope:
         return Polytope.from_points([self.vertices[i] for i in indices])
 
     def integral_points(self):
-        """All lattice points of the polytope, lex sorted."""
+        """All lattice points of the polytope, lex sorted.
+
+        Each facet inequality becomes a primitive integer row
+        <a, x> >= b, and each equation a pair of them; an equation with no
+        integer solution gives ().  The walk runs over the bounding box of
+        the first n - 1 coordinates.  Rows whose last coefficient is 0 test
+        the prefix alone; every other row bounds the last coordinate with
+        one floor or ceiling division, so each line yields one interval.
+        A bounding box of more than MAX_LATTICE_BOX points raises
+        lattice_box_too_large before anything is enumerated.
+        """
         if not self.vertices:
             return ()
+        if not self.dim:
+            return ((),)
         lo = []
         hi = []
         for i in range(self.dim):
             cs = [v[i] for v in self.vertices]
             lo.append(_ceil(min(cs)))
             hi.append(_floor(max(cs)))
+        size = 1
+        for a, b in zip(lo, hi):
+            size *= max(b - a + 1, 0)
+        if size > MAX_LATTICE_BOX:
+            raise DomainError(
+                "lattice_box_too_large",
+                f"the bounding box holds {size} lattice points; lattice points "
+                f"are enumerated only in boxes of at most {MAX_LATTICE_BOX}",
+            )
+        rows = [_integer_row(a, rhs) for a, rhs in self.inequalities]
+        for a, rhs in self.equations:
+            up, down = _integer_row(a, rhs), _integer_row(vneg(a), -rhs)
+            if up[1] + down[1] > 0:
+                # b > -b' happens exactly when <a, x> = rhs has no integer
+                # solution: rhs is not an integer multiple of the gcd of a.
+                return ()
+            rows += [up, down]
+        prefix_rows = [(a[:-1], b) for a, b in rows if not a[-1]]
+        line_rows = [(a[:-1], a[-1], b) for a, b in rows if a[-1]]
         pts = []
-        for p in _product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            if self.contains(p):
-                pts.append(p)
+        for head in _product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+            if any(dot(a, head) < b for a, b in prefix_rows):
+                continue
+            first, last = lo[-1], hi[-1]
+            for a, c, b in line_rows:
+                # c * x >= t, read as x >= ceil(t / c) or x <= floor(t / c).
+                t = b - dot(a, head)
+                if c > 0:
+                    first = max(first, -(-t // c))
+                else:
+                    last = min(last, t // c)
+            pts.extend(head + (x,) for x in range(first, last + 1))
         return tuple(pts)
 
     def interior_lattice_points(self):
@@ -480,6 +552,16 @@ def _affine_rank(points):
         return -1
     base = points[0]
     return rank([vsub(p, base) for p in points[1:]])
+
+
+def _integer_row(a, rhs):
+    """Primitive integer (a', b) with the same lattice points as <a, x> >= rhs.
+
+    a may be zero (the one inequality of a point is 0 >= -1); then a' is.
+    """
+    row = _clear_denominators(tuple(a) + (Fraction(rhs),))
+    g = gcd_list(row[:-1]) or 1
+    return tuple(c // g for c in row[:-1]), -(-row[-1] // g)
 
 
 def _ceil(f):

@@ -304,13 +304,14 @@ def secondary_fan(git):
     cells = {(): Cone.from_rays(git.characters, dim=r)}
     normals = _span_normals(git)
     for h in normals:
-        halves = {1: Cone.from_hrep([h], dim=r), -1: Cone.from_hrep([vneg(h)], dim=r)}
         nxt = {}
         for signs, cell in cells.items():
             values = [dot(h, v) for v in cell.rays]
             if min(values) < 0 < max(values):
-                for side, half in halves.items():
-                    nxt[signs + (side,)] = cell.intersect(half)
+                for side, g in ((1, h), (-1, vneg(h))):
+                    nxt[signs + (side,)] = Cone.from_hrep(
+                        cell.ineq_normals + (g,), cell.eq_normals, dim=r
+                    )
             else:
                 nxt[signs + (1 if max(values) > 0 else -1,)] = cell
         cells = nxt

@@ -266,6 +266,17 @@ def test_mutate_laurent_matches_the_library(tmp_path, capsys):
     assert jsonio.decode_laurent(json.loads(out)) == expected
 
 
+def test_lattice_point_box_is_capped(tmp_path, capsys):
+    f = write_json(tmp_path, "f.json", jsonio.encode_laurent(fixture("dp6-squares")["laurent"]))
+    triangle = {"dim": 2, "vertices": [[0, 0], [0, 100000], [100000, 0]]}
+    mut = write_json(tmp_path, "m.json", {"w": [1, 0], "factor": triangle})
+    code, out, err = invoke(capsys, "mutate-laurent", "--f", f, "--mutation", mut)
+    assert code == 1 and "Traceback" not in err
+    error = json.loads(out)["error"]
+    assert error["kind"] == "lattice_box_too_large"
+    assert "10000200001" in error["detail"] and "1000000" in error["detail"]
+
+
 def test_nef_partition_with_inline_parts(tmp_path, capsys):
     square = Polytope.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     poly = write_json(tmp_path, "p.json", jsonio.encode_polytope(square))

@@ -1,16 +1,22 @@
+import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import dot, kernel_basis, primitive_vector, rank, solve_linear
 from fanoscaffold.polyhedra import (
+    MAX_LATTICE_BOX,
     Cone,
     Fan,
     Polytope,
+    _hrep_to_vertices,
     cone_over,
+    convex_hull,
     dd_cone,
     fans_equal,
     lattice_isomorphic,
@@ -184,6 +190,68 @@ def test_polytope_vertices_against_bruteforce():
         # Facets are supported: each has affine rank dim-1 worth of vertices.
         for s in p.facet_vertex_sets():
             assert len(s) >= p.affine_dim()
+
+
+COORDS = st.fractions(-2, 2, max_denominator=3)
+SLOPES = st.fractions(-1, 1, max_denominator=2)
+
+
+@st.composite
+def point_sets(draw):
+    """Rational points in dims 1-4, often repeated, often on an affine subspace.
+
+    A lower-dimensional set is drawn in m < n coordinates and mapped by
+    x -> (x, A x + t) with rational A and t, so its affine hull has
+    equations whose right-hand sides need not be integers.
+    """
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, n)) if draw(st.booleans()) else n
+    pts = draw(st.lists(st.tuples(*[COORDS] * m), min_size=1, max_size=6))
+    if m < n:
+        rows = [draw(st.tuples(*[SLOPES] * m)) for _ in range(n - m)]
+        shift = draw(st.tuples(*[COORDS] * (n - m)))
+        pts = [p + tuple(dot(a, p) + t for a, t in zip(rows, shift)) for p in pts]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=2))
+
+
+def box_filter(p):
+    """The lattice points of p, by testing every point of its bounding box."""
+    lo = [math.ceil(min(v[i] for v in p.vertices)) for i in range(p.dim)]
+    hi = [math.floor(max(v[i] for v in p.vertices)) for i in range(p.dim)]
+    box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return tuple(x for x in box if p.contains(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(), st.data())
+def test_integral_points_against_the_box_filter(pts, data):
+    p = Polytope.from_points(pts)
+    assert p.integral_points() == box_filter(p)
+    # A translate by a fraction keeps the normals and makes the right-hand
+    # sides non-integral.
+    shift = data.draw(st.tuples(*[COORDS] * p.dim))
+    q = p.translate(shift)
+    assert q.integral_points() == box_filter(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_from_points_against_a_second_conversion(pts):
+    p = Polytope.from_points(pts)
+    ineqs, eqs = convex_hull(pts)
+    assert p.vertices == _hrep_to_vertices(ineqs, eqs, p.dim)
+    assert (p.inequalities, p.equations) == (ineqs, eqs)
+
+
+def test_lattice_point_box_cap():
+    # The box of the diagonal holds exactly MAX_LATTICE_BOX points.
+    side = math.isqrt(MAX_LATTICE_BOX) - 1
+    diagonal = Polytope.from_points([(0, 0), (side, side)])
+    assert diagonal.integral_points() == tuple((i, i) for i in range(side + 1))
+    wider = Polytope.from_points([(0, 0), (side + 1, side)])
+    with pytest.raises(DomainError) as ei:
+        wider.integral_points()
+    assert ei.value.kind == "lattice_box_too_large"
 
 
 def test_polytope_from_hrep_and_unbounded():
