@@ -11,7 +11,6 @@ from functools import cmp_to_key
 
 from .errors import DomainError
 from .exact import (
-    _clear_denominators,
     dot,
     kernel_basis,
     primitive_vector,
@@ -22,9 +21,9 @@ from .exact import (
 )
 from .forward import ConvexPartitionWithBasis
 from .polyhedra import (
-    Cone,
     Fan,
     Polytope,
+    dd_cone,
     fans_equal,
     normal_fan,
     restrict_fan,
@@ -33,6 +32,7 @@ from .polyhedra import (
 from .scaffolding import (
     Scaffolding,
     Strut,
+    block_rays,
     product_structure,
     require_valid_scaffolding,
     unit_strut_basis,
@@ -157,14 +157,10 @@ def laurent_inversion(scaf, omega=None):
     except DomainError:
         recovered = None
     else:
-        groups = []
-        for block in blocks:
-            cols = []
-            for j, ray in enumerate(scaf.shape.rays):
-                support = {p for p, c in enumerate(ray) if c}
-                if support <= set(block):
-                    cols.append(r + u + j)
-            groups.append(tuple(cols))
+        groups = [
+            tuple(r + u + j for j in idx)
+            for idx in block_rays(scaf.shape, blocks)
+        ]
         recovered = ConvexPartitionWithBasis(
             tuple(range(r)), groups, tuple(range(r, r + u))
         )
@@ -251,14 +247,10 @@ def _ray_relations(shape):
     except DomainError:
         pass
     else:
-        rels = []
-        for block in blocks:
-            w = []
-            for ray in rays:
-                support = {p for p, c in enumerate(ray) if c}
-                w.append(1 if support <= set(block) else 0)
-            rels.append(tuple(w))
-        return sorted(rels)
+        return sorted(
+            tuple(1 if j in idx else 0 for j in range(n))
+            for idx in block_rays(shape, blocks)
+        )
     return sorted(kernel_basis(transpose([list(r) for r in rays]), ncols=n))
 
 
@@ -333,7 +325,10 @@ def verify_embedding(scaf):
     (c) for every proper face of the target, the face's cone is recovered
         from the ambient data.
 
-    Returns (ok, report) with one boolean per check.
+    Checks (b) and (c) pull H-descriptions back along the lattice inclusion
+    and convert them once in the target's space, so each maximal cone and
+    each proper face costs two dd_cone passes.  Returns (ok, report) with
+    one boolean per check.
     """
     report = {"ambient_rays": False, "restricted_fan": False,
               "face_cones": False}
@@ -362,6 +357,16 @@ def verify_embedding(scaf):
 
 
 def _face_cones_check(scaf, basis, theta):
+    """Check (c): every proper face's cone is recovered from the ambient data.
+
+    Each facet of the target lifts to an ambient dual point, and a face
+    picks the ambient generators that those of its covering facets' lifts
+    make tight.  One dd_cone pass over the generators gives the ambient
+    face cone's H-description; pulled back along theta, one pass in the
+    target's dimension gives the preimage's rays.  The cone over a proper
+    face of a polytope with 0 in its interior is pointed with the face's
+    primitive vertex vectors as its rays, so those are compared directly.
+    """
     u = scaf.u
     nrays = len(scaf.shape.rays)
     dim = u + nrays
@@ -379,9 +384,6 @@ def _face_cones_check(scaf, basis, theta):
         if lifted is None:
             return False
         lifts.append(lifted)
-    theta_cols = transpose([list(t) for t in theta])
-    ann = kernel_basis([list(t) for t in theta], ncols=dim)
-    subspace = Cone.from_hrep([], ann, dim=dim) if ann else None
     for _, indices in target.proper_faces():
         members = set(indices)
         cover = [k for k, fset in enumerate(facet_sets) if members <= fset]
@@ -396,21 +398,17 @@ def _face_cones_check(scaf, basis, theta):
         for j in range(nrays):
             if all(lifts[k][u + j] == 0 for k in cover):
                 gens.append(tuple(1 if p == u + j else 0 for p in range(dim)))
-        big = Cone.from_rays(gens, dim=dim)
-        if subspace is not None:
-            big = big.intersect(subspace)
-        pulled = []
-        for v in list(big.rays) + list(big.lineality) + [
-            tuple(-x for x in l) for l in big.lineality
-        ]:
-            sol = solve_linear(theta_cols, v)
-            if sol is None:
-                return False
-            pulled.append(primitive_vector(_clear_denominators(sol)))
-        lhs = Cone.from_rays(pulled, dim=len(theta))
-        rhs = Cone.from_rays([target.vertices[i] for i in indices],
-                             dim=len(theta))
-        if lhs != rhs:
+        normals, eq_normals = dd_cone(gens, dim=dim)
+        rays, lineality = dd_cone(
+            [tuple(dot(a, b) for b in theta) for a in normals],
+            [tuple(dot(e, b) for b in theta) for e in eq_normals],
+            dim=len(theta),
+        )
+        face_rays = tuple(sorted(
+            primitive_vector(tuple(int(c) for c in target.vertices[i]))
+            for i in indices
+        ))
+        if lineality or rays != face_rays:
             return False
     return True
 
@@ -429,14 +427,7 @@ def ci_data(scaf):
     u = scaf.u
     nrays = len(scaf.shape.rays)
     dim = u + nrays
-    factor_ray_idx = []
-    for block in blocks:
-        idx = []
-        for j, ray in enumerate(scaf.shape.rays):
-            support = {p for p, c in enumerate(ray) if c}
-            if support <= set(block):
-                idx.append(j)
-        factor_ray_idx.append(tuple(idx))
+    factor_ray_idx = block_rays(scaf.shape, blocks)
     functionals = tuple(
         tuple(1 if p - u in idx and p >= u else 0 for p in range(dim))
         for idx in factor_ray_idx

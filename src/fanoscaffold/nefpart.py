@@ -17,7 +17,7 @@ from .exact import dot, integer_solution, kernel_basis, solve_linear, transpose,
 from .inversion import ambient_rays
 from .mutations import mutate_polytope
 from .polyhedra import Cone, Polytope, lattice_isomorphic, spanning_fan
-from .scaffolding import product_structure, strut_polytope
+from .scaffolding import block_rays, product_structure, strut_polytope
 from .toric import PLFunction, git_to_stacky_fan, is_ample, is_nef, sections_polytope
 
 
@@ -141,20 +141,23 @@ def fano_nef_partition_from_inversion(inv):
     return FanoNefPartition(fan, inv.recovered.S, f_part)
 
 
-def _all_fan_cones(fan_like):
-    """Every cone of the fan: the maximal ones and all of their faces."""
-    queue = [
-        Cone.from_rays([fan_like.rays[i] for i in c], dim=fan_like.dim)
-        for c in fan_like.max_cones
-    ]
-    out = set()
-    while queue:
-        cone = queue.pop()
-        if cone in out:
+def _is_fan_cone(fan, sigma):
+    """Whether the cone sigma is a cone of the fan: a face of a maximal cone.
+
+    The smallest face of a maximal cone C containing sigma is cut out by the
+    facet normals of C that vanish on sigma, and its rays are the rays of C
+    on which all of those normals vanish; sigma is a face of C exactly when
+    these are sigma's own rays (Kaibel and Pfetsch, Comput. Geom. 2002).
+    """
+    for c in fan.max_cones:
+        cone = Cone.from_rays([fan.rays[i] for i in c], dim=fan.dim)
+        if cone.lineality != sigma.lineality or not cone.contains_cone(sigma):
             continue
-        out.add(cone)
-        queue.extend(cone.facet_cones())
-    return out
+        tight = [a for a in cone.ineq_normals if not any(dot(a, r) for r in sigma.rays)]
+        face = tuple(r for r in cone.rays if not any(dot(a, r) for a in tight))
+        if face == sigma.rays:
+            return True
+    return False
 
 
 def check_fano_nef_partition(fnp):
@@ -182,7 +185,7 @@ def check_fano_nef_partition(fnp):
     nef_parts = tuple(divisor_check(is_nef, p) for p in fnp.e_parts)
     spanning = [i for p in fnp.e_parts for i in p]
     sigma = Cone.from_rays([fan.rays[i] for i in spanning], dim=fan.dim)
-    in_fan = sigma in _all_fan_cones(fan)
+    in_fan = _is_fan_cone(fan, sigma)
     level = None
     if sigma.is_pointed() and sigma.rays:
         level = integer_solution(sigma.rays, (1,) * len(sigma.rays))
@@ -264,7 +267,7 @@ def is_gorenstein(polytope, index):
 # divisor-level models of a scaffolding
 # ---------------------------------------------------------------------------
 
-def _ray_relations(shape):
+def _relation_basis(shape):
     """Canonical basis of the integer relations among the shape's rays."""
     rays = tuple(tuple(int(c) for c in r) for r in shape.rays)
     return kernel_basis(transpose(rays), ncols=len(rays))
@@ -279,7 +282,7 @@ def p_tilde(scaf, r_vectors=None):
     Struts whose sections are empty contribute no points.
     """
     if r_vectors is None:
-        rel = _ray_relations(scaf.shape)
+        rel = _relation_basis(scaf.shape)
         heights = [
             tuple(-dot(row, s.coeffs) for row in rel) for s in scaf.struts
         ]
@@ -336,22 +339,16 @@ def mutation_chain_check(scaf):
     polytope is lattice isomorphic to the hull of the ambient rays.
     """
     blocks = product_structure(scaf.shape)
-    rays = tuple(tuple(int(c) for c in r) for r in scaf.shape.rays)
-    rel = _ray_relations(scaf.shape)
+    rel = _relation_basis(scaf.shape)
     k = len(rel)
     if len(blocks) != k:
         raise DomainError("unsupported_shape", "one ray relation per factor expected")
     row_for_block = []
-    for block in blocks:
-        mine = {
-            j
-            for j, ray in enumerate(rays)
-            if {p for p, c in enumerate(ray) if c} <= set(block)
-        }
+    for idx in block_rays(scaf.shape, blocks):
         found = [
             i
             for i, row in enumerate(rel)
-            if {j for j, c in enumerate(row) if c} == mine
+            if tuple(j for j, c in enumerate(row) if c) == idx
         ]
         if len(found) != 1:
             raise DomainError("unsupported_shape", "factor has no matching relation")

@@ -6,10 +6,13 @@ integer-only: constraints are scaled to primitive integer vectors on entry,
 and every ray and lineality direction stays a primitive integer vector.
 Convex hulls, facet enumeration, duals, normal and face fans are all thin
 wrappers around it; Polytope.from_points makes one conversion and reads its
-vertices off the facet incidences.  Lattice points are enumerated on
-integer rows, one interval of the last coordinate per line of the bounding
-box, in boxes of at most MAX_LATTICE_BOX points (larger ones raise
-lattice_box_too_large).  Intended for small instances (ambient dimension
+vertices off the facet incidences.  Face questions read ray-facet
+incidences and pulled-back H-descriptions: restrict_fan makes one
+conversion per maximal cone and one per preimage, and Fan.is_complete keys
+each ridge by the rays its normal vanishes on.  Lattice points are
+enumerated on integer rows, one interval of the last coordinate per line of
+the bounding box, in boxes of at most MAX_LATTICE_BOX points (larger ones
+raise lattice_box_too_large).  Intended for small instances (ambient dimension
 up to about 10); no attempt is made at large-scale performance.
 """
 
@@ -745,7 +748,9 @@ class Fan:
 
         Checks that all maximal cones are full dimensional and that every
         codimension one face is shared by exactly two of them.  This is the
-        right criterion for fans whose cones meet along faces.
+        right criterion for fans whose cones meet along faces.  A facet of
+        a pointed cone is keyed by the cone's rays on which its normal
+        vanishes, which are exactly the facet's own rays.
         """
         if not self.max_cones:
             return False
@@ -754,8 +759,8 @@ class Fan:
             cone = self.cone(c)
             if cone.cone_dim() != self.dim or not cone.is_pointed():
                 return False
-            for facet in cone.facet_cones():
-                key = (facet.rays, facet.lineality)
+            for a in cone.ineq_normals:
+                key = tuple(r for r in cone.rays if not dot(a, r))
                 ridge_counts[key] = ridge_counts.get(key, 0) + 1
         return all(v == 2 for v in ridge_counts.values())
 
@@ -810,33 +815,37 @@ def restrict_fan(fan, basis):
     assumed to span a saturated sublattice.  A point y of Z^k maps to
     sum_i y_i basis[i].  Maximal cones of the result are the preimages of
     the fan's maximal cones that are full dimensional in the subspace.
+
+    Each maximal cone's H-description comes from one dd_cone pass over its
+    rays; its normals pulled back along the basis describe the preimage,
+    and one more pass in dimension k gives the preimage's rays.  A preimage
+    is dropped when another one contains it, which is read off the other's
+    pulled inequalities without any further conversion.
     """
     k = len(basis)
-    ray_set = set()
-    cones = []
+    pulled = {}
     for c in fan.max_cones:
-        cone = fan.cone(c)
-        pulled_ineqs = [tuple(dot(a, b) for b in basis) for a in cone.ineq_normals]
-        pulled_eqs = [tuple(dot(e, b) for b in basis) for e in cone.eq_normals]
-        rays, lineality = dd_cone(pulled_ineqs, pulled_eqs, dim=k)
+        normals, eq_normals = dd_cone([fan.rays[i] for i in c], dim=fan.dim)
+        ineqs = [tuple(dot(a, b) for b in basis) for a in normals]
+        eqs = [tuple(dot(e, b) for b in basis) for e in eq_normals]
+        rays, lineality = dd_cone(ineqs, eqs, dim=k)
         if lineality or rank(list(rays)) != k:
             continue
-        cones.append(frozenset(rays))
-    # Drop duplicates and cones contained in another cone (the subspace can
-    # meet a maximal cone inside the intersection with a neighbour).
+        # The equations pull back to zero on a full-dimensional preimage,
+        # so the inequalities alone describe it.
+        pulled.setdefault(frozenset(rays), ineqs)
+    # Drop cones contained in another cone.  Equal preimages were merged
+    # above; a strict containment needs overlapping cones, which the fan
+    # does not rule out.
     kept = []
-    for s in set(cones):
-        cs = Cone.from_rays(sorted(s), dim=k)
-        dominated = False
-        for t in set(cones):
-            if t != s and Cone.from_rays(sorted(t), dim=k).contains_cone(cs):
-                dominated = True
-                break
+    for s in pulled:
+        dominated = any(
+            t != s and all(dot(a, r) >= 0 for a in ineqs for r in s)
+            for t, ineqs in pulled.items()
+        )
         if not dominated:
             kept.append(s)
-    for s in kept:
-        ray_set.update(s)
-    fan_rays = sorted(ray_set)
+    fan_rays = sorted(set().union(*kept))
     lookup = {r: i for i, r in enumerate(fan_rays)}
     max_cones = [tuple(sorted(lookup[r] for r in s)) for s in kept]
     return Fan(k, fan_rays, max_cones)

@@ -262,6 +262,17 @@ def product_structure(fan):
     return result
 
 
+def block_rays(fan, blocks):
+    """For each coordinate block, the indices of the fan's rays supported in it."""
+    return tuple(
+        tuple(
+            j for j, ray in enumerate(fan.rays)
+            if all(p in block for p, c in enumerate(ray) if c)
+        )
+        for block in blocks
+    )
+
+
 def scaffolding_from_forward(git, part):
     """The scaffolding presenting the model of a convex partition.
 

@@ -24,7 +24,7 @@ from .exact import (
     unimodular_inverse,
     vneg,
 )
-from .polyhedra import Cone, Fan, Polytope
+from .polyhedra import Cone, Fan, Polytope, dd_cone
 
 
 class GitData:
@@ -50,10 +50,10 @@ class GitData:
             raise DomainError("zero_character", "every coordinate needs a nonzero weight")
         if rank(list(characters)) != r:
             raise DomainError("not_full_rank", "characters do not span the weight space")
-        cone = Cone.from_rays(characters, dim=r)
-        if cone.lineality:
+        dual = _character_dual_rays(characters, r)
+        if rank(list(dual)) != r:
             raise DomainError("not_pointed", "character cone contains a line")
-        if not cone.contains(omega):
+        if any(dot(a, omega) < 0 for a in dual):
             raise DomainError("omega_outside", "omega is not in the character cone")
         self.r = r
         self.R = R
@@ -69,6 +69,15 @@ class GitData:
 
     def __repr__(self):
         return f"GitData(r={self.r}, R={self.R})"
+
+
+def _character_dual_rays(characters, r):
+    """Rays of the dual of a full-rank character cone, from one DD pass.
+
+    The character cone is pointed exactly when these rays have rank r, and
+    a character lies in it exactly when it pairs >= 0 with each of them.
+    """
+    return dd_cone(characters, dim=r)[0]
 
 
 def covers(git, subset):
@@ -279,7 +288,7 @@ def in_chamber_interior(git, omega):
         raise DomainError("dimension_mismatch", "character length differs from r")
     if not any(w):
         return False
-    if not Cone.from_rays(git.characters, dim=git.r).contains(w):
+    if any(dot(a, w) < 0 for a in _character_dual_rays(git.characters, git.r)):
         return False
     walls = _walls(git, _span_normals(git))
     return not any(wall.contains(w) for wall in walls)

@@ -1,6 +1,7 @@
 import pytest
 
 from fanoscaffold.errors import DomainError
+from fanoscaffold.fixtures import fixture
 from fanoscaffold.forward import ConvexPartitionWithBasis
 from fanoscaffold.inversion import (
     ambient_rays,
@@ -163,6 +164,26 @@ def test_verify_embedding_fixtures():
         assert report["restricted_fan"]
         assert report["face_cones"]
         assert ok
+
+
+def test_verify_embedding_dilated_target_fails_only_the_face_cones():
+    # Doubling the target keeps its spanning fan, but halves its facet
+    # normals, so no strut ray pairs to -1 with their lifts any more.
+    scaf = fixture("cubic-surface")["scaffolding"]
+    dilated = Scaffolding(scaf.shape, scaf.u, scaf.struts, scaf.target.dilate(2))
+    assert verify_embedding(dilated) == (
+        False,
+        {"ambient_rays": True, "restricted_fan": True, "face_cones": False},
+    )
+
+
+def test_verify_embedding_dropped_strut_fails_the_fan_and_face_cones():
+    scaf = fixture("circulant-two")["scaffolding"]
+    dropped = Scaffolding(scaf.shape, scaf.u, scaf.struts[:-1], scaf.target)
+    assert verify_embedding(dropped) == (
+        False,
+        {"ambient_rays": True, "restricted_fan": False, "face_cones": False},
+    )
 
 
 def test_ci_data_bundle():

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.inversion import anticanonical_scaffolding, laurent_inversion
@@ -9,6 +11,7 @@ from fanoscaffold.laurent import LaurentPolynomial
 from fanoscaffold.mutations import mutate_scaffolding, segment_factor
 from fanoscaffold.nefpart import (
     FanoNefPartition,
+    _is_fan_cone,
     cayley,
     check_fano_nef_partition,
     check_nef_partition,
@@ -19,7 +22,14 @@ from fanoscaffold.nefpart import (
     p_tilde,
     p_tilde_one,
 )
-from fanoscaffold.polyhedra import Polytope, fans_equal, lattice_isomorphic, spanning_fan
+from fanoscaffold.polyhedra import (
+    Cone,
+    Polytope,
+    fans_equal,
+    lattice_isomorphic,
+    normal_fan,
+    spanning_fan,
+)
 from fanoscaffold.scaffolding import Scaffolding, Strut, product_fan
 from fanoscaffold.toric import GitData, git_to_stacky_fan
 
@@ -185,6 +195,45 @@ def test_fano_partition_synthetic_checks():
     assert not bad["ample_base"]
     assert bad["nef_parts"] == (True,)
     assert not bad["valid"]
+
+
+def all_fan_cones(fan):
+    """Every cone of the fan, by enumerating faces with Cone.facet_cones."""
+    queue = [Cone.from_rays([fan.rays[i] for i in c], dim=fan.dim) for c in fan.max_cones]
+    out = set()
+    while queue:
+        cone = queue.pop()
+        if cone not in out:
+            out.add(cone)
+            queue.extend(cone.facet_cones())
+    return out
+
+
+@st.composite
+def polytope_fans(draw):
+    """Spanning or normal fans of lattice polytopes in dims 2-3 around the
+    origin; points of the cube {-1, 0, 1}^n make many of them non-simplicial."""
+    n = draw(st.integers(2, 3))
+    pts = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+    pts += draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n), max_size=6))
+    p = Polytope.from_points(pts)
+    return spanning_fan(p) if draw(st.booleans()) else normal_fan(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytope_fans(), st.data())
+def test_face_test_against_face_enumeration(fan, data):
+    cones = all_fan_cones(fan)
+    index = st.integers(0, len(fan.rays) - 1)
+    for _ in range(8):
+        if data.draw(st.booleans()):
+            # a subset of a maximal cone's rays is often a face
+            pool = data.draw(st.sampled_from(fan.max_cones))
+            subset = data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        else:
+            subset = data.draw(st.lists(index, min_size=1, max_size=4, unique=True))
+        sigma = Cone.from_rays([fan.rays[i] for i in subset], dim=fan.dim)
+        assert _is_fan_cone(fan, sigma) == (sigma in cones)
 
 
 def test_fano_partition_struct_is_validated():

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import dot, kernel_basis, primitive_vector, rank, solve_linear
+from fanoscaffold.exact import (
+    dot,
+    kernel_basis,
+    primitive_vector,
+    random_unimodular_matrix,
+    rank,
+    solve_linear,
+)
 from fanoscaffold.polyhedra import (
     MAX_LATTICE_BOX,
     Cone,
@@ -370,6 +377,66 @@ def test_restrict_fan():
     p2 = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)])
     axis = restrict_fan(p2, [(1, 0)])
     assert axis.rays == ((-1,), (1,)) and len(axis.max_cones) == 2
+
+
+def restrict_fan_pairwise(fan, basis):
+    """restrict_fan by whole cones: each maximal cone built with two DD
+    passes, and domination tested by building both cones of every pair."""
+    k = len(basis)
+    cones = []
+    for c in fan.max_cones:
+        cone = fan.cone(c)
+        ineqs = [tuple(dot(a, b) for b in basis) for a in cone.ineq_normals]
+        eqs = [tuple(dot(e, b) for b in basis) for e in cone.eq_normals]
+        rays, lineality = dd_cone(ineqs, eqs, dim=k)
+        if not lineality and rank(list(rays)) == k:
+            cones.append(frozenset(rays))
+    kept = [
+        s for s in set(cones)
+        if not any(
+            t != s and Cone.from_rays(sorted(t), dim=k).contains_cone(
+                Cone.from_rays(sorted(s), dim=k))
+            for t in set(cones)
+        )
+    ]
+    fan_rays = sorted(set().union(*kept))
+    lookup = {r: i for i, r in enumerate(fan_rays)}
+    return Fan(k, fan_rays, [tuple(sorted(lookup[r] for r in s)) for s in kept])
+
+
+@st.composite
+def origin_polytopes(draw):
+    """Lattice polytopes in dims 2-3 with the origin inside: the cross
+    polytope plus a few points of a small box, so facets and vertex cones
+    are often not simplicial."""
+    n = draw(st.integers(2, 3))
+    box = st.integers(-2, 2) if draw(st.booleans()) else st.integers(-1, 1)
+    pts = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+    pts += draw(st.lists(st.tuples(*[box] * n), max_size=5))
+    return Polytope.from_points(pts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(origin_polytopes(), st.sampled_from(["spanning", "normal", "overlay"]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_restrict_fan_against_pairwise_domination(p, kind, seed, data):
+    sf, nf = spanning_fan(p), normal_fan(p)
+    if kind == "overlay":
+        # Both fans' cones at once, plus a few cones of two rays: the cones
+        # overlap and some are not full dimensional, so preimages can be
+        # strictly contained in one another and can carry equations.
+        rays = sf.rays + nf.rays
+        pairs = data.draw(st.lists(
+            st.tuples(*[st.integers(0, len(rays) - 1)] * 2), max_size=3))
+        cones = list(sf.max_cones) + list(pairs) + [
+            tuple(len(sf.rays) + i for i in c) for c in nf.max_cones]
+        fan = Fan(p.dim, rays, cones)
+    else:
+        fan = sf if kind == "spanning" else nf
+    # The first k rows of a unimodular matrix span a saturated sublattice.
+    u = random_unimodular_matrix(p.dim, random.Random(seed), steps=12)
+    k = data.draw(st.integers(1, p.dim))
+    assert restrict_fan(fan, u[:k]) == restrict_fan_pairwise(fan, u[:k])
 
 
 def test_cone_over():
