@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cmp_to_key
 
 from . import jsonio
 from .amenable import amenable_binomials, tower_from_amenable, validate_amenable
@@ -19,6 +18,7 @@ from .errors import DomainError
 from .fixtures import fixture, fixture_names
 from .forward import przyjalkowski
 from .inversion import (
+    _cyclic_order_2d,
     anticanonical_scaffolding,
     ci_data,
     laurent_inversion,
@@ -98,25 +98,12 @@ def _tikz_cycle(polytope):
         raise DomainError(
             "dimension_mismatch", "tikz output needs a full-dimensional polygon"
         )
-    vertices = list(polytope.vertices)
+    vertices = polytope.vertices
     n = len(vertices)
     cx = sum(Fraction(v[0]) for v in vertices) / n
     cy = sum(Fraction(v[1]) for v in vertices) / n
-
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
-
-    def compare(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        if cross == 0:
-            return 0
-        return -1 if cross > 0 else 1
-
-    vertices.sort(key=cmp_to_key(compare))
+    order = _cyclic_order_2d([(v[0] - cx, v[1] - cy) for v in vertices])
+    vertices = [vertices[i] for i in order]
 
     def fmt(x):
         x = Fraction(x)

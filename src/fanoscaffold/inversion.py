@@ -384,20 +384,22 @@ def _face_cones_check(scaf, basis, theta):
         if lifted is None:
             return False
         lifts.append(lifted)
+    # a strut ray supports a face when it pairs to -1 with the lift of every
+    # facet covering the face; a unit does when its coordinate vanishes on
+    # all of those lifts.  Each generator records the facets it is tight at.
+    tight = [
+        (rho, frozenset(k for k, lift in enumerate(lifts) if dot(rho, lift) == -1))
+        for rho in rhos
+    ]
+    for j in range(nrays):
+        unit = tuple(1 if p == u + j else 0 for p in range(dim))
+        tight.append((unit, frozenset(k for k, lift in enumerate(lifts) if not lift[u + j])))
     for _, indices in target.proper_faces():
         members = set(indices)
-        cover = [k for k, fset in enumerate(facet_sets) if members <= fset]
+        cover = {k for k, fset in enumerate(facet_sets) if members <= fset}
         if not cover:
             return False
-        # a strut ray supports the face when it pairs to -1 with every
-        # covering facet's lift; a unit does when its coordinate vanishes
-        gens = []
-        for rho in rhos:
-            if all(dot(rho, lifts[k]) == -1 for k in cover):
-                gens.append(rho)
-        for j in range(nrays):
-            if all(lifts[k][u + j] == 0 for k in cover):
-                gens.append(tuple(1 if p == u + j else 0 for p in range(dim)))
+        gens = [g for g, at in tight if cover <= at]
         normals, eq_normals = dd_cone(gens, dim=dim)
         rays, lineality = dd_cone(
             [tuple(dot(a, b) for b in theta) for a in normals],
@@ -543,13 +545,9 @@ def anticanonical_scaffolding(polytope):
         point_cones = [(boundary[i], boundary[j]) for i, j in cones]
     else:
         point_cones = []
-        for facet_set in dual.facet_vertex_sets():
+        for (normal, _), facet_set in zip(dual.inequalities, dual.facet_vertex_sets()):
             face = dual.face_polytope(sorted(facet_set))
             pts = face.integral_points()
-            normal = next(
-                a for a, rhs in dual.inequalities
-                if all(dot(a, v) == rhs for v in face.vertices)
-            )
             drop = max(range(3), key=lambda k: abs(normal[k]))
             keep = [k for k in range(3) if k != drop]
             flat = [tuple(p[k] for k in keep) for p in pts]

@@ -4,9 +4,12 @@ Everything is computed with integer and Fraction arithmetic.  The workhorse
 is :func:`dd_cone`, an incremental double description conversion that is
 integer-only: constraints are scaled to primitive integer vectors on entry,
 and every ray and lineality direction stays a primitive integer vector.
-Convex hulls, facet enumeration, duals, normal and face fans are all thin
-wrappers around it; Polytope.from_points makes one conversion and reads its
-vertices off the facet incidences.  Face questions read ray-facet
+Convex hulls and facet enumeration are thin wrappers around it;
+Polytope.from_points makes one conversion and reads its vertices off the
+facet incidences.  A Polytope keeps both descriptions, so its polar dual
+swaps them with no conversion, and its vertex-facet incidences come from
+integer lifts of both; the spanning fan, the normal fan and the face
+lattice are read off those incidences.  Face questions read ray-facet
 incidences and pulled-back H-descriptions: restrict_fan makes one
 conversion per maximal cone and one per preimage, and Fan.is_complete keys
 each ridge by the rays its normal vanishes on.  Lattice points are
@@ -377,14 +380,17 @@ class Polytope:
         return Polytope.from_points([vscale(k, v) for v in self.vertices])
 
     def facet_vertex_sets(self):
-        """For each facet inequality, the indices of vertices lying on it."""
+        """For each facet inequality, the indices of vertices lying on it.
+
+        Each vertex v lifts once to the integer multiple of (v, 1) and each
+        facet <a, x> >= rhs to the integer multiple of (a, -rhs), so a vertex
+        lies on a facet exactly when their integer lifts are orthogonal.
+        """
+        lifted = [_clear_denominators(v + (1,)) for v in self.vertices]
         sets = []
         for a, rhs in self.inequalities:
-            sets.append(
-                frozenset(
-                    i for i, v in enumerate(self.vertices) if dot(a, v) == rhs
-                )
-            )
+            row = _clear_denominators(a + (-rhs,))
+            sets.append(frozenset(i for i, q in enumerate(lifted) if not dot(row, q)))
         return sets
 
     def proper_faces(self):
@@ -489,14 +495,20 @@ class Polytope:
     def dual(self):
         """The polar dual {y : <y, x> >= -1 for all x in self}.
 
-        Requires the origin strictly in the interior.
+        Requires the origin strictly in the interior.  Duality swaps the two
+        stored descriptions, so no conversion is made.  The irredundant facet
+        <a, x> >= rhs, with rhs < 0, gives the dual vertex a / -rhs.  The
+        vertex v gives the dual facet <v, y> >= -1, stored as from_points
+        stores it: r is the primitive integer multiple of (v, 1), split as
+        (r[:n], -r[n]), and the facets are sorted by r.  A dual with 0 in its
+        interior is full dimensional, so it has no equations.
         """
         if not self.has_interior_origin():
             raise DomainError("origin_not_interior", "polar dual undefined")
-        # Facet <a, x> >= rhs with rhs < 0 rescales to <a / -rhs, x> >= -1,
-        # giving the vertex a / -rhs of the dual.
-        verts = [vscale(Fraction(-1, 1) / rhs, a) for a, rhs in self.inequalities]
-        return Polytope.from_points(verts)
+        n = self.dim
+        verts = tuple(sorted(vscale(Fraction(-1) / rhs, a) for a, rhs in self.inequalities))
+        rows = sorted(_normalize_constraint(v + (1,)) for v in self.vertices)
+        return Polytope(n, verts, tuple((r[:n], -r[n]) for r in rows), ())
 
     def is_reflexive(self):
         return (
@@ -790,18 +802,18 @@ def spanning_fan(polytope):
 
 
 def normal_fan(polytope):
-    """The fan of inner normal cones at the vertices of a full-dim polytope."""
+    """The fan of inner normal cones at the vertices of a full-dim polytope.
+
+    The cone at a vertex is spanned by the normals of the facets through it,
+    read off facet_vertex_sets.
+    """
     if not polytope.is_full_dimensional():
         raise DomainError("not_full_dimensional", "normal fan needs a full-dim polytope")
     normals = [primitive_vector(tuple(int(c) for c in a)) for a, _ in polytope.inequalities]
-    cones = []
-    for v in polytope.vertices:
-        active = [
-            i
-            for i, (a, rhs) in enumerate(polytope.inequalities)
-            if dot(a, v) == rhs
-        ]
-        cones.append([normals[i] for i in active])
+    cones = [[] for _ in polytope.vertices]
+    for a, s in zip(normals, polytope.facet_vertex_sets()):
+        for i in s:
+            cones[i].append(a)
     fan_rays = sorted(set(normals))
     lookup = {r: i for i, r in enumerate(fan_rays)}
     max_cones = [tuple(sorted(lookup[r] for r in c)) for c in cones]

@@ -202,6 +202,16 @@ def test_newton_emits_a_tikz_cycle(tmp_path, capsys):
     assert out.strip() == "(-1,2) -- (-1,-1) -- (2,-1) -- cycle"
 
 
+def test_tikz_cycle_around_a_non_integral_centroid(tmp_path, capsys):
+    # The centroid of the vertices is (3/4, 3/4); the cycle runs
+    # counterclockwise from the first vertex above it.
+    kite = LaurentPolynomial(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 2): 1})
+    f = write_json(tmp_path, "f.json", jsonio.encode_laurent(kite))
+    code, out, _ = invoke(capsys, "newton", "--f", f, "--emit-tikz")
+    assert code == 0
+    assert out.strip() == "(2,2) -- (0,1) -- (0,0) -- (1,0) -- cycle"
+
+
 def test_forward_can_drop_the_constant_term(tmp_path, capsys):
     fx = fixture("projective-bundle")
     git = write_json(tmp_path, "git.json", jsonio.encode_git(fx["git"]))

@@ -350,6 +350,74 @@ def test_spanning_and_normal_fans():
     assert nt.is_complete()
 
 
+RADII = st.fractions(1, 2, max_denominator=3)
+SMALL_SHIFTS = st.fractions(-Fraction(1, 5), Fraction(1, 5), max_denominator=5)
+
+
+@st.composite
+def rational_origin_polytopes(draw):
+    """Rational full-dimensional polytopes in dims 1-4 with 0 inside.
+
+    A cross polytope of radius c >= 1 plus a few rational points; half of
+    them are translated by t with |t_i| <= 1/5, so sum |t_i| < 1 <= c keeps
+    the origin inside and makes the right-hand sides non-integral.
+    """
+    n = draw(st.integers(1, 4))
+    c = draw(RADII)
+    pts = [tuple(s * c if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+    pts += draw(st.lists(st.tuples(*[COORDS] * n), max_size=4))
+    p = Polytope.from_points(pts)
+    if draw(st.booleans()):
+        p = p.translate(draw(st.tuples(*[SMALL_SHIFTS] * n)))
+    return p
+
+
+def described(p):
+    """Both descriptions of p with the type of every entry, as a string."""
+    return repr((p.dim, p.vertices, p.inequalities, p.equations))
+
+
+def facet_vertex_sets_by_fractions(p):
+    return [
+        frozenset(i for i, v in enumerate(p.vertices) if dot(a, v) == rhs)
+        for a, rhs in p.inequalities
+    ]
+
+
+def normal_fan_by_fractions(p):
+    normals = [primitive_vector(tuple(int(c) for c in a)) for a, _ in p.inequalities]
+    cones = [
+        [normals[i] for i, (a, rhs) in enumerate(p.inequalities) if dot(a, v) == rhs]
+        for v in p.vertices
+    ]
+    fan_rays = sorted(set(normals))
+    lookup = {r: i for i, r in enumerate(fan_rays)}
+    return Fan(p.dim, fan_rays, [tuple(sorted(lookup[r] for r in c)) for c in cones])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_origin_polytopes())
+def test_dual_against_the_hull_of_the_dual_vertices(p):
+    # The facet <a, x> >= rhs is the vertex a / -rhs of the dual.
+    points = [tuple(Fraction(c) / -rhs for c in a) for a, rhs in p.inequalities]
+    d = p.dual()
+    assert described(d) == described(Polytope.from_points(points))
+    assert d.dual() == p
+    assert d.dual().dual() == d
+    assert normal_fan(d) == normal_fan_by_fractions(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(), st.data())
+def test_facet_vertex_sets_against_fraction_dot_products(pts, data):
+    p = Polytope.from_points(pts)
+    q = p.translate(data.draw(st.tuples(*[COORDS] * p.dim)))
+    for r in (p, q):
+        assert r.facet_vertex_sets() == facet_vertex_sets_by_fractions(r)
+        if r.is_full_dimensional():
+            assert normal_fan(r) == normal_fan_by_fractions(r)
+
+
 def test_fan_canonicalization_and_equality():
     f1 = Fan(2, [(0, 1), (1, 0), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
     f2 = Fan(2, [(2, 0), (0, 3), (-1, -1)], [(1, 0), (0, 2), (1, 2)])
