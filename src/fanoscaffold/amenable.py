@@ -12,14 +12,8 @@ whose struts come from the basis rows of the weight matrix.
 from .errors import DomainError
 from .exact import dot, to_int_vector
 from .forward import normalized_matrix
-from .polyhedra import Polytope
-from .scaffolding import Scaffolding, Strut
-from .toric import (
-    StackyFan,
-    git_to_stacky_fan,
-    projective_bundle_fan,
-    sections_polytope,
-)
+from .scaffolding import scaffolding_from_rows
+from .toric import StackyFan, git_to_stacky_fan, projective_bundle_fan
 
 
 def validate_amenable(git, part, vectors):
@@ -129,20 +123,4 @@ def scaffolding_from_amenable(git, part, vectors):
     shape = tower.fan()
     order = [j for group in part.S for j in group]
     position = {j: shape.ray_index(tower.rays[t]) for t, j in enumerate(order)}
-    norm = normalized_matrix(git, part)
-    struts = []
-    for row in norm:
-        coeffs = [0] * len(shape.rays)
-        for j in order:
-            coeffs[position[j]] = int(row[j])
-        chi = tuple(-int(row[j]) for j in part.U)
-        struts.append(Strut(tuple(coeffs), chi))
-    for j in part.U:
-        chi = tuple(1 if jj == j else 0 for jj in part.U)
-        struts.append(Strut((0,) * len(shape.rays), chi))
-    points = []
-    for strut in struts:
-        sec = sections_polytope(shape, strut.coeffs)
-        points.extend(strut.chi + v for v in sec.vertices)
-    hull = Polytope.from_points(points)
-    return Scaffolding(shape, len(part.U), struts, hull)
+    return scaffolding_from_rows(shape, normalized_matrix(git, part), position, part.U)

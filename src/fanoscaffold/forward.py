@@ -104,17 +104,25 @@ def validate_partition(git, part):
     nonnegative combination of the basis weights, and each group's total
     divisor is nef on the quotient.
     """
+    return _convexity(git, part)[0]
+
+
+def _convexity(git, part):
+    """(failures, coordinates of the weights and omega in the basis).
+
+    The coordinates are None when the basis block cannot be eliminated.
+    """
     failures = []
     r = git.r
     if len(part.B) != r:
-        return [f"basis block has {len(part.B)} columns, expected {r}"]
+        return [f"basis block has {len(part.B)} columns, expected {r}"], None
     if part.columns() != set(range(git.R)):
-        return ["blocks do not partition the coordinate set"]
+        return ["blocks do not partition the coordinate set"], None
     try:
         # Column R holds the coordinates of omega.
         coords = basis_coordinates(git, part.B, git.characters + (git.omega,))
     except DomainError:
-        return ["basis block is not unimodular"]
+        return ["basis block is not unimodular"], None
     if any(row[git.R] < 0 for row in coords):
         failures.append("omega is not a nonnegative combination of the basis")
     for i, s in enumerate(part.S):
@@ -127,7 +135,7 @@ def validate_partition(git, part):
         sfan = git_to_stacky_fan(git)
     except DomainError as exc:
         failures.append(f"quotient fan unavailable: {exc.detail}")
-        return failures
+        return failures, coords
     for i, s in enumerate(part.S):
         indicator = [1 if j in s else 0 for j in range(git.R)]
         try:
@@ -136,7 +144,19 @@ def validate_partition(git, part):
             nef = False
         if not nef:
             failures.append(f"group {i} total divisor is not nef")
-    return failures
+    return failures, coords
+
+
+def _convex_matrix(git, part):
+    """The normalized matrix of a convex partition.
+
+    It comes from the same elimination as the convexity check; raises
+    invalid_partition listing every failure of validate_partition.
+    """
+    failures, coords = _convexity(git, part)
+    if failures:
+        raise DomainError("invalid_partition", "; ".join(failures))
+    return tuple(row[: git.R] for row in coords)
 
 
 def przyjalkowski(git, part):
@@ -146,10 +166,7 @@ def przyjalkowski(git, part):
     monomial in the variable columns; the U block contributes its variables
     as standalone terms.
     """
-    failures = validate_partition(git, part)
-    if failures:
-        raise DomainError("invalid_partition", "; ".join(failures))
-    norm = normalized_matrix(git, part)
+    norm = _convex_matrix(git, part)
     var_cols = part.variable_columns()
     pos = {j: p for p, j in enumerate(var_cols)}
     n = len(var_cols)

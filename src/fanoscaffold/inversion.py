@@ -23,6 +23,7 @@ from .forward import ConvexPartitionWithBasis
 from .polyhedra import (
     Fan,
     Polytope,
+    _proper_faces,
     dd_cone,
     fans_equal,
     normal_fan,
@@ -67,6 +68,13 @@ class InversionResult:
         return f"InversionResult({self.git.r} x {self.git.R})"
 
 
+def _unit_basis(scaf):
+    basis = unit_strut_basis(scaf)
+    if basis is None:
+        raise DomainError("invalid_scaffolding", "no unit strut basis")
+    return basis
+
+
 def _shift_basis_inverse(scaf, basis):
     if scaf.u == 0:
         return []
@@ -85,9 +93,7 @@ def ambient_rays(scaf, basis=None):
     the basis provided by the unit struts.
     """
     if basis is None:
-        basis = unit_strut_basis(scaf)
-    if basis is None:
-        raise DomainError("invalid_scaffolding", "no unit strut basis")
+        basis = _unit_basis(scaf)
     cinv = _shift_basis_inverse(scaf, basis)
     out = []
     for s in scaf.struts:
@@ -103,9 +109,7 @@ def embedding_lattice_map(scaf, basis=None):
     by the pairings of n against the shape's rays).
     """
     if basis is None:
-        basis = unit_strut_basis(scaf)
-    if basis is None:
-        raise DomainError("invalid_scaffolding", "no unit strut basis")
+        basis = _unit_basis(scaf)
     u = scaf.u
     d = scaf.shape.dim
     nrays = len(scaf.shape.rays)
@@ -173,9 +177,7 @@ def q_s_polytope(scaf):
     Cut out by nonnegativity on the ray block and by pairing at least -1
     against every strut's ambient ray.  Unbounded data is rejected.
     """
-    basis = unit_strut_basis(scaf)
-    if basis is None:
-        raise DomainError("invalid_scaffolding", "no unit strut basis")
+    basis = _unit_basis(scaf)
     u = scaf.u
     nrays = len(scaf.shape.rays)
     dim = u + nrays
@@ -394,7 +396,7 @@ def _face_cones_check(scaf, basis, theta):
     for j in range(nrays):
         unit = tuple(1 if p == u + j else 0 for p in range(dim))
         tight.append((unit, frozenset(k for k, lift in enumerate(lifts) if not lift[u + j])))
-    for _, indices in target.proper_faces():
+    for _, indices in _proper_faces(target.vertices, facet_sets):
         members = set(indices)
         cover = {k for k, fset in enumerate(facet_sets) if members <= fset}
         if not cover:
@@ -423,9 +425,7 @@ def ci_data(scaf):
     functionals is exactly the embedded lattice.
     """
     blocks = product_structure(scaf.shape)
-    basis = unit_strut_basis(scaf)
-    if basis is None:
-        raise DomainError("invalid_scaffolding", "no unit strut basis")
+    basis = _unit_basis(scaf)
     u = scaf.u
     nrays = len(scaf.shape.rays)
     dim = u + nrays

@@ -111,7 +111,7 @@ def mutate_scaffolding(scaf, w, factor):
     shape = mutate_shape(scaf.shape, w, factor, u)
     struts = []
     for i in range(len(scaf.struts)):
-        piece = _strut_piece(scaf, i)
+        piece = strut_polytope(scaf, i)
         if piece is None:
             raise DomainError("not_mutable",
                               "strut %d has no sections to mutate" % i)
@@ -142,15 +142,6 @@ def mutate_scaffolding(scaf, w, factor):
     return out
 
 
-def _strut_piece(scaf, index):
-    try:
-        return strut_polytope(scaf, index)
-    except DomainError as exc:
-        if exc.kind == "empty_polytope":
-            return None
-        raise
-
-
 def segment_factor(w):
     """The canonical primitive segment inside a 2D weight's kernel."""
     if len(w) != 2:
@@ -175,7 +166,7 @@ def strut_mutability(scaf, weights):
                           "mutability table needs a two dimensional target")
     table = []
     for i in range(len(scaf.struts)):
-        piece = _strut_piece(scaf, i)
+        piece = strut_polytope(scaf, i)
         row = []
         for w in weights:
             factor = segment_factor(w)

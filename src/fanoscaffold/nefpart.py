@@ -294,11 +294,8 @@ def p_tilde(scaf, r_vectors=None):
             raise DomainError("dimension_mismatch", "height vectors of mixed lengths")
     points = []
     for s, height in enumerate(heights):
-        try:
-            piece = strut_polytope(scaf, s)
-        except DomainError as err:
-            if err.kind != "empty_polytope":
-                raise
+        piece = strut_polytope(scaf, s)
+        if piece is None:
             continue
         for v in piece.vertices:
             points.append(tuple(v) + height)

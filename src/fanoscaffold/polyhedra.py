@@ -399,27 +399,7 @@ class Polytope:
         Faces are the intersections of facet vertex sets; the improper face
         (the polytope itself) and the empty face are omitted.
         """
-        facet_sets = self.facet_vertex_sets()
-        everything = frozenset(range(len(self.vertices)))
-        found = set(s for s in facet_sets if s)
-        frontier = set(found)
-        while frontier:
-            nxt = set()
-            for f in frontier:
-                for g in facet_sets:
-                    h = f & g
-                    if h and h not in found:
-                        found.add(h)
-                        nxt.add(h)
-            frontier = nxt
-        found.discard(everything)
-        out = []
-        for s in found:
-            verts = [self.vertices[i] for i in s]
-            d = _affine_rank(verts)
-            out.append((d, tuple(sorted(s))))
-        out.sort()
-        return out
+        return _proper_faces(self.vertices, self.facet_vertex_sets())
 
     def face_polytope(self, indices):
         return Polytope.from_points([self.vertices[i] for i in indices])
@@ -560,6 +540,30 @@ class Polytope:
             raise
         exact = diff.minkowski_sum(other) == self
         return diff, exact
+
+
+def _proper_faces(vertices, facet_sets):
+    """Polytope.proper_faces, from the facet vertex sets already found."""
+    everything = frozenset(range(len(vertices)))
+    found = set(s for s in facet_sets if s)
+    frontier = set(found)
+    while frontier:
+        nxt = set()
+        for f in frontier:
+            for g in facet_sets:
+                h = f & g
+                if h and h not in found:
+                    found.add(h)
+                    nxt.add(h)
+        frontier = nxt
+    found.discard(everything)
+    out = []
+    for s in found:
+        verts = [vertices[i] for i in s]
+        d = _affine_rank(verts)
+        out.append((d, tuple(sorted(s))))
+    out.sort()
+    return out
 
 
 def _affine_rank(points):

@@ -12,7 +12,7 @@ from .exact import hermite_normal_form
 from .laurent import LaurentPolynomial
 from .polyhedra import Cone, Fan, Polytope, cone_over
 from .toric import sections_polytope
-from .forward import normalized_matrix, validate_partition
+from .forward import _convex_matrix
 
 
 class Strut:
@@ -81,24 +81,31 @@ class Scaffolding:
 
 
 def strut_polytope(scaf, index):
-    """The piece {chi} x P_D of one strut inside the target's lattice."""
+    """The piece {chi} x P_D of one strut inside the target's lattice.
+
+    None when the strut's divisor has no sections.
+    """
     strut = scaf.struts[index]
-    sections = sections_polytope(scaf.shape, strut.coeffs)
-    points = [strut.chi + v for v in sections.vertices]
-    return Polytope.from_points(points)
+    try:
+        sections = sections_polytope(scaf.shape, strut.coeffs)
+    except DomainError as exc:
+        if exc.kind == "empty_polytope":
+            return None
+        raise
+    return Polytope.from_points([strut.chi + v for v in sections.vertices])
+
+
+def _pieces(scaf):
+    return [strut_polytope(scaf, i) for i in range(len(scaf.struts))]
+
+
+def _piece_vertices(pieces):
+    return [v for piece in pieces if piece is not None for v in piece.vertices]
 
 
 def scaffold_hull(scaf):
     """Convex hull of all strut pieces."""
-    points = []
-    for i in range(len(scaf.struts)):
-        try:
-            piece = strut_polytope(scaf, i)
-        except DomainError as exc:
-            if exc.kind == "empty_polytope":
-                continue
-            raise
-        points.extend(piece.vertices)
+    points = _piece_vertices(_pieces(scaf))
     if not points:
         raise DomainError("empty_polytope", "every strut is empty")
     return Polytope.from_points(points)
@@ -130,19 +137,8 @@ def validate_scaffolding(scaf):
     if basis is None:
         report["failures"].append("no unit struts forming a basis of the shifts")
     report["unit_basis"] = basis
-    pieces = []
-    for i in range(len(scaf.struts)):
-        try:
-            pieces.append(strut_polytope(scaf, i))
-        except DomainError as exc:
-            if exc.kind == "empty_polytope":
-                pieces.append(None)
-                continue
-            raise
-    points = []
-    for piece in pieces:
-        if piece is not None:
-            points.extend(piece.vertices)
+    pieces = _pieces(scaf)
+    points = _piece_vertices(pieces)
     if not points:
         report["failures"].append("every strut is empty")
         return False, report
@@ -173,6 +169,8 @@ def strut_cone(scaf, index):
     (m, z) belongs to it when z >= -<m, q> for every q in the piece.
     """
     piece = strut_polytope(scaf, index)
+    if piece is None:
+        raise DomainError("empty_polytope", f"strut {index} has no sections")
     return Cone.from_hrep([q + (1,) for q in piece.vertices])
 
 
@@ -182,15 +180,7 @@ def dual_cone_check(scaf):
     Equivalent to the hull test when the target contains the origin in its
     interior, but computed entirely on the dual side.
     """
-    normals = []
-    for i in range(len(scaf.struts)):
-        try:
-            piece = strut_polytope(scaf, i)
-        except DomainError as exc:
-            if exc.kind == "empty_polytope":
-                continue
-            raise
-        normals.extend(q + (1,) for q in piece.vertices)
+    normals = [q + (1,) for q in _piece_vertices(_pieces(scaf))]
     if not normals:
         return False
     lhs = Cone.from_hrep(normals)
@@ -273,66 +263,54 @@ def block_rays(fan, blocks):
     )
 
 
+def scaffolding_from_rows(shape, rows, position, shift_columns):
+    """The scaffolding whose struts are the rows of a normalized weight matrix.
+
+    Entry j of a row is the divisor coefficient on the shape ray with index
+    position[j], and the negated entries on the shift columns form the
+    strut's shift.  One unit strut per shift column follows, and the target
+    is the hull of the strut pieces.
+    """
+    nrays = len(shape.rays)
+    struts = []
+    for row in rows:
+        coeffs = [0] * nrays
+        for j, k in position.items():
+            coeffs[k] = int(row[j])
+        struts.append(Strut(coeffs, (-int(row[j]) for j in shift_columns)))
+    for j in shift_columns:
+        struts.append(Strut((0,) * nrays, (int(i == j) for i in shift_columns)))
+    points = [
+        s.chi + v for s in struts for v in sections_polytope(shape, s.coeffs).vertices
+    ]
+    return Scaffolding(shape, len(shift_columns), struts, Polytope.from_points(points))
+
+
 def scaffolding_from_forward(git, part):
     """The scaffolding presenting the model of a convex partition.
 
-    One strut per basis row: its divisor polytope is the row's bracket
-    polytope shifted by the row's variable exponents, its shift collects the
-    exponents on the U block.  One unit strut per U column.
+    One strut per basis row, whose divisor polytope is the row's bracket
+    polytope shifted by the row's variable exponents: a group's unit ray
+    carries the row's entry on its column, and the group's negated-sum ray
+    the entry on the chosen column (every group level is nonnegative).  Its
+    shift collects the exponents on the U block.  One unit strut per U
+    column.
     """
-    failures = validate_partition(git, part)
-    if failures:
-        raise DomainError("invalid_partition", "; ".join(failures))
-    norm = normalized_matrix(git, part)
+    norm = _convex_matrix(git, part)
     u = len(part.U)
-    var_cols = part.variable_columns()
-    pos = {j: p for p, j in enumerate(var_cols)}
-    blocks = []
-    for s, c in zip(part.S, part.choices):
-        block = tuple(pos[j] - u for j in s if j != c)
-        if block:
-            blocks.append(block)
+    coord = {j: p - u for p, j in enumerate(part.variable_columns())}
+    groups = [(s, c) for s, c in zip(part.S, part.choices) if len(s) > 1]
+    blocks = [tuple(coord[j] for j in s if j != c) for s, c in groups]
     shape = product_fan(blocks)
-    d = shape.dim
-    struts = []
-    for row in norm:
-        # vertices of the row's bracket polytope, factor by factor
-        factor_vertex_sets = []
-        for s, c in zip(part.S, part.choices):
-            level = int(sum(row[j] for j in s))
-            block = [pos[j] - u for j in s if j != c]
-            verts = [tuple(0 for _ in block)]
-            verts.extend(
-                tuple(level if k == t else 0 for k in range(len(block)))
-                for t in range(len(block))
-            )
-            shift = tuple(-int(row[var_cols[u + b]]) for b in block)
-            factor_vertex_sets.append(
-                [(block, tuple(v + s0 for v, s0 in zip(vv, shift))) for vv in verts]
-            )
-        points = []
-        for combo in product(*factor_vertex_sets) if factor_vertex_sets else [()]:
-            point = [0] * d
-            for block, vals in combo:
-                for t, val in zip(block, vals):
-                    point[t] = val
-            points.append(tuple(point))
-        piece = Polytope.from_points(points)
-        coeffs = tuple(
-            -min(sum(r * q for r, q in zip(ray, v)) for v in piece.vertices)
-            for ray in shape.rays
-        )
-        chi = tuple(-int(row[j]) for j in part.U)
-        struts.append(Strut(coeffs, chi))
-    for j in part.U:
-        chi = tuple(1 if jj == j else 0 for jj in part.U)
-        struts.append(Strut((0,) * len(shape.rays), chi))
-    points = []
-    for strut in struts:
-        sec = sections_polytope(shape, strut.coeffs)
-        points.extend(strut.chi + v for v in sec.vertices)
-    hull = Polytope.from_points(points)
-    return Scaffolding(shape, u, struts, hull)
+    position = {}
+    for (s, c), block in zip(groups, blocks):
+        for j in s:
+            if j == c:
+                ray = tuple(-1 if p in block else 0 for p in range(shape.dim))
+            else:
+                ray = tuple(1 if p == coord[j] else 0 for p in range(shape.dim))
+            position[j] = shape.ray_index(ray)
+    return scaffolding_from_rows(shape, norm, position, part.U)
 
 
 def laurent_from_scaffolding(scaf):

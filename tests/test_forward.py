@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from fanoscaffold import toric
 from fanoscaffold.errors import DomainError
+from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.forward import (
     ConvexPartitionWithBasis,
     normalized_matrix,
@@ -10,6 +12,7 @@ from fanoscaffold.forward import (
     validate_partition,
 )
 from fanoscaffold.laurent import LaurentPolynomial, monomial_substitution
+from fanoscaffold.scaffolding import scaffolding_from_forward
 from fanoscaffold.toric import GitData
 
 
@@ -170,3 +173,25 @@ def test_integer_coefficients_and_values():
     assert f.coefficient((0, 0)) == 6
     assert f.coefficient((1, 0)) == 3
     assert f.coefficient((2, 0)) == 0
+
+
+@pytest.mark.parametrize("build", [przyjalkowski, scaffolding_from_forward])
+def test_basis_block_eliminated_once(build, monkeypatch):
+    # One elimination serves the convexity check and the model; the other
+    # belongs to the quotient fan, whose basis search takes one det.
+    calls = []
+    for name in ("det", "unimodular_inverse"):
+        original = getattr(toric, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(toric, name, counted)
+    names = [n for n in fixture_names() if "partition" in fixture(n)]
+    assert len(names) == 9
+    for name in names:
+        fx = fixture(name)
+        calls.clear()
+        build(fx["git"], fx["partition"])
+        assert sorted(calls) == ["det", "unimodular_inverse", "unimodular_inverse"]

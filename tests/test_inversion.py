@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from fanoscaffold.errors import DomainError
+from fanoscaffold.exact import mat_vec, random_unimodular_matrix
 from fanoscaffold.fixtures import fixture
 from fanoscaffold.forward import ConvexPartitionWithBasis
 from fanoscaffold.inversion import (
@@ -241,6 +244,22 @@ def test_anticanonical_octahedron():
     ok, report = validate_scaffolding(scaf)
     assert ok, report
     assert dual_cone_check(scaf)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+def test_anticanonical_p3_projects_each_facet_along_its_normal(seed):
+    # Each dual facet is triangulated in the plane of the two coordinates
+    # its normal weighs least; projecting along the wrong facet's normal
+    # flattens some facet of these simplices to a line.
+    points = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    if seed is not None:
+        u = random_unimodular_matrix(3, random.Random(seed))
+        points = [mat_vec(u, v) for v in points]
+    scaf = anticanonical_scaffolding(Polytope.from_points(points))
+    assert len(scaf.shape.rays) == 34
+    assert scaf.shape.is_complete()
+    ok, report = validate_scaffolding(scaf)
+    assert ok, report
 
 
 def test_anticanonical_rejects_bad_inputs():

@@ -1,7 +1,19 @@
+import random
+from itertools import product
+
 import pytest
 
 from fanoscaffold.errors import DomainError
-from fanoscaffold.forward import ConvexPartitionWithBasis, przyjalkowski
+from fanoscaffold.exact import mat_vec, random_unimodular_matrix
+from fanoscaffold.fixtures import fixture, fixture_names
+from fanoscaffold.forward import (
+    ConvexPartitionWithBasis,
+    normalized_matrix,
+    przyjalkowski,
+    validate_partition,
+)
+from fanoscaffold.mutations import mutate_scaffolding
+from fanoscaffold.nefpart import p_tilde
 from fanoscaffold.polyhedra import Polytope
 from fanoscaffold.scaffolding import (
     Scaffolding,
@@ -10,13 +22,14 @@ from fanoscaffold.scaffolding import (
     laurent_from_scaffolding,
     product_fan,
     product_structure,
+    scaffold_hull,
     scaffolding_from_forward,
     strut_cone,
     strut_polytope,
     unit_strut_basis,
     validate_scaffolding,
 )
-from fanoscaffold.toric import GitData
+from fanoscaffold.toric import GitData, sections_polytope
 
 
 def cubic_data():
@@ -196,3 +209,104 @@ def test_structural_errors():
         Scaffolding(shape, 1, [Strut((1, 0, 0))], hexagon())
     with pytest.raises(DomainError):
         Scaffolding(shape, 0, [], hexagon())
+
+
+def test_every_strut_empty():
+    shape = product_fan([(0, 1)])
+    scaf = Scaffolding(shape, 0, [Strut((-1, 0, 0)), Strut((0, -1, 0))], hexagon())
+    assert strut_polytope(scaf, 0) is None
+    ok, report = validate_scaffolding(scaf)
+    assert not ok
+    assert report["failures"] == ["every strut is empty"]
+    assert not dual_cone_check(scaf)
+    for build in (scaffold_hull, p_tilde, lambda sc: strut_cone(sc, 1)):
+        with pytest.raises(DomainError) as exc:
+            build(scaf)
+        assert exc.value.kind == "empty_polytope"
+    with pytest.raises(DomainError) as exc:
+        mutate_scaffolding(scaf, (1, 0), Polytope.from_points([(0, 0)]))
+    assert exc.value.kind == "not_mutable"
+    assert "strut 0" in exc.value.detail
+
+
+def bracket_polytope_scaffolding(git, part):
+    """Shape, struts and target of a convex partition, the long way round.
+
+    Each basis row's divisor polytope is built as the hull of its bracket
+    polytope's vertices, a product of one dilated simplex per group shifted
+    by the row's variable exponents, and each divisor coefficient is minus
+    the least pairing of a shape ray with that hull.
+    """
+    assert validate_partition(git, part) == []
+    norm = normalized_matrix(git, part)
+    u = len(part.U)
+    var_cols = part.variable_columns()
+    pos = {j: p for p, j in enumerate(var_cols)}
+    blocks = []
+    for s, c in zip(part.S, part.choices):
+        block = tuple(pos[j] - u for j in s if j != c)
+        if block:
+            blocks.append(block)
+    shape = product_fan(blocks)
+    struts = []
+    for row in norm:
+        factor_vertex_sets = []
+        for s, c in zip(part.S, part.choices):
+            level = int(sum(row[j] for j in s))
+            block = [pos[j] - u for j in s if j != c]
+            shift = [-int(row[var_cols[u + b]]) for b in block]
+            verts = [tuple(shift)]
+            for t in range(len(block)):
+                vert = list(shift)
+                vert[t] += level
+                verts.append(tuple(vert))
+            factor_vertex_sets.append([(block, v) for v in verts])
+        points = []
+        for combo in product(*factor_vertex_sets):
+            point = [0] * shape.dim
+            for block, vals in combo:
+                for t, val in zip(block, vals):
+                    point[t] = val
+            points.append(tuple(point))
+        piece = Polytope.from_points(points)
+        coeffs = tuple(
+            -min(sum(r * q for r, q in zip(ray, v)) for v in piece.vertices)
+            for ray in shape.rays
+        )
+        struts.append(Strut(coeffs, tuple(-int(row[j]) for j in part.U)))
+    for j in part.U:
+        struts.append(Strut((0,) * len(shape.rays), tuple(int(i == j) for i in part.U)))
+    points = []
+    for strut in struts:
+        points.extend(
+            strut.chi + v for v in sections_polytope(shape, strut.coeffs).vertices
+        )
+    return shape, tuple(struts), Polytope.from_points(points)
+
+
+CORPUS_PARTITIONS = [n for n in fixture_names() if "partition" in fixture(n)]
+
+
+@pytest.mark.parametrize("name", CORPUS_PARTITIONS)
+def test_forward_struts_match_bracket_polytopes(name):
+    # Every choice of eliminated columns, under seeded changes of the
+    # character lattice.
+    assert len(CORPUS_PARTITIONS) == 9
+    fx = fixture(name)
+    git, part = fx["git"], fx["partition"]
+    rng = random.Random(name)
+    changes = [random_unimodular_matrix(git.r, rng) for _ in range(2)]
+    for u in changes:
+        moved = GitData(
+            git.r,
+            git.R,
+            [mat_vec(u, d) for d in git.characters],
+            mat_vec(u, git.omega),
+        )
+        for choices in product(*part.S):
+            p = ConvexPartitionWithBasis(part.B, part.S, part.U, choices)
+            scaf = scaffolding_from_forward(moved, p)
+            shape, struts, target = bracket_polytope_scaffolding(moved, p)
+            assert scaf.shape == shape
+            assert scaf.struts == struts
+            assert scaf.target == target
