@@ -1,9 +1,13 @@
 """Laurent inversion: from a scaffolding to an ambient toric embedding.
 
 A valid scaffolding determines a bigger toric variety together with a
-distinguished lattice inclusion of the target's space.  The weight matrix
-has one row per non-basis strut and one column per strut, per shift
-coordinate, and per shape ray, in that order.
+distinguished lattice inclusion theta of the target's space.  The ambient
+lattice is the shift block, written in the basis formed by the shifts of
+the unit strut basis, followed by one coordinate per shape ray.
+_ambient_lattice derives that basis, the struts' ambient rays and theta
+for every function below.  The weight matrix has one row per non-basis
+strut and one column per non-basis strut, per shift coordinate and per
+shape ray, in that order.
 """
 
 from fractions import Fraction
@@ -18,6 +22,7 @@ from .exact import (
     solve_linear,
     transpose,
     unimodular_inverse,
+    vscale,
 )
 from .forward import ConvexPartitionWithBasis
 from .polyhedra import (
@@ -25,7 +30,6 @@ from .polyhedra import (
     Polytope,
     _proper_faces,
     dd_cone,
-    fans_equal,
     normal_fan,
     restrict_fan,
     spanning_fan,
@@ -68,94 +72,77 @@ class InversionResult:
         return f"InversionResult({self.git.r} x {self.git.R})"
 
 
-def _unit_basis(scaf):
+def _ambient_lattice(scaf):
+    """The unit strut basis, one ambient ray per strut, and theta.
+
+    The ambient lattice is the shift block, written in the basis formed by
+    the basis unit struts' shifts, followed by one coordinate per shape
+    ray.  A strut's ambient ray is its shift in that basis followed by its
+    negated divisor.  Theta has one row per target coordinate: a target
+    point (n_U, n) maps to n_U in the unit-strut basis, followed by the
+    pairings of n against the shape's rays.  Raises invalid_scaffolding
+    when no unit struts form a basis of the shifts.
+    """
     basis = unit_strut_basis(scaf)
     if basis is None:
         raise DomainError("invalid_scaffolding", "no unit strut basis")
-    return basis
+    u = scaf.u
+    cinv = unimodular_inverse([scaf.struts[i].chi for i in basis])
+    cols = transpose(cinv)
+    rays = tuple(
+        tuple(dot(s.chi, col) for col in cols) + tuple(-c for c in s.coeffs)
+        for s in scaf.struts
+    )
+    shape_rays = scaf.shape.rays
+    theta = tuple(row + (0,) * len(shape_rays) for row in cinv) + tuple(
+        (0,) * u + tuple(ray[k] for ray in shape_rays)
+        for k in range(scaf.shape.dim)
+    )
+    return basis, rays, theta
 
 
-def _shift_basis_inverse(scaf, basis):
-    if scaf.u == 0:
-        return []
-    mat = [scaf.struts[i].chi for i in basis]
-    return unimodular_inverse(mat)
-
-
-def _shift_coords(chi, cinv, u):
-    return tuple(sum(chi[k] * cinv[k][t] for k in range(u)) for t in range(u))
-
-
-def ambient_rays(scaf, basis=None):
+def ambient_rays(scaf):
     """One ray per strut: the shift paired with the negated divisor.
 
     Coordinates are (shift block, ray block); the shift block is written in
-    the basis provided by the unit struts.
+    the basis formed by the unit struts' shifts.
     """
-    if basis is None:
-        basis = _unit_basis(scaf)
-    cinv = _shift_basis_inverse(scaf, basis)
-    out = []
-    for s in scaf.struts:
-        a = _shift_coords(s.chi, cinv, scaf.u)
-        out.append(tuple(int(x) for x in a) + tuple(-c for c in s.coeffs))
-    return tuple(out)
+    return _ambient_lattice(scaf)[1]
 
 
-def embedding_lattice_map(scaf, basis=None):
-    """Rows of the inclusion of the target's lattice into the ambient one.
+def embedding_lattice_map(scaf):
+    """Rows of the inclusion theta of the target's lattice into the ambient one.
 
     A target point (n_U, n) maps to (n_U in the unit-strut basis, followed
     by the pairings of n against the shape's rays).
     """
-    if basis is None:
-        basis = _unit_basis(scaf)
-    u = scaf.u
-    d = scaf.shape.dim
-    nrays = len(scaf.shape.rays)
-    cinv = _shift_basis_inverse(scaf, basis)
-    rows = []
-    for k in range(u):
-        rows.append(tuple(cinv[k]) + (0,) * nrays)
-    for k in range(d):
-        rows.append(
-            (0,) * u + tuple(ray[k] for ray in scaf.shape.rays)
-        )
-    return tuple(rows)
+    return _ambient_lattice(scaf)[2]
 
 
 def laurent_inversion(scaf, omega=None):
     """Invert a scaffolding into GIT data for the ambient variety.
 
-    Columns: one per non-basis strut (unit block), then the shift block,
-    then one per shape ray in the fan's canonical order.  By default omega
-    is the sum of the strut columns.
+    Columns: one per non-basis strut (unit block), then the shift block in
+    the unit-strut basis, then one per shape ray in the fan's canonical
+    order.  The row of a non-basis strut is its unit vector followed by its
+    negated ambient ray.  By default omega is the sum of the strut columns.
     """
-    basis = require_valid_scaffolding(scaf)["unit_basis"]
-    chosen = set(basis)
-    row_struts = tuple(i for i in range(len(scaf.struts)) if i not in chosen)
+    require_valid_scaffolding(scaf)
+    basis, rays, theta = _ambient_lattice(scaf)
+    row_struts = tuple(i for i in range(len(scaf.struts)) if i not in basis)
     u = scaf.u
     r = len(row_struts)
-    nrays = len(scaf.shape.rays)
-    R = r + u + nrays
-    cinv = _shift_basis_inverse(scaf, basis)
-    matrix = []
-    for pos, i in enumerate(row_struts):
-        s = scaf.struts[i]
-        a = _shift_coords(s.chi, cinv, u)
-        row = [0] * r
-        row[pos] = 1
-        row.extend(-int(x) for x in a)
-        row.extend(int(c) for c in s.coeffs)
-        matrix.append(tuple(row))
-    matrix = tuple(matrix)
+    R = r + u + len(scaf.shape.rays)
+    matrix = tuple(
+        tuple(1 if k == pos else 0 for k in range(r)) + tuple(-c for c in rays[i])
+        for pos, i in enumerate(row_struts)
+    )
     if omega is None:
         omega = (1,) * r
     else:
         omega = tuple(omega)
     chars = [tuple(matrix[b][j] for b in range(r)) for j in range(R)]
     git = GitData(r, R, chars, omega)
-    theta = embedding_lattice_map(scaf, basis)
     try:
         blocks = product_structure(scaf.shape)
     except DomainError:
@@ -177,7 +164,6 @@ def q_s_polytope(scaf):
     Cut out by nonnegativity on the ray block and by pairing at least -1
     against every strut's ambient ray.  Unbounded data is rejected.
     """
-    basis = _unit_basis(scaf)
     u = scaf.u
     nrays = len(scaf.shape.rays)
     dim = u + nrays
@@ -185,7 +171,7 @@ def q_s_polytope(scaf):
     for j in range(nrays):
         normal = tuple(1 if p == u + j else 0 for p in range(dim))
         ineqs.append((normal, 0))
-    for rho in ambient_rays(scaf, basis):
+    for rho in ambient_rays(scaf):
         ineqs.append((rho, -1))
     return Polytope.from_hrep(ineqs, dim=dim)
 
@@ -214,6 +200,12 @@ def _cyclic_order_2d(vectors):
 
 def _det2(a, b):
     return a[0] * b[1] - a[1] * b[0]
+
+
+def _relation_basis(shape):
+    """Canonical basis of the integer relations among the shape's rays."""
+    rays = tuple(tuple(int(c) for c in r) for r in shape.rays)
+    return kernel_basis(transpose(rays), ncols=len(rays))
 
 
 def _ray_relations(shape):
@@ -253,7 +245,7 @@ def _ray_relations(shape):
             tuple(1 if j in idx else 0 for j in range(n))
             for idx in block_rays(shape, blocks)
         )
-    return sorted(kernel_basis(transpose([list(r) for r in rays]), ncols=n))
+    return sorted(_relation_basis(shape))
 
 
 def binomial_equations(inv):
@@ -289,14 +281,15 @@ def binomial_equations(inv):
     return tuple(sorted(set(out)))
 
 
-def _lift_facet_normal(scaf, normal):
+def _lift_facet_normal(scaf, basis, normal):
     """Lift a facet normal of the target into ambient dual coordinates.
 
-    The normal pairs to -1 with the facet.  Its shape part lies in some
-    maximal cone of the shape fan; writing it in that cone's ray basis
-    gives nonnegative coordinates, one per ray, which together with the
-    untouched shift part describe the lifted point.  Returns None when no
-    maximal cone contains the shape part.
+    The normal pairs to -1 with the facet.  The lift's shift block holds
+    the pairings of its shift part n_U with the shifts of the basis unit
+    struts, since the ambient shift block is written in their basis.
+    Its shape part lies in some maximal cone of the shape fan; writing it in
+    that cone's ray basis gives nonnegative coordinates, one per ray.
+    Returns None when no maximal cone contains the shape part.
     """
     shape = scaf.shape
     u = scaf.u
@@ -309,7 +302,7 @@ def _lift_facet_normal(scaf, normal):
         sol = solve_linear(rows, y)
         if sol is None or any(t < 0 for t in sol):
             continue
-        lifted = [Fraction(x) for x in normal[:u]]
+        lifted = [dot(scaf.struts[b].chi, normal[:u]) for b in basis]
         lifted += [Fraction(0)] * len(shape.rays)
         for t, i in zip(sol, cone_indices):
             lifted[u + i] = t
@@ -322,43 +315,42 @@ def verify_embedding(scaf):
 
     (a) the ambient fan's rays are exactly the strut rays plus the ray
         block's units;
-    (b) the ambient fan restricted along the lattice inclusion is the
-        spanning fan of the target;
+    (b) the ambient fan restricted along theta, the lattice inclusion, is
+        the spanning fan of the target;
     (c) for every proper face of the target, the face's cone is recovered
         from the ambient data.
 
-    Checks (b) and (c) pull H-descriptions back along the lattice inclusion
-    and convert them once in the target's space, so each maximal cone and
-    each proper face costs two dd_cone passes.  Returns (ok, report) with
-    one boolean per check.
+    Checks (b) and (c) pull H-descriptions back along theta and convert
+    them once in the target's space, so each maximal cone and each proper
+    face costs two dd_cone passes.  Returns (ok, report) with one boolean
+    per check; all are False when no unit struts form a basis of the
+    shifts.
     """
     report = {"ambient_rays": False, "restricted_fan": False,
               "face_cones": False}
-    basis = unit_strut_basis(scaf)
-    if basis is None:
+    try:
+        basis, rhos, theta = _ambient_lattice(scaf)
+    except DomainError:
         return False, report
     u = scaf.u
-    d = scaf.shape.dim
     nrays = len(scaf.shape.rays)
     dim = u + nrays
-    qs = q_s_polytope(scaf)
-    ambient_fan = normal_fan(qs)
+    ambient_fan = normal_fan(q_s_polytope(scaf))
     expected = set()
-    for rho in ambient_rays(scaf, basis):
+    for rho in rhos:
         expected.add(primitive_vector(rho))
     for j in range(nrays):
         expected.add(tuple(1 if p == u + j else 0 for p in range(dim)))
     report["ambient_rays"] = set(ambient_fan.rays) == expected
 
-    theta = embedding_lattice_map(scaf, basis)
     restricted = restrict_fan(ambient_fan, theta)
-    report["restricted_fan"] = fans_equal(restricted, spanning_fan(scaf.target))
+    report["restricted_fan"] = restricted == spanning_fan(scaf.target)
 
-    report["face_cones"] = _face_cones_check(scaf, basis, theta)
+    report["face_cones"] = _face_cones_check(scaf, basis, rhos, theta)
     return all(report.values()), report
 
 
-def _face_cones_check(scaf, basis, theta):
+def _face_cones_check(scaf, basis, rhos, theta):
     """Check (c): every proper face's cone is recovered from the ambient data.
 
     Each facet of the target lifts to an ambient dual point, and a face
@@ -373,16 +365,11 @@ def _face_cones_check(scaf, basis, theta):
     nrays = len(scaf.shape.rays)
     dim = u + nrays
     target = scaf.target
-    rhos = ambient_rays(scaf, basis)
-    # lift the dual vertex of every facet of the target
-    facet_sets = target.facet_vertex_sets()
+    # lift the dual vertex of every facet of the target; spanning_fan has
+    # already required 0 in its interior, so every rhs is negative
     lifts = []
-    for fset in facet_sets:
-        rows = [list(target.vertices[i]) for i in sorted(fset)]
-        normal = solve_linear(rows, [-1] * len(rows))
-        if normal is None:
-            return False
-        lifted = _lift_facet_normal(scaf, normal)
+    for a, rhs in target.inequalities:
+        lifted = _lift_facet_normal(scaf, basis, vscale(Fraction(-1) / rhs, a))
         if lifted is None:
             return False
         lifts.append(lifted)
@@ -396,6 +383,7 @@ def _face_cones_check(scaf, basis, theta):
     for j in range(nrays):
         unit = tuple(1 if p == u + j else 0 for p in range(dim))
         tight.append((unit, frozenset(k for k, lift in enumerate(lifts) if not lift[u + j])))
+    facet_sets = target.facet_vertex_sets()
     for _, indices in _proper_faces(target.vertices, facet_sets):
         members = set(indices)
         cover = {k for k, fset in enumerate(facet_sets) if members <= fset}
@@ -425,7 +413,7 @@ def ci_data(scaf):
     functionals is exactly the embedded lattice.
     """
     blocks = product_structure(scaf.shape)
-    basis = _unit_basis(scaf)
+    basis, _, theta = _ambient_lattice(scaf)
     u = scaf.u
     nrays = len(scaf.shape.rays)
     dim = u + nrays
@@ -434,15 +422,13 @@ def ci_data(scaf):
         tuple(1 if p - u in idx and p >= u else 0 for p in range(dim))
         for idx in factor_ray_idx
     )
-    chosen = set(basis)
-    row_struts = [i for i in range(len(scaf.struts)) if i not in chosen]
+    row_struts = [i for i in range(len(scaf.struts)) if i not in basis]
     degrees = tuple(
         tuple(
             sum(scaf.struts[i].coeffs[j] for j in idx) for i in row_struts
         )
         for idx in factor_ray_idx
     )
-    theta = embedding_lattice_map(scaf, basis)
     kernel = kernel_basis([list(f) for f in functionals], ncols=dim)
     lattice_ok = row_space_equal(
         [list(k) for k in kernel], [list(t) for t in theta]

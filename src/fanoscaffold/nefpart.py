@@ -14,7 +14,7 @@ from itertools import product
 
 from .errors import DomainError
 from .exact import dot, integer_solution, kernel_basis, solve_linear, transpose, vsub
-from .inversion import ambient_rays
+from .inversion import _relation_basis, ambient_rays
 from .mutations import mutate_polytope
 from .polyhedra import Cone, Polytope, lattice_isomorphic, spanning_fan
 from .scaffolding import block_rays, product_structure, strut_polytope
@@ -266,12 +266,6 @@ def is_gorenstein(polytope, index):
 # ---------------------------------------------------------------------------
 # divisor-level models of a scaffolding
 # ---------------------------------------------------------------------------
-
-def _relation_basis(shape):
-    """Canonical basis of the integer relations among the shape's rays."""
-    rays = tuple(tuple(int(c) for c in r) for r in shape.rays)
-    return kernel_basis(transpose(rays), ncols=len(rays))
-
 
 def p_tilde(scaf, r_vectors=None):
     """Hull of the strut pieces, each placed at a height in an extra factor.

@@ -116,10 +116,10 @@ def dd_cone(inequalities, equations=(), dim=None):
     lin = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rays = []
 
-    def _project_off(a, keep_ray):
-        # Remove one lineality direction not orthogonal to a; make all other
-        # generators orthogonal to a.  If keep_ray, the removed direction
-        # becomes a new ray tight at all previously processed inequalities.
+    def _project_off(a):
+        # Remove one lineality direction not orthogonal to a, make all other
+        # generators orthogonal to a, and return the removed direction, or
+        # None when a vanishes on the lineality.
         nonlocal lin, rays
         pivot = None
         for idx, l in enumerate(lin):
@@ -127,7 +127,7 @@ def dd_cone(inequalities, equations=(), dim=None):
                 pivot = idx
                 break
         if pivot is None:
-            return False
+            return None
         l0 = lin.pop(pivot)
         d0 = dot(a, l0)
         if d0 < 0:
@@ -140,33 +140,16 @@ def dd_cone(inequalities, equations=(), dim=None):
 
         lin = [orthogonal(l) for l in lin]
         rays = [(orthogonal(r), z) for r, z in rays]
-        return l0 if keep_ray else True
+        return l0
 
+    # No ray exists yet, so an equation vanishing on the lineality is a
+    # combination of the earlier ones.
     for e in eqs:
-        if _project_off(e, keep_ray=False):
-            continue
-        # e vanishes on lin; slice the rays.  During the equation phase no
-        # rays exist yet, but this branch also handles equations passed as
-        # paired inequalities later on, so keep it general.
-        kept = []
-        pos = [(r, z) for r, z in rays if dot(e, r) > 0]
-        neg = [(r, z) for r, z in rays if dot(e, r) < 0]
-        kept = [(r, z) for r, z in rays if dot(e, r) == 0]
-        for p, zp in pos:
-            for q, zq in neg:
-                zc = zp & zq
-                if any(
-                    zc <= zr for r, zr in rays if r is not p and r is not q
-                ):
-                    continue
-                dp, dq = dot(e, p), dot(e, q)
-                new = primitive_vector(vsub(vscale(dp, q), vscale(dq, p)))
-                kept.append((new, zc))
-        rays = kept
+        _project_off(e)
 
     for j, a in enumerate(ineqs):
-        popped = _project_off(a, keep_ray=True)
-        if popped is not False:
+        popped = _project_off(a)
+        if popped is not None:
             # All survivors are tight at a except the popped direction.
             rays = [(r, z | {j}) for r, z in rays]
             rays.append((popped, set(range(j))))
@@ -698,9 +681,9 @@ class Cone:
         return out
 
 
-def cone_over(polytope, height=1):
-    """The cone over polytope x {height} in one more dimension."""
-    gens = [tuple(v) + (Fraction(height),) for v in polytope.vertices]
+def cone_over(polytope):
+    """The cone over polytope x {1} in one more dimension."""
+    gens = [tuple(v) + (Fraction(1),) for v in polytope.vertices]
     return Cone.from_rays([_normalize_constraint(g) for g in gens], dim=polytope.dim + 1)
 
 
@@ -779,10 +762,6 @@ class Fan:
                 key = tuple(r for r in cone.rays if not dot(a, r))
                 ridge_counts[key] = ridge_counts.get(key, 0) + 1
         return all(v == 2 for v in ridge_counts.values())
-
-
-def fans_equal(f1, f2):
-    return f1 == f2
 
 
 def spanning_fan(polytope):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import mat_vec, random_unimodular_matrix
-from fanoscaffold.fixtures import fixture
+from fanoscaffold.exact import mat_vec, random_unimodular_matrix, transpose
+from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.forward import ConvexPartitionWithBasis
 from fanoscaffold.inversion import (
     ambient_rays,
@@ -187,6 +187,54 @@ def test_verify_embedding_dropped_strut_fails_the_fan_and_face_cones():
         False,
         {"ambient_rays": True, "restricted_fan": False, "face_cones": False},
     )
+
+
+SHIFTED_FIXTURES = [
+    name for name in fixture_names() if fixture(name)["scaffolding"].u
+]
+
+
+def change_shift_lattice(scaf, g):
+    """The scaffolding moved by g on N_U: chi goes to chi g on every strut
+    and on the N_U block of every target vertex."""
+    u = scaf.u
+
+    def move(chi):
+        return mat_vec(transpose(g), chi)
+
+    struts = [Strut(s.coeffs, move(s.chi)) for s in scaf.struts]
+    target = Polytope.from_points(
+        [move(v[:u]) + tuple(v[u:]) for v in scaf.target.vertices]
+    )
+    return Scaffolding(scaf.shape, u, struts, target)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", SHIFTED_FIXTURES)
+def test_inversion_is_invariant_under_a_change_of_the_shift_lattice(name, seed):
+    # The ambient shift block is written in the unit struts' basis, so a
+    # change of N_U moves neither the weight matrix nor any embedding check.
+    scaf = fixture(name)["scaffolding"]
+    moved = change_shift_lattice(
+        scaf, random_unimodular_matrix(scaf.u, random.Random(seed))
+    )
+    assert laurent_inversion(moved).matrix == laurent_inversion(scaf).matrix
+    assert verify_embedding(moved) == verify_embedding(scaf)
+
+
+def test_no_unit_basis_fails_every_embedding_check():
+    scaf = bundle_scaffolding()
+    # drop the unit strut: the shifts no longer contain a basis
+    bad = Scaffolding(scaf.shape, scaf.u, scaf.struts[:2], scaf.target)
+    assert verify_embedding(bad) == (
+        False,
+        {"ambient_rays": False, "restricted_fan": False, "face_cones": False},
+    )
+    for build in (ambient_rays, embedding_lattice_map, q_s_polytope, ci_data,
+                  laurent_inversion):
+        with pytest.raises(DomainError) as exc:
+            build(bad)
+        assert exc.value.kind == "invalid_scaffolding"
 
 
 def test_ci_data_bundle():

@@ -25,7 +25,6 @@ from fanoscaffold.polyhedra import (
     cone_over,
     convex_hull,
     dd_cone,
-    fans_equal,
     lattice_isomorphic,
     normal_fan,
     polytopes_intersect,
@@ -421,7 +420,7 @@ def test_facet_vertex_sets_against_fraction_dot_products(pts, data):
 def test_fan_canonicalization_and_equality():
     f1 = Fan(2, [(0, 1), (1, 0), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
     f2 = Fan(2, [(2, 0), (0, 3), (-1, -1)], [(1, 0), (0, 2), (1, 2)])
-    assert fans_equal(f1, f2)
+    assert f1 == f2
     assert f1.is_complete()
     assert f1.ray_index((5, 0)) == f1.rays.index((1, 0))
     incomplete = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
