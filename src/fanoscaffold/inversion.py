@@ -72,7 +72,7 @@ class InversionResult:
         return f"InversionResult({self.git.r} x {self.git.R})"
 
 
-def _ambient_lattice(scaf):
+def _ambient_lattice(scaf, basis=None):
     """The unit strut basis, one ambient ray per strut, and theta.
 
     The ambient lattice is the shift block, written in the basis formed by
@@ -80,10 +80,12 @@ def _ambient_lattice(scaf):
     ray.  A strut's ambient ray is its shift in that basis followed by its
     negated divisor.  Theta has one row per target coordinate: a target
     point (n_U, n) maps to n_U in the unit-strut basis, followed by the
-    pairings of n against the shape's rays.  Raises invalid_scaffolding
-    when no unit struts form a basis of the shifts.
+    pairings of n against the shape's rays.  A basis the caller already
+    found is used as given.  Raises invalid_scaffolding when no unit struts
+    form a basis of the shifts.
     """
-    basis = unit_strut_basis(scaf)
+    if basis is None:
+        basis = unit_strut_basis(scaf)
     if basis is None:
         raise DomainError("invalid_scaffolding", "no unit strut basis")
     u = scaf.u
@@ -127,8 +129,8 @@ def laurent_inversion(scaf, omega=None):
     order.  The row of a non-basis strut is its unit vector followed by its
     negated ambient ray.  By default omega is the sum of the strut columns.
     """
-    require_valid_scaffolding(scaf)
-    basis, rays, theta = _ambient_lattice(scaf)
+    report = require_valid_scaffolding(scaf)
+    basis, rays, theta = _ambient_lattice(scaf, report["unit_basis"])
     row_struts = tuple(i for i in range(len(scaf.struts)) if i not in basis)
     u = scaf.u
     r = len(row_struts)
@@ -164,6 +166,10 @@ def q_s_polytope(scaf):
     Cut out by nonnegativity on the ray block and by pairing at least -1
     against every strut's ambient ray.  Unbounded data is rejected.
     """
+    return _q_s_polytope(scaf, ambient_rays(scaf))
+
+
+def _q_s_polytope(scaf, rhos):
     u = scaf.u
     nrays = len(scaf.shape.rays)
     dim = u + nrays
@@ -171,7 +177,7 @@ def q_s_polytope(scaf):
     for j in range(nrays):
         normal = tuple(1 if p == u + j else 0 for p in range(dim))
         ineqs.append((normal, 0))
-    for rho in ambient_rays(scaf):
+    for rho in rhos:
         ineqs.append((rho, -1))
     return Polytope.from_hrep(ineqs, dim=dim)
 
@@ -335,7 +341,7 @@ def verify_embedding(scaf):
     u = scaf.u
     nrays = len(scaf.shape.rays)
     dim = u + nrays
-    ambient_fan = normal_fan(q_s_polytope(scaf))
+    ambient_fan = normal_fan(_q_s_polytope(scaf, rhos))
     expected = set()
     for rho in rhos:
         expected.add(primitive_vector(rho))

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from fanoscaffold import inversion, scaffolding
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import mat_vec, random_unimodular_matrix, transpose
 from fanoscaffold.fixtures import fixture, fixture_names
@@ -235,6 +237,35 @@ def test_no_unit_basis_fails_every_embedding_check():
         with pytest.raises(DomainError) as exc:
             build(bad)
         assert exc.value.kind == "invalid_scaffolding"
+
+
+@pytest.mark.parametrize("entry", [
+    ambient_rays,
+    embedding_lattice_map,
+    laurent_inversion,
+    q_s_polytope,
+    verify_embedding,
+    ci_data,
+])
+def test_each_entry_point_searches_the_unit_basis_once(monkeypatch, entry):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    search = counted("unit_strut_basis", scaffolding.unit_strut_basis)
+    monkeypatch.setattr(scaffolding, "unit_strut_basis", search)
+    monkeypatch.setattr(inversion, "unit_strut_basis", search)
+    monkeypatch.setattr(
+        inversion, "unimodular_inverse",
+        counted("unimodular_inverse", inversion.unimodular_inverse),
+    )
+    entry(bundle_scaffolding())
+    assert calls == Counter(unit_strut_basis=1, unimodular_inverse=1)
 
 
 def test_ci_data_bundle():
