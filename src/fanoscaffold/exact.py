@@ -50,11 +50,6 @@ def mat_vec(A, x):
     return tuple(dot(row, x) for row in A)
 
 
-def mat_mul(A, B):
-    Bt = transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
 def transpose(A):
     return tuple(zip(*A)) if A else ()
 

@@ -112,15 +112,6 @@ def ambient_rays(scaf):
     return _ambient_lattice(scaf)[1]
 
 
-def embedding_lattice_map(scaf):
-    """Rows of the inclusion theta of the target's lattice into the ambient one.
-
-    A target point (n_U, n) maps to (n_U in the unit-strut basis, followed
-    by the pairings of n against the shape's rays).
-    """
-    return _ambient_lattice(scaf)[2]
-
-
 def laurent_inversion(scaf, omega=None):
     """Invert a scaffolding into GIT data for the ambient variety.
 
@@ -538,7 +529,7 @@ def anticanonical_scaffolding(polytope):
     else:
         point_cones = []
         for (normal, _), facet_set in zip(dual.inequalities, dual.facet_vertex_sets()):
-            face = dual.face_polytope(sorted(facet_set))
+            face = Polytope.from_points([dual.vertices[i] for i in sorted(facet_set)])
             pts = face.integral_points()
             drop = max(range(3), key=lambda k: abs(normal[k]))
             keep = [k for k in range(3) if k != drop]

@@ -167,6 +167,10 @@ def monomial_substitution(f, matrix, shift=None):
 
 MAX_PERIOD_DEPTH = 64
 
+# Largest |<w, e>| a mutation reaches.  Each level costs one slice of the
+# polytope or one power of the factor, so the cap is checked before any.
+MAX_MUTATION_LEVEL = 64
+
 
 def _packing(f, inequalities, d_max):
     """Pack the exponents of classical_period's powers into single ints.
@@ -324,7 +328,7 @@ def algebraic_mutation(f, w, factor):
     f splits into graded pieces f_h by the pairing <w, exponent> = h; the
     result is sum over h of f_h * factor^h, where negative h demand exact
     divisibility by factor^|h|.  The inverse mutation uses -w with the same
-    factor.
+    factor.  Levels beyond MAX_MUTATION_LEVEL raise level_too_large.
     """
     w = tuple(int(c) for c in w)
     if len(w) != f.nvars:
@@ -344,6 +348,10 @@ def algebraic_mutation(f, w, factor):
     for e, c in f.terms.items():
         h = dot(w, e)
         levels.setdefault(h, {})[e] = c
+    if max(map(abs, levels), default=0) > MAX_MUTATION_LEVEL:
+        raise DomainError(
+            "level_too_large", f"mutation levels capped at {MAX_MUTATION_LEVEL}"
+        )
     out = LaurentPolynomial.zero(f.nvars)
     for h in sorted(levels):
         piece = LaurentPolynomial(f.nvars, levels[h])

@@ -10,6 +10,7 @@ induced piecewise linear map.
 
 from .errors import DomainError
 from .exact import dot, is_zero_vector, kernel_basis
+from .laurent import MAX_MUTATION_LEVEL
 from .polyhedra import Fan, Polytope
 from .scaffolding import Scaffolding, Strut, strut_polytope, validate_scaffolding
 from .toric import sections_polytope
@@ -48,12 +49,17 @@ def mutate_polytope(polytope, w, factor):
     exact Minkowski summand and are replaced by the complementary
     summand; slices at h > 0 gain h copies.  The hull of the transformed
     slices is returned.  Raises DomainError("not_mutable") naming the
-    first failing level.
+    first failing level, and level_too_large when a vertex lies beyond
+    height MAX_MUTATION_LEVEL.
     """
     _check_mutation_data(polytope.dim, w, factor)
     if not polytope.is_lattice():
         raise DomainError("not_lattice", "mutation needs a lattice polytope")
     heights = [dot(w, v) for v in polytope.vertices]
+    if max(map(abs, heights)) > MAX_MUTATION_LEVEL:
+        raise DomainError(
+            "level_too_large", f"mutation levels capped at {MAX_MUTATION_LEVEL}"
+        )
     points = []
     for h in range(int(min(heights)), int(max(heights)) + 1):
         piece = _slice_at_level(polytope, w, h)

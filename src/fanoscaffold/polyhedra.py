@@ -20,7 +20,7 @@ up to about 10); no attempt is made at large-scale performance.
 """
 
 from fractions import Fraction
-from itertools import product as _product
+from itertools import combinations, permutations, product as _product
 
 from .errors import DomainError
 from .exact import (
@@ -28,11 +28,12 @@ from .exact import (
     det,
     dot,
     gcd_list,
+    identity_matrix,
     kernel_basis,
     primitive_vector,
     rank,
     solve_linear,
-    unimodular_inverse,
+    to_int_vector,
     vadd,
     vneg,
     vscale,
@@ -329,9 +330,6 @@ class Polytope:
     def __repr__(self):
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
 
-    def affine_dim(self):
-        return self.dim - len(self.equations)
-
     def is_full_dimensional(self):
         return not self.equations
 
@@ -383,9 +381,6 @@ class Polytope:
         (the polytope itself) and the empty face are omitted.
         """
         return _proper_faces(self.vertices, self.facet_vertex_sets())
-
-    def face_polytope(self, indices):
-        return Polytope.from_points([self.vertices[i] for i in indices])
 
     def integral_points(self):
         """All lattice points of the polytope, lex sorted.
@@ -671,15 +666,6 @@ class Cone:
             dim=self.dim,
         )
 
-    def facet_cones(self):
-        """The codimension one faces, as canonical cones."""
-        out = []
-        for a in self.ineq_normals:
-            gens = [r for r in self.rays if dot(a, r) == 0]
-            gens += list(self.lineality) + [vneg(l) for l in self.lineality]
-            out.append(Cone.from_rays(gens, dim=self.dim))
-        return out
-
 
 def cone_over(polytope):
     """The cone over polytope x {1} in one more dimension."""
@@ -879,81 +865,27 @@ def lattice_isomorphic(p, q, affine=False):
     pv = [tuple(int(c) for c in v) for v in p.vertices]
     qv = [tuple(int(c) for c in v) for v in q.vertices]
     qset = set(qv)
-    # Fix one independent d-tuple of vertices of p, then try to match it
-    # with every ordered d-tuple of vertices of q.
-    chosen = None
-    for comb in _independent_tuples(pv, d):
-        chosen = comb
-        break
-    if chosen is None:
+    # Fix one independent d-tuple bp of vertices of p, then try to match it
+    # with every ordered d-tuple bq of vertices of q.  U maps the rows of bp
+    # to the rows of bq: U[j][k] = sum_i bp^-1[k][i] * bq[i][j].  With
+    # D = det bp, the columns D * bp^-1 e_i are integer vectors, so each
+    # candidate costs one integer product and an exact division by D.
+    bp = next((c for c in combinations(pv, d) if rank(c) == d), None)
+    if bp is None:
         return None
-    bp = [pv[i] for i in chosen]
-    try:
-        bp_inv = unimodular_inverse(bp)
-    except DomainError:
-        bp_inv = None
-    for cand in _ordered_tuples(qv, d):
-        bq = list(cand)
-        # U maps the rows of bp to the rows of bq: U = bq^T * (bp^T)^{-1},
-        # computed as solving row systems when bp is not unimodular.
-        u = _solve_map(bp, bq, bp_inv)
-        if u is None:
+    D = int(det(bp))
+    cols = [to_int_vector(vscale(D, solve_linear(bp, e))) for e in identity_matrix(d)]
+    for bq in permutations(qv, d):
+        scaled = [
+            [sum(cols[i][k] * bq[i][j] for i in range(d)) for k in range(d)]
+            for j in range(d)
+        ]
+        if any(c % D for row in scaled for c in row):
             continue
-        if any(any(Fraction(c).denominator != 1 for c in row) for row in u):
-            continue
-        urows = tuple(tuple(int(c) for c in row) for row in u)
+        urows = tuple(tuple(c // D for c in row) for row in scaled)
         if abs(det(urows)) != 1:
             continue
         image = {tuple(dot(row, v) for row in urows) for v in pv}
         if image == qset:
             return urows
     return None
-
-
-def _independent_tuples(vectors, d):
-    n = len(vectors)
-    from itertools import combinations
-
-    for comb in combinations(range(n), d):
-        if rank([vectors[i] for i in comb]) == d:
-            yield comb
-
-
-def _ordered_tuples(vectors, d):
-    from itertools import permutations
-
-    for perm in permutations(range(len(vectors)), d):
-        yield [vectors[i] for i in perm]
-
-
-def _solve_map(bp, bq, bp_inv):
-    # Want U with U * bp[i] = bq[i] for all i (vectors as columns), i.e.
-    # row j of U satisfies <row_j, bp[i]> = bq[i][j].
-    d = len(bp)
-    if bp_inv is not None:
-        # With Bp unimodular the system row_j * Bp^T = col_j solves to
-        # row_j[k] = sum_i bp_inv[k][i] * bq[i][j].
-        rows = []
-        for j in range(d):
-            row = tuple(
-                sum(bp_inv[k][i] * bq[i][j] for i in range(d)) for k in range(d)
-            )
-            rows.append(row)
-        return rows
-    rows = []
-    for j in range(d):
-        rhs = [bq[i][j] for i in range(d)]
-        sol = solve_linear(bp, rhs)
-        if sol is None:
-            return None
-        rows.append(tuple(sol))
-    return rows
-
-
-def polytopes_intersect(p, q):
-    """Whether two polytopes given by H-representations meet."""
-    if p.dim != q.dim:
-        raise DomainError("dimension_mismatch", "polytopes in different spaces")
-    ineqs = list(p.inequalities) + list(q.inequalities)
-    eqs = list(p.equations) + list(q.equations)
-    return bool(_hrep_to_vertices(ineqs, eqs, p.dim))

@@ -103,14 +103,6 @@ def _piece_vertices(pieces):
     return [v for piece in pieces if piece is not None for v in piece.vertices]
 
 
-def scaffold_hull(scaf):
-    """Convex hull of all strut pieces."""
-    points = _piece_vertices(_pieces(scaf))
-    if not points:
-        raise DomainError("empty_polytope", "every strut is empty")
-    return Polytope.from_points(points)
-
-
 def unit_strut_basis(scaf):
     """Indices of u unit struts whose shifts form a lattice basis, or None."""
     units = [i for i, s in enumerate(scaf.struts) if s.is_unit()]
@@ -160,18 +152,6 @@ def require_valid_scaffolding(scaf):
     if not ok:
         raise DomainError("invalid_scaffolding", "; ".join(report["failures"]))
     return report
-
-
-def strut_cone(scaf, index):
-    """Dual cone of the cone over (strut piece) x {1}.
-
-    Lives in the dual lattice extended by one height coordinate; a point
-    (m, z) belongs to it when z >= -<m, q> for every q in the piece.
-    """
-    piece = strut_polytope(scaf, index)
-    if piece is None:
-        raise DomainError("empty_polytope", f"strut {index} has no sections")
-    return Cone.from_hrep([q + (1,) for q in piece.vertices])
 
 
 def dual_cone_check(scaf):

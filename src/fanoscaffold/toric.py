@@ -35,9 +35,12 @@ class GitData:
 
     The character cone must be pointed and full dimensional and omega must
     lie inside it; this keeps every downstream construction well posed.
+    cone_normals: the rays of the dual of the character cone, from one DD
+    pass.  The cone is pointed exactly when they have rank r, and a
+    character lies in it exactly when it pairs >= 0 with each of them.
     """
 
-    __slots__ = ("r", "R", "characters", "omega")
+    __slots__ = ("r", "R", "characters", "omega", "cone_normals")
 
     def __init__(self, r, R, characters, omega):
         characters = tuple(tuple(int(c) for c in d) for d in characters)
@@ -50,15 +53,16 @@ class GitData:
             raise DomainError("zero_character", "every coordinate needs a nonzero weight")
         if rank(list(characters)) != r:
             raise DomainError("not_full_rank", "characters do not span the weight space")
-        dual = _character_dual_rays(characters, r)
-        if rank(list(dual)) != r:
+        normals = dd_cone(characters, dim=r)[0]
+        if rank(list(normals)) != r:
             raise DomainError("not_pointed", "character cone contains a line")
-        if any(dot(a, omega) < 0 for a in dual):
+        if any(dot(a, omega) < 0 for a in normals):
             raise DomainError("omega_outside", "omega is not in the character cone")
         self.r = r
         self.R = R
         self.characters = characters
         self.omega = omega
+        self.cone_normals = normals
 
     def __eq__(self, other):
         return (
@@ -69,15 +73,6 @@ class GitData:
 
     def __repr__(self):
         return f"GitData(r={self.r}, R={self.R})"
-
-
-def _character_dual_rays(characters, r):
-    """Rays of the dual of a full-rank character cone, from one DD pass.
-
-    The character cone is pointed exactly when these rays have rank r, and
-    a character lies in it exactly when it pairs >= 0 with each of them.
-    """
-    return dd_cone(characters, dim=r)[0]
 
 
 def covers(git, subset):
@@ -288,7 +283,7 @@ def in_chamber_interior(git, omega):
         raise DomainError("dimension_mismatch", "character length differs from r")
     if not any(w):
         return False
-    if any(dot(a, w) < 0 for a in _character_dual_rays(git.characters, git.r)):
+    if any(dot(a, w) < 0 for a in git.cone_normals):
         return False
     walls = _walls(git, _span_normals(git))
     return not any(wall.contains(w) for wall in walls)

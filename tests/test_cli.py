@@ -287,6 +287,32 @@ def test_lattice_point_box_is_capped(tmp_path, capsys):
     assert "10000200001" in error["detail"] and "1000000" in error["detail"]
 
 
+def test_mutation_levels_are_capped(tmp_path, capsys):
+    # Each level costs a slice or a power of the factor, so without the cap
+    # a width of 10^5 along w ran for hours.
+    wide = 10**5
+    triangle = {"dim": 2, "vertices": [[0, 0], [0, wide], [wide, 0]]}
+    plane = {"dim": 2, "rays": [[-1, -1], [0, 1], [1, 0]],
+             "max_cones": [[0, 1], [0, 2], [1, 2]]}
+    scaf = {"shape": plane, "u": 0, "target": triangle,
+            "struts": [{"coeffs": [wide, 0, 0], "chi": []}]}
+    polytope = write_json(tmp_path, "p.json", triangle)
+    scaf = write_json(tmp_path, "s.json", scaf)
+    f = write_json(tmp_path, "f.json", jsonio.encode_laurent(
+        LaurentPolynomial(2, {(wide, 0): 1, (0, 1): 1})))
+    mut = write_json(tmp_path, "m.json", {
+        "w": [1, 0], "factor": jsonio.encode_polytope(segment_factor((1, 0)))})
+    for argv in (
+        ("mutate-polytope", "--polytope", polytope, "--mutation", mut),
+        ("mutate-laurent", "--f", f, "--mutation", mut),
+        ("mutate-scaffolding", "--scaffolding", scaf, "--mutation", mut),
+        ("mutability", "--scaffolding", scaf, "--weights", "[[1, 0]]"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and "Traceback" not in err, argv[0]
+        assert json.loads(out)["error"]["kind"] == "level_too_large", argv[0]
+
+
 def test_nef_partition_with_inline_parts(tmp_path, capsys):
     square = Polytope.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     poly = write_json(tmp_path, "p.json", jsonio.encode_polytope(square))

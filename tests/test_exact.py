@@ -13,7 +13,6 @@ from fanoscaffold.exact import (
     identity_matrix,
     integer_solution,
     kernel_basis,
-    mat_mul,
     mat_vec,
     primitive_vector,
     random_unimodular_matrix,
@@ -23,6 +22,11 @@ from fanoscaffold.exact import (
     transpose,
     unimodular_inverse,
 )
+
+
+def mat_mul(A, B):
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(a * b for a, b in zip(row, c)) for c in cols) for row in A)
 
 
 def test_hnf_known_cases():

@@ -9,11 +9,7 @@ from fanoscaffold import fixtures
 from fanoscaffold.cli import run
 from fanoscaffold.errors import DomainError
 from fanoscaffold.fixtures import FIXTURES, fixture, fixture_names
-from fanoscaffold.scaffolding import (
-    laurent_from_scaffolding,
-    scaffold_hull,
-    validate_scaffolding,
-)
+from fanoscaffold.scaffolding import laurent_from_scaffolding, validate_scaffolding
 
 
 def test_every_fixture_builds_with_a_description():
@@ -38,7 +34,6 @@ def test_scaffoldings_cover_their_targets():
         scaf = fx["scaffolding"]
         ok, report = validate_scaffolding(scaf)
         assert ok, (name, report["failures"])
-        assert scaffold_hull(scaf) == scaf.target
     assert seen >= 10
 
 

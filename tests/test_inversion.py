@@ -13,7 +13,6 @@ from fanoscaffold.inversion import (
     anticanonical_scaffolding,
     binomial_equations,
     ci_data,
-    embedding_lattice_map,
     laurent_inversion,
     q_s_polytope,
     verify_embedding,
@@ -232,8 +231,7 @@ def test_no_unit_basis_fails_every_embedding_check():
         False,
         {"ambient_rays": False, "restricted_fan": False, "face_cones": False},
     )
-    for build in (ambient_rays, embedding_lattice_map, q_s_polytope, ci_data,
-                  laurent_inversion):
+    for build in (ambient_rays, q_s_polytope, ci_data, laurent_inversion):
         with pytest.raises(DomainError) as exc:
             build(bad)
         assert exc.value.kind == "invalid_scaffolding"
@@ -241,7 +239,6 @@ def test_no_unit_basis_fails_every_embedding_check():
 
 @pytest.mark.parametrize("entry", [
     ambient_rays,
-    embedding_lattice_map,
     laurent_inversion,
     q_s_polytope,
     verify_embedding,
@@ -279,7 +276,7 @@ def test_ci_data_bundle():
 
 def test_embedding_map_shape():
     scaf = bundle_scaffolding()
-    theta = embedding_lattice_map(scaf)
+    theta = laurent_inversion(scaf).theta
     assert theta == (
         (1, 0, 0, 0, 0),
         (0, -1, 0, 0, 1),

@@ -4,7 +4,7 @@ import pytest
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.forward import ConvexPartitionWithBasis
-from fanoscaffold.laurent import LaurentPolynomial, algebraic_mutation
+from fanoscaffold.laurent import MAX_MUTATION_LEVEL, LaurentPolynomial, algebraic_mutation
 from fanoscaffold.mutations import (
     mutate_polytope,
     mutate_scaffolding,
@@ -138,6 +138,24 @@ def test_mutation_data_is_validated():
     with pytest.raises(DomainError) as exc:
         mutate_polytope(square(), (1, 0), half)
     assert exc.value.kind == "not_lattice"
+
+
+def test_mutation_levels_are_capped():
+    top = MAX_MUTATION_LEVEL
+    factor = LaurentPolynomial.one(2) + LaurentPolynomial.monomial((0, 1))
+    segment = Polytope.from_points([(0, 0), (top, 0)])
+    assert mutate_polytope(segment, (1, 0), vertical_unit()) == Polytope.from_points(
+        [(0, 0), (top, 0), (top, top)])
+    x_top = LaurentPolynomial.monomial((top, 0))
+    assert algebraic_mutation(x_top, (1, 0), factor) == x_top * factor ** top
+    # Both directions are checked before any slice or power is formed.
+    for h in (top + 1, -top - 1):
+        with pytest.raises(DomainError) as exc:
+            mutate_polytope(Polytope.from_points([(0, 0), (h, 0)]), (1, 0), vertical_unit())
+        assert exc.value.kind == "level_too_large"
+        with pytest.raises(DomainError) as exc:
+            algebraic_mutation(LaurentPolynomial.monomial((h, 0)), (1, 0), factor)
+        assert exc.value.kind == "level_too_large"
 
 
 def test_shape_transport_gives_hirzebruch_fan():

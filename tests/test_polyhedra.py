@@ -1,20 +1,25 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
+    det,
     dot,
     kernel_basis,
+    mat_vec,
     primitive_vector,
     random_unimodular_matrix,
     rank,
     solve_linear,
+    unimodular_inverse,
+    vadd,
+    vsub,
 )
 from fanoscaffold.polyhedra import (
     MAX_LATTICE_BOX,
@@ -27,7 +32,6 @@ from fanoscaffold.polyhedra import (
     dd_cone,
     lattice_isomorphic,
     normal_fan,
-    polytopes_intersect,
     restrict_fan,
     spanning_fan,
 )
@@ -195,7 +199,7 @@ def test_polytope_vertices_against_bruteforce():
             assert p.contains(q)
         # Facets are supported: each has affine rank dim-1 worth of vertices.
         for s in p.facet_vertex_sets():
-            assert len(s) >= p.affine_dim()
+            assert len(s) >= p.dim - len(p.equations)
 
 
 COORDS = st.fractions(-2, 2, max_denominator=3)
@@ -277,7 +281,6 @@ def test_polytope_from_hrep_and_unbounded():
 
 def test_polytope_lower_dimensional():
     seg = Polytope.from_points([(0, 0, 1), (2, 0, 1)])
-    assert seg.affine_dim() == 1
     assert len(seg.equations) == 2
     assert seg.contains((1, 0, 1))
     assert not seg.contains((1, 1, 1))
@@ -542,11 +545,84 @@ def test_lattice_isomorphic_affine():
     assert imgs == {tuple(int(c) for c in v) for v in q.vertices}
 
 
-def test_polytopes_intersect():
-    a = Polytope.from_points([(0, 0), (2, 0), (0, 2)])
-    b = Polytope.from_points([(1, 1), (3, 1), (1, 3)])
-    c = Polytope.from_points([(5, 5), (6, 5), (5, 6)])
-    assert polytopes_intersect(a, b)
-    assert not polytopes_intersect(a, c)
-    point = Polytope.from_points([(2, 0)])
-    assert polytopes_intersect(a, point)
+def search_by_solving(p, q, affine=False):
+    """Oracle: the isomorphism search that solves for every candidate.
+
+    Same candidate order as lattice_isomorphic, but each ordered d-tuple bq
+    costs d exact solves unless bp is unimodular.
+    """
+    if affine:
+        pv = [tuple(int(c) for c in v) for v in p.vertices]
+        p0 = Polytope.from_points([vsub(v, pv[0]) for v in pv])
+        for w in q.vertices:
+            w0 = tuple(int(c) for c in w)
+            q0 = Polytope.from_points([vsub(tuple(int(c) for c in v), w0) for v in q.vertices])
+            u = search_by_solving(p0, q0)
+            if u is not None:
+                return u, vsub(w0, tuple(dot(row, pv[0]) for row in u))
+        return None
+    d = p.dim
+    pv = [tuple(int(c) for c in v) for v in p.vertices]
+    qv = [tuple(int(c) for c in v) for v in q.vertices]
+    bp = [pv[i] for i in solving_base(p)]
+    try:
+        bp_inv = unimodular_inverse(bp)
+    except DomainError:
+        bp_inv = None
+    for perm in permutations(range(len(qv)), d):
+        bq = [qv[i] for i in perm]
+        if bp_inv is not None:
+            u = [[sum(bp_inv[k][i] * bq[i][j] for i in range(d)) for k in range(d)]
+                 for j in range(d)]
+        else:
+            u = [solve_linear(bp, [bq[i][j] for i in range(d)]) for j in range(d)]
+        if any(Fraction(c).denominator != 1 for row in u for c in row):
+            continue
+        urows = tuple(tuple(int(c) for c in row) for row in u)
+        if abs(det(urows)) == 1 and {mat_vec(urows, v) for v in pv} == set(qv):
+            return urows
+    return None
+
+
+def solving_base(p):
+    """Indices of the first independent d-tuple of p's vertices."""
+    return next(c for c in combinations(range(len(p.vertices)), p.dim)
+                if rank([p.vertices[i] for i in c]) == p.dim)
+
+
+@st.composite
+def full_lattice_polytopes(draw):
+    """Full dimensional lattice polytopes of dimension 2-3, at most 12 vertices."""
+    n = draw(st.integers(2, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=n + 1, max_size=12))
+    p = Polytope.from_points(pts)
+    assume(p.is_full_dimensional())
+    return p
+
+
+# The first independent pair or triple of vertices of these cubes spans a
+# sublattice of index 2 or 4: the branch that divides by det bp.
+SQUARE = Polytope.from_points(list(product((-1, 1), repeat=2)))
+CUBE = Polytope.from_points(list(product((-1, 1), repeat=3)))
+
+
+def test_the_examples_have_a_non_unimodular_base():
+    for p in (SQUARE, CUBE):
+        assert abs(det([p.vertices[i] for i in solving_base(p)])) > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(full_lattice_polytopes(), st.integers(0, 2**32 - 1), st.booleans())
+@example(SQUARE, 3, False)
+@example(CUBE, 5, True)
+def test_lattice_isomorphic_finds_the_oracles_map(p, seed, affine):
+    rng = random.Random(seed)
+    u = random_unimodular_matrix(p.dim, rng)
+    t = tuple(rng.randint(-3, 3) for _ in range(p.dim)) if affine else (0,) * p.dim
+    q = Polytope.from_points([vadd(mat_vec(u, v), t) for v in p.vertices])
+    found = lattice_isomorphic(p, q, affine=affine)
+    assert found == search_by_solving(p, q, affine=affine)
+    m, shift = found if affine else (found, t)
+    assert abs(det(m)) == 1
+    assert {vadd(mat_vec(m, v), shift) for v in p.vertices} == set(q.vertices)
+    assert lattice_isomorphic(p, p.dilate(2), affine=affine) is None

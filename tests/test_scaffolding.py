@@ -22,9 +22,7 @@ from fanoscaffold.scaffolding import (
     laurent_from_scaffolding,
     product_fan,
     product_structure,
-    scaffold_hull,
     scaffolding_from_forward,
-    strut_cone,
     strut_polytope,
     unit_strut_basis,
     validate_scaffolding,
@@ -191,15 +189,6 @@ def test_unit_basis_required():
     assert any("unit" in msg for msg in report["failures"])
 
 
-def test_strut_cone_contains_height_axis():
-    scaf = dp6_triangle_scaffolding()
-    cone = strut_cone(scaf, 0)
-    assert cone.contains((0, 0, 1))
-    piece = strut_polytope(scaf, 0)
-    for v in piece.vertices:
-        assert cone.dual().contains(tuple(v) + (1,))
-
-
 def test_structural_errors():
     shape = product_fan([(0, 1)])
     with pytest.raises(DomainError) as exc:
@@ -219,10 +208,9 @@ def test_every_strut_empty():
     assert not ok
     assert report["failures"] == ["every strut is empty"]
     assert not dual_cone_check(scaf)
-    for build in (scaffold_hull, p_tilde, lambda sc: strut_cone(sc, 1)):
-        with pytest.raises(DomainError) as exc:
-            build(scaf)
-        assert exc.value.kind == "empty_polytope"
+    with pytest.raises(DomainError) as exc:
+        p_tilde(scaf)
+    assert exc.value.kind == "empty_polytope"
     with pytest.raises(DomainError) as exc:
         mutate_scaffolding(scaf, (1, 0), Polytope.from_points([(0, 0)]))
     assert exc.value.kind == "not_mutable"

@@ -4,7 +4,9 @@ import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fanoscaffold"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fanoscaffold"
+CAP = re.compile(r"\w+_too_large|too_many_\w+")
 
 
 def test_every_private_function_is_used():
@@ -24,3 +26,22 @@ def test_every_private_function_is_used():
             if not word.search(rest) and not any(word.search(t) for t in others):
                 unused.append("%s.%s" % (path.stem, node.name))
     assert unused == []
+
+
+def test_readme_lists_every_cap_kind():
+    # The caps are the DomainError kinds named *_too_large or too_many_*;
+    # the README sentence on capped inputs names each one and no other.
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "DomainError"
+                and isinstance(node.args[0], ast.Constant)
+                and CAP.fullmatch(node.args[0].value)
+            ):
+                raised.add(node.args[0].value)
+    readme = (ROOT / "README.md").read_text()
+    sentence = re.search(r"Inputs that would blow up are capped.*?\.\s", readme, re.S)
+    listed = {k for k in re.findall(r"`(\w+)`", sentence.group(0)) if CAP.fullmatch(k)}
+    assert raised and listed == raised

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import mat_vec, random_unimodular_matrix, rank
-from fanoscaffold.polyhedra import Cone, Fan, Polytope
+from fanoscaffold import toric
+from fanoscaffold.polyhedra import Cone, dd_cone
 from fanoscaffold.toric import (
     GitData,
     PLFunction,
@@ -209,6 +210,21 @@ def test_in_chamber_interior():
     assert not in_chamber_interior(git, (-1, 0))
     assert in_chamber_interior(git, (3, -1))
     assert in_chamber_interior(p1p1_git(), (2, 5))
+
+
+def test_the_character_cone_is_converted_once(monkeypatch):
+    # GitData keeps the dual rays it validates omega against, so the
+    # chamber test reads them instead of converting the characters again.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return dd_cone(*args, **kwargs)
+
+    monkeypatch.setattr(toric, "dd_cone", counted)
+    git = weighted_flag_git()
+    assert in_chamber_interior(git, git.omega)
+    assert calls == [git.characters]
 
 
 def test_pl_function_p2():
