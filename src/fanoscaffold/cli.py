@@ -1,10 +1,10 @@
 """Command-line interface producing deterministic JSON reports.
 
-Every subcommand reads JSON files (or a bundled fixture, with --fixtures),
-runs one library operation, and prints a single JSON line with sorted keys,
-so identical inputs give byte-identical output.  Domain failures exit with
-code 1 and an {"error": {"kind", "detail"}} object; malformed input or
-usage exits with code 2.
+Every subcommand reads JSON files or inline JSON lists (or a bundled
+fixture, with --fixtures), runs one library operation, and prints a single
+JSON line with sorted keys, so identical inputs give byte-identical output.
+Domain failures exit with code 1 and an {"error": {"kind", "detail"}}
+object; malformed input or usage exits with code 2.
 """
 
 import argparse
@@ -40,25 +40,19 @@ from .scaffolding import (
 )
 from .toric import secondary_fan
 
-_FILE_FLAGS = {
-    "laurent": "--f",
-    "git": "--git",
-    "partition": "--partition",
-    "scaffolding": "--scaffolding",
-    "polytope": "--polytope",
-    "mutation": "--mutation",
-    "polytopes": "--polytopes",
-}
-
-
-_DECODERS = {
-    "laurent": jsonio.decode_laurent,
-    "git": jsonio.decode_git,
-    "partition": jsonio.decode_partition,
-    "scaffolding": jsonio.decode_scaffolding,
-    "polytope": jsonio.decode_polytope,
-    "mutation": jsonio.decode_mutation,
-    "polytopes": jsonio.decode_polytopes,
+# input kind -> (flag, decoder); a file flag names a JSON file, and an
+# inline flag (parts, vectors, weights) carries its JSON list itself.
+_INPUTS = {
+    "laurent": ("--f", jsonio.decode_laurent),
+    "git": ("--git", jsonio.decode_git),
+    "partition": ("--partition", jsonio.decode_partition),
+    "scaffolding": ("--scaffolding", jsonio.decode_scaffolding),
+    "polytope": ("--polytope", jsonio.decode_polytope),
+    "mutation": ("--mutation", jsonio.decode_mutation),
+    "polytopes": ("--polytopes", jsonio.decode_polytopes),
+    "parts": ("--parts", jsonio.decode_int_rows),
+    "vectors": ("--vectors", jsonio.decode_int_rows),
+    "weights": ("--weights", jsonio.decode_int_rows),
 }
 
 
@@ -67,23 +61,6 @@ def _parse_omega(text):
         return tuple(Fraction(piece.strip()) for piece in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise ValueError("bad stability vector %r" % (text,))
-
-
-def _parse_int_rows(text, what):
-    try:
-        rows = json.loads(text)
-    except ValueError:
-        raise ValueError("bad %s: not valid JSON" % (what,))
-    if not isinstance(rows, list):
-        raise ValueError("bad %s: expected a list of integer lists" % (what,))
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or any(
-            isinstance(x, bool) or not isinstance(x, int) for x in row
-        ):
-            raise ValueError("bad %s: expected a list of integer lists" % (what,))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _indicator_polynomial(polytope):
@@ -120,8 +97,7 @@ def _tikz_cycle(polytope):
 # ---------------------------------------------------------------------------
 
 def _cmd_period(args, data):
-    coeffs = classical_period(data["laurent"], args.max_degree)
-    return {"coeffs": list(coeffs)}
+    return {"coeffs": classical_period(data["laurent"], args.max_degree)}
 
 
 def _cmd_newton(args, data):
@@ -143,9 +119,9 @@ def _cmd_invert(args, data):
     omega = _parse_omega(args.omega) if args.omega else None
     inv = laurent_inversion(data["scaffolding"], omega)
     return {
-        "matrix": [list(row) for row in inv.matrix],
+        "matrix": inv.matrix,
         "git": jsonio.encode_git(inv.git),
-        "theta": [list(row) for row in inv.theta],
+        "theta": inv.theta,
         "recovered": (
             jsonio.encode_partition(inv.recovered) if inv.recovered else None
         ),
@@ -154,13 +130,7 @@ def _cmd_invert(args, data):
 
 def _cmd_scaffold_validate(args, data):
     ok, report = validate_scaffolding(data["scaffolding"])
-    basis = report["unit_basis"]
-    return {
-        "ok": ok,
-        "failures": list(report["failures"]),
-        "vertexless_struts": list(report["vertexless_struts"]),
-        "unit_basis": None if basis is None else list(basis),
-    }
+    return dict(report, ok=ok)
 
 
 def _cmd_dual_check(args, data):
@@ -169,23 +139,12 @@ def _cmd_dual_check(args, data):
 
 def _cmd_embed_check(args, data):
     ok, report = verify_embedding(data["scaffolding"])
-    return {
-        "ok": ok,
-        "ambient_rays": report["ambient_rays"],
-        "restricted_fan": report["restricted_fan"],
-        "face_cones": report["face_cones"],
-    }
+    return dict(report, ok=ok)
 
 
 def _cmd_ci_data(args, data):
     require_valid_scaffolding(data["scaffolding"])
-    info = ci_data(data["scaffolding"])
-    return {
-        "functionals": [list(row) for row in info["functionals"]],
-        "degrees": [list(row) for row in info["degrees"]],
-        "degrees_nonnegative": info["degrees_nonnegative"],
-        "lattice_ok": info["lattice_ok"],
-    }
+    return ci_data(data["scaffolding"])
 
 
 def _cmd_secondary_fan(args, data):
@@ -214,30 +173,15 @@ def _cmd_mutate_scaffolding(args, data):
 
 
 def _cmd_nef_partition(args, data):
-    parts = _parse_int_rows(args.parts, "parts")
-    report = check_nef_partition(data["polytope"], parts)
-    return {
-        "valid": report["valid"],
-        "pl_ok": report["pl_ok"],
-        "cartier": report["cartier"],
-        "minkowski_ok": report["minkowski_ok"],
-        "nablas": [jsonio.encode_polytope(p) for p in report["nablas"]],
-        "points": [list(p) for p in report["points"]],
-    }
+    report = check_nef_partition(data["polytope"], data["parts"])
+    return dict(report, nablas=[jsonio.encode_polytope(p) for p in report["nablas"]])
 
 
 def _cmd_fano_nef_partition(args, data):
     inv = laurent_inversion(data["scaffolding"])
     partition = fano_nef_partition_from_inversion(inv)
     report = check_fano_nef_partition(partition)
-    return {
-        "e_parts": [list(g) for g in partition.e_parts],
-        "f_part": list(partition.f_part),
-        "ample_base": report["ample_base"],
-        "nef_parts": report["nef_parts"],
-        "gorenstein_cone": report["gorenstein_cone"],
-        "valid": report["valid"],
-    }
+    return dict(report, e_parts=partition.e_parts, f_part=partition.f_part)
 
 
 def _cmd_cayley(args, data):
@@ -255,11 +199,7 @@ def _cmd_p_s(args, data):
 
 def _cmd_amenable_validate(args, data):
     ok, report = validate_amenable(data["git"], data["partition"], data["vectors"])
-    return {
-        "ok": ok,
-        "failures": list(report["failures"]),
-        "pairings": [list(row) for row in report["pairings"]],
-    }
+    return dict(report, ok=ok)
 
 
 def _cmd_amenable_tower(args, data):
@@ -269,7 +209,7 @@ def _cmd_amenable_tower(args, data):
 
 def _cmd_amenable_binomials(args, data):
     pairs = amenable_binomials(data["git"], data["partition"], data["vectors"])
-    return {"binomials": [{"plus": list(p), "minus": list(m)} for p, m in pairs]}
+    return {"binomials": [{"plus": p, "minus": m} for p, m in pairs]}
 
 
 def _cmd_anticanonical(args, data):
@@ -277,8 +217,8 @@ def _cmd_anticanonical(args, data):
 
 
 def _cmd_mutability(args, data):
-    ok, report = strut_mutability(data["scaffolding"], data["weights"])
-    return {"ok": ok, "struts": [list(pair) for pair in report]}
+    ok, table = strut_mutability(data["scaffolding"], data["weights"])
+    return {"ok": ok, "struts": table}
 
 
 def _build_parser():
@@ -288,16 +228,16 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, help_text, files=(), inline=(), fixture_keys=None,
+    def add(name, handler, help_text, files=(), inline=(), fixtures=True,
             tikz=False, extra=None):
         sub = subs.add_parser(name, help=help_text)
         for key in files:
-            sub.add_argument(_FILE_FLAGS[key], dest=key + "_path", metavar="FILE",
+            sub.add_argument(_INPUTS[key][0], dest=key, metavar="FILE",
                              help="path to %s JSON" % key)
         for key in inline:
-            sub.add_argument("--" + key, metavar="JSON",
+            sub.add_argument(_INPUTS[key][0], dest=key, metavar="JSON",
                              help="inline JSON list of integer vectors")
-        if fixture_keys is not None:
+        if fixtures:
             sub.add_argument("--fixtures", action="store_true",
                              help="run over the bundled example corpus instead")
         if tikz:
@@ -305,84 +245,78 @@ def _build_parser():
                              help="print a 2D polygon as a boundary cycle")
         if extra is not None:
             extra(sub)
-        sub.set_defaults(handler=handler, files=tuple(files), inline=tuple(inline),
-                         fixture_keys=fixture_keys)
+        sub.set_defaults(handler=handler, files=files, inline=inline)
 
     add("period", _cmd_period, "classical period coefficients",
-        files=("laurent",), fixture_keys=("laurent",),
+        files=("laurent",),
         extra=lambda s: s.add_argument("--max-degree", type=int, required=True,
                                        metavar="D", help="last coefficient degree"))
     add("newton", _cmd_newton, "Newton polytope of a Laurent polynomial",
-        files=("laurent",), fixture_keys=("laurent",), tikz=True)
+        files=("laurent",), tikz=True)
     add("forward", _cmd_forward, "Laurent model of quotient data with a partition",
-        files=("git", "partition"), fixture_keys=("git", "partition"),
+        files=("git", "partition"),
         extra=lambda s: s.add_argument("--drop-constant", action="store_true",
                                        dest="drop_constant",
                                        help="remove the constant term"))
     add("invert", _cmd_invert, "weight matrix and quotient data of a scaffolding",
-        files=("scaffolding",), fixture_keys=("scaffolding",),
+        files=("scaffolding",),
         extra=lambda s: s.add_argument("--omega", metavar="VEC",
                                        help="override stability, e.g. 3,2"))
     add("scaffold-validate", _cmd_scaffold_validate, "check the covering conditions",
-        files=("scaffolding",), fixture_keys=("scaffolding",))
+        files=("scaffolding",))
     add("scaffold-dual-check", _cmd_dual_check, "dual-cone form of the covering check",
-        files=("scaffolding",), fixture_keys=("scaffolding",))
+        files=("scaffolding",))
     add("embed-check", _cmd_embed_check, "verify the induced toric embedding",
-        files=("scaffolding",), fixture_keys=("scaffolding",))
+        files=("scaffolding",))
     add("ci-data", _cmd_ci_data, "complete-intersection degrees of the embedding",
-        files=("scaffolding",), fixture_keys=("scaffolding",))
+        files=("scaffolding",))
     add("secondary-fan", _cmd_secondary_fan, "maximal chambers of the character cone",
-        files=("git",), fixture_keys=("git",))
+        files=("git",))
     add("mutate-polytope", _cmd_mutate_polytope, "mutate a polytope by weight and factor",
-        files=("polytope", "mutation"), tikz=True)
+        files=("polytope", "mutation"), fixtures=False, tikz=True)
     add("mutate-laurent", _cmd_mutate_laurent, "mutate a Laurent polynomial",
-        files=("laurent", "mutation"))
+        files=("laurent", "mutation"), fixtures=False)
     add("mutate-scaffolding", _cmd_mutate_scaffolding, "transport a scaffolding",
-        files=("scaffolding", "mutation"))
+        files=("scaffolding", "mutation"), fixtures=False)
     add("nef-partition", _cmd_nef_partition, "check a nef partition of a polytope",
-        files=("polytope",),
-        extra=lambda s: s.add_argument("--parts", required=True, metavar="JSON",
-                                       help="ray index groups, e.g. [[0,1],[2,3]]"))
+        files=("polytope",), inline=("parts",), fixtures=False)
     add("fano-nef-partition", _cmd_fano_nef_partition,
         "nef partition with ample residual induced by a scaffolding",
-        files=("scaffolding",), fixture_keys=("scaffolding",))
+        files=("scaffolding",))
     add("cayley", _cmd_cayley, "Cayley polytope and cone of a list of polytopes",
-        files=("polytopes",))
+        files=("polytopes",), fixtures=False)
     add("p-s", _cmd_p_s, "polytope spanning the ambient fan of a scaffolding",
-        files=("scaffolding",), fixture_keys=("scaffolding",), tikz=True)
+        files=("scaffolding",), tikz=True)
     add("amenable-validate", _cmd_amenable_validate,
         "check the sign conditions of a dual-vector collection",
-        files=("git", "partition"), inline=("vectors",),
-        fixture_keys=("git", "partition", "vectors"))
+        files=("git", "partition"), inline=("vectors",))
     add("amenable-tower", _cmd_amenable_tower,
         "bundle tower fan carried by a dual-vector collection",
-        files=("git", "partition"), inline=("vectors",),
-        fixture_keys=("git", "partition", "vectors"))
+        files=("git", "partition"), inline=("vectors",))
     add("amenable-binomials", _cmd_amenable_binomials,
         "binomial equations cut out by a dual-vector collection",
-        files=("git", "partition"), inline=("vectors",),
-        fixture_keys=("git", "partition", "vectors"))
+        files=("git", "partition"), inline=("vectors",))
     add("anticanonical", _cmd_anticanonical,
         "boundary scaffolding of a reflexive polytope",
-        files=("polytope",), fixture_keys=("polytope",))
+        files=("polytope",))
     add("mutability", _cmd_mutability, "check strut transport along weight vectors",
-        files=("scaffolding",), inline=("weights",),
-        fixture_keys=("scaffolding", "weights"))
+        files=("scaffolding",), inline=("weights",))
     return parser
 
 
 def _load_inputs(args):
     data = {}
-    for key in args.files:
-        path = getattr(args, key + "_path")
-        if path is None:
-            raise ValueError("missing required %s" % (_FILE_FLAGS[key],))
-        data[key] = _DECODERS[key](jsonio.read_json(path))
-    for key in args.inline:
-        text = getattr(args, key)
-        if text is None:
-            raise ValueError("missing required --%s" % (key,))
-        data[key] = _parse_int_rows(text, key)
+    for key in args.files + args.inline:
+        flag, decode = _INPUTS[key]
+        value = getattr(args, key)
+        if value is None:
+            raise ValueError("missing required %s" % (flag,))
+        try:
+            data[key] = decode(
+                jsonio.read_json(value) if key in args.files else json.loads(value)
+            )
+        except ValueError as exc:
+            raise ValueError("bad %s: %s" % (flag, exc))
     return data
 
 
@@ -393,7 +327,7 @@ def _dispatch(args):
         results = {}
         for name in fixture_names():
             fx = fixture(name)
-            if not all(key in fx for key in args.fixture_keys):
+            if not all(key in fx for key in args.files + args.inline):
                 continue
             try:
                 results[name] = args.handler(args, fx)

@@ -53,18 +53,15 @@ class InversionResult:
         "matrix",
         "git",
         "row_struts",
-        "unit_basis",
         "theta",
         "recovered",
     )
 
-    def __init__(self, scaffolding, matrix, git, row_struts, unit_basis, theta,
-                 recovered):
+    def __init__(self, scaffolding, matrix, git, row_struts, theta, recovered):
         self.scaffolding = scaffolding
         self.matrix = matrix
         self.git = git
         self.row_struts = row_struts
-        self.unit_basis = unit_basis
         self.theta = theta
         self.recovered = recovered
 
@@ -148,7 +145,7 @@ def laurent_inversion(scaf, omega=None):
         recovered = ConvexPartitionWithBasis(
             tuple(range(r)), groups, tuple(range(r, r + u))
         )
-    return InversionResult(scaf, matrix, git, row_struts, basis, theta, recovered)
+    return InversionResult(scaf, matrix, git, row_struts, theta, recovered)
 
 
 def q_s_polytope(scaf):
@@ -525,9 +522,9 @@ def anticanonical_scaffolding(polytope):
             (order[t], order[(t + 1) % len(order)])
             for t in range(len(order))
         ]
-        point_cones = [(boundary[i], boundary[j]) for i, j in cones]
     else:
-        point_cones = []
+        index = {q: i for i, q in enumerate(boundary)}
+        cones = []
         for (normal, _), facet_set in zip(dual.inequalities, dual.facet_vertex_sets()):
             face = Polytope.from_points([dual.vertices[i] for i in sorted(facet_set)])
             pts = face.integral_points()
@@ -535,12 +532,7 @@ def anticanonical_scaffolding(polytope):
             keep = [k for k in range(3) if k != drop]
             flat = [tuple(p[k] for k in keep) for p in pts]
             for a, b, c in _triangulate_2d(flat):
-                point_cones.append((pts[a], pts[b], pts[c]))
-    fan = Fan(polytope.dim, boundary, [])
-    index = {}
-    for q in boundary:
-        index[q] = fan.ray_index(q)
-    cones = [tuple(sorted(index[q] for q in pc)) for pc in point_cones]
+                cones.append((index[pts[a]], index[pts[b]], index[pts[c]]))
     fan = Fan(polytope.dim, boundary, cones)
     strut = Strut((1,) * len(fan.rays), ())
     return Scaffolding(fan, 0, [strut], polytope)

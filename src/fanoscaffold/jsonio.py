@@ -201,6 +201,11 @@ def decode_mutation(obj):
     return _int_vector(_field(obj, "w")), decode_polytope(_field(obj, "factor"))
 
 
+def decode_int_rows(obj):
+    """A list of integer lists, such as index groups or dual vectors."""
+    return tuple(_int_vector(row) for row in _list(obj, "integer lists"))
+
+
 def read_json(path):
     with open(path, "r", encoding="ascii") as handle:
         return json.load(handle)

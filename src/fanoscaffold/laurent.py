@@ -144,23 +144,20 @@ class LaurentPolynomial:
         return Polytope.from_points(list(self.terms))
 
 
-def monomial_substitution(f, matrix, shift=None):
-    """Apply the exponent change e -> matrix * e + shift.
+def monomial_substitution(f, matrix):
+    """Apply the exponent change e -> matrix * e.
 
     matrix must be unimodular so the substitution is invertible on the
-    torus; shift defaults to zero.
+    torus.
     """
     rows = tuple(tuple(int(c) for c in row) for row in matrix)
     if len(rows) != f.nvars or any(len(r) != f.nvars for r in rows):
         raise DomainError("dimension_mismatch", "matrix shape differs from nvars")
     if abs(det(rows)) != 1:
         raise DomainError("not_unimodular", "substitution matrix must have det +-1")
-    if shift is None:
-        shift = tuple(0 for _ in range(f.nvars))
-    shift = tuple(int(c) for c in shift)
     out = {}
     for e, c in f.terms.items():
-        new = vadd(mat_vec(rows, e), shift)
+        new = mat_vec(rows, e)
         out[new] = out.get(new, 0) + c
     return LaurentPolynomial(f.nvars, out)
 

@@ -267,25 +267,15 @@ def is_gorenstein(polytope, index):
 # divisor-level models of a scaffolding
 # ---------------------------------------------------------------------------
 
-def p_tilde(scaf, r_vectors=None):
+def p_tilde(scaf):
     """Hull of the strut pieces, each placed at a height in an extra factor.
 
-    The default height of a strut is minus its divisor class, written in the
-    canonical basis of ray relations of the shape.  Explicit integer height
-    vectors, one per strut and all of one length, may be given instead.
-    Struts whose sections are empty contribute no points.
+    The height of a strut is minus its divisor class, written in the
+    canonical basis of ray relations of the shape.  Struts whose sections
+    are empty contribute no points.
     """
-    if r_vectors is None:
-        rel = _relation_basis(scaf.shape)
-        heights = [
-            tuple(-dot(row, s.coeffs) for row in rel) for s in scaf.struts
-        ]
-    else:
-        heights = [tuple(int(c) for c in v) for v in r_vectors]
-        if len(heights) != len(scaf.struts):
-            raise DomainError("dimension_mismatch", "one height vector per strut")
-        if len({len(h) for h in heights}) > 1:
-            raise DomainError("dimension_mismatch", "height vectors of mixed lengths")
+    rel = _relation_basis(scaf.shape)
+    heights = [tuple(-dot(row, s.coeffs) for row in rel) for s in scaf.struts]
     points = []
     for s, height in enumerate(heights):
         piece = strut_polytope(scaf, s)

@@ -760,14 +760,7 @@ def spanning_fan(polytope):
         raise DomainError("origin_not_interior", "spanning fan needs 0 inside")
     if not polytope.is_lattice():
         raise DomainError("not_lattice", "spanning fan needs lattice vertices")
-    rays = [primitive_vector(tuple(int(c) for c in v)) for v in polytope.vertices]
-    cones = []
-    for s in polytope.facet_vertex_sets():
-        cones.append([rays[i] for i in s])
-    fan_rays = sorted(set(rays))
-    lookup = {r: i for i, r in enumerate(fan_rays)}
-    max_cones = [tuple(sorted(lookup[r] for r in c)) for c in cones]
-    return Fan(polytope.dim, fan_rays, max_cones)
+    return Fan(polytope.dim, polytope.vertices, polytope.facet_vertex_sets())
 
 
 def normal_fan(polytope):
@@ -778,15 +771,11 @@ def normal_fan(polytope):
     """
     if not polytope.is_full_dimensional():
         raise DomainError("not_full_dimensional", "normal fan needs a full-dim polytope")
-    normals = [primitive_vector(tuple(int(c) for c in a)) for a, _ in polytope.inequalities]
     cones = [[] for _ in polytope.vertices]
-    for a, s in zip(normals, polytope.facet_vertex_sets()):
+    for k, s in enumerate(polytope.facet_vertex_sets()):
         for i in s:
-            cones[i].append(a)
-    fan_rays = sorted(set(normals))
-    lookup = {r: i for i, r in enumerate(fan_rays)}
-    max_cones = [tuple(sorted(lookup[r] for r in c)) for c in cones]
-    return Fan(polytope.dim, fan_rays, max_cones)
+            cones[i].append(k)
+    return Fan(polytope.dim, [a for a, _ in polytope.inequalities], cones)
 
 
 def restrict_fan(fan, basis):
@@ -832,14 +821,12 @@ def restrict_fan(fan, basis):
     return Fan(k, fan_rays, max_cones)
 
 
-def lattice_isomorphic(p, q, affine=False):
+def lattice_isomorphic(p, q):
     """Search for a unimodular map sending polytope p onto polytope q.
 
     Returns the matrix U (tuple of rows, acting on column vectors) with
-    U * p = q as vertex sets, or None.  With affine=True a translation is
-    allowed and the return value is (U, t) with x -> U x + t.  Both
-    polytopes must be full dimensional lattice polytopes with at most 12
-    vertices.
+    U * p = q as vertex sets, or None.  Both polytopes must be full
+    dimensional lattice polytopes with at most 12 vertices.
     """
     if not (p.is_lattice() and q.is_lattice()):
         raise DomainError("not_lattice", "lattice comparison of rational polytopes")
@@ -848,18 +835,6 @@ def lattice_isomorphic(p, q, affine=False):
     if len(p.vertices) > 12 or len(q.vertices) > 12:
         raise DomainError("too_many_vertices", "lattice comparison capped at 12 vertices")
     if p.dim != q.dim or len(p.vertices) != len(q.vertices):
-        return None
-    if affine:
-        pv = [tuple(int(c) for c in v) for v in p.vertices]
-        base = pv[0]
-        p0 = Polytope.from_points([vsub(v, base) for v in pv])
-        for w in q.vertices:
-            w0 = tuple(int(c) for c in w)
-            q0 = Polytope.from_points([vsub(tuple(int(c) for c in u), w0) for u in q.vertices])
-            u = lattice_isomorphic(p0, q0, affine=False)
-            if u is not None:
-                shift = vsub(w0, tuple(dot(row, base) for row in u))
-                return u, shift
         return None
     d = p.dim
     pv = [tuple(int(c) for c in v) for v in p.vertices]

@@ -2,13 +2,14 @@
 
 import io
 import json
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from fanoscaffold import jsonio
-from fanoscaffold.cli import _FILE_FLAGS, run
+from fanoscaffold.cli import _INPUTS, run
 from fanoscaffold.fixtures import fixture
 from fanoscaffold.laurent import LaurentPolynomial, algebraic_mutation
 from fanoscaffold.mutations import segment_factor
@@ -56,7 +57,45 @@ def sweep(argv):
     return code, buf.getvalue().encode("utf-8")
 
 
-def capture_golden():
+# The subcommands without --fixtures, on inputs built from the corpus;
+# "{name}" stands for the path of file_inputs()[name] written as JSON.
+# Each exits 0, and tests/golden/<subcommand>.out holds its stdout.
+GOLDEN_FILE_COMMANDS = (
+    ("mutate-polytope", "--polytope", "{hexagon}", "--mutation", "{mutation}"),
+    ("mutate-laurent", "--f", "{laurent}", "--mutation", "{mutation}"),
+    ("mutate-scaffolding", "--scaffolding", "{scaffolding}", "--mutation", "{mutation}"),
+    ("nef-partition", "--polytope", "{square}", "--parts", "[[0,1],[2,3]]"),
+    ("cayley", "--polytopes", "{squares}"),
+)
+
+
+def file_inputs():
+    fx = fixture("dp6-squares")
+    quadrics = fixture("amenable-quadrics")
+    square = jsonio.encode_polytope(
+        Polytope.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    return {
+        "hexagon": jsonio.encode_polytope(fx["scaffolding"].target),
+        "mutation": {"w": [1, 0], "factor": jsonio.encode_polytope(segment_factor((1, 0)))},
+        "laurent": jsonio.encode_laurent(fx["laurent"]),
+        "scaffolding": jsonio.encode_scaffolding(fx["scaffolding"]),
+        "square": square,
+        "squares": [square, square],
+        "git": jsonio.encode_git(quadrics["git"]),
+        "partition": jsonio.encode_partition(quadrics["partition"]),
+    }
+
+
+def file_command(template, directory):
+    """template as an argv, with the file_inputs() it names written to directory."""
+    paths = {}
+    for name, obj in file_inputs().items():
+        paths[name] = directory / (name + ".json")
+        paths[name].write_text(json.dumps(obj))
+    return [arg.format(**paths) for arg in template]
+
+
+def capture_golden(directory):
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     for argv in GOLDEN_SWEEPS:
@@ -64,6 +103,10 @@ def capture_golden():
         (GOLDEN / (argv[0] + ".out")).write_bytes(out)
     codes_json = json.dumps(codes, indent=1, sort_keys=True) + "\n"
     (GOLDEN / "exit_codes.json").write_text(codes_json)
+    for template in GOLDEN_FILE_COMMANDS:
+        code, out = sweep(file_command(template, directory))
+        assert code == 0, template[0]
+        (GOLDEN / (template[0] + ".out")).write_bytes(out)
 
 
 @pytest.mark.parametrize("argv", GOLDEN_SWEEPS, ids=lambda argv: argv[0])
@@ -72,6 +115,13 @@ def test_fixture_sweep_matches_the_golden_snapshot(argv):
     code, out = sweep(argv)
     assert code == codes[argv[0]]
     assert out == (GOLDEN / (argv[0] + ".out")).read_bytes()
+
+
+@pytest.mark.parametrize("template", GOLDEN_FILE_COMMANDS, ids=lambda argv: argv[0])
+def test_file_command_matches_the_golden_snapshot(tmp_path, template):
+    code, out = sweep(file_command(template, tmp_path))
+    assert code == 0
+    assert out == (GOLDEN / (template[0] + ".out")).read_bytes()
 
 
 def write_json(tmp_path, name, obj):
@@ -155,12 +205,34 @@ def test_a_field_that_is_not_a_list_exits_with_two(tmp_path, capsys, command, ki
     argv = [command]
     needed = {"forward": ("git", "partition")}.get(command, (kind,))
     for key in needed:
-        argv += [_FILE_FLAGS[key], write_json(tmp_path, key + ".json", inputs[key])]
+        argv += [_INPUTS[key][0], write_json(tmp_path, key + ".json", inputs[key])]
     if command == "period":
         argv += ["--max-degree", "2"]
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and not out
     assert err and "Traceback" not in err
+
+
+# flag -> (the subcommand's other arguments, a well-formed value)
+INLINE_LISTS = {
+    "--parts": (("nef-partition", "--polytope", "{square}"), "[[0,1],[2,3]]"),
+    "--vectors": (("amenable-validate", "--git", "{git}", "--partition", "{partition}"),
+                  "[[-1,-1,0,2],[0,0,-1,-1]]"),
+    "--weights": (("mutability", "--scaffolding", "{scaffolding}"), "[[1,0]]"),
+}
+
+
+@pytest.mark.parametrize("value", ("not json", "5", "[5]", "[[true]]", "[[1.5]]", None))
+@pytest.mark.parametrize("flag", sorted(INLINE_LISTS))
+def test_a_malformed_inline_list_exits_with_two(tmp_path, capsys, flag, value):
+    template, good = INLINE_LISTS[flag]
+    argv = file_command(template, tmp_path)
+    assert invoke(capsys, *argv, flag, good)[0] == 0
+    if value is not None:
+        argv += [flag, value]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and not out
+    assert flag[2:] in err and "Traceback" not in err
 
 
 def test_reports_reject_an_invalid_scaffolding(tmp_path, capsys):
@@ -405,4 +477,5 @@ def test_mutability_sweep_hits_the_weighted_fixture(capsys):
 
 
 if __name__ == "__main__":
-    capture_golden()
+    with tempfile.TemporaryDirectory() as directory:
+        capture_golden(Path(directory))

@@ -150,12 +150,6 @@ def test_substitution_invariance():
     assert ei.value.kind == "not_unimodular"
 
 
-def test_substitution_shift():
-    f = poly(1, ((0,), 1), ((1,), 1))
-    g = monomial_substitution(f, ((1,),), shift=(3,))
-    assert g.terms == {(3,): 1, (4,): 1}
-
-
 def test_mutation_round_trip():
     # f = (1+y)/x + 1 + x mutates along w=(1,0) with factor 1+y.
     x = L.monomial((1, 0))

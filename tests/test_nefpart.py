@@ -316,17 +316,9 @@ def test_height_model_of_the_product_square():
     assert p_tilde_one(scaf) == g.newton_polytope()
 
 
-def test_height_model_heights_can_be_supplied():
+def test_height_model_default_heights():
     scaf = dp6_square_scaffolding()
     assert p_tilde(scaf) == Polytope.from_points([v + (-1, -1) for v in HEX_VERTICES])
-    flat = p_tilde(scaf, [(0,), (0,)])
-    assert flat == Polytope.from_points([v + (0,) for v in HEX_VERTICES])
-    with pytest.raises(DomainError) as exc:
-        p_tilde(scaf, [(0,)])
-    assert exc.value.kind == "dimension_mismatch"
-    with pytest.raises(DomainError) as exc:
-        p_tilde(scaf, [(0,), (0, 1)])
-    assert exc.value.kind == "dimension_mismatch"
 
 
 def test_chain_for_the_product_square():

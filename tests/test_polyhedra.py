@@ -18,8 +18,6 @@ from fanoscaffold.exact import (
     rank,
     solve_linear,
     unimodular_inverse,
-    vadd,
-    vsub,
 )
 from fanoscaffold.polyhedra import (
     MAX_LATTICE_BOX,
@@ -531,36 +529,12 @@ def test_lattice_isomorphic_linear():
     assert lattice_isomorphic(square, skew) is not None
 
 
-def test_lattice_isomorphic_affine():
-    p = Polytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
-    q = p.translate((5, -2))
-    assert lattice_isomorphic(p, q) is None
-    res = lattice_isomorphic(p, q, affine=True)
-    assert res is not None
-    u, t = res
-    imgs = {
-        tuple(dot(row, tuple(int(c) for c in v)) + tt for row, tt in zip(u, t))
-        for v in p.vertices
-    }
-    assert imgs == {tuple(int(c) for c in v) for v in q.vertices}
-
-
-def search_by_solving(p, q, affine=False):
+def search_by_solving(p, q):
     """Oracle: the isomorphism search that solves for every candidate.
 
     Same candidate order as lattice_isomorphic, but each ordered d-tuple bq
     costs d exact solves unless bp is unimodular.
     """
-    if affine:
-        pv = [tuple(int(c) for c in v) for v in p.vertices]
-        p0 = Polytope.from_points([vsub(v, pv[0]) for v in pv])
-        for w in q.vertices:
-            w0 = tuple(int(c) for c in w)
-            q0 = Polytope.from_points([vsub(tuple(int(c) for c in v), w0) for v in q.vertices])
-            u = search_by_solving(p0, q0)
-            if u is not None:
-                return u, vsub(w0, tuple(dot(row, pv[0]) for row in u))
-        return None
     d = p.dim
     pv = [tuple(int(c) for c in v) for v in p.vertices]
     qv = [tuple(int(c) for c in v) for v in q.vertices]
@@ -612,17 +586,15 @@ def test_the_examples_have_a_non_unimodular_base():
 
 
 @settings(max_examples=40, deadline=None)
-@given(full_lattice_polytopes(), st.integers(0, 2**32 - 1), st.booleans())
-@example(SQUARE, 3, False)
-@example(CUBE, 5, True)
-def test_lattice_isomorphic_finds_the_oracles_map(p, seed, affine):
+@given(full_lattice_polytopes(), st.integers(0, 2**32 - 1))
+@example(SQUARE, 3)
+@example(CUBE, 5)
+def test_lattice_isomorphic_finds_the_oracles_map(p, seed):
     rng = random.Random(seed)
     u = random_unimodular_matrix(p.dim, rng)
-    t = tuple(rng.randint(-3, 3) for _ in range(p.dim)) if affine else (0,) * p.dim
-    q = Polytope.from_points([vadd(mat_vec(u, v), t) for v in p.vertices])
-    found = lattice_isomorphic(p, q, affine=affine)
-    assert found == search_by_solving(p, q, affine=affine)
-    m, shift = found if affine else (found, t)
-    assert abs(det(m)) == 1
-    assert {vadd(mat_vec(m, v), shift) for v in p.vertices} == set(q.vertices)
-    assert lattice_isomorphic(p, p.dilate(2), affine=affine) is None
+    q = Polytope.from_points([mat_vec(u, v) for v in p.vertices])
+    found = lattice_isomorphic(p, q)
+    assert found == search_by_solving(p, q)
+    assert abs(det(found)) == 1
+    assert {mat_vec(found, v) for v in p.vertices} == set(q.vertices)
+    assert lattice_isomorphic(p, p.dilate(2)) is None
