@@ -1,8 +1,9 @@
 """Command-line interface producing deterministic JSON reports.
 
-Every subcommand reads JSON files or inline JSON lists (or a bundled
-fixture, with --fixtures), runs one library operation, and prints a single
-JSON line with sorted keys, so identical inputs give byte-identical output.
+Every subcommand reads JSON files or inline JSON lists (or, with --fixtures
+and no input flag, each bundled fixture), runs one library operation, and
+prints a single JSON line with sorted keys, so identical inputs give
+byte-identical output.
 Domain failures exit with code 1 and an {"error": {"kind", "detail"}}
 object; malformed input or usage exits with code 2.
 """
@@ -322,8 +323,12 @@ def _load_inputs(args):
 
 def _dispatch(args):
     if getattr(args, "fixtures", False):
+        given = [_INPUTS[key][0] for key in args.files + args.inline
+                 if getattr(args, key) is not None]
         if getattr(args, "emit_tikz", False):
-            raise ValueError("--emit-tikz cannot be combined with --fixtures")
+            given.append("--emit-tikz")
+        if given:
+            raise ValueError(" ".join(given) + " cannot be combined with --fixtures")
         results = {}
         for name in fixture_names():
             fx = fixture(name)

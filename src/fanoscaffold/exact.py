@@ -58,16 +58,11 @@ def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def gcd_list(values):
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
-
-
 def primitive_vector(v):
     """v divided by the gcd of its entries.  v must be a nonzero integer vector."""
-    g = gcd_list(v)
+    g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise DomainError("zero_vector", "primitive_vector of the zero vector")
     return tuple(a // g for a in v)

@@ -42,16 +42,8 @@ def _slice_at_level(polytope, w, h):
         raise
 
 
-def mutate_polytope(polytope, w, factor):
-    """Mutate a lattice polytope by weight w and the given factor.
-
-    Slices at height h < 0 must admit |h| copies of the factor as an
-    exact Minkowski summand and are replaced by the complementary
-    summand; slices at h > 0 gain h copies.  The hull of the transformed
-    slices is returned.  Raises DomainError("not_mutable") naming the
-    first failing level, and level_too_large when a vertex lies beyond
-    height MAX_MUTATION_LEVEL.
-    """
+def _checked_heights(polytope, w, factor):
+    """The vertex heights along w, once the mutation data has been checked."""
     _check_mutation_data(polytope.dim, w, factor)
     if not polytope.is_lattice():
         raise DomainError("not_lattice", "mutation needs a lattice polytope")
@@ -60,6 +52,11 @@ def mutate_polytope(polytope, w, factor):
         raise DomainError(
             "level_too_large", f"mutation levels capped at {MAX_MUTATION_LEVEL}"
         )
+    return heights
+
+
+def _mutate_slices(polytope, w, factor, heights):
+    """The mutated polytope, built slice by slice between the heights."""
     points = []
     for h in range(int(min(heights)), int(max(heights)) + 1):
         piece = _slice_at_level(polytope, w, h)
@@ -78,6 +75,19 @@ def mutate_polytope(polytope, w, factor):
     result = Polytope.from_points(points)
     assert result.is_lattice()
     return result
+
+
+def mutate_polytope(polytope, w, factor):
+    """Mutate a lattice polytope by weight w and the given factor.
+
+    Slices at height h < 0 must admit |h| copies of the factor as an
+    exact Minkowski summand and are replaced by the complementary
+    summand; slices at h > 0 gain h copies.  The hull of the transformed
+    slices is returned.  Raises DomainError("not_mutable") naming the
+    first failing level, and level_too_large when a vertex lies beyond
+    height MAX_MUTATION_LEVEL.
+    """
+    return _mutate_slices(polytope, w, factor, _checked_heights(polytope, w, factor))
 
 
 def _transport_ray(ray, w, factor, u):
@@ -113,8 +123,12 @@ def mutate_scaffolding(scaf, w, factor):
     validated before being returned.
     """
     u = scaf.u
-    target = mutate_polytope(scaf.target, w, factor)
+    # The shape transport is cheap and can reject the mutation outright, so
+    # it runs before the target's slices, after the data checks whose error
+    # kinds take precedence.
+    heights = _checked_heights(scaf.target, w, factor)
     shape = mutate_shape(scaf.shape, w, factor, u)
+    target = _mutate_slices(scaf.target, w, factor, heights)
     struts = []
     for i in range(len(scaf.struts)):
         piece = strut_polytope(scaf, i)

@@ -4,6 +4,9 @@ Everything is computed with integer and Fraction arithmetic.  The workhorse
 is :func:`dd_cone`, an incremental double description conversion that is
 integer-only: constraints are scaled to primitive integer vectors on entry,
 and every ray and lineality direction stays a primitive integer vector.
+Tight sets are int bit masks, a pair of rays sharing too few tight
+inequalities to span a 2-face skips the adjacency scan, and a pointed
+cone's lineality is read off the running basis with no kernel computation.
 Convex hulls and facet enumeration are thin wrappers around it;
 Polytope.from_points makes one conversion and reads its vertices off the
 facet incidences.  A Polytope keeps both descriptions, so its polar dual
@@ -21,13 +24,14 @@ up to about 10); no attempt is made at large-scale performance.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product as _product
+from math import gcd
+from operator import mul
 
 from .errors import DomainError
 from .exact import (
     _clear_denominators,
     det,
     dot,
-    gcd_list,
     identity_matrix,
     kernel_basis,
     primitive_vector,
@@ -76,6 +80,15 @@ def dd_cone(inequalities, equations=(), dim=None):
     <e, x> = 0 for e in equations}.  Constraints may have Fraction entries;
     they are scaled to primitive integer vectors internally.
 
+    Each ray's tight set is an int bit mask (bit j: processed inequality j).
+    A positive and a negative ray are combined only when they are adjacent:
+    no third ray is tight wherever both are.  The face two adjacent rays span
+    has dimension 2 over the lineality, so they share at least
+    span_dim - len(lin) - 2 tight inequalities (span_dim is the dimension
+    left after the equations); pairs with fewer skip the scan (Fukuda and
+    Prodon, "Double description method revisited", 1996).  A pointed cone
+    returns its rays as they stand, with no kernel computation.
+
     Args:
         inequalities: iterable of constraint normals.
         equations: iterable of equality normals.
@@ -112,8 +125,8 @@ def dd_cone(inequalities, equations=(), dim=None):
             )
 
     # Running description: cone = span(lin) + cone(r for r, _ in rays).
-    # Each ray carries the set of already processed inequality indices where
-    # it is tight.  Every vector in lin is tight at all processed constraints.
+    # Each ray carries the mask of the processed inequalities where it is
+    # tight.  Every vector in lin is tight at all processed constraints.
     lin = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rays = []
 
@@ -122,22 +135,20 @@ def dd_cone(inequalities, equations=(), dim=None):
         # generators orthogonal to a, and return the removed direction, or
         # None when a vanishes on the lineality.
         nonlocal lin, rays
-        pivot = None
-        for idx, l in enumerate(lin):
-            if dot(a, l):
-                pivot = idx
+        for idx, l0 in enumerate(lin):
+            d0 = sum(map(mul, a, l0))
+            if d0:
                 break
-        if pivot is None:
+        else:
             return None
-        l0 = lin.pop(pivot)
-        d0 = dot(a, l0)
+        del lin[idx]
         if d0 < 0:
             l0 = vneg(l0)
             d0 = -d0
         # d0 > 0, so d0 * v - d * l0 is a positive multiple of v - (d / d0) l0.
         def orthogonal(v):
-            d = dot(a, v)
-            return primitive_vector(vsub(vscale(d0, v), vscale(d, l0))) if d else v
+            d = sum(map(mul, a, v))
+            return primitive_vector([d0 * x - d * y for x, y in zip(v, l0)]) if d else v
 
         lin = [orthogonal(l) for l in lin]
         rays = [(orthogonal(r), z) for r, z in rays]
@@ -147,38 +158,44 @@ def dd_cone(inequalities, equations=(), dim=None):
     # combination of the earlier ones.
     for e in eqs:
         _project_off(e)
+    span_dim = len(lin)
 
     for j, a in enumerate(ineqs):
+        bit = 1 << j
         popped = _project_off(a)
         if popped is not None:
             # All survivors are tight at a except the popped direction.
-            rays = [(r, z | {j}) for r, z in rays]
-            rays.append((popped, set(range(j))))
+            rays = [(r, z | bit) for r, z in rays]
+            rays.append((popped, bit - 1))
             continue
-        vals = [dot(a, r) for r, _ in rays]
+        vals = [sum(map(mul, a, r)) for r, _ in rays]
         pos = [i for i, d in enumerate(vals) if d > 0]
         neg = [i for i, d in enumerate(vals) if d < 0]
-        zero = [i for i, d in enumerate(vals) if d == 0]
-        new_rays = [(rays[i][0], rays[i][1]) for i in pos]
-        new_rays += [(rays[i][0], rays[i][1] | {j}) for i in zero]
+        new_rays = [rays[i] for i in pos]
+        new_rays += [(r, z | bit) for (r, z), d in zip(rays, vals) if d == 0]
+        masks = [z for _, z in rays]
+        # Adjacent rays span a 2-face over lin, which at least this many of
+        # their common tight inequalities cut out.
+        need = span_dim - len(lin) - 2
         for ip in pos:
             p, zp = rays[ip]
             for iq in neg:
-                q, zq = rays[iq]
-                zc = zp & zq
-                adjacent = True
-                for ir, (r, zr) in enumerate(rays):
-                    if ir != ip and ir != iq and zc <= zr:
-                        adjacent = False
-                        break
-                if not adjacent:
+                zc = zp & masks[iq]
+                if zc.bit_count() < need:
                     continue
-                new = primitive_vector(
-                    vsub(vscale(vals[ip], q), vscale(vals[iq], p))
-                )
-                new_rays.append((new, zc | {j}))
+                for ir, zr in enumerate(masks):
+                    if zc & zr == zc and ir != ip and ir != iq:
+                        break
+                else:
+                    c, e, q = vals[ip], vals[iq], rays[iq][0]
+                    new = primitive_vector([c * x - e * y for x, y in zip(q, p)])
+                    new_rays.append((new, zc | bit))
         rays = new_rays
 
+    # lin spans the kernel of all constraints, so an empty lin means the
+    # cone is pointed and its rays need no reduction.
+    if not lin:
+        return tuple(sorted({r for r, _ in rays})), ()
     lineality = kernel_basis(ineqs + eqs, ncols=n)
     pivots = []
     for row in lineality:
@@ -481,7 +498,7 @@ class Polytope:
             return False
         for v in self.vertices:
             w = tuple(int(c) for c in v)
-            if gcd_list(w) != 1:
+            if gcd(*w) != 1:
                 return False
         return True
 
@@ -557,7 +574,7 @@ def _integer_row(a, rhs):
     a may be zero (the one inequality of a point is 0 >= -1); then a' is.
     """
     row = _clear_denominators(tuple(a) + (Fraction(rhs),))
-    g = gcd_list(row[:-1]) or 1
+    g = gcd(*row[:-1]) or 1
     return tuple(c // g for c in row[:-1]), -(-row[-1] // g)
 
 

@@ -163,6 +163,46 @@ def test_usage_errors_exit_with_two(tmp_path, capsys):
     assert invoke(capsys, "p-s", "--fixtures", "--emit-tikz")[0] == 2
 
 
+# input kind -> a subcommand taking its flag (with any other argument it
+# needs) and a well-formed value, a JSON object for a file flag.  mutation,
+# polytopes and parts only belong to subcommands without --fixtures.
+FIXTURE_CONFLICTS = {
+    "laurent": (("period", "--max-degree", "2"), "laurent"),
+    "git": (("forward",), "git"),
+    "partition": (("amenable-validate",), "partition"),
+    "scaffolding": (("invert",), "scaffolding"),
+    "polytope": (("anticanonical",), "square"),
+    "mutation": (("mutate-scaffolding",), "mutation"),
+    "polytopes": (("cayley",), "squares"),
+    "parts": (("nef-partition",), "[[0,1],[2,3]]"),
+    "vectors": (("amenable-tower",), "[[-1,-1,0,2],[0,0,-1,-1]]"),
+    "weights": (("mutability",), "[[1,0]]"),
+}
+
+
+def test_every_input_kind_has_a_fixture_conflict_case():
+    assert set(FIXTURE_CONFLICTS) == set(_INPUTS)
+
+
+@pytest.mark.parametrize("kind", sorted(FIXTURE_CONFLICTS))
+def test_an_input_flag_beside_fixtures_exits_with_two(tmp_path, capsys, kind):
+    command, good = FIXTURE_CONFLICTS[kind]
+    flag = _INPUTS[kind][0]
+    if kind in ("parts", "vectors", "weights"):
+        values = (good, "x")
+    else:
+        values = (write_json(tmp_path, "good.json", file_inputs()[good]),
+                  str(tmp_path / "missing.json"))
+    if kind in ("mutation", "polytopes", "parts"):
+        message = "unrecognized arguments: --fixtures"
+    else:
+        message = flag + " cannot be combined with --fixtures"
+    for value in values:
+        code, out, err = invoke(capsys, command[0], "--fixtures", *command[1:], flag, value)
+        assert code == 2 and not out
+        assert message in err and "Traceback" not in err
+
+
 # (subcommand, input kind, path to the field that becomes the integer 5)
 MALFORMED_FIELDS = (
     ("secondary-fan", "git", ("characters",)),

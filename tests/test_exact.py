@@ -109,6 +109,8 @@ def test_solve_and_det():
 
 def test_primitive_vector():
     assert primitive_vector((2, -4, 6)) == (1, -2, 3)
+    assert primitive_vector([0, -3, 2]) == (0, -3, 2)
+    assert primitive_vector([0, -3, 0]) == (0, -1, 0)
     with pytest.raises(DomainError):
         primitive_vector((0, 0))
 

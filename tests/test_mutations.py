@@ -2,17 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from fanoscaffold import mutations
 from fanoscaffold.errors import DomainError
 from fanoscaffold.forward import ConvexPartitionWithBasis
 from fanoscaffold.laurent import MAX_MUTATION_LEVEL, LaurentPolynomial, algebraic_mutation
 from fanoscaffold.mutations import (
+    _slice_at_level,
     mutate_polytope,
     mutate_scaffolding,
     mutate_shape,
     segment_factor,
     strut_mutability,
 )
-from fanoscaffold.polyhedra import Polytope, lattice_isomorphic, normal_fan
+from fanoscaffold.polyhedra import Fan, Polytope, lattice_isomorphic, normal_fan
 from fanoscaffold.scaffolding import (
     Scaffolding,
     Strut,
@@ -221,6 +223,39 @@ def test_mutate_scaffolding_reports_failing_strut():
         mutate_scaffolding(scaf, (1, 0), vertical_unit())
     assert exc.value.kind == "not_mutable"
     assert exc.value.detail == "strut 0: summand failure at level -2"
+
+
+def test_mutate_scaffolding_checks_the_shape_before_slicing_the_target(monkeypatch):
+    # w = (1, 0) folds the ray (-1, -1) of the P^2 fan onto (0, -1), so the
+    # transported fan is not complete; the target triangle spans 7 levels.
+    shape = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    target = Polytope.from_points([(-2, -2), (4, -2), (-2, 4)])
+    scaf = Scaffolding(shape, 0, [Strut((2, 2, 2))], target)
+    assert validate_scaffolding(scaf)[0]
+    slices = []
+
+    def counted(*args):
+        slices.append(args)
+        return _slice_at_level(*args)
+
+    monkeypatch.setattr(mutations, "_slice_at_level", counted)
+    with pytest.raises(DomainError) as exc:
+        mutate_scaffolding(scaf, (1, 0), segment_factor((1, 0)))
+    assert exc.value.kind == "not_mutable"
+    assert exc.value.detail == "transported shape fan is not complete"
+    assert slices == []
+    # The data checks still come first: this wider triangle reaches level
+    # 80 and its transport fails as well.
+    wide = Polytope.from_points([(-40, -40), (80, -40), (-40, 80)])
+    with pytest.raises(DomainError) as exc:
+        mutate_scaffolding(Scaffolding(shape, 0, [Strut((40, 40, 40))], wide),
+                           (1, 0), segment_factor((1, 0)))
+    assert exc.value.kind == "level_too_large"
+    assert slices == []
+    # A transport that succeeds slices the hexagon at its 3 levels and each
+    # of the two struts at its 2.
+    mutate_scaffolding(dp6_square_scaffolding(), (1, 0), vertical_unit())
+    assert len(slices) == 7
 
 
 def test_segment_factor():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fanoscaffold import polyhedra
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
     det,
@@ -137,6 +138,109 @@ def test_cone_from_rays_against_bruteforce():
         assert again == cone
         # Dual of dual.
         assert cone.dual().dual() == cone
+
+
+def integral_row(row):
+    m = math.lcm(*(Fraction(c).denominator for c in row))
+    return tuple(int(Fraction(c) * m) for c in row)
+
+
+def reduce_mod_lattice(v, basis):
+    """v with every pivot coordinate of the Hermite basis cleared by adding
+    basis rows and scaling by positive integers, then made primitive."""
+    for row in basis:
+        p = next(k for k, c in enumerate(row) if c)
+        if v[p]:
+            v = tuple(row[p] * x - v[p] * y for x, y in zip(v, row))
+    return primitive_vector(v) if any(v) else v
+
+
+def brute_cone(inequalities, equations, n):
+    """dd_cone by subsets: the lineality is the kernel of all constraints,
+    and a feasible vector outside it is an extreme ray exactly when its
+    tight inequalities and the equations have rank n - dim(lineality) - 1;
+    some subset of at most that many tight rows already has that rank."""
+    ineqs = [integral_row(a) for a in inequalities]
+    eqs = [integral_row(e) for e in equations]
+    lineality = kernel_basis(ineqs + eqs, ncols=n)
+    target = n - len(lineality) - 1
+    rays = set()
+    for size in range(min(len(ineqs), target) + 1):
+        for sub in combinations(ineqs, size):
+            rows = list(sub) + eqs
+            if rank(rows) != target:
+                continue
+            reduced = [reduce_mod_lattice(k, lineality) for k in kernel_basis(rows, ncols=n)]
+            v = next(r for r in reduced if any(r))
+            for r in (v, tuple(-c for c in v)):
+                if all(dot(a, r) >= 0 for a in ineqs):
+                    rays.add(r)
+    return tuple(sorted(rays)), tuple(lineality)
+
+
+@st.composite
+def constraint_systems(draw):
+    """Cone constraints in dims 1-4 with lineality, implicit equalities,
+    duplicate, zero and Fraction rows, and equations, in any order."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    if draw(st.booleans()):
+        entry = st.fractions(-2, 2, max_denominator=3)
+    # Rows supported on t coordinates leave the other n - t free; a
+    # unimodular change of coordinates tilts that lineality off the axes.
+    t = draw(st.integers(1, n))
+    mix = random_unimodular_matrix(n, random.Random(draw(st.integers(0, 2**16))))
+    # Rows with a positive last entry cut out a cone over a polytope, which
+    # has many rays and facets with many rays.
+    last = st.integers(1, 3) if draw(st.booleans()) else entry
+
+    def vec():
+        row = draw(st.tuples(*[entry] * (t - 1), last)) + (0,) * (n - t)
+        return tuple(sum(row[i] * mix[i][j] for i in range(n)) for j in range(n))
+
+    ineqs = [vec() for _ in range(draw(st.integers(0, 7)))]
+    for kind in draw(st.lists(st.sampled_from(["negated", "scaled", "zero"]), max_size=3)):
+        if kind == "zero":
+            ineqs.append((0,) * n)
+        elif ineqs:
+            a = draw(st.sampled_from(ineqs))
+            c = draw(st.sampled_from([Fraction(1, 2), 1, 3]))
+            ineqs.append(tuple((-c if kind == "negated" else c) * x for x in a))
+    eqs = [vec() for _ in range(draw(st.integers(0, 2)))]
+    return n, draw(st.permutations(ineqs)), eqs
+
+
+SQUARE_CONE = [(1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 1, 0), (0, -1, 1, 0)]
+PYRAMID_CONE = [(1, 0, 1, 1), (-1, 0, 1, 1), (0, 1, 1, 1), (0, -1, 1, 1)]
+
+
+# Both examples cut a square face on a diagonal; its two diagonal rays
+# share two tight inequalities (an implicit equality, a doubled facet), so
+# only the adjacency scan keeps them from being combined.
+@example((4, [(0, 0, 0, 1), (0, 0, 0, -1)] + SQUARE_CONE + [(1, 1, 0, 0)], []))
+@example((4, [(0, 0, 0, 1), (0, 0, 0, 2)] + PYRAMID_CONE + [(1, 1, 0, 0)], []))
+@settings(max_examples=300, deadline=None)
+@given(constraint_systems())
+def test_dd_cone_against_subset_enumeration(system):
+    n, ineqs, eqs = system
+    rays, lineality = dd_cone(ineqs, eqs, dim=n)
+    assert (rays, lineality) == brute_cone(ineqs, eqs, n)
+    assert all(type(c) is int for v in rays + lineality for c in v)
+
+
+def test_dd_cone_of_a_pointed_cone_computes_no_kernel(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel_basis(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "kernel_basis", counted)
+    assert dd_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]) == (
+        ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)), ())
+    assert len(calls) == 0
+    assert dd_cone([(1, 0, 0), (0, 1, 0)]) == (((0, 1, 0), (1, 0, 0)), ((0, 0, 1),))
+    assert len(calls) == 1
 
 
 def test_cone_lower_dimensional():
