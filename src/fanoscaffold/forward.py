@@ -9,7 +9,8 @@ mutation-equivalent answers related by a monomial change of variables.
 
 from .errors import DomainError
 from .laurent import LaurentPolynomial
-from .toric import basis_coordinates, git_to_stacky_fan, is_nef
+from .exact import solve_linear, transpose
+from .toric import basis_coordinates, git_to_stacky_fan, irrelevant_collection
 
 
 class ConvexPartitionWithBasis:
@@ -103,6 +104,14 @@ def validate_partition(git, part):
     combination of the basis weights, each group's total divisor is a
     nonnegative combination of the basis weights, and each group's total
     divisor is nef on the quotient.
+
+    The nef test runs in the weight space: the class L of a group's total
+    divisor is nef exactly when, for every minimal cover I of omega, L is
+    a nonnegative combination of the weights D_I.  On the maximal cone
+    whose complement is I, the linear piece of L's piecewise linear
+    function leaves a coefficient vector of class L supported on I, and
+    the weights D_I are independent, so that vector is the unique
+    solution; no solution means no linear piece, and L is not nef.
     """
     return _convexity(git, part)[0]
 
@@ -132,18 +141,21 @@ def _convexity(git, part):
                 f"group {i} total divisor is not generated by the basis"
             )
     try:
-        sfan = git_to_stacky_fan(git)
+        git_to_stacky_fan(git)
     except DomainError as exc:
         failures.append(f"quotient fan unavailable: {exc.detail}")
         return failures, coords
+    cover_weights = [
+        transpose([git.characters[j] for j in cover])
+        for cover in irrelevant_collection(git)
+    ]
     for i, s in enumerate(part.S):
-        indicator = [1 if j in s else 0 for j in range(git.R)]
-        try:
-            nef = is_nef(sfan, indicator)
-        except DomainError:
-            nef = False
-        if not nef:
-            failures.append(f"group {i} total divisor is not nef")
+        total = [sum(git.characters[j][k] for j in s) for k in range(r)]
+        for weights in cover_weights:
+            x = solve_linear(weights, total)
+            if x is None or any(c < 0 for c in x):
+                failures.append(f"group {i} total divisor is not nef")
+                break
     return failures, coords
 
 

@@ -49,8 +49,11 @@ MAX_LATTICE_BOX = 10**6
 
 
 def _normalize_constraint(vec):
-    """Integer primitive form of a constraint normal, or None if zero."""
-    v = _clear_denominators(vec)
+    """Integer primitive form of a constraint normal, or None if zero.
+
+    An all-int row needs no denominator clearing.
+    """
+    v = vec if all(type(c) is int for c in vec) else _clear_denominators(vec)
     if all(c == 0 for c in v):
         return None
     return primitive_vector(v)

@@ -38,9 +38,16 @@ class GitData:
     cone_normals: the rays of the dual of the character cone, from one DD
     pass.  The cone is pointed exactly when they have rank r, and a
     character lies in it exactly when it pairs >= 0 with each of them.
+
+    Two private slots hold chamber data, each computed on first use and
+    then reused by every later question about the same data: the minimal
+    covers of ``irrelevant_collection``, and the span normals and wall
+    cones that ``secondary_fan`` and ``in_chamber_interior`` share.  Both
+    are subset enumerations capped at R <= 16; a capped input raises on
+    every call and caches nothing.
     """
 
-    __slots__ = ("r", "R", "characters", "omega", "cone_normals")
+    __slots__ = ("r", "R", "characters", "omega", "cone_normals", "_covers", "_walls")
 
     def __init__(self, r, R, characters, omega):
         characters = tuple(tuple(int(c) for c in d) for d in characters)
@@ -63,6 +70,8 @@ class GitData:
         self.characters = characters
         self.omega = omega
         self.cone_normals = normals
+        self._covers = None
+        self._walls = None
 
     def __eq__(self, other):
         return (
@@ -91,6 +100,11 @@ def covers(git, subset):
     )
 
 
+def _check_subset_cap(git):
+    if git.R > 16:
+        raise DomainError("too_many_coordinates", "subset enumeration capped at R = 16")
+
+
 def irrelevant_collection(git):
     """The minimal covering subsets of coordinates.
 
@@ -98,10 +112,16 @@ def irrelevant_collection(git):
     In a pointed character cone a covering subset is minimal exactly when
     its weights are linearly independent (drop a weight along any linear
     relation otherwise), so only subsets of size <= r are tried, each with
-    one exact linear solve.  Capped at R <= 16.
+    one exact linear solve.  Capped at R <= 16.  Enumerated once per
+    GitData.
     """
-    if git.R > 16:
-        raise DomainError("too_many_coordinates", "subset enumeration capped at R = 16")
+    _check_subset_cap(git)
+    if git._covers is None:
+        git._covers = _minimal_covers(git)
+    return git._covers
+
+
+def _minimal_covers(git):
     minimal = []
     for size in range(1, git.r + 1):
         for comb in combinations(range(git.R), size):
@@ -261,14 +281,22 @@ def _span_normals(git):
     return sorted(normals)
 
 
-def _walls(git, normals):
-    """The cones spanned by the weights on each hyperplane in normals."""
-    walls = []
-    for h in normals:
-        on_wall = [d for d in git.characters if dot(h, d) == 0]
-        if on_wall:
-            walls.append(Cone.from_rays(on_wall, dim=git.r))
-    return walls
+def _chamber_walls(git):
+    """(span normals, wall cones), computed once per GitData.
+
+    A wall is the cone spanned by the weights on a hyperplane that weight
+    subsets span.  Capped at R <= 16, like the covers.
+    """
+    _check_subset_cap(git)
+    if git._walls is None:
+        normals = _span_normals(git)
+        walls = []
+        for h in normals:
+            on_wall = [d for d in git.characters if dot(h, d) == 0]
+            if on_wall:
+                walls.append(Cone.from_rays(on_wall, dim=git.r))
+        git._walls = (tuple(normals), tuple(walls))
+    return git._walls
 
 
 def in_chamber_interior(git, omega):
@@ -285,8 +313,7 @@ def in_chamber_interior(git, omega):
         return False
     if any(dot(a, w) < 0 for a in git.cone_normals):
         return False
-    walls = _walls(git, _span_normals(git))
-    return not any(wall.contains(w) for wall in walls)
+    return not any(wall.contains(w) for wall in _chamber_walls(git)[1])
 
 
 def secondary_fan(git):
@@ -300,13 +327,13 @@ def secondary_fan(git):
     cell on hyperplane k: the sum of the cell's rays on it probes the facet
     without intersecting cells.  Cells whose common facet lies on no wall
     merge.  Returns the chambers as canonical cones, sorted by their ray
-    tuples.  Capped at rank 4.
+    tuples.  Capped at rank 4, then at R <= 16.
     """
     r = git.r
     if r > 4:
         raise DomainError("rank_too_large", "secondary fan capped at rank 4")
+    normals, walls = _chamber_walls(git)
     cells = {(): Cone.from_rays(git.characters, dim=r)}
-    normals = _span_normals(git)
     for h in normals:
         nxt = {}
         for signs, cell in cells.items():
@@ -319,7 +346,6 @@ def secondary_fan(git):
             else:
                 nxt[signs + (1 if max(values) > 0 else -1,)] = cell
         cells = nxt
-    walls = _walls(git, normals)
     parent = {signs: signs for signs in cells}
 
     def find(s):

@@ -455,6 +455,15 @@ def test_secondary_fan_of_the_square_model(tmp_path, capsys):
     assert json.loads(out) == {"chambers": [{"rays": [[0, 1], [1, 0]]}]}
 
 
+def test_secondary_fan_caps_the_number_of_weights(tmp_path, capsys):
+    rows = [[1, 0], [0, 1]] + [[1, k] for k in range(1, 16)]
+    git = write_json(tmp_path, "git.json", {"r": 2, "R": 17, "characters": rows,
+                                            "omega": [1, 1]})
+    code, out, err = invoke(capsys, "secondary-fan", "--git", git)
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out)["error"]["kind"] == "too_many_coordinates"
+
+
 def test_amenable_subcommands_with_inline_vectors(tmp_path, capsys):
     fx = fixture("amenable-quadrics")
     git = write_json(tmp_path, "git.json", jsonio.encode_git(fx["git"]))

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fanoscaffold import toric
 from fanoscaffold.errors import DomainError
+from fanoscaffold.exact import mat_vec, random_unimodular_matrix
 from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.forward import (
     ConvexPartitionWithBasis,
@@ -13,7 +17,7 @@ from fanoscaffold.forward import (
 )
 from fanoscaffold.laurent import LaurentPolynomial, monomial_substitution
 from fanoscaffold.scaffolding import scaffolding_from_forward
-from fanoscaffold.toric import GitData
+from fanoscaffold.toric import GitData, git_to_stacky_fan, is_nef
 
 
 def mono(n, c=1, **positions):
@@ -195,3 +199,76 @@ def test_basis_block_eliminated_once(build, monkeypatch):
         calls.clear()
         build(fx["git"], fx["partition"])
         assert sorted(calls) == ["det", "unimodular_inverse", "unimodular_inverse"]
+
+
+@st.composite
+def git_with_groups(draw):
+    """GIT data whose first r weights form a unimodular basis, and groups.
+
+    r <= 3 and R <= r + 4.  Every weight has positive coordinate sum before
+    a unimodular change of basis, so the character cone is pointed.  Half
+    the draws put omega at a sum of some weights, often on a wall, where
+    the quotient fan is not simplicial; the others at a combination of all
+    weights with random positive coefficients.  Each non-basis coordinate
+    joins one of up to three groups or the U block.
+    """
+    r = draw(st.integers(1, 3))
+    extra = draw(st.integers(1, 4))
+    R = r + extra
+    weight = st.lists(st.integers(-2, 3), min_size=r, max_size=r).filter(
+        lambda w: sum(w) > 0
+    )
+    chars = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+    chars += draw(st.lists(weight, min_size=extra, max_size=extra))
+    u = random_unimodular_matrix(r, random.Random(draw(st.integers(0, 2**16))))
+    chars = [mat_vec(u, d) for d in chars]
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(range(R)), min_size=1, unique=True))
+        coeffs = [1 if i in chosen else 0 for i in range(R)]
+    else:
+        coeffs = draw(st.lists(st.integers(1, 9), min_size=R, max_size=R))
+    omega = [sum(c * d[k] for c, d in zip(coeffs, chars)) for k in range(r)]
+    labels = draw(st.lists(st.integers(-1, 2), min_size=extra, max_size=extra))
+    groups = [[j for j, g in zip(range(r, R), labels) if g == i] for i in range(3)]
+    groups = [s for s in groups if s]
+    assume(groups)
+    U = [j for j, g in zip(range(r, R), labels) if g == -1]
+    part = ConvexPartitionWithBasis(range(r), groups, U)
+    return GitData(r, R, chars, omega), part
+
+
+@settings(max_examples=300, deadline=None)
+@given(git_with_groups())
+def test_nef_verdict_matches_the_piecewise_linear_oracle(case):
+    # validate_partition tests nef in the weight space; PLFunction tests it
+    # on the quotient fan, and a divisor with no linear piece is not nef.
+    git, part = case
+    failures = validate_partition(git, part)
+    try:
+        sfan = git_to_stacky_fan(git)
+    except DomainError as exc:
+        assert f"quotient fan unavailable: {exc.detail}" in failures
+        return
+    for i, s in enumerate(part.S):
+        try:
+            nef = is_nef(sfan, [1 if j in s else 0 for j in range(git.R)])
+        except DomainError:
+            nef = False
+        assert (f"group {i} total divisor is not nef" not in failures) == nef
+
+
+def test_covers_are_enumerated_once_per_git_data(monkeypatch):
+    calls = []
+    original = toric._minimal_covers
+
+    def counted(git):
+        calls.append(git)
+        return original(git)
+
+    monkeypatch.setattr(toric, "_minimal_covers", counted)
+    fx = fixture("dp6-squares")
+    git, part = fx["git"], fx["partition"]
+    git_to_stacky_fan(git)
+    przyjalkowski(git, part)
+    scaffolding_from_forward(git, part)
+    assert calls == [git]

@@ -227,6 +227,35 @@ def test_the_character_cone_is_converted_once(monkeypatch):
     assert calls == [git.characters]
 
 
+def test_chamber_walls_are_computed_once_per_git_data(monkeypatch):
+    calls = []
+    original = toric._span_normals
+
+    def counted(git):
+        calls.append(git)
+        return original(git)
+
+    monkeypatch.setattr(toric, "_span_normals", counted)
+    git = weighted_flag_git()
+    chambers = secondary_fan(git)
+    assert in_chamber_interior(git, git.omega)
+    assert secondary_fan(git) == chambers
+    assert calls == [git]
+
+
+def test_subset_enumerations_are_capped_on_every_call():
+    # Nothing is cached on a failure, so a second call raises again.
+    git = GitData(1, 17, [(1,)] * 17, (1,))
+    for ask in (irrelevant_collection, secondary_fan, git_to_stacky_fan) * 2:
+        with pytest.raises(DomainError) as ei:
+            ask(git)
+        assert ei.value.kind == "too_many_coordinates"
+    assert not in_chamber_interior(git, (0,))
+    with pytest.raises(DomainError) as ei:
+        in_chamber_interior(git, (1,))
+    assert ei.value.kind == "too_many_coordinates"
+
+
 def test_pl_function_p2():
     sf = git_to_stacky_fan(p2_git())
     hyper = PLFunction(sf, (1, 0, 0))
