@@ -15,6 +15,7 @@ from functools import cmp_to_key
 
 from .errors import DomainError
 from .exact import (
+    _row_reduce,
     dot,
     kernel_basis,
     primitive_vector,
@@ -28,10 +29,10 @@ from .forward import ConvexPartitionWithBasis
 from .polyhedra import (
     Fan,
     Polytope,
-    _proper_faces,
+    _merge_preimages,
+    _pull_back_cones,
     dd_cone,
     normal_fan,
-    restrict_fan,
     spanning_fan,
 )
 from .scaffolding import (
@@ -314,11 +315,13 @@ def verify_embedding(scaf):
     (c) for every proper face of the target, the face's cone is recovered
         from the ambient data.
 
-    Checks (b) and (c) pull H-descriptions back along theta and convert
-    them once in the target's space, so each maximal cone and each proper
-    face costs two dd_cone passes.  Returns (ok, report) with one boolean
-    per check; all are False when no unit struts form a basis of the
-    shifts.
+    Check (b) pulls each maximal ambient cone back along theta, with two
+    dd_cone passes per cone.  Check (c) tests only facets and vertices
+    (see _face_cones_check): a facet whose cone is a maximal ambient cone
+    reads its preimage off check (b), any other facet costs two passes,
+    and a vertex costs one elimination, or one pass when its generators
+    are dependent.  Returns (ok, report) with one boolean per check; all
+    are False when no unit struts form a basis of the shifts.
     """
     report = {"ambient_rays": False, "restricted_fan": False,
               "face_cones": False}
@@ -337,23 +340,39 @@ def verify_embedding(scaf):
         expected.add(tuple(1 if p == u + j else 0 for p in range(dim)))
     report["ambient_rays"] = set(ambient_fan.rays) == expected
 
-    restricted = restrict_fan(ambient_fan, theta)
+    preimages = _pull_back_cones(ambient_fan, theta)
+    restricted = _merge_preimages(len(theta), preimages)
     report["restricted_fan"] = restricted == spanning_fan(scaf.target)
 
-    report["face_cones"] = _face_cones_check(scaf, basis, rhos, theta)
+    report["face_cones"] = _face_cones_check(scaf, basis, rhos, theta, preimages)
     return all(report.values()), report
 
 
-def _face_cones_check(scaf, basis, rhos, theta):
+def _face_cones_check(scaf, basis, rhos, theta, preimages):
     """Check (c): every proper face's cone is recovered from the ambient data.
 
-    Each facet of the target lifts to an ambient dual point, and a face
-    picks the ambient generators that those of its covering facets' lifts
-    make tight.  One dd_cone pass over the generators gives the ambient
-    face cone's H-description; pulled back along theta, one pass in the
-    target's dimension gives the preimage's rays.  The cone over a proper
-    face of a polytope with 0 in its interior is pointed with the face's
-    primitive vertex vectors as its rays, so those are compared directly.
+    Each facet of the target lifts to an ambient dual point, and a face G
+    picks the ambient generators that the lifts of all facets containing
+    G make tight; C_G is their cone.  G passes when theta^-1(C_G) is
+    cone(G): pointed, with G's primitive vertex vectors as its rays.
+
+    Facets and vertices suffice.  For a facet F containing G, G's
+    generators are among F's, so C_G lies in C_F.  If every facet passes,
+    theta^-1(C_G) lies in the intersection of the cone(F), which is cone(G)
+    since the cones over the faces of a polytope with 0 inside form a fan
+    (Ziegler, Lectures on Polytopes, 7.1).  The reverse inclusion needs
+    theta(v) in C_G for each vertex v of G, and C_{v} lies in C_G because
+    v's generators are among G's.  So the check holds exactly when every
+    facet passes and every vertex v has theta(v) in C_{v}.
+
+    preimages maps the ray set of each maximal ambient cone to its
+    preimage's rays, lineality and inequalities, as check (b) computed
+    them (polyhedra._pull_back_cones).  A facet whose primitive generators
+    are exactly such a ray set has that cone as C_F, so the stored
+    preimage is what its own two passes would give.  Any other facet
+    takes one dd_cone pass over its generators for C_F's H-description
+    and, pulled back along theta, one pass in the target's dimension for
+    the preimage.
     """
     u = scaf.u
     nrays = len(scaf.shape.rays)
@@ -371,32 +390,62 @@ def _face_cones_check(scaf, basis, rhos, theta):
     # facet covering the face; a unit does when its coordinate vanishes on
     # all of those lifts.  Each generator records the facets it is tight at.
     tight = [
-        (rho, frozenset(k for k, lift in enumerate(lifts) if dot(rho, lift) == -1))
+        (primitive_vector(rho),
+         frozenset(k for k, lift in enumerate(lifts) if dot(rho, lift) == -1))
         for rho in rhos
     ]
     for j in range(nrays):
         unit = tuple(1 if p == u + j else 0 for p in range(dim))
         tight.append((unit, frozenset(k for k, lift in enumerate(lifts) if not lift[u + j])))
     facet_sets = target.facet_vertex_sets()
-    for _, indices in _proper_faces(target.vertices, facet_sets):
-        members = set(indices)
+
+    def generators(members):
         cover = {k for k, fset in enumerate(facet_sets) if members <= fset}
-        if not cover:
-            return False
-        gens = [g for g, at in tight if cover <= at]
-        normals, eq_normals = dd_cone(gens, dim=dim)
-        rays, lineality = dd_cone(
-            [tuple(dot(a, b) for b in theta) for a in normals],
-            [tuple(dot(e, b) for b in theta) for e in eq_normals],
-            dim=len(theta),
-        )
+        return [g for g, at in tight if cover <= at]
+
+    for fset in facet_sets:
+        gens = generators(fset)
+        reused = preimages.get(frozenset(gens))
+        if reused:
+            rays, lineality, _ = reused
+        else:
+            normals, eq_normals = dd_cone(gens, dim=dim)
+            rays, lineality = dd_cone(
+                [tuple(dot(a, b) for b in theta) for a in normals],
+                [tuple(dot(e, b) for b in theta) for e in eq_normals],
+                dim=len(theta),
+            )
         face_rays = tuple(sorted(
             primitive_vector(tuple(int(c) for c in target.vertices[i]))
-            for i in indices
+            for i in fset
         ))
         if lineality or rays != face_rays:
             return False
-    return True
+    columns = transpose(theta)
+    return all(
+        _in_cone(generators({i}), tuple(dot(v, col) for col in columns))
+        for i, v in enumerate(target.vertices)
+    )
+
+
+def _in_cone(gens, point):
+    """Whether point lies in the cone spanned by the integer vectors gens.
+
+    One elimination of [gens | point]: a pivot in the last column means
+    point is outside their span, and when every generator column is a
+    pivot the unique coefficients decide.  Dependent generators take one
+    dd_cone pass for the cone's H-description and a sign test.
+    """
+    m = len(gens)
+    M, pivots, _, piv = _row_reduce(transpose(list(gens) + [point]))
+    if m in pivots:
+        return False
+    if len(pivots) == m:
+        return all(M[i][m] * piv >= 0 for i in range(m))
+    normals, eq_normals = dd_cone(gens, dim=len(point))
+    return all(dot(a, point) >= 0 for a in normals) and not any(
+        dot(e, point) for e in eq_normals
+    )
 
 
 def ci_data(scaf):

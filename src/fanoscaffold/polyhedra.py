@@ -14,12 +14,13 @@ swaps them with no conversion, and its vertex-facet incidences come from
 integer lifts of both; the spanning fan, the normal fan and the face
 lattice are read off those incidences.  Face questions read ray-facet
 incidences and pulled-back H-descriptions: restrict_fan makes one
-conversion per maximal cone and one per preimage, and Fan.is_complete keys
-each ridge by the rays its normal vanishes on.  Lattice points are
-enumerated on integer rows, one interval of the last coordinate per line of
-the bounding box, in boxes of at most MAX_LATTICE_BOX points (larger ones
-raise lattice_box_too_large).  Intended for small instances (ambient dimension
-up to about 10); no attempt is made at large-scale performance.
+conversion per maximal cone and one per preimage (_pull_back_cones, whose
+preimages a caller may reuse), and Fan.is_complete keys each ridge by the
+rays its normal vanishes on.  Lattice points are enumerated on integer
+rows, one interval of the last coordinate per line of the bounding box, in
+boxes of at most MAX_LATTICE_BOX points (larger ones raise
+lattice_box_too_large).  Intended for small instances (ambient dimension up
+to about 10); no attempt is made at large-scale performance.
 """
 
 from fractions import Fraction
@@ -400,7 +401,26 @@ class Polytope:
         Faces are the intersections of facet vertex sets; the improper face
         (the polytope itself) and the empty face are omitted.
         """
-        return _proper_faces(self.vertices, self.facet_vertex_sets())
+        facet_sets = self.facet_vertex_sets()
+        everything = frozenset(range(len(self.vertices)))
+        found = set(s for s in facet_sets if s)
+        frontier = set(found)
+        while frontier:
+            nxt = set()
+            for f in frontier:
+                for g in facet_sets:
+                    h = f & g
+                    if h and h not in found:
+                        found.add(h)
+                        nxt.add(h)
+            frontier = nxt
+        found.discard(everything)
+        out = []
+        for s in found:
+            verts = [self.vertices[i] for i in s]
+            out.append((_affine_rank(verts), tuple(sorted(s))))
+        out.sort()
+        return out
 
     def integral_points(self):
         """All lattice points of the polytope, lex sorted.
@@ -538,30 +558,6 @@ class Polytope:
             raise
         exact = diff.minkowski_sum(other) == self
         return diff, exact
-
-
-def _proper_faces(vertices, facet_sets):
-    """Polytope.proper_faces, from the facet vertex sets already found."""
-    everything = frozenset(range(len(vertices)))
-    found = set(s for s in facet_sets if s)
-    frontier = set(found)
-    while frontier:
-        nxt = set()
-        for f in frontier:
-            for g in facet_sets:
-                h = f & g
-                if h and h not in found:
-                    found.add(h)
-                    nxt.add(h)
-        frontier = nxt
-    found.discard(everything)
-    out = []
-    for s in found:
-        verts = [vertices[i] for i in s]
-        d = _affine_rank(verts)
-        out.append((d, tuple(sorted(s))))
-    out.sort()
-    return out
 
 
 def _affine_rank(points):
@@ -805,20 +801,41 @@ def restrict_fan(fan, basis):
     assumed to span a saturated sublattice.  A point y of Z^k maps to
     sum_i y_i basis[i].  Maximal cones of the result are the preimages of
     the fan's maximal cones that are full dimensional in the subspace.
+    This is _merge_preimages of _pull_back_cones, so a caller that needs
+    each cone's preimage as well runs the two parts itself.
+    """
+    return _merge_preimages(len(basis), _pull_back_cones(fan, basis))
 
-    Each maximal cone's H-description comes from one dd_cone pass over its
-    rays; its normals pulled back along the basis describe the preimage,
-    and one more pass in dimension k gives the preimage's rays.  A preimage
-    is dropped when another one contains it, which is read off the other's
-    pulled inequalities without any further conversion.
+
+def _pull_back_cones(fan, basis):
+    """Each maximal cone's preimage along the basis rows.
+
+    One dd_cone pass over a cone's rays gives its H-description; its
+    normals pulled back along the basis describe the preimage, and one more
+    pass in dimension k gives the preimage's rays.  Returns a dict, in fan
+    order, from each maximal cone's set of rays to the preimage's
+    (rays, lineality, pulled inequalities).
     """
     k = len(basis)
-    pulled = {}
+    out = {}
     for c in fan.max_cones:
-        normals, eq_normals = dd_cone([fan.rays[i] for i in c], dim=fan.dim)
+        cone_rays = [fan.rays[i] for i in c]
+        normals, eq_normals = dd_cone(cone_rays, dim=fan.dim)
         ineqs = [tuple(dot(a, b) for b in basis) for a in normals]
         eqs = [tuple(dot(e, b) for b in basis) for e in eq_normals]
         rays, lineality = dd_cone(ineqs, eqs, dim=k)
+        out[frozenset(cone_rays)] = (rays, lineality, ineqs)
+    return out
+
+
+def _merge_preimages(k, preimages):
+    """The fan in dimension k of the full-dimensional pulled-back cones.
+
+    A preimage is dropped when another one contains it, which is read off
+    the other's pulled inequalities without any further conversion.
+    """
+    pulled = {}
+    for rays, lineality, ineqs in preimages.values():
         if lineality or rank(list(rays)) != k:
             continue
         # The equations pull back to zero on a full-dimensional preimage,

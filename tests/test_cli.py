@@ -14,6 +14,7 @@ from fanoscaffold.fixtures import fixture
 from fanoscaffold.laurent import LaurentPolynomial, algebraic_mutation
 from fanoscaffold.mutations import segment_factor
 from fanoscaffold.polyhedra import Polytope
+from fanoscaffold.scaffolding import Scaffolding
 
 
 def invoke(capsys, *argv):
@@ -135,6 +136,20 @@ def test_period_of_a_laurent_file(tmp_path, capsys):
     code, out, _ = invoke(capsys, "period", "--f", f, "--max-degree", "3")
     assert code == 0
     assert json.loads(out) == {"coeffs": [1, 6, 90, 1680]}
+
+
+def test_embed_check_of_a_dilated_target(tmp_path, capsys):
+    # A failing embedding is a report, not an error: only the face cones
+    # fail, and the command exits 0.
+    scaf = fixture("cubic-surface")["scaffolding"]
+    dilated = Scaffolding(scaf.shape, scaf.u, scaf.struts, scaf.target.dilate(2))
+    path = write_json(tmp_path, "dilated.json", jsonio.encode_scaffolding(dilated))
+    code, out, _ = invoke(capsys, "embed-check", "--scaffolding", path)
+    assert code == 0
+    assert out == (
+        '{"ambient_rays": true, "face_cones": false, "ok": false, '
+        '"restricted_fan": true}\n'
+    )
 
 
 def test_period_reports_the_zero_polynomial(tmp_path, capsys):

@@ -1,11 +1,22 @@
 import random
 from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanoscaffold import inversion, scaffolding
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import mat_vec, random_unimodular_matrix, transpose
+from fanoscaffold.exact import (
+    dot,
+    mat_vec,
+    primitive_vector,
+    random_unimodular_matrix,
+    transpose,
+    vscale,
+)
 from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.forward import ConvexPartitionWithBasis
 from fanoscaffold.inversion import (
@@ -17,7 +28,7 @@ from fanoscaffold.inversion import (
     q_s_polytope,
     verify_embedding,
 )
-from fanoscaffold.polyhedra import Polytope
+from fanoscaffold.polyhedra import Polytope, dd_cone
 from fanoscaffold.scaffolding import (
     Scaffolding,
     Strut,
@@ -221,6 +232,185 @@ def test_inversion_is_invariant_under_a_change_of_the_shift_lattice(name, seed):
     )
     assert laurent_inversion(moved).matrix == laurent_inversion(scaf).matrix
     assert verify_embedding(moved) == verify_embedding(scaf)
+
+
+def face_cones_per_face(scaf, basis, rhos, theta, preimages=None):
+    """The reference for _face_cones_check: check (c) face by face, with
+    two dd_cone passes for every proper face of the target and none of
+    check (b)'s preimages reused."""
+    u = scaf.u
+    nrays = len(scaf.shape.rays)
+    dim = u + nrays
+    target = scaf.target
+    lifts = []
+    for a, rhs in target.inequalities:
+        lifted = inversion._lift_facet_normal(
+            scaf, basis, vscale(Fraction(-1) / rhs, a))
+        if lifted is None:
+            return False
+        lifts.append(lifted)
+    tight = [
+        (rho, frozenset(k for k, lift in enumerate(lifts) if dot(rho, lift) == -1))
+        for rho in rhos
+    ]
+    for j in range(nrays):
+        unit = tuple(1 if p == u + j else 0 for p in range(dim))
+        tight.append((unit, frozenset(k for k, lift in enumerate(lifts) if not lift[u + j])))
+    facet_sets = target.facet_vertex_sets()
+    for _, indices in target.proper_faces():
+        members = set(indices)
+        cover = {k for k, fset in enumerate(facet_sets) if members <= fset}
+        if not cover:
+            return False
+        gens = [g for g, at in tight if cover <= at]
+        normals, eq_normals = dd_cone(gens, dim=dim)
+        rays, lineality = dd_cone(
+            [tuple(dot(a, b) for b in theta) for a in normals],
+            [tuple(dot(e, b) for b in theta) for e in eq_normals],
+            dim=len(theta),
+        )
+        face_rays = tuple(sorted(
+            primitive_vector(tuple(int(c) for c in target.vertices[i]))
+            for i in indices
+        ))
+        if lineality or rays != face_rays:
+            return False
+    return True
+
+
+def embedding_outcome(scaf):
+    """verify_embedding's result, or the kind of the error it raises."""
+    try:
+        return verify_embedding(scaf)
+    except DomainError as exc:
+        return exc.kind
+
+
+def face_cones_arguments(scaf):
+    """The arguments verify_embedding passes to _face_cones_check."""
+    seen = []
+    check = inversion._face_cones_check
+
+    def spy(*args):
+        seen.append(args)
+        return check(*args)
+
+    with mock.patch.object(inversion, "_face_cones_check", spy):
+        verify_embedding(scaf)
+    return seen[0]
+
+
+def facets_pass_vertex_fails():
+    """circulant-two with two more struts and one target vertex cut off.
+    Every facet's preimage is its cone, though the generators of three of
+    the four facets are not the rays of an ambient maximal cone.  At the
+    vertex (1, -2) only the strut ray (-1, -1, -2) is tight at both facets,
+    and it does not span the vertex's image (1, -2, 1)."""
+    scaf = fixture("circulant-two")["scaffolding"]
+    struts = [Strut(c) for c in ((1, 1, 2), (-1, 2, 1), (1, 0, 0), (0, 2, -1))]
+    target = Polytope.from_points([(-2, -1), (-2, 3), (1, -2), (2, -1)])
+    return Scaffolding(scaf.shape, scaf.u, struts, target)
+
+
+@st.composite
+def perturbed_scaffoldings(draw):
+    """A corpus scaffolding, as it is or with one change that may break
+    some of the embedding checks."""
+    scaf = fixture(draw(st.sampled_from(fixture_names())))["scaffolding"]
+    shape, u, struts, target = scaf.shape, scaf.u, list(scaf.struts), scaf.target
+    kind = draw(st.sampled_from(
+        ["none", "dilate", "drop", "coefficient", "add", "enlarge", "shift"]))
+    if kind == "dilate":
+        target = target.dilate(draw(st.integers(2, 3)))
+    elif kind == "drop" and len(struts) > 1:
+        del struts[draw(st.integers(0, len(struts) - 1))]
+    elif kind == "coefficient":
+        i = draw(st.integers(0, len(struts) - 1))
+        coeffs = list(struts[i].coeffs)
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(st.sampled_from([-1, 1]))
+        struts[i] = Strut(coeffs, struts[i].chi)
+    elif kind == "add":
+        coeffs = draw(st.lists(st.integers(-1, 2), min_size=len(shape.rays),
+                               max_size=len(shape.rays)))
+        chi = draw(st.lists(st.integers(-1, 1), min_size=u, max_size=u))
+        struts.append(Strut(coeffs, chi))
+    elif kind == "enlarge":
+        point = draw(st.tuples(*[st.integers(-2, 2)] * target.dim))
+        target = Polytope.from_points(list(target.vertices) + [point])
+    elif kind == "shift" and u:
+        g = random_unimodular_matrix(u, random.Random(draw(st.integers(0, 2**16))))
+        return change_shift_lattice(scaf, g)
+    return Scaffolding(shape, u, struts, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_scaffoldings())
+@example(facets_pass_vertex_fails())
+def test_face_cones_check_against_the_per_face_oracle(scaf):
+    outcome = embedding_outcome(scaf)
+    with mock.patch.object(inversion, "_face_cones_check", face_cones_per_face):
+        assert embedding_outcome(scaf) == outcome
+
+
+def test_facets_can_pass_while_a_vertex_fails():
+    args = face_cones_arguments(facets_pass_vertex_fails())
+    assert not face_cones_per_face(*args)
+    assert not inversion._face_cones_check(*args)
+    with mock.patch.object(inversion, "_in_cone", lambda gens, point: True):
+        assert inversion._face_cones_check(*args)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_face_cones_check_without_reused_preimages(name):
+    # With no preimages to read, every facet takes its own two dd_cone
+    # passes.  A dilated target keeps its spanning fan but moves its facets
+    # off the strut rays: the first facet's generators are not the rays of
+    # an ambient maximal cone, and it fails after its two passes.
+    scaf = fixture(name)["scaffolding"]
+    scaf_args = face_cones_arguments(scaf)
+    assert inversion._face_cones_check(*scaf_args[:-1], {})
+    dilated = Scaffolding(scaf.shape, scaf.u, scaf.struts, scaf.target.dilate(2))
+    args = face_cones_arguments(dilated)
+    calls = Counter()
+
+    def counted(*a, **k):
+        calls["dd_cone"] += 1
+        return dd_cone(*a, **k)
+
+    with mock.patch.object(inversion, "dd_cone", counted):
+        assert not inversion._face_cones_check(*args)
+    assert calls["dd_cone"] == 2
+    assert not face_cones_per_face(*args)
+
+
+@st.composite
+def generators_and_points(draw):
+    """Nonzero integer generators in dims 2-4, as many as the dimension
+    (often independent) or more (always dependent), and a point that is
+    either arbitrary or a nonnegative combination of them."""
+    n = draw(st.integers(2, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    gens = draw(st.lists(vector, min_size=1, max_size=n + draw(st.integers(0, 2))))
+    if draw(st.booleans()):
+        point = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    else:
+        weights = draw(st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens)))
+        point = tuple(sum(w * g[p] for w, g in zip(weights, gens)) for p in range(n))
+    return gens, point
+
+
+@settings(max_examples=150, deadline=None)
+@given(generators_and_points())
+@example(([(1, 0), (0, 1), (1, 1)], (2, 1)))
+@example(([(1, 0), (-1, 0), (0, 1)], (-3, 0)))
+@example(([(1, 0, 0), (0, 1, 0)], (1, -1, 0)))
+@example(([(1, 2, 0), (2, 4, 0)], (-1, -2, 0)))
+def test_in_cone_against_the_h_description(case):
+    gens, point = case
+    normals, eq_normals = dd_cone(gens, dim=len(point))
+    inside = all(dot(a, point) >= 0 for a in normals) and not any(
+        dot(e, point) for e in eq_normals)
+    assert inversion._in_cone(gens, point) == inside
 
 
 def test_no_unit_basis_fails_every_embedding_check():
