@@ -13,6 +13,7 @@ through it.
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import DomainError
 
@@ -23,7 +24,7 @@ from .errors import DomainError
 
 def dot(u, v):
     assert len(u) == len(v)
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
@@ -164,8 +165,12 @@ def row_space_equal(A, B):
 def _clear_denominators(vec):
     """vec times the least positive integer that makes it integral.
 
-    Entries are ``int`` or ``Fraction``.
+    Entries are ``int`` or ``Fraction``.  An all-int vector is already
+    integral and comes back as a tuple of the same entries, with no
+    denominator read.
     """
+    if all(type(c) is int for c in vec):
+        return tuple(vec)
     m = lcm(*(c.denominator for c in vec))
     return tuple(c.numerator * (m // c.denominator) for c in vec)
 

@@ -335,7 +335,9 @@ def verify_embedding(scaf):
     ambient_fan = normal_fan(_q_s_polytope(scaf, rhos))
     expected = set()
     for rho in rhos:
-        expected.add(primitive_vector(rho))
+        # a strut whose coefficients and shift are all 0 has ray 0, which is
+        # never a fan ray
+        expected.add(primitive_vector(rho) if any(rho) else rho)
     for j in range(nrays):
         expected.add(tuple(1 if p == u + j else 0 for p in range(dim)))
     report["ambient_rays"] = set(ambient_fan.rays) == expected
@@ -389,10 +391,12 @@ def _face_cones_check(scaf, basis, rhos, theta, preimages):
     # a strut ray supports a face when it pairs to -1 with the lift of every
     # facet covering the face; a unit does when its coordinate vanishes on
     # all of those lifts.  Each generator records the facets it is tight at.
+    # A zero strut ray pairs to 0 with every lift, so it is no generator.
     tight = [
         (primitive_vector(rho),
          frozenset(k for k, lift in enumerate(lifts) if dot(rho, lift) == -1))
         for rho in rhos
+        if any(rho)
     ]
     for j in range(nrays):
         unit = tuple(1 if p == u + j else 0 for p in range(dim))

@@ -17,14 +17,15 @@ incidences and pulled-back H-descriptions: restrict_fan makes one
 conversion per maximal cone and one per preimage (_pull_back_cones, whose
 preimages a caller may reuse), and Fan.is_complete keys each ridge by the
 rays its normal vanishes on.  Lattice points are enumerated on integer
-rows, one interval of the last coordinate per line of the bounding box, in
-boxes of at most MAX_LATTICE_BOX points (larger ones raise
+rows by a depth-first walk over the coordinates that bounds each one by
+the rows' partial sums and the most the later coordinates can add, in
+bounding boxes of at most MAX_LATTICE_BOX points (larger ones raise
 lattice_box_too_large).  Intended for small instances (ambient dimension up
 to about 10); no attempt is made at large-scale performance.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product as _product
+from itertools import combinations, permutations
 from math import gcd
 from operator import mul
 
@@ -50,11 +51,8 @@ MAX_LATTICE_BOX = 10**6
 
 
 def _normalize_constraint(vec):
-    """Integer primitive form of a constraint normal, or None if zero.
-
-    An all-int row needs no denominator clearing.
-    """
-    v = vec if all(type(c) is int for c in vec) else _clear_denominators(vec)
+    """Integer primitive form of a constraint normal, or None if zero."""
+    v = _clear_denominators(vec)
     if all(c == 0 for c in v):
         return None
     return primitive_vector(v)
@@ -427,23 +425,29 @@ class Polytope:
 
         Each facet inequality becomes a primitive integer row
         <a, x> >= b, and each equation a pair of them; an equation with no
-        integer solution gives ().  The walk runs over the bounding box of
-        the first n - 1 coordinates.  Rows whose last coefficient is 0 test
-        the prefix alone; every other row bounds the last coordinate with
-        one floor or ceiling division, so each line yields one interval.
-        A bounding box of more than MAX_LATTICE_BOX points raises
-        lattice_box_too_large before anything is enumerated.
+        integer solution gives ().  The points are found by a depth-first
+        walk over the coordinates in increasing order (Fincke and Pohst,
+        Math. Comp. 44, 1985).  Every row carries its partial sum
+        s = <a_{<i}, x_{<i}>, and at level i it bounds x_i by
+        a_i x_i >= b - s - R_i, where R_i, the sum over l > i of
+        max(a_l lo_l, a_l hi_l), is the most the later coordinates can
+        add within the bounding box [lo, hi].  The bound is sound, since
+        every lattice point of the polytope lies in that box, and at the
+        last level, where R is 0, it is the row itself.  A bounding box of
+        more than MAX_LATTICE_BOX points raises lattice_box_too_large
+        before anything is enumerated.
         """
         if not self.vertices:
             return ()
-        if not self.dim:
+        n = self.dim
+        if not n:
             return ((),)
         lo = []
         hi = []
-        for i in range(self.dim):
+        for i in range(n):
             cs = [v[i] for v in self.vertices]
-            lo.append(_ceil(min(cs)))
-            hi.append(_floor(max(cs)))
+            lo.append(min(-(-c.numerator // c.denominator) for c in cs))
+            hi.append(max(c.numerator // c.denominator for c in cs))
         size = 1
         for a, b in zip(lo, hi):
             size *= max(b - a + 1, 0)
@@ -461,21 +465,54 @@ class Polytope:
                 # solution: rhs is not an integer multiple of the gcd of a.
                 return ()
             rows += [up, down]
-        prefix_rows = [(a[:-1], b) for a, b in rows if not a[-1]]
-        line_rows = [(a[:-1], a[-1], b) for a, b in rows if a[-1]]
-        pts = []
-        for head in _product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
-            if any(dot(a, head) < b for a, b in prefix_rows):
-                continue
-            first, last = lo[-1], hi[-1]
-            for a, c, b in line_rows:
-                # c * x >= t, read as x >= ceil(t / c) or x <= floor(t / c).
-                t = b - dot(a, head)
+        # ups[i] and downs[i] hold (j, a_i, t) for each row j with a_i > 0
+        # and a_i < 0, where t = b - R_i, plus a_i - 1 in ups[i] so that the
+        # floor (t - s) // a_i rounds up there.  A row with a_i = 0 repeats
+        # at level i the test of its last nonzero level, as s and R_i are
+        # unchanged since; before its first, the test is b > R over the
+        # whole box, made once here.
+        ups = [[] for _ in range(n)]
+        downs = [[] for _ in range(n)]
+        for j, (a, b) in enumerate(rows):
+            rest = 0
+            for i in range(n - 1, -1, -1):
+                c = a[i]
                 if c > 0:
-                    first = max(first, -(-t // c))
-                else:
-                    last = min(last, t // c)
-            pts.extend(head + (x,) for x in range(first, last + 1))
+                    ups[i].append((j, c, b - rest + c - 1))
+                    rest += c * hi[i]
+                elif c:
+                    downs[i].append((j, c, b - rest))
+                    rest += c * lo[i]
+            if b > rest:
+                return ()
+        moves = [[(j, c) for j, c, _ in ups[i] + downs[i]] for i in range(n)]
+        sums = [0] * len(rows)
+        pts = []
+
+        def walk(i, head):
+            first, last = lo[i], hi[i]
+            for j, c, t in ups[i]:
+                q = (t - sums[j]) // c
+                if q > first:
+                    first = q
+            for j, c, t in downs[i]:
+                q = (t - sums[j]) // c
+                if q < last:
+                    last = q
+            if i == n - 1:
+                pts.extend(head + (x,) for x in range(first, last + 1))
+                return
+            if first > last:
+                return
+            start = [(j, c, sums[j]) for j, c in moves[i]]
+            for x in range(first, last + 1):
+                for j, c, s in start:
+                    sums[j] = s + c * x
+                walk(i + 1, head + (x,))
+            for j, _, s in start:
+                sums[j] = s
+
+        walk(0, ())
         return tuple(pts)
 
     def interior_lattice_points(self):
@@ -572,19 +609,9 @@ def _integer_row(a, rhs):
 
     a may be zero (the one inequality of a point is 0 >= -1); then a' is.
     """
-    row = _clear_denominators(tuple(a) + (Fraction(rhs),))
+    row = _clear_denominators(tuple(a) + (rhs,))
     g = gcd(*row[:-1]) or 1
     return tuple(c // g for c in row[:-1]), -(-row[-1] // g)
-
-
-def _ceil(f):
-    f = Fraction(f)
-    return -((-f.numerator) // f.denominator)
-
-
-def _floor(f):
-    f = Fraction(f)
-    return f.numerator // f.denominator
 
 
 class Cone:

@@ -152,6 +152,20 @@ def test_embed_check_of_a_dilated_target(tmp_path, capsys):
     )
 
 
+def test_embed_check_of_a_zero_strut(tmp_path, capsys):
+    # A strut with all coefficients 0 and an empty shift has the zero ray:
+    # only the ambient rays fail, and the command exits 0 with the report.
+    obj = jsonio.encode_scaffolding(fixture("cubic-surface")["scaffolding"])
+    obj["struts"].append({"chi": [], "coeffs": [0, 0, 0]})
+    path = write_json(tmp_path, "zero.json", obj)
+    code, out, _ = invoke(capsys, "embed-check", "--scaffolding", path)
+    assert code == 0
+    assert out == (
+        '{"ambient_rays": false, "face_cones": true, "ok": false, '
+        '"restricted_fan": true}\n'
+    )
+
+
 def test_period_reports_the_zero_polynomial(tmp_path, capsys):
     f = write_json(tmp_path, "f.json", {"vars": 2, "terms": []})
     code, out, _ = invoke(capsys, "period", "--f", f, "--max-degree", "4")

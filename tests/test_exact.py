@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
+    _clear_denominators,
     det,
     hermite_normal_form,
     identity_matrix,
@@ -201,6 +203,16 @@ def rational_matrices(draw, square=False):
         a, b = draw(ENTRIES), draw(ENTRIES)
         A[i] = [a * x + b * y for x, y in zip(A[j], A[k])]
     return A
+
+
+@given(st.lists(ENTRIES, max_size=6))
+def test_clear_denominators_against_the_lcm_formula(vec):
+    m = lcm(*(Fraction(c).denominator for c in vec))
+    want = tuple(Fraction(c).numerator * (m // Fraction(c).denominator) for c in vec)
+    assert _clear_denominators(vec) == want
+    ints = [Fraction(c).numerator for c in vec]
+    out = _clear_denominators(ints)
+    assert type(out) is tuple and out == tuple(ints)
 
 
 @settings(max_examples=300, deadline=None)

@@ -201,6 +201,21 @@ def test_verify_embedding_dropped_strut_fails_the_fan_and_face_cones():
     )
 
 
+@pytest.mark.parametrize("name", fixture_names())
+def test_verify_embedding_reports_a_zero_strut(name):
+    # A strut whose coefficients and shift are all 0 is vertexless, which
+    # validate_scaffolding accepts.  Its ambient ray is 0: never a fan ray,
+    # so check (a) fails, and tight at no facet, so check (c) ignores it.
+    scaf = fixture(name)["scaffolding"]
+    zero = Strut((0,) * len(scaf.shape.rays), (0,) * scaf.u)
+    padded = Scaffolding(scaf.shape, scaf.u, list(scaf.struts) + [zero], scaf.target)
+    assert validate_scaffolding(padded)[0]
+    assert verify_embedding(padded) == (
+        False,
+        {"ambient_rays": False, "restricted_fan": True, "face_cones": True},
+    )
+
+
 SHIFTED_FIXTURES = [
     name for name in fixture_names() if fixture(name)["scaffolding"].u
 ]

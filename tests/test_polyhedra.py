@@ -346,6 +346,53 @@ def test_integral_points_against_the_box_filter(pts, data):
     assert q.integral_points() == box_filter(q)
 
 
+HALVES = st.fractions(-1, 1, max_denominator=2)
+
+
+@st.composite
+def walk_polytopes(draw):
+    """Polytopes beyond point_sets for the lattice point walk.
+
+    Point sets in dims 5 and 6 in the box [-1, 1]^n; from_hrep polytopes
+    whose right-hand sides are fractions, cut from a box around a
+    rational center that every inequality keeps, with at times an
+    equation through it; and point_sets polytopes dilated by a fraction.
+    """
+    kind = draw(st.sampled_from(["high", "hrep", "dilate"]))
+    if kind == "high":
+        n = draw(st.integers(5, 6))
+        pts = draw(st.lists(st.tuples(*[HALVES] * n), min_size=1, max_size=5))
+        if draw(st.booleans()):
+            # a simplex around the origin makes the hull full-dimensional
+            pts += [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            pts.append((-1,) * n)
+        return Polytope.from_points(pts)
+    if kind == "dilate":
+        k = draw(st.fractions(-3, 3, max_denominator=3))
+        return Polytope.from_points(draw(point_sets())).dilate(k)
+    n = draw(st.integers(1, 4))
+    center = draw(st.tuples(*[COORDS] * n))
+    ineqs = []
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        r = draw(st.fractions(0, 2, max_denominator=3))
+        ineqs += [(e, center[i] - r), (tuple(-c for c in e), -center[i] - r)]
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.tuples(*[st.integers(-2, 2)] * n))
+        ineqs.append((a, dot(a, center) - draw(st.fractions(0, 2, max_denominator=3))))
+    eqs = []
+    if draw(st.booleans()):
+        a = draw(st.tuples(*[st.integers(-2, 2)] * n))
+        eqs.append((a, dot(a, center)))
+    return Polytope.from_hrep(ineqs, eqs, dim=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_polytopes())
+def test_integral_points_walk_against_the_box_filter(p):
+    assert p.integral_points() == box_filter(p)
+
+
 @settings(max_examples=200, deadline=None)
 @given(point_sets())
 def test_from_points_against_a_second_conversion(pts):

@@ -28,6 +28,31 @@ def test_every_private_function_is_used():
     assert unused == []
 
 
+def test_every_import_is_used():
+    # Every name a module imports at top level is read somewhere in that
+    # module, unless the module exports it through __all__.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exported = set()
+        imported = []
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.append((alias.asname or alias.name).split(".")[0])
+            elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            "%s.%s" % (path.stem, name)
+            for name in imported
+            if name not in used and name not in exported
+        ]
+    assert unused == []
+
+
 def test_readme_lists_every_cap_kind():
     # The caps are the DomainError kinds named *_too_large or too_many_*;
     # the README sentence on capped inputs names each one and no other.
