@@ -3,7 +3,9 @@
 Everything downstream (polytopes, fans, GIT data) reduces to a handful of
 primitives implemented here: Hermite normal form, saturated integer kernels,
 and one fraction-free (Bareiss) Gauss-Jordan elimination behind ``rank``,
-``det``, ``unimodular_inverse`` and ``solve_linear``.
+``det``, ``unimodular_inverse`` and ``solve_linear``.  ``integer_solution``
+combines the two: the Hermite form gives a lattice basis, ``solve_linear``
+the coordinates in it.
 
 Floats are banned throughout the package; vectors are tuples of ``int`` or
 ``fractions.Fraction``, matrices are tuples of row tuples.  HNF is the single
@@ -269,38 +271,22 @@ def solve_linear(A, b):
 def integer_solution(A, b):
     """One integer solution x of A x = b, or None if none exists.
 
-    Column-style Hermite reduction: with V unimodular, A V is in column
-    echelon form, so A V y = b can be solved column by column with exact
-    divisions, and x = V y.  Unlike rounding a rational solution, this
+    With H = U A^T in Hermite normal form, the nonzero rows of H are a basis
+    of the lattice the columns of A span.  A solution exists exactly when
+    the coordinates y of b in that basis (solve_linear) are integers, and
+    then x = sum_i y_i U_i.  Unlike rounding a rational solution, this
     cannot miss solutions that need nonzero free variables.
     """
     m = len(A)
     if m == 0:
         return ()
     n = len(A[0])
-    rows = [to_int_vector(row) for row in A]
-    rhs = to_int_vector(b)
-    h, u = hermite_normal_form(transpose(rows))
-    # h = u @ rows^T, so rows @ u^T has the columns of h as its columns.
-    echelon = transpose(h)
-    y = [0] * n
-    resid = list(rhs)
-    for k in range(n):
-        col = [echelon[i][k] for i in range(m)]
-        p = next((i for i in range(m) if col[i] != 0), None)
-        if p is None:
-            continue
-        if resid[p] % col[p] != 0:
-            return None
-        t = resid[p] // col[p]
-        if t:
-            for i in range(m):
-                resid[i] -= t * col[i]
-        y[k] = t
-    if any(resid):
+    h, u = hermite_normal_form(transpose([to_int_vector(row) for row in A]))
+    basis = [row for row in h if any(row)]
+    y = solve_linear([[v[i] for v in basis] for i in range(m)], to_int_vector(b))
+    if y is None or any(c.denominator != 1 for c in y):
         return None
-    v = transpose(u)
-    return tuple(sum(v[i][k] * y[k] for k in range(n)) for i in range(n))
+    return tuple(sum(c.numerator * w[i] for c, w in zip(y, u)) for i in range(n))
 
 
 def random_unimodular_matrix(n, rng, steps=8):

@@ -8,7 +8,7 @@ mutation-equivalent answers related by a monomial change of variables.
 """
 
 from .errors import DomainError
-from .laurent import LaurentPolynomial
+from .laurent import _bracket_sum
 from .exact import solve_linear, transpose
 from .toric import basis_coordinates, git_to_stacky_fan, irrelevant_collection
 
@@ -174,32 +174,23 @@ def _convex_matrix(git, part):
 def przyjalkowski(git, part):
     """The Laurent polynomial of a convex partition with basis.
 
-    Each basis row contributes one bracket product over the groups times a
-    monomial in the variable columns; the U block contributes its variables
-    as standalone terms.
+    Each basis row contributes a monomial in the variable columns times one
+    bracket per group, over the group's non-chosen columns and raised to
+    the group's level in that row; each U column contributes its variable.
     """
     norm = _convex_matrix(git, part)
     var_cols = part.variable_columns()
     pos = {j: p for p, j in enumerate(var_cols)}
     n = len(var_cols)
-    f = LaurentPolynomial.zero(n)
-    for row in norm:
-        bracket = LaurentPolynomial.one(n)
-        for s, c in zip(part.S, part.choices):
-            level = sum(row[j] for j in s)
-            base = LaurentPolynomial.one(n)
-            for j in s:
-                if j != c:
-                    base = base + LaurentPolynomial.monomial(
-                        tuple(1 if p == pos[j] else 0 for p in range(n))
-                    )
-            bracket = bracket * base ** int(level)
-        expo = [0] * n
-        for j in var_cols:
-            expo[pos[j]] = -int(row[j])
-        f = f + bracket * LaurentPolynomial.monomial(tuple(expo))
-    for u in part.U:
-        f = f + LaurentPolynomial.monomial(
-            tuple(1 if p == pos[u] else 0 for p in range(n))
+    groups = [
+        (s, tuple(pos[j] for j in s if j != c)) for s, c in zip(part.S, part.choices)
+    ]
+    terms = [
+        (
+            tuple(-int(row[j]) for j in var_cols),
+            [(positions, int(sum(row[j] for j in s))) for s, positions in groups],
         )
-    return f
+        for row in norm
+    ]
+    terms += [(tuple(int(p == pos[u]) for p in range(n)), ()) for u in part.U]
+    return _bracket_sum(n, terms)

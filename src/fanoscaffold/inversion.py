@@ -207,8 +207,9 @@ def _ray_relations(shape):
     """Integer relations among the shape's rays used for the binomials.
 
     Plane fans get one wall relation per ray via consecutive minors;
-    products of projective spaces get one relation per factor; anything
-    else gets a basis of the saturated relation lattice.
+    anything else gets the canonical basis of the saturated relation
+    lattice, which on a product of projective spaces is one indicator
+    vector per factor.
     """
     rays = shape.rays
     n = len(rays)
@@ -231,15 +232,6 @@ def _ray_relations(shape):
                 w = [-c for c in w]
             rels.add(tuple(w))
         return sorted(rels)
-    try:
-        blocks = product_structure(shape)
-    except DomainError:
-        pass
-    else:
-        return sorted(
-            tuple(1 if j in idx else 0 for j in range(n))
-            for idx in block_rays(shape, blocks)
-        )
     return sorted(_relation_basis(shape))
 
 

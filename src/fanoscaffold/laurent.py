@@ -11,7 +11,7 @@ Mutations are performed by exact division of the graded pieces.
 """
 
 from .errors import DomainError
-from .exact import det, dot, mat_vec, vadd, vsub
+from .exact import det, dot, identity_matrix, mat_vec, vadd, vsub
 from .polyhedra import Polytope, convex_hull
 
 
@@ -144,6 +144,24 @@ class LaurentPolynomial:
         return Polytope.from_points(list(self.terms))
 
 
+def _bracket_sum(nvars, terms):
+    """The sum over terms (e, brackets) of x^e * prod (1 + sum_(p in P) x_p)^k.
+
+    Each bracket is a pair (P, k) of variable positions and a power k >= 0.
+    Przyjalkowski's models and the polynomials of scaffoldings on products
+    of projective spaces are both such sums.
+    """
+    eye = identity_matrix(nvars)
+    out = LaurentPolynomial.zero(nvars)
+    for e, brackets in terms:
+        term = LaurentPolynomial.monomial(e)
+        for positions, k in brackets:
+            base = LaurentPolynomial(nvars, {eye[p]: 1 for p in positions})
+            term = term * (base + 1) ** k
+        out = out + term
+    return out
+
+
 def monomial_substitution(f, matrix):
     """Apply the exponent change e -> matrix * e.
 
@@ -163,6 +181,10 @@ def monomial_substitution(f, matrix):
 
 
 MAX_PERIOD_DEPTH = 64
+
+# Most term products one step of classical_period may form: the terms of
+# the power built so far times the terms of f.
+MAX_PERIOD_PRODUCTS = 5 * 10 ** 5
 
 # Largest |<w, e>| a mutation reaches.  Each level costs one slice of the
 # polytope or one power of the factor, so the cap is checked before any.
@@ -247,7 +269,9 @@ def classical_period(f, d_max):
     terms is one addition and the facet test one subtraction and one mask.
     When the affine hull of Newton(f) misses the origin, every term of f^k
     with k >= 1 lies on <a, x> = k * rhs with rhs != 0, so those constant
-    terms are 0.  Depths above MAX_PERIOD_DEPTH raise degree_too_large.
+    terms are 0.  Depths above MAX_PERIOD_DEPTH raise degree_too_large, and
+    a step that would form more than MAX_PERIOD_PRODUCTS term products
+    raises period_too_large before it starts.
     """
     if f.is_zero():
         raise DomainError("zero_polynomial", "period of the zero polynomial")
@@ -265,6 +289,11 @@ def classical_period(f, d_max):
     terms = [(dot(weights, e), c) for e, c in f.terms.items()]
     power = {0: 1}
     for k in range(1, (d_max + 1) // 2 + 1):
+        if len(power) * len(terms) > MAX_PERIOD_PRODUCTS:
+            raise DomainError(
+                "period_too_large",
+                f"period steps capped at {MAX_PERIOD_PRODUCTS} term products",
+            )
         prev, power = power, _next_power(power, terms, base + (d_max - k) * step, mask)
         out[2 * k - 1] = _pair(power, prev)
         if 2 * k <= d_max:

@@ -320,24 +320,16 @@ def mutation_chain_check(scaf):
     polytope is lattice isomorphic to the hull of the ambient rays.
     """
     blocks = product_structure(scaf.shape)
+    # On a product of projective spaces the canonical relation basis is
+    # exactly the factors' indicator vectors, one row per factor.
     rel = _relation_basis(scaf.shape)
     k = len(rel)
-    if len(blocks) != k:
-        raise DomainError("unsupported_shape", "one ray relation per factor expected")
-    row_for_block = []
-    for idx in block_rays(scaf.shape, blocks):
-        found = [
-            i
-            for i, row in enumerate(rel)
-            if tuple(j for j, c in enumerate(row) if c) == idx
-        ]
-        if len(found) != 1:
-            raise DomainError("unsupported_shape", "factor has no matching relation")
-        row_for_block.append(found[0])
+    nrays = len(scaf.shape.rays)
     u = scaf.u
     n = u + scaf.shape.dim
     model = p_tilde_one(scaf)
-    for block, i in zip(blocks, row_for_block):
+    for block, idx in zip(blocks, block_rays(scaf.shape, blocks)):
+        i = rel.index(tuple(int(j in idx) for j in range(nrays)))
         w = tuple(0 for _ in range(n)) + tuple(1 if t == i else 0 for t in range(k))
         pts = [tuple(0 for _ in range(n + k))]
         for c in block:

@@ -397,7 +397,8 @@ class Polytope:
         """All proper nonempty faces as (dim, vertex index tuple) pairs.
 
         Faces are the intersections of facet vertex sets; the improper face
-        (the polytope itself) and the empty face are omitted.
+        (the polytope itself) and the empty face are omitted.  Kept as the
+        per-face reference that check (c) of verify_embedding is tested on.
         """
         facet_sets = self.facet_vertex_sets()
         everything = frozenset(range(len(self.vertices)))
@@ -828,8 +829,8 @@ def restrict_fan(fan, basis):
     assumed to span a saturated sublattice.  A point y of Z^k maps to
     sum_i y_i basis[i].  Maximal cones of the result are the preimages of
     the fan's maximal cones that are full dimensional in the subspace.
-    This is _merge_preimages of _pull_back_cones, so a caller that needs
-    each cone's preimage as well runs the two parts itself.
+    This is _merge_preimages of _pull_back_cones, and the one entry point
+    through which the two are tested; verify_embedding runs them itself.
     """
     return _merge_preimages(len(basis), _pull_back_cones(fan, basis))
 

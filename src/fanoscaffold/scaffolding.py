@@ -8,8 +8,8 @@ first, matching the variable order of the forward construction.
 from itertools import combinations, product
 
 from .errors import DomainError
-from .exact import hermite_normal_form
-from .laurent import LaurentPolynomial
+from .exact import det
+from .laurent import _bracket_sum
 from .polyhedra import Cone, Fan, Polytope, cone_over
 from .toric import sections_polytope
 from .forward import _convex_matrix
@@ -109,10 +109,7 @@ def unit_strut_basis(scaf):
     if scaf.u == 0:
         return ()
     for combo in combinations(units, scaf.u):
-        mat = [scaf.struts[i].chi for i in combo]
-        h, _ = hermite_normal_form(mat)
-        pivots = [h[k][k] for k in range(scaf.u) if any(h[k])]
-        if len(pivots) == scaf.u and all(p == 1 for p in pivots):
+        if abs(det([scaf.struts[i].chi for i in combo])) == 1:
             return combo
     return None
 
@@ -296,45 +293,27 @@ def scaffolding_from_forward(git, part):
 def laurent_from_scaffolding(scaf):
     """The Laurent polynomial a scaffolding on a product shape encodes.
 
-    Each strut becomes one bracket product times a monomial; requires every
-    strut to have nonnegative degree on every factor.
+    Each strut becomes a monomial times one bracket per factor, raised to
+    the strut's degree on the factor; requires every such degree to be
+    nonnegative.  The monomial is the shift, then minus the coefficient of
+    the unit ray e_t at x_t.
     """
     blocks = product_structure(scaf.shape)
+    factor_rays = block_rays(scaf.shape, blocks)
     u = scaf.u
-    n = u + scaf.shape.dim
-    ray_pos = {ray: k for k, ray in enumerate(scaf.shape.rays)}
-    f = LaurentPolynomial.zero(n)
+    dim = scaf.shape.dim
+    positions = [tuple(u + t for t in block) for block in blocks]
+    # The unit ray e_t is the one ray with an entry 1, at t.
+    unit = {ray.index(1): k for k, ray in enumerate(scaf.shape.rays) if 1 in ray}
+    terms = []
     for s_idx, strut in enumerate(scaf.struts):
-        term = LaurentPolynomial.monomial(
-            tuple(strut.chi[p] if p < u else 0 for p in range(n))
-        )
-        for block in blocks:
-            unit_idx = [
-                ray_pos[tuple(1 if p == t else 0 for p in range(scaf.shape.dim))]
-                for t in block
-            ]
-            neg_idx = ray_pos[
-                tuple(-1 if p in block else 0 for p in range(scaf.shape.dim))
-            ]
-            degree = strut.coeffs[neg_idx] + sum(strut.coeffs[k] for k in unit_idx)
+        degrees = [sum(strut.coeffs[k] for k in idx) for idx in factor_rays]
+        for degree in degrees:
             if degree < 0:
                 raise DomainError(
                     "negative_degree",
                     f"strut {s_idx} has degree {degree} on a factor",
                 )
-            bracket = LaurentPolynomial.one(n)
-            for t in block:
-                bracket = bracket + LaurentPolynomial.monomial(
-                    tuple(1 if p == u + t else 0 for p in range(n))
-                )
-            mono = LaurentPolynomial.monomial(
-                tuple(
-                    -strut.coeffs[unit_idx[block.index(p - u)]]
-                    if p >= u and p - u in block
-                    else 0
-                    for p in range(n)
-                )
-            )
-            term = term * bracket ** degree * mono
-        f = f + term
-    return f
+        expo = strut.chi + tuple(-strut.coeffs[unit[t]] for t in range(dim))
+        terms.append((expo, list(zip(positions, degrees))))
+    return _bracket_sum(u + dim, terms)

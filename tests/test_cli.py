@@ -3,10 +3,12 @@
 import io
 import json
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoscaffold import jsonio
 from fanoscaffold.cli import _INPUTS, run
@@ -87,12 +89,16 @@ def file_inputs():
     }
 
 
-def file_command(template, directory):
-    """template as an argv, with the file_inputs() it names written to directory."""
+def file_command(template, directory, inputs=None):
+    """template as an argv, with the inputs it names written to directory.
+
+    inputs defaults to file_inputs().
+    """
     paths = {}
-    for name, obj in file_inputs().items():
-        paths[name] = directory / (name + ".json")
-        paths[name].write_text(json.dumps(obj))
+    for name, obj in (inputs or file_inputs()).items():
+        if "{%s}" % name in template:
+            paths[name] = directory / (name + ".json")
+            paths[name].write_text(json.dumps(obj))
     return [arg.format(**paths) for arg in template]
 
 
@@ -180,6 +186,17 @@ def test_period_depth_is_capped(tmp_path, capsys):
                             "--max-degree", "100000000000000000000000")
     assert code == 1 and "Traceback" not in err
     assert json.loads(out)["error"]["kind"] == "degree_too_large"
+
+
+def test_period_work_is_capped(tmp_path, capsys):
+    # x_i + 1/x_i over six variables: depth 32 once took 26 s; the step that
+    # would form more than 5 * 10^5 term products raises instead.
+    terms = [{"e": [s * (k == i) for k in range(6)], "c": 1} for i in range(6)
+             for s in (1, -1)]
+    f = write_json(tmp_path, "f.json", {"vars": 6, "terms": terms})
+    code, out, err = invoke(capsys, "period", "--f", f, "--max-degree", "32")
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out)["error"]["kind"] == "period_too_large"
 
 
 def test_usage_errors_exit_with_two(tmp_path, capsys):
@@ -302,6 +319,75 @@ def test_a_malformed_inline_list_exits_with_two(tmp_path, capsys, flag, value):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and not out
     assert flag[2:] in err and "Traceback" not in err
+
+
+# One subcommand per file flag use; "{name}" as in GOLDEN_FILE_COMMANDS.
+FUZZ_COMMANDS = GOLDEN_FILE_COMMANDS + (
+    ("period", "--f", "{laurent}", "--max-degree", "4"),
+    ("newton", "--f", "{laurent}"),
+    ("forward", "--git", "{git}", "--partition", "{partition}"),
+    ("secondary-fan", "--git", "{git}"),
+    ("amenable-validate", "--git", "{git}", "--partition", "{partition}",
+     "--vectors", "[[-1,-1,0,2],[0,0,-1,-1]]"),
+    ("anticanonical", "--polytope", "{square}"),
+    ("invert", "--scaffolding", "{scaffolding}"),
+    ("scaffold-validate", "--scaffolding", "{scaffolding}"),
+    ("embed-check", "--scaffolding", "{scaffolding}"),
+    ("ci-data", "--scaffolding", "{scaffolding}"),
+    ("fano-nef-partition", "--scaffolding", "{scaffolding}"),
+)
+
+
+def json_paths(obj, prefix=()):
+    """The path of obj and of every value nested in it."""
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from json_paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=3), st.text(max_size=3)
+)
+
+
+@st.composite
+def perturbed_command(draw):
+    """(template, inputs): a FUZZ_COMMANDS template and the file_inputs() it
+    names, with one value in one of them replaced, dropped or appended to."""
+    template = draw(st.sampled_from(FUZZ_COMMANDS))
+    inputs = {n: v for n, v in file_inputs().items() if "{%s}" % n in template}
+    name = draw(st.sampled_from(sorted(inputs)))
+    holder = [inputs[name]]
+    *head, key = (0,) + draw(st.sampled_from(list(json_paths(inputs[name]))))
+    owner = holder
+    for step in head:
+        owner = owner[step]
+    action = draw(st.sampled_from(("replace", "drop", "append")))
+    if action == "replace":
+        owner[key] = draw(JSON_VALUES)
+    elif action == "drop":
+        del owner[key]
+    elif isinstance(owner[key], list):
+        owner[key].append(draw(JSON_VALUES))
+    elif isinstance(owner[key], dict):
+        owner[key][draw(st.text(max_size=3))] = draw(JSON_VALUES)
+    else:
+        owner[key] = [owner[key], draw(JSON_VALUES)]
+    inputs[name] = holder[0] if holder else None
+    return template, inputs
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_command())
+def test_a_perturbed_input_file_exits_with_zero_one_or_two(case):
+    # A decoder or a handler may reject the file (exit 2) or the data (exit
+    # 1), but no exception escapes cli.run.
+    template, inputs = case
+    with tempfile.TemporaryDirectory() as directory:
+        argv = file_command(template, Path(directory), inputs)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert run(argv) in (0, 1, 2)
 
 
 def test_reports_reject_an_invalid_scaffolding(tmp_path, capsys):

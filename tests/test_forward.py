@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fanoscaffold import toric
@@ -16,7 +16,7 @@ from fanoscaffold.forward import (
     validate_partition,
 )
 from fanoscaffold.laurent import LaurentPolynomial, monomial_substitution
-from fanoscaffold.scaffolding import scaffolding_from_forward
+from fanoscaffold.scaffolding import laurent_from_scaffolding, scaffolding_from_forward
 from fanoscaffold.toric import GitData, git_to_stacky_fan, is_nef
 
 
@@ -255,6 +255,19 @@ def test_nef_verdict_matches_the_piecewise_linear_oracle(case):
         except DomainError:
             nef = False
         assert (f"group {i} total divisor is not nef" not in failures) == nef
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(git_with_groups())
+def test_forward_model_equals_the_polynomial_of_its_scaffolding(case):
+    # The model reads its brackets off the rows of the normalized weight
+    # matrix, laurent_from_scaffolding off the struts those rows become.
+    git, part = case
+    assume(part.variable_columns() and not validate_partition(git, part))
+    scaf = scaffolding_from_forward(git, part)
+    assert przyjalkowski(git, part) == laurent_from_scaffolding(scaf)
 
 
 def test_covers_are_enumerated_once_per_git_data(monkeypatch):

@@ -20,6 +20,7 @@ from fanoscaffold.exact import (
 from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.forward import ConvexPartitionWithBasis
 from fanoscaffold.inversion import (
+    _relation_basis,
     ambient_rays,
     anticanonical_scaffolding,
     binomial_equations,
@@ -32,6 +33,7 @@ from fanoscaffold.polyhedra import Polytope, dd_cone
 from fanoscaffold.scaffolding import (
     Scaffolding,
     Strut,
+    block_rays,
     dual_cone_check,
     product_fan,
     scaffolding_from_forward,
@@ -565,3 +567,32 @@ def test_q_s_unbounded_detected():
     with pytest.raises(DomainError) as exc:
         q_s_polytope(scaf)
     assert exc.value.kind == "unbounded"
+
+
+def set_partitions(items):
+    """Every partition of the tuple items into blocks, each block in order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [(first,)] + blocks
+        for i, block in enumerate(blocks):
+            yield blocks[:i] + [(first,) + block] + blocks[i + 1:]
+
+
+def test_relation_basis_of_a_product_is_its_factor_indicators():
+    # _ray_relations and mutation_chain_check read a product shape's factors
+    # off the canonical relation basis: one indicator vector per factor.
+    count = 0
+    for dim in range(1, 7):
+        for blocks in set_partitions(tuple(range(dim))):
+            fan = product_fan(blocks)
+            nrays = len(fan.rays)
+            indicators = [
+                tuple(int(j in idx) for j in range(nrays))
+                for idx in block_rays(fan, blocks)
+            ]
+            assert sorted(_relation_basis(fan)) == sorted(indicators)
+            count += 1
+    assert count == 1 + 2 + 5 + 15 + 52 + 203

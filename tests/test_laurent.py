@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -9,6 +10,7 @@ from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import random_unimodular_matrix
 from fanoscaffold.laurent import (
     MAX_PERIOD_DEPTH,
+    MAX_PERIOD_PRODUCTS,
     LaurentPolynomial,
     algebraic_mutation,
     classical_period,
@@ -130,6 +132,18 @@ def test_period_depth_cap():
     with pytest.raises(DomainError) as ei:
         classical_period(f, MAX_PERIOD_DEPTH + 1)
     assert ei.value.kind == "degree_too_large"
+
+
+def test_period_work_cap():
+    # The 1331 points of the box [-5, 5]^3: one step forms 1331 products,
+    # and a second would form 1331^2 > 5 * 10^5, so it raises before it
+    # starts.
+    box = poly(3, *((e, 1) for e in product(range(-5, 6), repeat=3)))
+    assert MAX_PERIOD_PRODUCTS == 5 * 10**5
+    assert classical_period(box, 2) == (1, 1, 1331)
+    with pytest.raises(DomainError) as ei:
+        classical_period(box, 3)
+    assert ei.value.kind == "period_too_large"
 
 
 def test_period_zero_error():
