@@ -8,9 +8,13 @@ combines the two: the Hermite form gives a lattice basis, ``solve_linear``
 the coordinates in it.
 
 Floats are banned throughout the package; vectors are tuples of ``int`` or
-``fractions.Fraction``, matrices are tuples of row tuples.  HNF is the single
-canonicalisation primitive: every "equal up to basis change" comparison routes
-through it.
+``fractions.Fraction``, matrices are tuples of row tuples.  A number that the
+geometry stores (a vertex coordinate, a right-hand side, a stability
+character) goes through ``as_exact`` first: it is an ``int`` exactly when it
+is integral and a ``Fraction`` otherwise, so integral data never pays for
+Fraction arithmetic.  The two forms compare, hash and sort alike.  HNF is the
+single canonicalisation primitive: every "equal up to basis change"
+comparison routes through it.
 """
 
 from fractions import Fraction
@@ -71,14 +75,34 @@ def primitive_vector(v):
     return tuple(a // g for a in v)
 
 
+def as_exact(x):
+    """x as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def as_exact_vector(v):
+    """The tuple of ``as_exact`` of each entry of v."""
+    return tuple(map(as_exact, v))
+
+
+def exact_ratio(c, d):
+    """c / d for ints c and d != 0: an ``int`` when d divides c, else a ``Fraction``."""
+    q, r = divmod(c, d)
+    return Fraction(c, d) if r else q
+
+
 def to_int_vector(v):
     """Cast a vector of integral Fractions to ints; error if any entry is not integral."""
     out = []
     for a in v:
-        f = Fraction(a)
-        if f.denominator != 1:
+        f = as_exact(a)
+        if type(f) is not int:
             raise DomainError("not_integral", f"entry {a} is not an integer")
-        out.append(f.numerator)
+        out.append(f)
     return tuple(out)
 
 

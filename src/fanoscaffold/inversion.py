@@ -10,7 +10,6 @@ strut and one column per non-basis strut, per shift coordinate and per
 shape ray, in that order.
 """
 
-from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import DomainError
@@ -23,12 +22,12 @@ from .exact import (
     solve_linear,
     transpose,
     unimodular_inverse,
-    vscale,
 )
 from .forward import ConvexPartitionWithBasis
 from .polyhedra import (
     Fan,
     Polytope,
+    _dual_vertex,
     _merge_preimages,
     _pull_back_cones,
     dd_cone,
@@ -290,7 +289,7 @@ def _lift_facet_normal(scaf, basis, normal):
         if sol is None or any(t < 0 for t in sol):
             continue
         lifted = [dot(scaf.struts[b].chi, normal[:u]) for b in basis]
-        lifted += [Fraction(0)] * len(shape.rays)
+        lifted += [0] * len(shape.rays)
         for t, i in zip(sol, cone_indices):
             lifted[u + i] = t
         return tuple(lifted)
@@ -376,7 +375,7 @@ def _face_cones_check(scaf, basis, rhos, theta, preimages):
     # already required 0 in its interior, so every rhs is negative
     lifts = []
     for a, rhs in target.inequalities:
-        lifted = _lift_facet_normal(scaf, basis, vscale(Fraction(-1) / rhs, a))
+        lifted = _lift_facet_normal(scaf, basis, _dual_vertex(a, rhs))
         if lifted is None:
             return False
         lifts.append(lifted)
@@ -411,10 +410,7 @@ def _face_cones_check(scaf, basis, rhos, theta, preimages):
                 [tuple(dot(e, b) for b in theta) for e in eq_normals],
                 dim=len(theta),
             )
-        face_rays = tuple(sorted(
-            primitive_vector(tuple(int(c) for c in target.vertices[i]))
-            for i in fset
-        ))
+        face_rays = tuple(sorted(primitive_vector(target.vertices[i]) for i in fset))
         if lineality or rays != face_rays:
             return False
     columns = transpose(theta)

@@ -10,6 +10,7 @@ else; domain validation is left to the object constructors.
 import json
 from fractions import Fraction
 
+from .exact import as_exact
 from .forward import ConvexPartitionWithBasis
 from .laurent import LaurentPolynomial
 from .polyhedra import Fan, Polytope
@@ -18,15 +19,10 @@ from .toric import GitData
 
 
 def _encode_number(x):
-    if isinstance(x, bool):
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise ValueError("cannot encode %r as a number" % (x,))
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return "%d/%d" % (x.numerator, x.denominator)
-    raise ValueError("cannot encode %r as a number" % (x,))
+    x = as_exact(x)
+    return x if type(x) is int else "%d/%d" % (x.numerator, x.denominator)
 
 
 def _decode_number(x):
@@ -36,10 +32,9 @@ def _decode_number(x):
         return x
     if isinstance(x, str):
         try:
-            value = Fraction(x)
+            return as_exact(x)
         except (ValueError, ZeroDivisionError):
             raise ValueError("bad fraction string %r" % (x,))
-        return int(value) if value.denominator == 1 else value
     raise ValueError("expected an integer or a fraction string, got %r" % (x,))
 
 

@@ -231,8 +231,8 @@ def _full_dim_model(polytope):
     """Rewrite a lattice polytope in coordinates on its own affine lattice."""
     if polytope.is_full_dimensional():
         return polytope
-    base = tuple(int(c) for c in polytope.vertices[0])
-    diffs = [tuple(int(c) for c in vsub(v, base)) for v in polytope.vertices[1:]]
+    base = polytope.vertices[0]
+    diffs = [vsub(v, base) for v in polytope.vertices[1:]]
     normals = kernel_basis(diffs, ncols=polytope.dim)
     basis = kernel_basis(normals, ncols=polytope.dim)
     coords = []

@@ -1,6 +1,9 @@
 """Exact polyhedral geometry: cones, polytopes and fans over the rationals.
 
-Everything is computed with integer and Fraction arithmetic.  The workhorse
+Everything is computed with integer and Fraction arithmetic, and every
+stored number (a vertex coordinate or a right-hand side) is an ``int``
+exactly when it is integral (``exact.as_exact``), so lattice polytopes are
+handled in the integers throughout.  The workhorse
 is :func:`dd_cone`, an incremental double description conversion that is
 integer-only: constraints are scaled to primitive integer vectors on entry,
 and every ray and lineality direction stays a primitive integer vector.
@@ -24,7 +27,6 @@ lattice_box_too_large).  Intended for small instances (ambient dimension up
 to about 10); no attempt is made at large-scale performance.
 """
 
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 from operator import mul
@@ -32,8 +34,11 @@ from operator import mul
 from .errors import DomainError
 from .exact import (
     _clear_denominators,
+    as_exact,
+    as_exact_vector,
     det,
     dot,
+    exact_ratio,
     identity_matrix,
     kernel_basis,
     primitive_vector,
@@ -221,14 +226,14 @@ def convex_hull(points):
     and each equation is a pair (normal, rhs) meaning <normal, x> = rhs
     cutting out the affine hull.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = [as_exact_vector(p) for p in points]
     if not pts:
         raise DomainError("empty_polytope", "no points given")
     return _lifted_hull(pts)[1:]
 
 
 def _lifted_hull(pts):
-    """(lifted points, inequalities, equations) of the hull of Fraction points.
+    """(lifted points, inequalities, equations) of the hull of exact points.
 
     Each point p lifts to the primitive integer multiple of (p, 1); one
     dd_cone call on the lifted points gives the facets as the rays (a, -rhs)
@@ -248,31 +253,35 @@ def _hrep_to_vertices(inequalities, equations, n):
     Raises DomainError("unbounded", ...) if the polyhedron has a nonzero
     recession cone, returns () if it is empty.
     """
-    hom_ineqs = [tuple(a) + (-Fraction(rhs),) for a, rhs in inequalities]
+    hom_ineqs = [tuple(a) + (-rhs,) for a, rhs in inequalities]
     hom_ineqs.append(tuple(0 for _ in range(n)) + (1,))
-    hom_eqs = [tuple(a) + (-Fraction(rhs),) for a, rhs in equations]
+    hom_eqs = [tuple(a) + (-rhs,) for a, rhs in equations]
     rays, lineality = dd_cone(hom_ineqs, hom_eqs, dim=n + 1)
     if lineality:
         raise DomainError("unbounded", "feasible set contains a line")
     verts = []
     for r in rays:
         if r[n] == 0:
-            if any(Fraction(r2[n]) > 0 for r2 in rays):
+            if any(r2[n] > 0 for r2 in rays):
                 raise DomainError("unbounded", f"recession direction {r[:n]}")
             # Only recession rays and no vertex: the polyhedron is empty and
             # the homogenization degenerated to the recession cone.
             return ()
-        verts.append(tuple(Fraction(c, r[n]) for c in r[:n]))
+        verts.append(tuple(exact_ratio(c, r[n]) for c in r[:n]))
     return tuple(sorted(verts))
 
 
 class Polytope:
     """A bounded rational polytope carrying both of its descriptions.
 
-    vertices: lex-sorted tuple of Fraction tuples.
+    vertices: lex-sorted tuple of vertex tuples.
     inequalities: facet inequalities (normal, rhs), <normal, x> >= rhs,
         irredundant within the affine hull.
     equations: affine hull equations (normal, rhs), <normal, x> = rhs.
+
+    Normals are integer tuples.  Every vertex coordinate and every rhs is
+    an ``int`` when it is integral and a ``Fraction`` otherwise
+    (``exact.as_exact``), so a lattice polytope stores only ints.
     """
 
     __slots__ = ("dim", "vertices", "inequalities", "equations")
@@ -291,7 +300,7 @@ class Polytope:
         point is a vertex exactly when no other point lies on every facet
         it lies on, that is, when the facets through it meet in it alone.
         """
-        pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+        pts = sorted({as_exact_vector(p) for p in points})
         if not pts:
             raise DomainError("empty_polytope", "no points given")
         n = len(pts[0])
@@ -319,8 +328,8 @@ class Polytope:
 
     @classmethod
     def from_hrep(cls, inequalities, equations=(), dim=None):
-        ineqs = [(tuple(a), Fraction(rhs)) for a, rhs in inequalities]
-        eqs = [(tuple(a), Fraction(rhs)) for a, rhs in equations]
+        ineqs = [(as_exact_vector(a), as_exact(rhs)) for a, rhs in inequalities]
+        eqs = [(as_exact_vector(a), as_exact(rhs)) for a, rhs in equations]
         if dim is None:
             if ineqs:
                 dim = len(ineqs[0][0])
@@ -356,7 +365,7 @@ class Polytope:
         return all(c.denominator == 1 for v in self.vertices for c in v)
 
     def contains(self, point):
-        p = tuple(Fraction(c) for c in point)
+        p = as_exact_vector(point)
         for a, rhs in self.inequalities:
             if dot(a, p) < rhs:
                 return False
@@ -366,17 +375,16 @@ class Polytope:
         return True
 
     def translate(self, v):
-        w = tuple(Fraction(c) for c in v)
-        verts = tuple(sorted(vadd(p, w) for p in self.vertices))
-        ineqs = tuple((a, rhs + dot(a, w)) for a, rhs in self.inequalities)
-        eqs = tuple((a, rhs + dot(a, w)) for a, rhs in self.equations)
+        w = as_exact_vector(v)
+        verts = tuple(sorted(as_exact_vector(vadd(p, w)) for p in self.vertices))
+        ineqs = tuple((a, as_exact(rhs + dot(a, w))) for a, rhs in self.inequalities)
+        eqs = tuple((a, as_exact(rhs + dot(a, w))) for a, rhs in self.equations)
         return Polytope(self.dim, verts, ineqs, eqs)
 
     def dilate(self, k):
-        k = Fraction(k)
+        k = as_exact(k)
         if k == 0:
-            z = tuple(Fraction(0) for _ in range(self.dim))
-            return Polytope.from_points([z])
+            return Polytope.from_points([(0,) * self.dim])
         return Polytope.from_points([vscale(k, v) for v in self.vertices])
 
     def facet_vertex_sets(self):
@@ -533,16 +541,17 @@ class Polytope:
 
         Requires the origin strictly in the interior.  Duality swaps the two
         stored descriptions, so no conversion is made.  The irredundant facet
-        <a, x> >= rhs, with rhs < 0, gives the dual vertex a / -rhs.  The
-        vertex v gives the dual facet <v, y> >= -1, stored as from_points
-        stores it: r is the primitive integer multiple of (v, 1), split as
-        (r[:n], -r[n]), and the facets are sorted by r.  A dual with 0 in its
-        interior is full dimensional, so it has no equations.
+        <a, x> >= rhs, with rhs < 0, gives the dual vertex a / -rhs
+        (_dual_vertex).  The vertex v gives the dual facet <v, y> >= -1,
+        stored as from_points stores it: r is the primitive integer
+        multiple of (v, 1), split as (r[:n], -r[n]), and the facets are
+        sorted by r.  A dual with 0 in its interior is full dimensional, so
+        it has no equations.
         """
         if not self.has_interior_origin():
             raise DomainError("origin_not_interior", "polar dual undefined")
         n = self.dim
-        verts = tuple(sorted(vscale(Fraction(-1) / rhs, a) for a, rhs in self.inequalities))
+        verts = tuple(sorted(_dual_vertex(a, rhs) for a, rhs in self.inequalities))
         rows = sorted(_normalize_constraint(v + (1,)) for v in self.vertices)
         return Polytope(n, verts, tuple((r[:n], -r[n]) for r in rows), ())
 
@@ -557,11 +566,7 @@ class Polytope:
         """Full-dimensional, origin interior, all vertices primitive lattice points."""
         if not (self.is_lattice() and self.has_interior_origin()):
             return False
-        for v in self.vertices:
-            w = tuple(int(c) for c in v)
-            if gcd(*w) != 1:
-                return False
-        return True
+        return all(gcd(*v) == 1 for v in self.vertices)
 
     def minkowski_sum(self, other):
         if self.dim != other.dim:
@@ -596,6 +601,19 @@ class Polytope:
             raise
         exact = diff.minkowski_sum(other) == self
         return diff, exact
+
+
+def _dual_vertex(a, rhs):
+    """The point a / -rhs dual to the facet <a, x> >= rhs, where rhs < 0.
+
+    a is an integer normal.  The point is a itself when rhs = -1; otherwise
+    each coordinate a_i q / p, for rhs = -p / q, is an int exactly when it
+    is integral.
+    """
+    if rhs == -1:
+        return a
+    q, p = rhs.denominator, -rhs.numerator
+    return tuple(exact_ratio(q * c, p) for c in a)
 
 
 def _affine_rank(points):
@@ -713,7 +731,7 @@ class Cone:
 
 def cone_over(polytope):
     """The cone over polytope x {1} in one more dimension."""
-    gens = [tuple(v) + (Fraction(1),) for v in polytope.vertices]
+    gens = [tuple(v) + (1,) for v in polytope.vertices]
     return Cone.from_rays([_normalize_constraint(g) for g in gens], dim=polytope.dim + 1)
 
 
@@ -902,8 +920,8 @@ def lattice_isomorphic(p, q):
     if p.dim != q.dim or len(p.vertices) != len(q.vertices):
         return None
     d = p.dim
-    pv = [tuple(int(c) for c in v) for v in p.vertices]
-    qv = [tuple(int(c) for c in v) for v in q.vertices]
+    pv = p.vertices
+    qv = q.vertices
     qset = set(qv)
     # Fix one independent d-tuple bp of vertices of p, then try to match it
     # with every ordered d-tuple bq of vertices of q.  U maps the rows of bp

@@ -7,11 +7,11 @@ are coefficient vectors indexed by those coordinates; piecewise linear
 functions, positivity tests and section polytopes are derived from them.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError
 from .exact import (
+    as_exact_vector,
     det,
     dot,
     hermite_normal_form,
@@ -51,7 +51,7 @@ class GitData:
 
     def __init__(self, r, R, characters, omega):
         characters = tuple(tuple(int(c) for c in d) for d in characters)
-        omega = tuple(Fraction(c) for c in omega)
+        omega = as_exact_vector(omega)
         if len(characters) != R:
             raise DomainError("bad_git_data", f"expected {R} characters, got {len(characters)}")
         if any(len(d) != r for d in characters) or len(omega) != r:
@@ -306,7 +306,7 @@ def in_chamber_interior(git, omega):
     the cone spanned by the weights inside a hyperplane that weight subsets
     span.
     """
-    w = tuple(Fraction(c) for c in omega)
+    w = as_exact_vector(omega)
     if len(w) != git.r:
         raise DomainError("dimension_mismatch", "character length differs from r")
     if not any(w):
@@ -379,7 +379,7 @@ class PLFunction:
     __slots__ = ("source", "coeffs", "pieces")
 
     def __init__(self, fan_like, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = as_exact_vector(coeffs)
         if len(coeffs) != len(fan_like.rays):
             raise DomainError("dimension_mismatch", "one coefficient per ray required")
         pieces = []
@@ -437,7 +437,7 @@ def sections_polytope(fan_like, coeffs):
     Raises with kind "empty_polytope" when there are none, "unbounded" when
     the fan is not complete enough to bound it.
     """
-    coeffs = tuple(Fraction(c) for c in coeffs)
+    coeffs = as_exact_vector(coeffs)
     if len(coeffs) != len(fan_like.rays):
         raise DomainError("dimension_mismatch", "one coefficient per ray required")
     ineqs = [(tuple(v), -c) for v, c in zip(fan_like.rays, coeffs)]
@@ -457,7 +457,7 @@ def projective_bundle_fan(base, summand_coeffs):
     k = len(summand_coeffs)
     if k < 2:
         raise DomainError("bundle_rank", "need at least two summands")
-    coeffs = [tuple(Fraction(c) for c in cs) for cs in summand_coeffs]
+    coeffs = [as_exact_vector(cs) for cs in summand_coeffs]
     nb = len(base.rays)
     for cs in coeffs:
         if len(cs) != nb:

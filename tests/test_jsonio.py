@@ -31,6 +31,20 @@ def test_git_round_trip_keeps_fractional_stability():
     assert jsonio.decode_git(obj) == git
 
 
+def test_integral_fractions_encode_and_decode_as_ints():
+    chars = [(1, 0), (0, 1), (1, 1), (1, 2)]
+    by_fraction = GitData(2, 4, chars, (Fraction(2), Fraction(1, 2)))
+    by_int = GitData(2, 4, chars, (2, Fraction(1, 2)))
+    assert jsonio.dumps(jsonio.encode_git(by_fraction)) == jsonio.dumps(jsonio.encode_git(by_int))
+    points = [(0, 0), (2, 0), (0, 3), (1, Fraction(1, 2))]
+    p = Polytope.from_points([tuple(map(Fraction, v)) for v in points])
+    q = Polytope.from_points(points)
+    assert jsonio.dumps(jsonio.encode_polytope(p)) == jsonio.dumps(jsonio.encode_polytope(q))
+    decoded = jsonio.decode_polytope({"dim": 2, "vertices": [[0, 0], ["4/2", 0], [0, "3"]]})
+    assert decoded.vertices == ((0, 0), (0, 3), (2, 0))
+    assert {type(c) for v in decoded.vertices for c in v} == {int}
+
+
 def test_laurent_round_trip_sorts_terms():
     f = LaurentPolynomial(2, {(1, 0): 2, (-1, -1): 1, (0, 1): 3})
     obj = jsonio.encode_laurent(f)

@@ -569,6 +569,56 @@ def test_facet_vertex_sets_against_fraction_dot_products(pts, data):
             assert normal_fan(r) == normal_fan_by_fractions(r)
 
 
+def is_canonical(x):
+    """Whether x is an int when it is integral and a Fraction otherwise."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def stores_canonical_numbers(p):
+    rhs = [b for _, b in p.inequalities + p.equations]
+    return all(is_canonical(c) for v in p.vertices for c in v) and all(map(is_canonical, rhs))
+
+
+def fractions_of(v):
+    return tuple(Fraction(c) for c in v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets(), rational_origin_polytopes(), st.data())
+def test_stored_numbers_are_int_exactly_when_integral(pts, origin_polytope, data):
+    # point_sets coordinates have denominators dividing 6, so the same
+    # points times 6 are integral: given as ints, as integral Fractions, and
+    # as drawn.  Each build is compared, types included, with the build
+    # from the same numbers converted to Fraction.
+    n = len(pts[0])
+    lattice = [tuple(int(6 * c) for c in q) for q in pts]
+    shifts = [
+        data.draw(st.tuples(*[st.integers(-2, 2)] * n)),
+        data.draw(st.tuples(*[SMALL_SHIFTS] * n)),
+    ]
+    factors = [data.draw(st.integers(-2, 2)), data.draw(st.fractions(-3, 3, max_denominator=3))]
+    built = []
+    for points in (lattice, [fractions_of(q) for q in lattice], pts):
+        p = Polytope.from_points(points)
+        built.append((p, Polytope.from_points([fractions_of(q) for q in points])))
+        hrep = (p.inequalities, p.equations)
+        by_fractions = [[(fractions_of(a), Fraction(b)) for a, b in h] for h in hrep]
+        built.append((Polytope.from_hrep(*hrep, dim=n), Polytope.from_hrep(*by_fractions, dim=n)))
+        for w in shifts:
+            built.append((p.translate(w), p.translate(fractions_of(w))))
+            # a sum of two Fractions such as 1/2 + 1/2 comes back as an int
+            built.append((p.translate(w).translate(tuple(-c for c in w)), p))
+        for k in factors:
+            built.append((p.dilate(k), p.dilate(Fraction(k))))
+    d = origin_polytope.dual()
+    built.append((d, Polytope.from_points([fractions_of(v) for v in d.vertices])))
+    built.append((d.dual(), Polytope.from_points(
+        [fractions_of(v) for v in origin_polytope.vertices])))
+    for p, q in built:
+        assert stores_canonical_numbers(p)
+        assert described(p) == described(q)
+
+
 def test_fan_canonicalization_and_equality():
     f1 = Fan(2, [(0, 1), (1, 0), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
     f2 = Fan(2, [(2, 0), (0, 3), (-1, -1)], [(1, 0), (0, 2), (1, 2)])

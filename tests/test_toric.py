@@ -57,6 +57,22 @@ def test_git_validation():
     assert ei.value.kind == "zero_character"
 
 
+def test_integral_numbers_are_stored_as_ints():
+    chars = [(1, 0), (1, 0), (0, 1), (0, 1)]
+    git = GitData(2, 4, chars, (Fraction(1), Fraction(4, 2)))
+    assert list(map(type, git.omega)) == [int, int]
+    assert git == GitData(2, 4, chars, (1, 2))
+    half = GitData(2, 4, chars, (Fraction(1, 2), Fraction(2)))
+    assert list(map(type, half.omega)) == [Fraction, int]
+    sf = git_to_stacky_fan(p2_git())
+    assert list(map(type, PLFunction(sf, (Fraction(1), 1, Fraction(1, 2))).coeffs)) == [
+        int, int, Fraction]
+    p = sections_polytope(sf, (Fraction(2), 1, Fraction(3, 3)))
+    assert p.vertices == ((-1, -1), (-1, 3), (3, -1))
+    numbers = [c for v in p.vertices for c in v] + [b for _, b in p.inequalities]
+    assert {type(c) for c in numbers} == {int}
+
+
 def test_covers():
     git = weighted_flag_git()
     # (3,2) = 5/2 * (1,1) + 1/2 * (1,-1): strictly positive coefficients.
