@@ -9,6 +9,7 @@ object; malformed input or usage exits with code 2.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -222,6 +223,7 @@ def _cmd_mutability(args, data):
     return {"ok": ok, "struts": table}
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fanoscaffold",

@@ -274,7 +274,7 @@ def unimodular_inverse(A):
     if d not in (1, -1):
         raise DomainError("not_unimodular", f"determinant is {d}, not +-1")
     M, _, _, p = reduced
-    return tuple(to_int_vector(Fraction(c, p) for c in row[n:]) for row in M)
+    return tuple(to_int_vector(exact_ratio(c, p) for c in row[n:]) for row in M)
 
 
 def solve_linear(A, b):

@@ -10,7 +10,7 @@ mutation-equivalent answers related by a monomial change of variables.
 from .errors import DomainError
 from .laurent import _bracket_sum
 from .exact import solve_linear, transpose
-from .toric import basis_coordinates, git_to_stacky_fan, irrelevant_collection
+from .toric import _basis_fan, basis_coordinates, irrelevant_collection
 
 
 class ConvexPartitionWithBasis:
@@ -82,21 +82,6 @@ class ConvexPartitionWithBasis:
         return hash((self.B, self.S, self.U, self.choices))
 
 
-def normalized_matrix(git, part):
-    """The weight matrix multiplied by the inverse of its basis block.
-
-    Rows follow the order of part.B; columns stay in place, so the basis
-    columns carry unit vectors.  Entries are integers exactly when the
-    basis block is unimodular.
-    """
-    r = git.r
-    if len(part.B) != r:
-        raise DomainError("bad_partition", f"basis block needs exactly {r} columns")
-    if part.columns() != set(range(git.R)):
-        raise DomainError("bad_partition", "blocks do not partition the columns")
-    return basis_coordinates(git, part.B, git.characters)
-
-
 def validate_partition(git, part):
     """All reasons the partition fails to be convex, empty when valid.
 
@@ -140,8 +125,10 @@ def _convexity(git, part):
             failures.append(
                 f"group {i} total divisor is not generated by the basis"
             )
+    # The fan's failures (a point quotient, the R cap, a zero ray) do not
+    # depend on the unimodular basis, so the one in hand serves.
     try:
-        git_to_stacky_fan(git)
+        _basis_fan(git, part.B, coords)
     except DomainError as exc:
         failures.append(f"quotient fan unavailable: {exc.detail}")
         return failures, coords
@@ -159,10 +146,12 @@ def _convexity(git, part):
     return failures, coords
 
 
-def _convex_matrix(git, part):
-    """The normalized matrix of a convex partition.
+def normalized_matrix(git, part):
+    """The weight matrix of a convex partition times its basis block's inverse.
 
-    It comes from the same elimination as the convexity check; raises
+    Rows follow the order of part.B; columns stay in place, so the basis
+    columns carry unit vectors and every entry is an integer.  It comes
+    from the same elimination as the convexity check; raises
     invalid_partition listing every failure of validate_partition.
     """
     failures, coords = _convexity(git, part)
@@ -178,7 +167,7 @@ def przyjalkowski(git, part):
     bracket per group, over the group's non-chosen columns and raised to
     the group's level in that row; each U column contributes its variable.
     """
-    norm = _convex_matrix(git, part)
+    norm = normalized_matrix(git, part)
     var_cols = part.variable_columns()
     pos = {j: p for p, j in enumerate(var_cols)}
     n = len(var_cols)

@@ -37,7 +37,6 @@ from .polyhedra import (
 from .scaffolding import (
     Scaffolding,
     Strut,
-    block_rays,
     product_structure,
     require_valid_scaffolding,
     unit_strut_basis,
@@ -134,14 +133,11 @@ def laurent_inversion(scaf, omega=None):
     chars = [tuple(matrix[b][j] for b in range(r)) for j in range(R)]
     git = GitData(r, R, chars, omega)
     try:
-        blocks = product_structure(scaf.shape)
+        factors = product_structure(scaf.shape)
     except DomainError:
         recovered = None
     else:
-        groups = [
-            tuple(r + u + j for j in idx)
-            for idx in block_rays(scaf.shape, blocks)
-        ]
+        groups = [tuple(r + u + j for j in idx) for _, idx in factors]
         recovered = ConvexPartitionWithBasis(
             tuple(range(r)), groups, tuple(range(r, r + u))
         )
@@ -447,12 +443,11 @@ def ci_data(scaf):
     each strut row on each factor, and whether the kernel of the
     functionals is exactly the embedded lattice.
     """
-    blocks = product_structure(scaf.shape)
+    factor_ray_idx = [idx for _, idx in product_structure(scaf.shape)]
     basis, _, theta = _ambient_lattice(scaf)
     u = scaf.u
     nrays = len(scaf.shape.rays)
     dim = u + nrays
-    factor_ray_idx = block_rays(scaf.shape, blocks)
     functionals = tuple(
         tuple(1 if p - u in idx and p >= u else 0 for p in range(dim))
         for idx in factor_ray_idx

@@ -17,7 +17,7 @@ from .exact import dot, integer_solution, kernel_basis, solve_linear, transpose,
 from .inversion import _relation_basis, ambient_rays
 from .mutations import mutate_polytope
 from .polyhedra import Cone, Polytope, lattice_isomorphic, spanning_fan
-from .scaffolding import block_rays, product_structure, strut_polytope
+from .scaffolding import product_structure, strut_polytope
 from .toric import PLFunction, git_to_stacky_fan, is_ample, is_nef, sections_polytope
 
 
@@ -319,7 +319,7 @@ def mutation_chain_check(scaf):
     points of the factor's shape coordinates.  Returns whether the final
     polytope is lattice isomorphic to the hull of the ambient rays.
     """
-    blocks = product_structure(scaf.shape)
+    factors = product_structure(scaf.shape)
     # On a product of projective spaces the canonical relation basis is
     # exactly the factors' indicator vectors, one row per factor.
     rel = _relation_basis(scaf.shape)
@@ -328,7 +328,7 @@ def mutation_chain_check(scaf):
     u = scaf.u
     n = u + scaf.shape.dim
     model = p_tilde_one(scaf)
-    for block, idx in zip(blocks, block_rays(scaf.shape, blocks)):
+    for block, idx in factors:
         i = rel.index(tuple(int(j in idx) for j in range(nrays)))
         w = tuple(0 for _ in range(n)) + tuple(1 if t == i else 0 for t in range(k))
         pts = [tuple(0 for _ in range(n + k))]

@@ -12,7 +12,7 @@ from .exact import det
 from .laurent import _bracket_sum
 from .polyhedra import Cone, Fan, Polytope, cone_over
 from .toric import sections_polytope
-from .forward import _convex_matrix
+from .forward import normalized_matrix
 
 
 class Strut:
@@ -200,9 +200,11 @@ def product_fan(blocks):
 
 
 def product_structure(fan):
-    """Coordinate blocks exhibiting the fan as a product of projective spaces.
+    """The factors exhibiting the fan as a product of projective spaces.
 
-    Raises when the fan is not such a product in its given coordinates.
+    One (block, ray indices) pair per factor: the coordinate positions it
+    occupies and the indices of the fan's rays supported there.  Raises
+    when the fan is not such a product in its given coordinates.
     """
     dim = fan.dim
     parent = list(range(dim))
@@ -226,17 +228,10 @@ def product_structure(fan):
         raise DomainError(
             "unsupported_shape", "shape is not a product of projective spaces"
         )
-    return result
-
-
-def block_rays(fan, blocks):
-    """For each coordinate block, the indices of the fan's rays supported in it."""
+    # Each ray of a product fan is nonzero in exactly one block.
     return tuple(
-        tuple(
-            j for j, ray in enumerate(fan.rays)
-            if all(p in block for p, c in enumerate(ray) if c)
-        )
-        for block in blocks
+        (b, tuple(j for j, ray in enumerate(fan.rays) if any(ray[p] for p in b)))
+        for b in result
     )
 
 
@@ -271,11 +266,17 @@ def scaffolding_from_forward(git, part):
     carries the row's entry on its column, and the group's negated-sum ray
     the entry on the chosen column (every group level is nonnegative).  Its
     shift collects the exponents on the U block.  One unit strut per U
-    column.
+    column.  With no variable column the model is a constant, and this
+    raises dimension_unknown.
     """
-    norm = _convex_matrix(git, part)
+    norm = normalized_matrix(git, part)
+    var_cols = part.variable_columns()
+    if not var_cols:
+        raise DomainError(
+            "dimension_unknown", "no variable column, so the ambient dimension is zero"
+        )
     u = len(part.U)
-    coord = {j: p - u for p, j in enumerate(part.variable_columns())}
+    coord = {j: p - u for p, j in enumerate(var_cols)}
     groups = [(s, c) for s, c in zip(part.S, part.choices) if len(s) > 1]
     blocks = [tuple(coord[j] for j in s if j != c) for s, c in groups]
     shape = product_fan(blocks)
@@ -298,16 +299,15 @@ def laurent_from_scaffolding(scaf):
     nonnegative.  The monomial is the shift, then minus the coefficient of
     the unit ray e_t at x_t.
     """
-    blocks = product_structure(scaf.shape)
-    factor_rays = block_rays(scaf.shape, blocks)
+    factors = product_structure(scaf.shape)
     u = scaf.u
     dim = scaf.shape.dim
-    positions = [tuple(u + t for t in block) for block in blocks]
+    positions = [tuple(u + t for t in block) for block, _ in factors]
     # The unit ray e_t is the one ray with an entry 1, at t.
     unit = {ray.index(1): k for k, ray in enumerate(scaf.shape.rays) if 1 in ray}
     terms = []
     for s_idx, strut in enumerate(scaf.struts):
-        degrees = [sum(strut.coeffs[k] for k in idx) for idx in factor_rays]
+        degrees = [sum(strut.coeffs[k] for k in idx) for _, idx in factors]
         for degree in degrees:
             if degree < 0:
                 raise DomainError(

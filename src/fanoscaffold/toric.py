@@ -12,7 +12,6 @@ from itertools import combinations
 from .errors import DomainError
 from .exact import (
     as_exact_vector,
-    det,
     dot,
     hermite_normal_form,
     identity_matrix,
@@ -185,43 +184,46 @@ class StackyFan:
 def git_to_stacky_fan(git):
     """The quotient fan of GIT data, rays labelled by coordinates.
 
-    Picks the first coordinate subset whose weights form a unimodular basis,
-    normalizes the weight matrix against it and reads the rays off the
-    normalized rows.  Without such a subset the rays are the columns of a
-    basis of the integer relations among the weights (Gale duality), which
-    needs the weights to generate the whole character lattice.  Maximal
-    cones are the complements of the minimal covering subsets.  R == r
-    (a point quotient) raises point_quotient.
+    The rays are read off the weight matrix normalized by the first
+    coordinate subset whose weights form a unimodular basis (``_basis_fan``).
+    Without such a subset they are the columns of a basis of the integer
+    relations among the weights (Gale duality), which needs the weights to
+    generate the whole character lattice.  Maximal cones are the
+    complements of the minimal covering subsets.
     """
     r, R = git.r, git.R
-    basis = None
-    for comb in combinations(range(R), r):
-        sub = [[git.characters[i][k] for i in comb] for k in range(r)]
-        if abs(det(sub)) == 1:
-            basis = comb
-            break
-    if basis is None:
-        hnf, _ = hermite_normal_form(git.characters)
-        if tuple(row for row in hnf if not is_zero_vector(row)) != identity_matrix(r):
-            raise DomainError("no_unimodular_basis", "quotient lattice has torsion")
-        relations = kernel_basis(transpose(git.characters), ncols=R)
-        return StackyFan(R - r, transpose(relations), _max_cones(git))
-    if R == r:
+    for basis in combinations(range(R), r):
+        try:
+            norm = basis_coordinates(git, basis, git.characters)
+        except DomainError:
+            continue
+        return _basis_fan(git, basis, norm)
+    hnf, _ = hermite_normal_form(git.characters)
+    if tuple(row for row in hnf if not is_zero_vector(row)) != identity_matrix(r):
+        raise DomainError("no_unimodular_basis", "quotient lattice has torsion")
+    relations = kernel_basis(transpose(git.characters), ncols=R)
+    return StackyFan(R - r, transpose(relations), _max_cones(git))
+
+
+def _basis_fan(git, basis, norm):
+    """The quotient fan from the weights' coordinates norm in a unimodular basis.
+
+    Coordinate basis[k] gets minus row k of norm on the non-basis columns,
+    a non-basis coordinate its unit vector there.  R == r (a point
+    quotient) raises point_quotient.
+    """
+    if git.R == git.r:
         raise DomainError(
             "point_quotient", "R equals r: the quotient is a point and has no fan"
         )
-    norm = basis_coordinates(git, basis, git.characters)
-    nonbasis = [i for i in range(R) if i not in basis]
-    n = R - r
-    pos = {j: p for p, j in enumerate(nonbasis)}
-    rays = []
-    for i in range(R):
-        if i in basis:
-            k = basis.index(i)
-            rays.append(tuple(-norm[k][j] for j in nonbasis))
-        else:
-            rays.append(tuple(1 if p == pos[i] else 0 for p in range(n)))
-    return StackyFan(n, rays, _max_cones(git))
+    nonbasis = [i for i in range(git.R) if i not in basis]
+    rays = [
+        tuple(-norm[basis.index(i)][j] for j in nonbasis)
+        if i in basis
+        else tuple(int(i == j) for j in nonbasis)
+        for i in range(git.R)
+    ]
+    return StackyFan(len(nonbasis), rays, _max_cones(git))
 
 
 def basis_coordinates(git, basis, vectors):

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from fanoscaffold import toric
+from fanoscaffold import exact, forward, laurent, polyhedra, scaffolding, toric
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import mat_vec, random_unimodular_matrix
+from fanoscaffold.amenable import scaffolding_from_amenable, validate_amenable
+from fanoscaffold.exact import (
+    kernel_basis,
+    mat_vec,
+    random_unimodular_matrix,
+    row_space_equal,
+    transpose,
+)
 from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.forward import (
     ConvexPartitionWithBasis,
@@ -181,24 +188,26 @@ def test_integer_coefficients_and_values():
 
 @pytest.mark.parametrize("build", [przyjalkowski, scaffolding_from_forward])
 def test_basis_block_eliminated_once(build, monkeypatch):
-    # One elimination serves the convexity check and the model; the other
-    # belongs to the quotient fan, whose basis search takes one det.
+    # One elimination serves the convexity check, the quotient fan verdict
+    # and the model; no determinant is taken on the way.
     calls = []
-    for name in ("det", "unimodular_inverse"):
-        original = getattr(toric, name)
+    for module in (toric, forward, scaffolding, polyhedra, laurent, exact):
+        for name in ("det", "unimodular_inverse"):
+            if hasattr(module, name):
+                original = getattr(module, name)
 
-        def counted(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
+                def counted(*args, _name=name, _original=original):
+                    calls.append(_name)
+                    return _original(*args)
 
-        monkeypatch.setattr(toric, name, counted)
+                monkeypatch.setattr(module, name, counted)
     names = [n for n in fixture_names() if "partition" in fixture(n)]
     assert len(names) == 9
     for name in names:
         fx = fixture(name)
         calls.clear()
         build(fx["git"], fx["partition"])
-        assert sorted(calls) == ["det", "unimodular_inverse", "unimodular_inverse"]
+        assert calls == ["unimodular_inverse"]
 
 
 @st.composite
@@ -257,6 +266,61 @@ def test_nef_verdict_matches_the_piecewise_linear_oracle(case):
         assert (f"group {i} total divisor is not nef" not in failures) == nef
 
 
+@settings(max_examples=200, deadline=None)
+@given(git_with_groups(), st.data())
+def test_fan_verdict_matches_git_to_stacky_fan(case, data):
+    # validate_partition reads the quotient fan off the partition's own
+    # basis, git_to_stacky_fan off the first unimodular subset; relabelling
+    # the coordinates makes the two differ.  The fan is unavailable for the
+    # same reason on both sides, and otherwise the two fans agree up to a
+    # change of lattice basis: same cones, same relations among the rays.
+    git, part = case
+    perm = data.draw(st.permutations(range(git.R)))
+    chars = [None] * git.R
+    for i, d in enumerate(git.characters):
+        chars[perm[i]] = d
+    git = GitData(git.r, git.R, chars, git.omega)
+    part = ConvexPartitionWithBasis(
+        [perm[i] for i in part.B],
+        [[perm[j] for j in s] for s in part.S],
+        [perm[j] for j in part.U],
+        [perm[c] for c in part.choices],
+    )
+    unavailable = [
+        f for f in validate_partition(git, part) if f.startswith("quotient fan")
+    ]
+    try:
+        sfan = git_to_stacky_fan(git)
+    except DomainError as exc:
+        assert unavailable == [f"quotient fan unavailable: {exc.detail}"]
+        return
+    assert unavailable == []
+    coords = toric.basis_coordinates(git, part.B, git.characters)
+    fan = toric._basis_fan(git, part.B, coords)
+    assert fan.max_cones == sfan.max_cones
+    assert row_space_equal(
+        kernel_basis(transpose(fan.rays), ncols=git.R),
+        kernel_basis(transpose(sfan.rays), ncols=git.R),
+    )
+
+
+def test_normalized_matrix_rejects_a_partition_that_is_not_convex():
+    git = GitData(2, 5, [(1, 0), (0, 1), (1, 1), (1, 2), (1, -1)], (4, 3))
+    part = ConvexPartitionWithBasis((0, 1), [(2, 3)], (4,), (3,))
+    failures = validate_partition(git, part)
+    assert failures == ["group 0 total divisor is not nef"]
+    vectors = ((-1, -1, 0),)
+    assert validate_amenable(git, part, vectors)[0]
+    for build in (
+        lambda: normalized_matrix(git, part),
+        lambda: scaffolding_from_amenable(git, part, vectors),
+    ):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert exc.value.kind == "invalid_partition"
+        assert exc.value.detail == "; ".join(failures)
+
+
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
 )
@@ -264,10 +328,19 @@ def test_nef_verdict_matches_the_piecewise_linear_oracle(case):
 def test_forward_model_equals_the_polynomial_of_its_scaffolding(case):
     # The model reads its brackets off the rows of the normalized weight
     # matrix, laurent_from_scaffolding off the struts those rows become.
+    # With no variable column the model is a constant and has no
+    # scaffolding.
     git, part = case
-    assume(part.variable_columns() and not validate_partition(git, part))
-    scaf = scaffolding_from_forward(git, part)
-    assert przyjalkowski(git, part) == laurent_from_scaffolding(scaf)
+    assume(not validate_partition(git, part))
+    model = przyjalkowski(git, part)
+    if not part.variable_columns():
+        assert model.nvars == 0
+        with pytest.raises(DomainError) as exc:
+            scaffolding_from_forward(git, part)
+        assert exc.value.kind == "dimension_unknown"
+        assert "no variable column" in exc.value.detail
+        return
+    assert model == laurent_from_scaffolding(scaffolding_from_forward(git, part))
 
 
 def test_covers_are_enumerated_once_per_git_data(monkeypatch):

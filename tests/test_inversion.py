@@ -33,9 +33,9 @@ from fanoscaffold.polyhedra import Polytope, dd_cone
 from fanoscaffold.scaffolding import (
     Scaffolding,
     Strut,
-    block_rays,
     dual_cone_check,
     product_fan,
+    product_structure,
     scaffolding_from_forward,
     validate_scaffolding,
 )
@@ -591,7 +591,7 @@ def test_relation_basis_of_a_product_is_its_factor_indicators():
             nrays = len(fan.rays)
             indicators = [
                 tuple(int(j in idx) for j in range(nrays))
-                for idx in block_rays(fan, blocks)
+                for _, idx in product_structure(fan)
             ]
             assert sorted(_relation_basis(fan)) == sorted(indicators)
             count += 1

@@ -76,7 +76,8 @@ def test_product_fan_p1xp1():
 
 def test_product_structure_roundtrip():
     fan = product_fan([(0, 1), (2,)])
-    assert product_structure(fan) == ((0, 1), (2,))
+    # rays (-1,-1,0), (0,0,-1), (0,0,1), (0,1,0), (1,0,0)
+    assert product_structure(fan) == (((0, 1), (0, 3, 4)), ((2,), (1, 2)))
 
 
 def test_product_structure_rejects_other_fans():
