@@ -9,7 +9,7 @@ mutation-equivalent answers related by a monomial change of variables.
 
 from .errors import DomainError
 from .laurent import _bracket_sum
-from .exact import solve_linear, transpose
+from .exact import _row_reduce
 from .toric import _basis_fan, basis_coordinates, irrelevant_collection
 
 
@@ -132,17 +132,24 @@ def _convexity(git, part):
     except DomainError as exc:
         failures.append(f"quotient fan unavailable: {exc.detail}")
         return failures, coords
-    cover_weights = [
-        transpose([git.characters[j] for j in cover])
-        for cover in irrelevant_collection(git)
+    # One elimination of [D_I | L_1 ... L_k] per minimal cover I.  The
+    # weights D_I are independent, so their columns take the first |I|
+    # pivots, and L_j is a combination of them exactly when its entries
+    # below row |I| are 0; its coefficient on weight l is M[l][col] / p.
+    levels = [
+        tuple(sum(git.characters[j][k] for j in s) for s in part.S) for k in range(r)
     ]
-    for i, s in enumerate(part.S):
-        total = [sum(git.characters[j][k] for j in s) for k in range(r)]
-        for weights in cover_weights:
-            x = solve_linear(weights, total)
-            if x is None or any(c < 0 for c in x):
-                failures.append(f"group {i} total divisor is not nef")
-                break
+    not_nef = set()
+    for cover in (irrelevant_collection(git) if part.S else ()):
+        n = len(cover)
+        M, _, _, p = _row_reduce(
+            [tuple(git.characters[j][k] for j in cover) + levels[k] for k in range(r)]
+        )
+        for i in range(len(part.S)):
+            column = [row[n + i] for row in M]
+            if any(column[n:]) or any(c * p < 0 for c in column[:n]):
+                not_nef.add(i)
+    failures += [f"group {i} total divisor is not nef" for i in sorted(not_nef)]
     return failures, coords
 
 

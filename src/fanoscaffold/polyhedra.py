@@ -10,6 +10,8 @@ and every ray and lineality direction stays a primitive integer vector.
 Tight sets are int bit masks, a pair of rays sharing too few tight
 inequalities to span a 2-face skips the adjacency scan, and a pointed
 cone's lineality is read off the running basis with no kernel computation.
+One step of it, the cut of a cone's rays by one hyperplane, is _dd_step;
+it gives both halves, so toric.secondary_fan splits its cells with it.
 Convex hulls and facet enumeration are thin wrappers around it;
 Polytope.from_points makes one conversion and reads its vertices off the
 facet incidences.  A Polytope keeps both descriptions, so its polar dual
@@ -80,6 +82,41 @@ def _reduce_mod_rows(vec, rows, pivots):
     return primitive_vector(work)
 
 
+def _dd_step(rays, vals, bit, need):
+    """One double description step: a cone's rays against one hyperplane.
+
+    rays are (ray, tight mask) pairs of a cone over its lineality, vals
+    their values on the hyperplane's normal a, and bit the mask bit of a.
+    Returns (pos, neg, on): the pairs with a > 0, those with a < 0, and
+    the rays of the cone's section by a = 0, with bit set.  The half
+    a >= 0 has the rays pos + on, the half a <= 0 the rays neg + on.  The
+    section holds the rays with a = 0 and one positive combination of each
+    adjacent pair of a positive and a negative ray.  Two rays are adjacent
+    when no third ray is tight wherever both are; adjacent rays span a
+    2-face, so they share at least need tight inequalities (the cone's
+    dimension over its lineality minus 2), and pairs sharing fewer skip
+    the scan.
+    """
+    pos = [i for i, d in enumerate(vals) if d > 0]
+    neg = [i for i, d in enumerate(vals) if d < 0]
+    on = [(r, z | bit) for (r, z), d in zip(rays, vals) if d == 0]
+    masks = [z for _, z in rays]
+    for ip in pos:
+        p, zp = rays[ip]
+        for iq in neg:
+            zc = zp & masks[iq]
+            if zc.bit_count() < need:
+                continue
+            for ir, zr in enumerate(masks):
+                if zc & zr == zc and ir != ip and ir != iq:
+                    break
+            else:
+                c, e, q = vals[ip], vals[iq], rays[iq][0]
+                new = primitive_vector([c * x - e * y for x, y in zip(q, p)])
+                on.append((new, zc | bit))
+    return [rays[i] for i in pos], [rays[i] for i in neg], on
+
+
 def dd_cone(inequalities, equations=(), dim=None):
     """Extreme rays and lineality space of a cone given by linear constraints.
 
@@ -88,13 +125,13 @@ def dd_cone(inequalities, equations=(), dim=None):
     they are scaled to primitive integer vectors internally.
 
     Each ray's tight set is an int bit mask (bit j: processed inequality j).
-    A positive and a negative ray are combined only when they are adjacent:
-    no third ray is tight wherever both are.  The face two adjacent rays span
-    has dimension 2 over the lineality, so they share at least
+    An inequality that vanishes on the running lineality is one _dd_step,
+    which keeps the half >= 0: a positive and a negative ray are combined
+    only when they are adjacent, and they share at least
     span_dim - len(lin) - 2 tight inequalities (span_dim is the dimension
-    left after the equations); pairs with fewer skip the scan (Fukuda and
-    Prodon, "Double description method revisited", 1996).  A pointed cone
-    returns its rays as they stand, with no kernel computation.
+    left after the equations; Fukuda and Prodon, "Double description
+    method revisited", 1996).  A pointed cone returns its rays as they
+    stand, with no kernel computation.
 
     Args:
         inequalities: iterable of constraint normals.
@@ -176,28 +213,8 @@ def dd_cone(inequalities, equations=(), dim=None):
             rays.append((popped, bit - 1))
             continue
         vals = [sum(map(mul, a, r)) for r, _ in rays]
-        pos = [i for i, d in enumerate(vals) if d > 0]
-        neg = [i for i, d in enumerate(vals) if d < 0]
-        new_rays = [rays[i] for i in pos]
-        new_rays += [(r, z | bit) for (r, z), d in zip(rays, vals) if d == 0]
-        masks = [z for _, z in rays]
-        # Adjacent rays span a 2-face over lin, which at least this many of
-        # their common tight inequalities cut out.
-        need = span_dim - len(lin) - 2
-        for ip in pos:
-            p, zp = rays[ip]
-            for iq in neg:
-                zc = zp & masks[iq]
-                if zc.bit_count() < need:
-                    continue
-                for ir, zr in enumerate(masks):
-                    if zc & zr == zc and ir != ip and ir != iq:
-                        break
-                else:
-                    c, e, q = vals[ip], vals[iq], rays[iq][0]
-                    new = primitive_vector([c * x - e * y for x, y in zip(q, p)])
-                    new_rays.append((new, zc | bit))
-        rays = new_rays
+        pos, _, on = _dd_step(rays, vals, bit, span_dim - len(lin) - 2)
+        rays = pos + on
 
     # lin spans the kernel of all constraints, so an empty lin means the
     # cone is pointed and its rays need no reduction.

@@ -21,9 +21,8 @@ from .exact import (
     solve_linear,
     transpose,
     unimodular_inverse,
-    vneg,
 )
-from .polyhedra import Cone, Fan, Polytope, dd_cone
+from .polyhedra import Cone, Fan, Polytope, _dd_step, dd_cone
 
 
 class GitData:
@@ -40,10 +39,11 @@ class GitData:
 
     Two private slots hold chamber data, each computed on first use and
     then reused by every later question about the same data: the minimal
-    covers of ``irrelevant_collection``, and the span normals and wall
-    cones that ``secondary_fan`` and ``in_chamber_interior`` share.  Both
-    are subset enumerations capped at R <= 16; a capped input raises on
-    every call and caches nothing.
+    covers of ``irrelevant_collection`` (one dd_cone pass over the fiber
+    polytope), and the span normals and wall cones that ``secondary_fan``
+    and ``in_chamber_interior`` share (a subset enumeration).  Both are
+    capped at R <= 16; a capped input raises on every call and caches
+    nothing.
     """
 
     __slots__ = ("r", "R", "characters", "omega", "cone_normals", "_covers", "_walls")
@@ -101,7 +101,7 @@ def covers(git, subset):
 
 def _check_subset_cap(git):
     if git.R > 16:
-        raise DomainError("too_many_coordinates", "subset enumeration capped at R = 16")
+        raise DomainError("too_many_coordinates", "chamber data capped at R = 16")
 
 
 def irrelevant_collection(git):
@@ -109,10 +109,12 @@ def irrelevant_collection(git):
 
     Returns a tuple of index tuples, ordered by size then lexicographically.
     In a pointed character cone a covering subset is minimal exactly when
-    its weights are linearly independent (drop a weight along any linear
-    relation otherwise), so only subsets of size <= r are tried, each with
-    one exact linear solve.  Capped at R <= 16.  Enumerated once per
-    GitData.
+    its weights are linearly independent with positive coefficients, that
+    is, when it is the support of a vertex of the fiber polytope
+    {lambda >= 0 : sum_i lambda_i D_i = omega} (Cox, Little and Schenck,
+    "Toric Varieties", section 14.3), which the pointed cone bounds.  One
+    dd_cone pass over its homogenization gives every vertex; omega = 0
+    has no cover.  Capped at R <= 16.  Computed once per GitData.
     """
     _check_subset_cap(git)
     if git._covers is None:
@@ -121,16 +123,17 @@ def irrelevant_collection(git):
 
 
 def _minimal_covers(git):
-    minimal = []
-    for size in range(1, git.r + 1):
-        for comb in combinations(range(git.R), size):
-            gens = [git.characters[i] for i in comb]
-            if rank(gens) != size:
-                continue
-            coeffs = solve_linear(transpose(gens), git.omega)
-            if coeffs is not None and all(c > 0 for c in coeffs):
-                minimal.append(comb)
-    return tuple(minimal)
+    if not any(git.omega):
+        return ()
+    # The rays of {(lambda, t) >= 0 : sum_i lambda_i D_i = t omega} with
+    # t > 0 are the vertices of the fiber polytope, scaled.
+    R = git.R
+    eqs = [
+        tuple(d[k] for d in git.characters) + (-git.omega[k],) for k in range(git.r)
+    ]
+    rays = dd_cone(identity_matrix(R + 1), eqs)[0]
+    supports = [tuple(i for i in range(R) if v[i]) for v in rays if v[R]]
+    return tuple(sorted(supports, key=lambda c: (len(c), c)))
 
 
 def _max_cones(git):
@@ -287,17 +290,17 @@ def _chamber_walls(git):
     """(span normals, wall cones), computed once per GitData.
 
     A wall is the cone spanned by the weights on a hyperplane that weight
-    subsets span.  Capped at R <= 16, like the covers.
+    subsets span; walls[k] lies on normals[k].  Capped at R <= 16, like
+    the covers.
     """
     _check_subset_cap(git)
     if git._walls is None:
-        normals = _span_normals(git)
-        walls = []
-        for h in normals:
-            on_wall = [d for d in git.characters if dot(h, d) == 0]
-            if on_wall:
-                walls.append(Cone.from_rays(on_wall, dim=git.r))
-        git._walls = (tuple(normals), tuple(walls))
+        normals = tuple(_span_normals(git))
+        walls = tuple(
+            Cone.from_rays([d for d in git.characters if dot(h, d) == 0], dim=git.r)
+            for h in normals
+        )
+        git._walls = (normals, walls)
     return git._walls
 
 
@@ -323,30 +326,43 @@ def secondary_fan(git):
 
     Cuts the pointed support cone by every hyperplane spanned by weights
     into cells keyed by sign vectors, the side of each normal a cell lies
-    on; a cell whose rays lie on one side of a hyperplane is kept whole.
-    The support is convex, so two cells share a facet exactly when their
-    sign vectors differ in one place k, and the facet is the face of either
-    cell on hyperplane k: the sum of the cell's rays on it probes the facet
-    without intersecting cells.  Cells whose common facet lies on no wall
-    merge.  Returns the chambers as canonical cones, sorted by their ray
-    tuples.  Capped at rank 4, then at R <= 16.
+    on.  A cell is its list of (ray, tight mask) pairs: bit k of a mask
+    says the ray lies on hyperplane k, for every hyperplane processed so
+    far, and the bits above those of the hyperplanes mark the support's
+    facets (git.cone_normals) the ray lies on, so a cell's masks always
+    come from an H-description of it.  A hyperplane that cuts a cell
+    splits it in one double description step (polyhedra._dd_step); a
+    cell whose rays lie on one side is kept whole.  The support is convex,
+    so two cells share a facet exactly when their sign vectors differ in
+    one place k, and the facet is the face of either cell on hyperplane k:
+    the sum of the cell's rays on it probes the facet without intersecting
+    cells.  That probe lies in the relative interior of the facet, so on
+    no other span hyperplane, and the cells merge when it is off wall k.
+    Returns the chambers as canonical cones, sorted by their ray tuples.
+    Capped at rank 4, then at R <= 16.
     """
     r = git.r
     if r > 4:
         raise DomainError("rank_too_large", "secondary fan capped at rank 4")
     normals, walls = _chamber_walls(git)
-    cells = {(): Cone.from_rays(git.characters, dim=r)}
-    for h in normals:
+    top = len(normals)
+    cells = {
+        (): [
+            (v, sum(1 << (top + j) for j, a in enumerate(git.cone_normals) if not dot(a, v)))
+            for v in dd_cone(git.cone_normals, dim=r)[0]
+        ]
+    }
+    for k, h in enumerate(normals):
         nxt = {}
         for signs, cell in cells.items():
-            values = [dot(h, v) for v in cell.rays]
-            if min(values) < 0 < max(values):
-                for side, g in ((1, h), (-1, vneg(h))):
-                    nxt[signs + (side,)] = Cone.from_hrep(
-                        cell.ineq_normals + (g,), cell.eq_normals, dim=r
-                    )
+            # A full-dimensional pointed cell's adjacent rays share r - 2
+            # tight hyperplanes.
+            pos, neg, on = _dd_step(cell, [dot(h, v) for v, _ in cell], 1 << k, r - 2)
+            if pos and neg:
+                nxt[signs + (1,)] = pos + on
+                nxt[signs + (-1,)] = neg + on
             else:
-                nxt[signs + (1 if max(values) > 0 else -1,)] = cell
+                nxt[signs + (1 if pos else -1,)] = pos + neg + on
         cells = nxt
     parent = {signs: signs for signs in cells}
 
@@ -357,15 +373,15 @@ def secondary_fan(git):
         return s
 
     for signs, cell in cells.items():
-        for k, h in enumerate(normals):
+        for k, wall in enumerate(walls):
             flipped = signs[:k] + (-1,) + signs[k + 1:]
             if signs[k] > 0 and flipped in cells:
-                probe = tuple(map(sum, zip(*(v for v in cell.rays if dot(h, v) == 0))))
-                if not any(w.contains(probe) for w in walls):
+                probe = tuple(map(sum, zip(*(v for v, z in cell if z >> k & 1))))
+                if not wall.contains(probe):
                     parent[find(signs)] = find(flipped)
     groups = {}
     for signs, cell in cells.items():
-        groups.setdefault(find(signs), []).extend(cell.rays)
+        groups.setdefault(find(signs), []).extend(v for v, _ in cell)
     chambers = [Cone.from_rays(gens, dim=r) for gens in groups.values()]
     return tuple(sorted(chambers, key=lambda c: c.rays))
 

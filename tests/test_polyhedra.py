@@ -19,6 +19,7 @@ from fanoscaffold.exact import (
     rank,
     solve_linear,
     unimodular_inverse,
+    vscale,
 )
 from fanoscaffold.polyhedra import (
     MAX_LATTICE_BOX,
@@ -226,6 +227,54 @@ def test_dd_cone_against_subset_enumeration(system):
     rays, lineality = dd_cone(ineqs, eqs, dim=n)
     assert (rays, lineality) == brute_cone(ineqs, eqs, n)
     assert all(type(c) is int for v in rays + lineality for c in v)
+
+
+@st.composite
+def pointed_cones_and_cuts(draw):
+    """A full-dimensional pointed cone of rank r <= 4 and up to four cuts.
+
+    The cone is spanned by points at height 1; each cut is a nonzero
+    normal h and the side (+1 or -1) of h that the next cut starts from.
+    """
+    r = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(-3, 3)] * (r - 1))
+    gens = [p + (1,) for p in draw(st.lists(point, min_size=r, max_size=r + 4, unique=True))]
+    assume(rank(gens) == r)
+    normal = st.tuples(*[st.integers(-3, 3)] * r).filter(any)
+    cuts = draw(st.lists(st.tuples(normal, st.sampled_from((1, -1))), min_size=1, max_size=4))
+    return r, gens, cuts
+
+
+def tight_masks(rays, ineqs):
+    return [(v, sum(1 << j for j, a in enumerate(ineqs) if not dot(a, v))) for v in rays]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointed_cones_and_cuts())
+def test_dd_step_splits_a_cone_as_from_hrep_does(case):
+    # Each half of a cut is the cone of the inequalities so far plus +-h,
+    # which Cone.from_hrep converts from scratch; the section is the cone
+    # with h as an equation.  The masks stay the tight sets of the rays.
+    r, gens, cuts = case
+    cone = Cone.from_rays(gens, dim=r)
+    ineqs = list(cone.ineq_normals)
+    cell = tight_masks(cone.rays, ineqs)
+    for h, side in cuts:
+        pos, neg, on = polyhedra._dd_step(cell, [dot(h, v) for v, _ in cell], 1 << len(ineqs), r - 2)
+        if pos and neg:
+            halves = {1: pos + on, -1: neg + on}
+            for s, half in halves.items():
+                assert sorted(v for v, _ in half) == list(
+                    Cone.from_hrep(ineqs + [vscale(s, h)], dim=r).rays)
+            assert sorted(v for v, _ in on) == list(Cone.from_hrep(ineqs, [h], dim=r).rays)
+        else:
+            side = 1 if pos else -1
+            halves = {side: pos + neg + on}
+            assert sorted(v for v, _ in halves[side]) == list(cone.rays)
+        ineqs.append(vscale(side, h))
+        cell = halves[side]
+        assert cell == tight_masks([v for v, _ in cell], ineqs)
+        cone = Cone.from_hrep(ineqs, dim=r)
 
 
 def test_dd_cone_of_a_pointed_cone_computes_no_kernel(monkeypatch):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fanoscaffold import exact, polyhedra, toric
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import mat_vec, random_unimodular_matrix, rank
-from fanoscaffold import toric
+from fanoscaffold.exact import mat_vec, random_unimodular_matrix, rank, solve_linear, transpose
+from fanoscaffold.fixtures import fixture
 from fanoscaffold.polyhedra import Cone, dd_cone
 from fanoscaffold.toric import (
     GitData,
@@ -119,6 +120,85 @@ def test_irrelevant_collection_is_minimal_covers(git):
     minimal = [c for c in subsets if frozenset(c) in found
                and not any(t < frozenset(c) for t in found)]
     assert irrelevant_collection(git) == tuple(minimal)
+
+
+def minimal_covers_by_subsets(git):
+    """The minimal covers by subset enumeration, the reference for the DD pass.
+
+    A subset of size <= r whose weights are independent and give omega
+    positive coefficients is a minimal cover; one rank and one exact solve
+    per subset.
+    """
+    minimal = []
+    for size in range(1, git.r + 1):
+        for comb in combinations(range(git.R), size):
+            gens = [git.characters[i] for i in comb]
+            if rank(gens) != size:
+                continue
+            coeffs = solve_linear(transpose(gens), git.omega)
+            if coeffs is not None and all(c > 0 for c in coeffs):
+                minimal.append(comb)
+    return tuple(minimal)
+
+
+@st.composite
+def git_up_to_rank_four(draw):
+    """GIT data with r <= 4 and R <= r + 5; omega zero, integral or halved.
+
+    omega is a nonnegative integer combination of the weights, so it is
+    often on walls, and it is drawn as 0 and as half of such a combination
+    on purpose.
+    """
+    r = draw(st.integers(1, 4))
+    R = draw(st.integers(r, r + 5))
+    weight = st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(
+        lambda w: sum(w) > 0
+    )
+    chars = draw(st.lists(weight, min_size=R, max_size=R))
+    assume(rank(chars) == r)
+    coeffs = draw(st.lists(st.integers(0, 2), min_size=R, max_size=R))
+    total = [sum(c * d[k] for c, d in zip(coeffs, chars)) for k in range(r)]
+    kind = draw(st.sampled_from(["zero", "integral", "half"]))
+    omega = {
+        "zero": [0] * r,
+        "integral": total,
+        "half": [Fraction(c, 2) for c in total],
+    }[kind]
+    return GitData(r, R, chars, omega)
+
+
+@settings(max_examples=200, deadline=None)
+@given(git_up_to_rank_four())
+def test_minimal_covers_against_the_subset_enumeration(git):
+    assert irrelevant_collection(git) == minimal_covers_by_subsets(git)
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Patch name in each module to record the first argument of every call."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_chamber_data_conversion_counts(monkeypatch):
+    git = fixture("circulant-three")["git"]
+    fresh = fixture("circulant-three")["git"]
+    dd = count_calls(monkeypatch, "dd_cone", polyhedra, toric)
+    solves = count_calls(monkeypatch, "solve_linear", exact, toric)
+    irrelevant_collection(git)
+    assert len(dd) == 1 and solves == []
+    del dd[:]
+    # 30 conversions for the 15 walls, 26 for the 13 chambers and one for
+    # the support's rays; the cells themselves take none.
+    assert len(secondary_fan(fresh)) == 13
+    assert len(dd) <= 58
 
 
 def test_git_to_stacky_fan_p2():
@@ -241,6 +321,16 @@ def test_the_character_cone_is_converted_once(monkeypatch):
     git = weighted_flag_git()
     assert in_chamber_interior(git, git.omega)
     assert calls == [git.characters]
+
+
+def test_secondary_fan_reads_the_support_off_the_cone_normals(monkeypatch):
+    # The support's rays come from one pass over the normals GitData
+    # keeps; the characters are not converted again.
+    git = weighted_flag_git()
+    calls = count_calls(monkeypatch, "dd_cone", polyhedra, toric)
+    secondary_fan(git)
+    assert git.characters not in [tuple(map(tuple, a)) for a in calls]
+    assert sum(a is git.cone_normals for a in calls) == 1
 
 
 def test_chamber_walls_are_computed_once_per_git_data(monkeypatch):
