@@ -7,12 +7,15 @@ reads ct(f^(a+b)) = sum_e [f^a]_e * [f^b]_(-e) off pairs of neighbouring
 powers; its terms are keyed by single ints that pack the exponent and its
 facet values (Kronecker substitution), and pruned against the Newton
 polytope.  classical_period_naive powers in full and is the oracle.
-Mutations are performed by exact division of the graded pieces.
+Mutations are performed by exact division of the graded pieces, inside
+the coordinate box that bounds the quotient's exponents.
 """
+
+from math import prod
 
 from .errors import DomainError
 from .exact import det, dot, identity_matrix, mat_vec, vadd, vsub
-from .polyhedra import Polytope, convex_hull
+from .polyhedra import MAX_LATTICE_BOX, Polytope, convex_hull
 
 
 class LaurentPolynomial:
@@ -234,12 +237,14 @@ def _next_power(power, terms, cap, mask):
     that they are neither accumulated nor tested again.
     """
     out = {}
+    get = out.get
     rejected = set()
     for t, c in terms:
         for key, a in power.items():
             key += t
-            if key in out:
-                out[key] += a * c
+            v = get(key)
+            if v is not None:
+                out[key] = v + a * c
             elif key not in rejected:
                 if (cap - key) & mask == mask:
                     out[key] = a * c
@@ -316,16 +321,35 @@ def classical_period_naive(f, d_max):
 def _exact_divide(num, den):
     """Exact quotient num / den in the Laurent ring, or None.
 
-    den must be nonzero.  Works by lex leading-term elimination; candidate
-    quotient exponents are confined to the Minkowski difference of the
-    Newton polytopes, which bounds the loop.
+    den must be nonzero.  Works by lex leading-term elimination inside a
+    coordinate box.  If num = q * den then Newton(num) = Newton(q) +
+    Newton(den), so Newton(q) = Newton(num) - Newton(den) by the
+    cancellation law of Minkowski sums, and a coordinate's least and
+    greatest values over a Minkowski sum are the sums of those over its
+    summands: coordinate i of the exponents of q spans exactly [lo_i, hi_i]
+    with lo_i = min_i(num) - min_i(den) and hi_i = max_i(num) - max_i(den).
+    Each step divides the lex largest remaining term by the lex largest
+    term of den, which can only produce a term of q, so an exponent outside
+    the box or a coefficient that does not divide means there is no q.  The
+    remainder's largest exponent falls strictly in lex order at every step,
+    so the quotient exponents do too: none repeats, and the loop ends within
+    the box.  A box of more than MAX_LATTICE_BOX points raises
+    lattice_box_too_large before the loop starts.
     """
     if num.is_zero():
         return LaurentPolynomial.zero(num.nvars)
-    region, _ = num.newton_polytope().erode(den.newton_polytope())
-    if region is None:
+    columns = list(zip(zip(*num.terms), zip(*den.terms)))
+    lo = [min(a) - min(b) for a, b in columns]
+    hi = [max(a) - max(b) for a, b in columns]
+    if any(a > b for a, b in zip(lo, hi)):
         return None
-    allowed = set(region.integral_points())
+    size = prod(b - a + 1 for a, b in zip(lo, hi))
+    if size > MAX_LATTICE_BOX:
+        raise DomainError(
+            "lattice_box_too_large",
+            f"the quotient's coordinate box holds {size} lattice points; "
+            f"exact division runs only in boxes of at most {MAX_LATTICE_BOX}",
+        )
     den_lead = max(den.terms)
     den_lead_coeff = den.terms[den_lead]
     current = dict(num.terms)
@@ -333,7 +357,7 @@ def _exact_divide(num, den):
     while current:
         e_max = max(current)
         q_exp = vsub(e_max, den_lead)
-        if q_exp in quotient or q_exp not in allowed:
+        if not all(a <= x <= b for a, x, b in zip(lo, q_exp, hi)):
             return None
         c = current[e_max]
         if c % den_lead_coeff:

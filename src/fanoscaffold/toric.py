@@ -40,10 +40,10 @@ class GitData:
     Two private slots hold chamber data, each computed on first use and
     then reused by every later question about the same data: the minimal
     covers of ``irrelevant_collection`` (one dd_cone pass over the fiber
-    polytope), and the span normals and wall cones that ``secondary_fan``
-    and ``in_chamber_interior`` share (a subset enumeration).  Both are
-    capped at R <= 16; a capped input raises on every call and caches
-    nothing.
+    polytope), and the span normals and walls that ``secondary_fan`` and
+    ``in_chamber_interior`` share (a subset enumeration, then one dd_cone
+    pass per wall).  Both are capped at R <= 16; a capped input raises on
+    every call and caches nothing.
     """
 
     __slots__ = ("r", "R", "characters", "omega", "cone_normals", "_covers", "_walls")
@@ -287,21 +287,28 @@ def _span_normals(git):
 
 
 def _chamber_walls(git):
-    """(span normals, wall cones), computed once per GitData.
+    """(span normals, walls), computed once per GitData.
 
     A wall is the cone spanned by the weights on a hyperplane that weight
-    subsets span; walls[k] lies on normals[k].  Capped at R <= 16, like
+    subsets span, kept as the (normals, equations) of its dual from one
+    dd_cone pass: walls[k] lies on normals[k].  Capped at R <= 16, like
     the covers.
     """
     _check_subset_cap(git)
     if git._walls is None:
         normals = tuple(_span_normals(git))
         walls = tuple(
-            Cone.from_rays([d for d in git.characters if dot(h, d) == 0], dim=git.r)
+            dd_cone([d for d in git.characters if dot(h, d) == 0], dim=git.r)
             for h in normals
         )
         git._walls = (normals, walls)
     return git._walls
+
+
+def _on_wall(wall, v):
+    """Whether v lies in the wall whose cone is {x : <a, x> >= 0, <e, x> = 0}."""
+    normals, equations = wall
+    return all(dot(a, v) >= 0 for a in normals) and all(dot(e, v) == 0 for e in equations)
 
 
 def in_chamber_interior(git, omega):
@@ -318,7 +325,7 @@ def in_chamber_interior(git, omega):
         return False
     if any(dot(a, w) < 0 for a in git.cone_normals):
         return False
-    return not any(wall.contains(w) for wall in _chamber_walls(git)[1])
+    return not any(_on_wall(wall, w) for wall in _chamber_walls(git)[1])
 
 
 def secondary_fan(git):
@@ -377,7 +384,7 @@ def secondary_fan(git):
             flipped = signs[:k] + (-1,) + signs[k + 1:]
             if signs[k] > 0 and flipped in cells:
                 probe = tuple(map(sum, zip(*(v for v, z in cell if z >> k & 1))))
-                if not wall.contains(probe):
+                if not _on_wall(wall, probe):
                     parent[find(signs)] = find(flipped)
     groups = {}
     for signs, cell in cells.items():

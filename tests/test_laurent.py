@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanoscaffold import polyhedra
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import random_unimodular_matrix
+from fanoscaffold.exact import dot, random_unimodular_matrix
+from fanoscaffold.fixtures import fixture
 from fanoscaffold.laurent import (
     MAX_PERIOD_DEPTH,
     MAX_PERIOD_PRODUCTS,
     LaurentPolynomial,
+    _exact_divide,
     algebraic_mutation,
     classical_period,
     classical_period_naive,
@@ -80,11 +83,13 @@ def test_period_pruned_equals_naive():
 
 
 @st.composite
-def small_laurent(draw):
-    """1-6 terms in up to 4 variables, coefficients in +-3 so that terms of
-    powers cancel; a third lie on a hyperplane (last exponent 0 or 1), so
-    the Newton polytope has equations, through the origin or not."""
-    n = draw(st.integers(1, 4))
+def small_laurent(draw, n=None):
+    """1-6 terms in n variables (up to 4 if not given), coefficients in +-3
+    so that terms of powers cancel; a third lie on a hyperplane (last
+    exponent 0 or 1), so the Newton polytope has equations, through the
+    origin or not."""
+    if n is None:
+        n = draw(st.integers(1, 4))
     level = draw(st.sampled_from([None, None, None, None, 0, 1]))
     exponent = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
     terms = {}
@@ -189,6 +194,68 @@ def test_mutation_not_divisible():
     # The other direction is fine: the negative piece is x(1+y)^2.
     g = algebraic_mutation(f, (-1, 0), 1 + y)
     assert g == xinv * (1 + y) + 1 + x * (1 + y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[small_laurent(n)] * 3)))
+def test_exact_divide(polys):
+    q, den, num = polys
+    assert _exact_divide(q * den, den) == q
+    quotient = _exact_divide(num, den)
+    assert quotient is None or quotient * den == num
+
+
+def test_mutation_quotient_box_is_capped():
+    # The level -1 piece x^-1 (1 + y)(1 + y^N) divides by 1 + y, but the
+    # coordinate box of its quotient holds N + 1 > 10^6 points.
+    x = L.monomial((1, 0))
+    y = L.monomial((0, 1))
+    xinv = L.monomial((-1, 0))
+    f = xinv * (1 + y) * (1 + L.monomial((0, 2 * 10**6))) + 1 + x
+    with pytest.raises(DomainError) as ei:
+        algebraic_mutation(f, (1, 0), 1 + y)
+    assert ei.value.kind == "lattice_box_too_large"
+    assert "2000001" in ei.value.detail
+
+
+def test_mutation_makes_no_conversions(monkeypatch):
+    # Every model of the period-depth benchmark corpus, along every weight
+    # w and factor 1 + x^v with entries in [-2, 2] ([-1, 1] in four
+    # variables), which includes every mutation in the benchmark's
+    # reference data: exact division is bounded by a coordinate box, not
+    # by a Newton polytope.
+    calls = []
+    dd_cone = polyhedra.dd_cone
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dd_cone(*args, **kwargs)
+
+    models = [
+        fixture(name)["laurent"]
+        for name in (
+            "circulant-three", "circulant-two", "cubic-surface", "dp6-squares",
+            "dp6-triangles", "projective-bundle", "rank-three-threefold",
+            "shifted-fourfold",
+        )
+    ]
+    monkeypatch.setattr(polyhedra, "dd_cone", counted)
+    mutated = 0
+    for f in models:
+        n = f.nvars
+        entries = range(-2, 3) if n <= 3 else range(-1, 2)
+        vectors = [v for v in product(entries, repeat=n) if any(v)]
+        for w in vectors:
+            for v in vectors:
+                if dot(w, v):
+                    continue
+                try:
+                    g = algebraic_mutation(f, w, L(n, {(0,) * n: 1, v: 1}))
+                except DomainError as err:
+                    assert err.kind == "not_divisible"
+                    continue
+                mutated += g != f
+    assert mutated and calls == []
 
 
 def test_mutation_factor_orthogonality():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fanoscaffold import exact, polyhedra, toric
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import mat_vec, random_unimodular_matrix, rank, solve_linear, transpose
+from fanoscaffold.exact import dot, mat_vec, random_unimodular_matrix, rank, solve_linear, transpose
 from fanoscaffold.fixtures import fixture
 from fanoscaffold.polyhedra import Cone, dd_cone
 from fanoscaffold.toric import (
@@ -195,10 +195,24 @@ def test_chamber_data_conversion_counts(monkeypatch):
     irrelevant_collection(git)
     assert len(dd) == 1 and solves == []
     del dd[:]
-    # 30 conversions for the 15 walls, 26 for the 13 chambers and one for
+    # 15 conversions for the 15 walls, 26 for the 13 chambers and one for
     # the support's rays; the cells themselves take none.
     assert len(secondary_fan(fresh)) == 13
-    assert len(dd) <= 58
+    assert len(dd) <= 42
+
+
+def test_chamber_walls_take_one_conversion_each(monkeypatch):
+    # A wall is the dual description of the cone its weights span, from
+    # one pass per span normal.
+    dd = count_calls(monkeypatch, "dd_cone", polyhedra, toric)
+    for name in ("circulant-three", "dp6-squares", "projective-bundle"):
+        git = fixture(name)["git"]
+        del dd[:]
+        normals, walls = toric._chamber_walls(git)
+        assert len(dd) == len(normals) == len(walls) > 0
+        for h, wall in zip(normals, walls):
+            weights = [d for d in git.characters if dot(h, d) == 0]
+            assert Cone.from_hrep(*wall, dim=git.r) == Cone.from_rays(weights, dim=git.r)
 
 
 def test_git_to_stacky_fan_p2():
@@ -310,7 +324,8 @@ def test_in_chamber_interior():
 
 def test_the_character_cone_is_converted_once(monkeypatch):
     # GitData keeps the dual rays it validates omega against, so the
-    # chamber test reads them instead of converting the characters again.
+    # chamber test reads them instead of converting the characters again;
+    # the only other conversions are one per wall.
     calls = []
 
     def counted(*args, **kwargs):
@@ -320,7 +335,9 @@ def test_the_character_cone_is_converted_once(monkeypatch):
     monkeypatch.setattr(toric, "dd_cone", counted)
     git = weighted_flag_git()
     assert in_chamber_interior(git, git.omega)
-    assert calls == [git.characters]
+    normals, _ = toric._chamber_walls(git)
+    assert calls[0] == git.characters
+    assert calls[1:] == [[d for d in git.characters if dot(h, d) == 0] for h in normals]
 
 
 def test_secondary_fan_reads_the_support_off_the_cone_normals(monkeypatch):
