@@ -12,12 +12,17 @@ inequalities to span a 2-face skips the adjacency scan, and a pointed
 cone's lineality is read off the running basis with no kernel computation.
 One step of it, the cut of a cone's rays by one hyperplane, is _dd_step;
 it gives both halves, so toric.secondary_fan splits its cells with it.
-Convex hulls and facet enumeration are thin wrappers around it;
-Polytope.from_points makes one conversion and reads its vertices off the
-facet incidences.  A Polytope keeps both descriptions, so its polar dual
-swaps them with no conversion, and its vertex-facet incidences come from
-integer lifts of both; the spanning fan, the normal fan and the face
-lattice are read off those incidences.  Face questions read ray-facet
+Its core, _dd_core, also returns each ray's exact tight mask.  Convex
+hulls and facet enumeration are thin wrappers around it, and every
+Polytope comes from one conversion, whose tight masks it keeps as its
+vertex-facet incidences (one int bit mask per facet).
+Polytope.from_points reads its vertices off them; Polytope.from_hrep
+takes as facets the inequalities whose tight vertex sets are
+inclusion-maximal among the proper nonempty ones, each in the canonical
+form convex_hull gives.  A Polytope keeps both descriptions, so its polar
+dual swaps them and transposes the incidences with no conversion, and a
+translate keeps them; the spanning fan, the normal fan and the face
+lattice only read them.  Face questions read ray-facet
 incidences and pulled-back H-descriptions: restrict_fan makes one
 conversion per maximal cone and one per preimage (_pull_back_cones, whose
 preimages a caller may reuse), and Fan.is_complete keys each ridge by the
@@ -122,16 +127,8 @@ def dd_cone(inequalities, equations=(), dim=None):
 
     The cone is {x : <a, x> >= 0 for a in inequalities,
     <e, x> = 0 for e in equations}.  Constraints may have Fraction entries;
-    they are scaled to primitive integer vectors internally.
-
-    Each ray's tight set is an int bit mask (bit j: processed inequality j).
-    An inequality that vanishes on the running lineality is one _dd_step,
-    which keeps the half >= 0: a positive and a negative ray are combined
-    only when they are adjacent, and they share at least
-    span_dim - len(lin) - 2 tight inequalities (span_dim is the dimension
-    left after the equations; Fukuda and Prodon, "Double description
-    method revisited", 1996).  A pointed cone returns its rays as they
-    stand, with no kernel computation.
+    they are scaled to primitive integer vectors internally.  This is
+    _dd_core without the tight masks.
 
     Args:
         inequalities: iterable of constraint normals.
@@ -144,11 +141,36 @@ def dd_cone(inequalities, equations=(), dim=None):
         canonical (Hermite form, saturated) basis of the largest linear
         subspace contained in the cone.
     """
+    rays, _, lineality = _dd_core(inequalities, equations, dim)
+    return rays, lineality
+
+
+def _dd_core(inequalities, equations, dim):
+    """dd_cone's conversion, returning (rays, masks, lineality).
+
+    masks[k] is the tight set of rays[k]: bit j is set exactly when
+    <inequalities[j], rays[k]> = 0 (a zero inequality is tight at every
+    ray).  Each ray's tight set is kept as an int bit mask while the
+    inequalities are processed.  An inequality that vanishes on the
+    running lineality is one _dd_step, which keeps the half >= 0: a
+    positive and a negative ray are combined only when they are adjacent,
+    and they share at least span_dim - len(lin) - 2 tight inequalities
+    (span_dim is the dimension left after the equations; Fukuda and
+    Prodon, "Double description method revisited", 1996).  Every later
+    change to a ray is a positive multiple or adds a direction tight at
+    all processed inequalities, so the masks stay exact.  A pointed cone
+    returns its rays as they stand, with no kernel computation.
+    """
+    # Each nonzero inequality keeps the bit of its position; the zero ones
+    # are tight everywhere and are set on every ray at the end.
     ineqs = []
-    for a in inequalities:
+    zero = 0
+    for j, a in enumerate(inequalities):
         v = _normalize_constraint(a)
-        if v is not None:
-            ineqs.append(v)
+        if v is None:
+            zero |= 1 << j
+        else:
+            ineqs.append((v, 1 << j))
     eqs = []
     for e in equations:
         v = _normalize_constraint(e)
@@ -156,13 +178,13 @@ def dd_cone(inequalities, equations=(), dim=None):
             eqs.append(v)
     if dim is None:
         if ineqs:
-            dim = len(ineqs[0])
+            dim = len(ineqs[0][0])
         elif eqs:
             dim = len(eqs[0])
         else:
             raise DomainError("dimension_unknown", "no constraints and no dim given")
     n = dim
-    for v in ineqs + eqs:
+    for v in [a for a, _ in ineqs] + eqs:
         if len(v) != n:
             raise DomainError(
                 "dimension_mismatch", f"constraint has length {len(v)}, expected {n}"
@@ -204,35 +226,50 @@ def dd_cone(inequalities, equations=(), dim=None):
         _project_off(e)
     span_dim = len(lin)
 
-    for j, a in enumerate(ineqs):
-        bit = 1 << j
+    seen = 0
+    for a, bit in ineqs:
         popped = _project_off(a)
         if popped is not None:
             # All survivors are tight at a except the popped direction.
             rays = [(r, z | bit) for r, z in rays]
-            rays.append((popped, bit - 1))
-            continue
-        vals = [sum(map(mul, a, r)) for r, _ in rays]
-        pos, _, on = _dd_step(rays, vals, bit, span_dim - len(lin) - 2)
-        rays = pos + on
+            rays.append((popped, seen))
+        else:
+            vals = [sum(map(mul, a, r)) for r, _ in rays]
+            pos, _, on = _dd_step(rays, vals, bit, span_dim - len(lin) - 2)
+            rays = pos + on
+        seen |= bit
 
     # lin spans the kernel of all constraints, so an empty lin means the
-    # cone is pointed and its rays need no reduction.
-    if not lin:
-        return tuple(sorted({r for r, _ in rays})), ()
-    lineality = kernel_basis(ineqs + eqs, ncols=n)
-    pivots = []
-    for row in lineality:
-        for k, c in enumerate(row):
-            if c:
-                pivots.append(k)
-                break
-    out = set()
-    for r, _ in rays:
-        red = _reduce_mod_rows(r, lineality, pivots)
-        if any(red):
-            out.add(red)
-    return tuple(sorted(out)), tuple(lineality)
+    # cone is pointed and its rays need no reduction.  A ray met twice has
+    # the same values, so the same mask, both times.
+    if lin:
+        lineality = kernel_basis([a for a, _ in ineqs] + eqs, ncols=n)
+        pivots = _pivot_columns(lineality)
+        tight = {}
+        for r, z in rays:
+            red = _reduce_mod_rows(r, lineality, pivots)
+            if any(red):
+                tight[red] = z
+    else:
+        lineality = ()
+        tight = dict(rays)
+    out = tuple(sorted(tight))
+    return out, tuple(tight[r] | zero for r in out), tuple(lineality)
+
+
+def _pivot_columns(rows):
+    """The column of the first nonzero entry of each row of an echelon matrix."""
+    return [next(k for k, c in enumerate(row) if c) for row in rows]
+
+
+def _bits(mask):
+    """The positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def convex_hull(points):
@@ -246,46 +283,23 @@ def convex_hull(points):
     pts = [as_exact_vector(p) for p in points]
     if not pts:
         raise DomainError("empty_polytope", "no points given")
-    return _lifted_hull(pts)[1:]
+    return _lifted_hull(pts)[:2]
 
 
 def _lifted_hull(pts):
-    """(lifted points, inequalities, equations) of the hull of exact points.
+    """(inequalities, equations, incidence) of the hull of exact points.
 
     Each point p lifts to the primitive integer multiple of (p, 1); one
-    dd_cone call on the lifted points gives the facets as the rays (a, -rhs)
-    that are >= 0 on all of them.
+    conversion of the lifted points gives the facets as the rays (a, -rhs)
+    that are >= 0 on all of them, and bit i of incidence[j] is set when
+    point i lies on facet j.
     """
     n = len(pts[0])
     lifted = [_normalize_constraint(p + (1,)) for p in pts]
-    facet_rays, aff_lin = dd_cone(lifted, dim=n + 1)
+    facet_rays, incidence, aff_lin = _dd_core(lifted, (), n + 1)
     ineqs = tuple((v[:n], -v[n]) for v in facet_rays)
     eqs = tuple((v[:n], -v[n]) for v in aff_lin)
-    return lifted, ineqs, eqs
-
-
-def _hrep_to_vertices(inequalities, equations, n):
-    """Vertices of a bounded polyhedron {x : Ax >= b, Cx = d}.
-
-    Raises DomainError("unbounded", ...) if the polyhedron has a nonzero
-    recession cone, returns () if it is empty.
-    """
-    hom_ineqs = [tuple(a) + (-rhs,) for a, rhs in inequalities]
-    hom_ineqs.append(tuple(0 for _ in range(n)) + (1,))
-    hom_eqs = [tuple(a) + (-rhs,) for a, rhs in equations]
-    rays, lineality = dd_cone(hom_ineqs, hom_eqs, dim=n + 1)
-    if lineality:
-        raise DomainError("unbounded", "feasible set contains a line")
-    verts = []
-    for r in rays:
-        if r[n] == 0:
-            if any(r2[n] > 0 for r2 in rays):
-                raise DomainError("unbounded", f"recession direction {r[:n]}")
-            # Only recession rays and no vertex: the polyhedron is empty and
-            # the homogenization degenerated to the recession cone.
-            return ()
-        verts.append(tuple(exact_ratio(c, r[n]) for c in r[:n]))
-    return tuple(sorted(verts))
+    return ineqs, eqs, incidence
 
 
 class Polytope:
@@ -295,27 +309,32 @@ class Polytope:
     inequalities: facet inequalities (normal, rhs), <normal, x> >= rhs,
         irredundant within the affine hull.
     equations: affine hull equations (normal, rhs), <normal, x> = rhs.
+    incidence: one int bit mask per facet inequality; bit i is set when
+        vertex i lies on that facet.  It is made by the same conversion as
+        the rest and never recomputed.
 
     Normals are integer tuples.  Every vertex coordinate and every rhs is
     an ``int`` when it is integral and a ``Fraction`` otherwise
     (``exact.as_exact``), so a lattice polytope stores only ints.
     """
 
-    __slots__ = ("dim", "vertices", "inequalities", "equations")
+    __slots__ = ("dim", "vertices", "inequalities", "equations", "incidence")
 
-    def __init__(self, dim, vertices, inequalities, equations):
+    def __init__(self, dim, vertices, inequalities, equations, incidence):
         self.dim = dim
         self.vertices = vertices
         self.inequalities = inequalities
         self.equations = equations
+        self.incidence = incidence
 
     @classmethod
     def from_points(cls, points):
         """The convex hull of points, from one double description pass.
 
-        The vertices are read off the facet incidences of that pass: a
-        point is a vertex exactly when no other point lies on every facet
-        it lies on, that is, when the facets through it meet in it alone.
+        The pass gives each facet's tight set among the points.  A point
+        is a vertex exactly when no other point lies on every facet it
+        lies on, that is, when the facets through it meet in it alone, and
+        the tight sets restricted to the vertices are the incidences.
         """
         pts = sorted({as_exact_vector(p) for p in points})
         if not pts:
@@ -326,25 +345,42 @@ class Polytope:
         for p in pts:
             if len(p) != n:
                 raise DomainError("dimension_mismatch", "points of mixed length")
-        lifted, ineqs, eqs = _lifted_hull(pts)
         # Bit i of on_facet[j] is set when point i lies on facet j.
-        on_facet = []
-        for a, rhs in ineqs:
-            row = a + (-rhs,)
-            on_facet.append(sum(1 << i for i, q in enumerate(lifted) if not dot(row, q)))
+        ineqs, eqs, on_facet = _lifted_hull(pts)
         everything = (1 << len(pts)) - 1
-        verts = []
-        for i, p in enumerate(pts):
+        keep = []
+        for i in range(len(pts)):
             meet = everything
             for mask in on_facet:
                 if mask >> i & 1:
                     meet &= mask
             if meet == 1 << i:
-                verts.append(p)
-        return cls(n, tuple(verts), ineqs, eqs)
+                keep.append(i)
+        verts = tuple(pts[i] for i in keep)
+        if len(keep) < len(pts):
+            on_facet = tuple(
+                sum(1 << k for k, i in enumerate(keep) if mask >> i & 1) for mask in on_facet
+            )
+        return cls(n, verts, ineqs, eqs, on_facet)
 
     @classmethod
     def from_hrep(cls, inequalities, equations=(), dim=None):
+        """The polytope {x : <a, x> >= rhs, <e, x> = rhs'}, from one conversion.
+
+        One double description pass over the homogenized constraints
+        (a, -rhs) >= 0, (e, -rhs') = 0 and t >= 0 gives the vertices, as
+        the rays with t > 0, and each vertex's tight inequalities; a line,
+        or a ray with t = 0 next to one with t > 0, raises unbounded, and
+        no ray with t > 0 raises empty_polytope.  The facets are the
+        inequalities whose tight vertex sets are inclusion-maximal among
+        the proper nonempty ones; of those with the same set, the first is
+        kept.  Each is stored as convex_hull of the vertices would store
+        it: the primitive integer multiple of (a, -rhs), reduced modulo
+        the canonical basis of the lifted vertices' kernel (whose rows are
+        the equations) when the polytope is flat, that is, when equations
+        are given or some inequality is tight at every vertex.  A single
+        point has the one inequality 0 >= -1, tight at no vertex.
+        """
         ineqs = [(as_exact_vector(a), as_exact(rhs)) for a, rhs in inequalities]
         eqs = [(as_exact_vector(a), as_exact(rhs)) for a, rhs in equations]
         if dim is None:
@@ -354,13 +390,51 @@ class Polytope:
                 dim = len(eqs[0][0])
             else:
                 raise DomainError("dimension_unknown", "no constraints and no dim")
-        verts = _hrep_to_vertices(ineqs, eqs, dim)
-        if not verts:
+        n = dim
+        hom = [a + (-rhs,) for a, rhs in ineqs]
+        hom.append((0,) * n + (1,))
+        rays, masks, lineality = _dd_core(hom, [a + (-rhs,) for a, rhs in eqs], n + 1)
+        if lineality:
+            raise DomainError("unbounded", "feasible set contains a line")
+        recession = [r for r in rays if r[n] == 0]
+        if recession and len(recession) < len(rays):
+            raise DomainError("unbounded", f"recession direction {recession[0][:n]}")
+        if not rays or recession:
+            # Only recession rays and no vertex: the polyhedron is empty and
+            # the homogenization degenerated to the recession cone.
             raise DomainError("empty_polytope", "inconsistent constraints")
-        # Rebuild the facet description from the vertices so that stored
-        # inequalities are irredundant and canonically scaled.
-        cineqs, ceqs = convex_hull(verts)
-        return cls(dim, verts, cineqs, ceqs)
+        pairs = sorted(
+            (tuple(exact_ratio(c, r[n]) for c in r[:n]), z) for r, z in zip(rays, masks)
+        )
+        verts = tuple(v for v, _ in pairs)
+        # Bit i of tight[j] is set when vertex i lies on inequality j; no
+        # vertex lies on t >= 0.
+        tight = [0] * len(ineqs)
+        for i, (_, z) in enumerate(pairs):
+            for j in _bits(z):
+                tight[j] |= 1 << i
+        everything = (1 << len(verts)) - 1
+        # first maps each proper nonempty tight set to its first inequality.
+        first = {}
+        for j, mask in enumerate(tight):
+            if mask and mask != everything:
+                first.setdefault(mask, j)
+        if len(verts) == 1:
+            # A point keeps one inequality, tight at no vertex: t >= 0.
+            first[0] = len(ineqs)
+        if eqs or everything in tight:
+            hull = kernel_basis([_normalize_constraint(v + (1,)) for v in verts], ncols=n + 1)
+        else:
+            hull = ()
+        pivots = _pivot_columns(hull)
+        facets = sorted(
+            (_reduce_mod_rows(_normalize_constraint(hom[j]), hull, pivots), mask)
+            for mask, j in first.items()
+            if not any(mask != other and mask & other == mask for other in first)
+        )
+        cineqs = tuple((r[:n], -r[n]) for r, _ in facets)
+        ceqs = tuple((v[:n], -v[n]) for v in hull)
+        return cls(dim, verts, cineqs, ceqs, tuple(mask for _, mask in facets))
 
     def __eq__(self, other):
         return (
@@ -392,11 +466,13 @@ class Polytope:
         return True
 
     def translate(self, v):
+        """The polytope moved by v; the order of the vertices and facets stays,
+        since a translation keeps lex order, and so do the incidences."""
         w = as_exact_vector(v)
-        verts = tuple(sorted(as_exact_vector(vadd(p, w)) for p in self.vertices))
+        verts = tuple(as_exact_vector(vadd(p, w)) for p in self.vertices)
         ineqs = tuple((a, as_exact(rhs + dot(a, w))) for a, rhs in self.inequalities)
         eqs = tuple((a, as_exact(rhs + dot(a, w))) for a, rhs in self.equations)
-        return Polytope(self.dim, verts, ineqs, eqs)
+        return Polytope(self.dim, verts, ineqs, eqs, self.incidence)
 
     def dilate(self, k):
         k = as_exact(k)
@@ -405,18 +481,12 @@ class Polytope:
         return Polytope.from_points([vscale(k, v) for v in self.vertices])
 
     def facet_vertex_sets(self):
-        """For each facet inequality, the indices of vertices lying on it.
+        """For each facet inequality, the frozenset of indices of vertices on it.
 
-        Each vertex v lifts once to the integer multiple of (v, 1) and each
-        facet <a, x> >= rhs to the integer multiple of (a, -rhs), so a vertex
-        lies on a facet exactly when their integer lifts are orthogonal.
+        A tuple read off the stored incidences, so a caller cannot change
+        the polytope through it.
         """
-        lifted = [_clear_denominators(v + (1,)) for v in self.vertices]
-        sets = []
-        for a, rhs in self.inequalities:
-            row = _clear_denominators(a + (-rhs,))
-            sets.append(frozenset(i for i, q in enumerate(lifted) if not dot(row, q)))
-        return sets
+        return tuple(frozenset(_bits(mask)) for mask in self.incidence)
 
     def proper_faces(self):
         """All proper nonempty faces as (dim, vertex index tuple) pairs.
@@ -425,24 +495,22 @@ class Polytope:
         (the polytope itself) and the empty face are omitted.  Kept as the
         per-face reference that check (c) of verify_embedding is tested on.
         """
-        facet_sets = self.facet_vertex_sets()
-        everything = frozenset(range(len(self.vertices)))
-        found = set(s for s in facet_sets if s)
+        found = set(mask for mask in self.incidence if mask)
         frontier = set(found)
         while frontier:
             nxt = set()
             for f in frontier:
-                for g in facet_sets:
+                for g in self.incidence:
                     h = f & g
                     if h and h not in found:
                         found.add(h)
                         nxt.add(h)
             frontier = nxt
-        found.discard(everything)
+        found.discard((1 << len(self.vertices)) - 1)
         out = []
-        for s in found:
-            verts = [self.vertices[i] for i in s]
-            out.append((_affine_rank(verts), tuple(sorted(s))))
+        for mask in found:
+            s = _bits(mask)
+            out.append((_affine_rank([self.vertices[i] for i in s]), tuple(s)))
         out.sort()
         return out
 
@@ -563,14 +631,30 @@ class Polytope:
         stored as from_points stores it: r is the primitive integer
         multiple of (v, 1), split as (r[:n], -r[n]), and the facets are
         sorted by r.  A dual with 0 in its interior is full dimensional, so
-        it has no equations.
+        it has no equations.  The incidences are the transpose of the
+        stored ones: the dual vertex of a facet lies on the dual facet of
+        a vertex exactly when the vertex lies on the facet.
         """
         if not self.has_interior_origin():
             raise DomainError("origin_not_interior", "polar dual undefined")
         n = self.dim
-        verts = tuple(sorted(_dual_vertex(a, rhs) for a, rhs in self.inequalities))
-        rows = sorted(_normalize_constraint(v + (1,)) for v in self.vertices)
-        return Polytope(n, verts, tuple((r[:n], -r[n]) for r in rows), ())
+        verts = sorted(
+            (_dual_vertex(a, rhs), mask) for (a, rhs), mask in zip(self.inequalities, self.incidence)
+        )
+        # Bit k of on_vertex[i] is set when vertex i lies on the facet that
+        # becomes dual vertex k.
+        on_vertex = [0] * len(self.vertices)
+        for k, (_, mask) in enumerate(verts):
+            for i in _bits(mask):
+                on_vertex[i] |= 1 << k
+        rows = sorted(zip((_normalize_constraint(v + (1,)) for v in self.vertices), on_vertex))
+        return Polytope(
+            n,
+            tuple(v for v, _ in verts),
+            tuple((r[:n], -r[n]) for r, _ in rows),
+            (),
+            tuple(mask for _, mask in rows),
+        )
 
     def is_reflexive(self):
         return (
@@ -839,20 +923,20 @@ def spanning_fan(polytope):
         raise DomainError("origin_not_interior", "spanning fan needs 0 inside")
     if not polytope.is_lattice():
         raise DomainError("not_lattice", "spanning fan needs lattice vertices")
-    return Fan(polytope.dim, polytope.vertices, polytope.facet_vertex_sets())
+    return Fan(polytope.dim, polytope.vertices, [_bits(mask) for mask in polytope.incidence])
 
 
 def normal_fan(polytope):
     """The fan of inner normal cones at the vertices of a full-dim polytope.
 
     The cone at a vertex is spanned by the normals of the facets through it,
-    read off facet_vertex_sets.
+    read off the stored incidences.
     """
     if not polytope.is_full_dimensional():
         raise DomainError("not_full_dimensional", "normal fan needs a full-dim polytope")
     cones = [[] for _ in polytope.vertices]
-    for k, s in enumerate(polytope.facet_vertex_sets()):
-        for i in s:
+    for k, mask in enumerate(polytope.incidence):
+        for i in _bits(mask):
             cones[i].append(k)
     return Fan(polytope.dim, [a for a, _ in polytope.inequalities], cones)
 

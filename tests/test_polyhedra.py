@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from fanoscaffold import polyhedra
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
+    as_exact,
+    as_exact_vector,
     det,
     dot,
+    exact_ratio,
     kernel_basis,
     mat_vec,
     primitive_vector,
@@ -26,7 +29,6 @@ from fanoscaffold.polyhedra import (
     Cone,
     Fan,
     Polytope,
-    _hrep_to_vertices,
     cone_over,
     convex_hull,
     dd_cone,
@@ -227,6 +229,20 @@ def test_dd_cone_against_subset_enumeration(system):
     rays, lineality = dd_cone(ineqs, eqs, dim=n)
     assert (rays, lineality) == brute_cone(ineqs, eqs, n)
     assert all(type(c) is int for v in rays + lineality for c in v)
+
+
+# A pointed cone with a zero row, and a cone with lineality along z.
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1), (1, 1, -1)], []))
+@example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)], []))
+@settings(max_examples=300, deadline=None)
+@given(constraint_systems())
+def test_dd_core_masks_are_the_tight_sets(system):
+    n, ineqs, eqs = system
+    rays, masks, lineality = polyhedra._dd_core(ineqs, eqs, n)
+    assert (rays, lineality) == dd_cone(ineqs, eqs, dim=n)
+    assert masks == tuple(
+        sum(1 << j for j, a in enumerate(ineqs) if not dot(a, r)) for r in rays
+    )
 
 
 @st.composite
@@ -442,12 +458,124 @@ def test_integral_points_walk_against_the_box_filter(p):
     assert p.integral_points() == box_filter(p)
 
 
+def two_pass_vertices(inequalities, equations, n):
+    """The vertices of {x : Ax >= b, Cx = d} as the former from_hrep found
+    them, or the DomainError kind it raised: one dd_cone pass over the
+    homogenized constraints and t >= 0."""
+    hom_ineqs = [tuple(a) + (-rhs,) for a, rhs in inequalities]
+    hom_ineqs.append((0,) * n + (1,))
+    hom_eqs = [tuple(a) + (-rhs,) for a, rhs in equations]
+    rays, lineality = dd_cone(hom_ineqs, hom_eqs, dim=n + 1)
+    if lineality:
+        return "unbounded"
+    verts = []
+    for r in rays:
+        if r[n] == 0:
+            return "unbounded" if any(r2[n] > 0 for r2 in rays) else "empty_polytope"
+        verts.append(tuple(exact_ratio(c, r[n]) for c in r[:n]))
+    return tuple(sorted(verts)) or "empty_polytope"
+
+
+def two_pass_from_hrep(inequalities, equations, n):
+    """The former Polytope.from_hrep: its vertices from one conversion, its
+    facets from a second (convex_hull of the vertices), and its incidences
+    by Fraction dot products.  Returns (described string, incidences), or
+    the DomainError kind."""
+    ineqs = [(as_exact_vector(a), as_exact(rhs)) for a, rhs in inequalities]
+    eqs = [(as_exact_vector(a), as_exact(rhs)) for a, rhs in equations]
+    verts = two_pass_vertices(ineqs, eqs, n)
+    if isinstance(verts, str):
+        return verts
+    cineqs, ceqs = convex_hull(verts)
+    incidence = tuple(
+        frozenset(i for i, v in enumerate(verts) if dot(a, v) == rhs) for a, rhs in cineqs
+    )
+    return repr((n, verts, cineqs, ceqs)), incidence
+
+
+@st.composite
+def hrep_systems(draw):
+    """H-descriptions in dims 1-4, in any order.
+
+    A box around a rational center, or the center alone as pairs of
+    opposite rows, or neither (the set may be unbounded); rows kept by the
+    center with Fraction slacks, rows with an arbitrary Fraction
+    right-hand side (redundant, or cutting the set empty); duplicated,
+    scaled and opposite copies of rows (an opposite copy is an implicit
+    equation); zero-normal rows; and, half the time, equations through
+    the center.
+    """
+    n = draw(st.integers(1, 4))
+    center = draw(st.tuples(*[COORDS] * n))
+    normal = st.tuples(*[st.integers(-2, 2)] * n)
+    slack = st.fractions(0, 2, max_denominator=3)
+    half_width = st.fractions(Fraction(1, 3), 2, max_denominator=3)
+    kind = draw(st.sampled_from(["box", "point", "free"]))
+    ineqs = []
+    for i in range(n if kind != "free" else 0):
+        e = tuple(int(j == i) for j in range(n))
+        low, high = (0, 0) if kind == "point" else (draw(half_width), draw(half_width))
+        ineqs += [(e, center[i] - low), (tuple(-c for c in e), -center[i] - high)]
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(normal)
+        ineqs.append((a, dot(a, center) - draw(slack)))
+    for _ in range(draw(st.integers(0, 2))):
+        ineqs.append((draw(normal), draw(COORDS)))
+    for op in draw(st.lists(st.sampled_from(["copy", "scaled", "opposite", "zero"]), max_size=3)):
+        if op == "zero":
+            ineqs.append(((0,) * n, draw(st.sampled_from([0, -1, Fraction(-1, 2), Fraction(1, 3)]))))
+        elif ineqs:
+            a, rhs = draw(st.sampled_from(ineqs))
+            c = -1 if op == "opposite" else 1
+            if op == "scaled":
+                c = draw(st.sampled_from([2, Fraction(1, 2)]))
+            ineqs.append((tuple(c * x for x in a), c * rhs))
+    eqs = [(a, dot(a, center)) for a in draw(st.lists(normal, max_size=2))]
+    return n, draw(st.permutations(ineqs)), eqs if draw(st.booleans()) else []
+
+
+# A single point cut out by opposite rows, with a redundant row.
+@example((2, [((1, 0), 1), ((-1, 0), -1), ((0, 1), Fraction(1, 2)),
+              ((0, -1), Fraction(-1, 2)), ((1, 1), 0)], []))
+# A segment: an explicit equation and a duplicated row.
+@example((2, [((1, 0), 0), ((1, 0), 0), ((-1, 0), -2)], [((1, 1), 1)]))
+@settings(max_examples=300, deadline=None)
+@given(hrep_systems())
+def test_from_hrep_against_the_two_pass_build(system):
+    n, ineqs, eqs = system
+    try:
+        p = Polytope.from_hrep(ineqs, eqs, dim=n)
+    except DomainError as err:
+        assert err.kind == two_pass_from_hrep(ineqs, eqs, n)
+    else:
+        assert (described(p), p.facet_vertex_sets()) == two_pass_from_hrep(ineqs, eqs, n)
+
+
+def test_from_hrep_makes_one_conversion(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return core(*args)
+
+    core = polyhedra._dd_core
+    monkeypatch.setattr(polyhedra, "_dd_core", counted)
+    square = [((1, 0), -1), ((-1, 0), -1), ((0, 1), -1), ((0, -1), -1), ((1, 1), -5)]
+    p = Polytope.from_hrep(square)
+    assert len(calls) == 1 and len(p.vertices) == 4
+    p.facet_vertex_sets()
+    p.dual().facet_vertex_sets()
+    p.translate((1, 2)).facet_vertex_sets()
+    normal_fan(p), spanning_fan(p), p.proper_faces()
+    assert len(calls) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(point_sets())
 def test_from_points_against_a_second_conversion(pts):
     p = Polytope.from_points(pts)
     ineqs, eqs = convex_hull(pts)
-    assert p.vertices == _hrep_to_vertices(ineqs, eqs, p.dim)
+    assert p.vertices == two_pass_vertices(ineqs, eqs, p.dim)
     assert (p.inequalities, p.equations) == (ineqs, eqs)
 
 
@@ -578,10 +706,10 @@ def described(p):
 
 
 def facet_vertex_sets_by_fractions(p):
-    return [
+    return tuple(
         frozenset(i for i, v in enumerate(p.vertices) if dot(a, v) == rhs)
         for a, rhs in p.inequalities
-    ]
+    )
 
 
 def normal_fan_by_fractions(p):
@@ -608,11 +736,29 @@ def test_dual_against_the_hull_of_the_dual_vertices(p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(point_sets(), st.data())
-def test_facet_vertex_sets_against_fraction_dot_products(pts, data):
+@given(point_sets(), rational_origin_polytopes(), st.data())
+def test_facet_vertex_sets_against_fraction_dot_products(pts, origin_polytope, data):
+    # The incidences every constructor stores, against dot products.
     p = Polytope.from_points(pts)
-    q = p.translate(data.draw(st.tuples(*[COORDS] * p.dim)))
-    for r in (p, q):
+    n = p.dim
+    other = Polytope.from_points(
+        data.draw(st.lists(st.tuples(*[COORDS] * n), min_size=1, max_size=3)))
+    grown = p.minkowski_sum(other)
+    built = [
+        p,
+        p.translate(data.draw(st.tuples(*[COORDS] * n))),
+        Polytope.from_hrep(p.inequalities, p.equations, dim=n),
+        p.dilate(data.draw(st.fractions(-3, 3, max_denominator=3))),
+        grown,
+        grown.erode(other)[0],
+        origin_polytope,
+        origin_polytope.dual(),
+    ]
+    shrunk, _ = p.erode(other)
+    if shrunk is not None:
+        built.append(shrunk)
+    for r in built:
+        assert type(r.facet_vertex_sets()) is tuple
         assert r.facet_vertex_sets() == facet_vertex_sets_by_fractions(r)
         if r.is_full_dimensional():
             assert normal_fan(r) == normal_fan_by_fractions(r)
