@@ -313,6 +313,11 @@ class Polytope:
         vertex i lies on that facet.  It is made by the same conversion as
         the rest and never recomputed.
 
+    The constructor checks nothing: incidence must be the exact
+    vertex-facet incidence of the given vertices and inequalities, since
+    every face, fan and dual query reads it as it is.  Build a Polytope
+    with from_points or from_hrep (or an operation on one), not directly.
+
     Normals are integer tuples.  Every vertex coordinate and every rhs is
     an ``int`` when it is integral and a ``Fraction`` otherwise
     (``exact.as_exact``), so a lattice polytope stores only ints.
@@ -357,6 +362,8 @@ class Polytope:
             if meet == 1 << i:
                 keep.append(i)
         verts = tuple(pts[i] for i in keep)
+        # When every point is a vertex the masks are already indexed by the
+        # vertices; skipping the re-index there is measurably faster.
         if len(keep) < len(pts):
             on_facet = tuple(
                 sum(1 << k for k, i in enumerate(keep) if mask >> i & 1) for mask in on_facet

@@ -223,13 +223,14 @@ def test_mutation_makes_no_conversions(monkeypatch):
     # w and factor 1 + x^v with entries in [-2, 2] ([-1, 1] in four
     # variables), which includes every mutation in the benchmark's
     # reference data: exact division is bounded by a coordinate box, not
-    # by a Newton polytope.
+    # by a Newton polytope.  Every conversion, through dd_cone or a
+    # Polytope constructor, goes through polyhedra._dd_core.
     calls = []
-    dd_cone = polyhedra.dd_cone
+    dd_core = polyhedra._dd_core
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return dd_cone(*args, **kwargs)
+        return dd_core(*args, **kwargs)
 
     models = [
         fixture(name)["laurent"]
@@ -239,7 +240,7 @@ def test_mutation_makes_no_conversions(monkeypatch):
             "shifted-fourfold",
         )
     ]
-    monkeypatch.setattr(polyhedra, "dd_cone", counted)
+    monkeypatch.setattr(polyhedra, "_dd_core", counted)
     mutated = 0
     for f in models:
         n = f.nvars
