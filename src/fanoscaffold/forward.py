@@ -9,7 +9,7 @@ mutation-equivalent answers related by a monomial change of variables.
 
 from .errors import DomainError
 from .laurent import _bracket_sum
-from .exact import _row_reduce
+from .exact import _row_reduce, identity_matrix
 from .toric import _basis_fan, basis_coordinates, irrelevant_collection
 
 
@@ -82,13 +82,15 @@ class ConvexPartitionWithBasis:
         return hash((self.B, self.S, self.U, self.choices))
 
 
-def validate_partition(git, part):
-    """All reasons the partition fails to be convex, empty when valid.
+def _convexity(git, part):
+    """(failures, coordinates of the weights and omega in the basis).
 
-    Checks, in order: the basis block is unimodular, omega is a nonnegative
-    combination of the basis weights, each group's total divisor is a
-    nonnegative combination of the basis weights, and each group's total
-    divisor is nef on the quotient.
+    The failures are all reasons the partition fails to be convex, empty
+    when it is valid.  Checks, in order: the basis block is unimodular,
+    omega is a nonnegative combination of the basis weights, each group's
+    total divisor is a nonnegative combination of the basis weights, and
+    each group's total divisor is nef on the quotient.  The coordinates
+    are None when the basis block cannot be eliminated.
 
     The nef test runs in the weight space: the class L of a group's total
     divisor is nef exactly when, for every minimal cover I of omega, L is
@@ -97,14 +99,6 @@ def validate_partition(git, part):
     function leaves a coefficient vector of class L supported on I, and
     the weights D_I are independent, so that vector is the unique
     solution; no solution means no linear piece, and L is not nef.
-    """
-    return _convexity(git, part)[0]
-
-
-def _convexity(git, part):
-    """(failures, coordinates of the weights and omega in the basis).
-
-    The coordinates are None when the basis block cannot be eliminated.
     """
     failures = []
     r = git.r
@@ -159,7 +153,7 @@ def normalized_matrix(git, part):
     Rows follow the order of part.B; columns stay in place, so the basis
     columns carry unit vectors and every entry is an integer.  It comes
     from the same elimination as the convexity check; raises
-    invalid_partition listing every failure of validate_partition.
+    invalid_partition listing every failure that _convexity finds.
     """
     failures, coords = _convexity(git, part)
     if failures:
@@ -188,5 +182,6 @@ def przyjalkowski(git, part):
         )
         for row in norm
     ]
-    terms += [(tuple(int(p == pos[u]) for p in range(n)), ()) for u in part.U]
+    units = identity_matrix(n)
+    terms += [(units[pos[u]], ()) for u in part.U]
     return _bracket_sum(n, terms)

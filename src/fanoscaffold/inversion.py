@@ -16,6 +16,7 @@ from .errors import DomainError
 from .exact import (
     _row_reduce,
     dot,
+    identity_matrix,
     kernel_basis,
     primitive_vector,
     row_space_equal,
@@ -28,7 +29,9 @@ from .polyhedra import (
     Fan,
     Polytope,
     _dual_vertex,
+    _in_hrep,
     _merge_preimages,
+    _pull_back_cone,
     _pull_back_cones,
     dd_cone,
     normal_fan,
@@ -123,8 +126,8 @@ def laurent_inversion(scaf, omega=None):
     r = len(row_struts)
     R = r + u + len(scaf.shape.rays)
     matrix = tuple(
-        tuple(1 if k == pos else 0 for k in range(r)) + tuple(-c for c in rays[i])
-        for pos, i in enumerate(row_struts)
+        unit + tuple(-c for c in rays[i])
+        for unit, i in zip(identity_matrix(r), row_struts)
     )
     if omega is None:
         omega = (1,) * r
@@ -144,25 +147,10 @@ def laurent_inversion(scaf, omega=None):
     return InversionResult(scaf, matrix, git, row_struts, theta, recovered)
 
 
-def q_s_polytope(scaf):
-    """Sections polytope of the sum of all strut divisors on the ambient.
-
-    Cut out by nonnegativity on the ray block and by pairing at least -1
-    against every strut's ambient ray.  Unbounded data is rejected.
-    """
-    return _q_s_polytope(scaf, ambient_rays(scaf))
-
-
 def _q_s_polytope(scaf, rhos):
-    u = scaf.u
-    nrays = len(scaf.shape.rays)
-    dim = u + nrays
-    ineqs = []
-    for j in range(nrays):
-        normal = tuple(1 if p == u + j else 0 for p in range(dim))
-        ineqs.append((normal, 0))
-    for rho in rhos:
-        ineqs.append((rho, -1))
+    dim = scaf.u + len(scaf.shape.rays)
+    ineqs = [(unit, 0) for unit in identity_matrix(dim)[scaf.u:]]
+    ineqs += [(rho, -1) for rho in rhos]
     return Polytope.from_hrep(ineqs, dim=dim)
 
 
@@ -317,16 +305,14 @@ def verify_embedding(scaf):
     except DomainError:
         return False, report
     u = scaf.u
-    nrays = len(scaf.shape.rays)
-    dim = u + nrays
+    dim = u + len(scaf.shape.rays)
     ambient_fan = normal_fan(_q_s_polytope(scaf, rhos))
     expected = set()
     for rho in rhos:
         # a strut whose coefficients and shift are all 0 has ray 0, which is
         # never a fan ray
         expected.add(primitive_vector(rho) if any(rho) else rho)
-    for j in range(nrays):
-        expected.add(tuple(1 if p == u + j else 0 for p in range(dim)))
+    expected.update(identity_matrix(dim)[u:])
     report["ambient_rays"] = set(ambient_fan.rays) == expected
 
     preimages = _pull_back_cones(ambient_fan, theta)
@@ -359,13 +345,12 @@ def _face_cones_check(scaf, basis, rhos, theta, preimages):
     them (polyhedra._pull_back_cones).  A facet whose primitive generators
     are exactly such a ray set has that cone as C_F, so the stored
     preimage is what its own two passes would give.  Any other facet
-    takes one dd_cone pass over its generators for C_F's H-description
-    and, pulled back along theta, one pass in the target's dimension for
-    the preimage.
+    takes the same two passes (polyhedra._pull_back_cone): one over its
+    generators for C_F's H-description and, pulled back along theta, one
+    in the target's dimension for the preimage.
     """
     u = scaf.u
-    nrays = len(scaf.shape.rays)
-    dim = u + nrays
+    dim = u + len(scaf.shape.rays)
     target = scaf.target
     # lift the dual vertex of every facet of the target; spanning_fan has
     # already required 0 in its interior, so every rhs is negative
@@ -385,8 +370,7 @@ def _face_cones_check(scaf, basis, rhos, theta, preimages):
         for rho in rhos
         if any(rho)
     ]
-    for j in range(nrays):
-        unit = tuple(1 if p == u + j else 0 for p in range(dim))
+    for j, unit in enumerate(identity_matrix(dim)[u:]):
         tight.append((unit, frozenset(k for k, lift in enumerate(lifts) if not lift[u + j])))
     facet_sets = target.facet_vertex_sets()
 
@@ -396,16 +380,9 @@ def _face_cones_check(scaf, basis, rhos, theta, preimages):
 
     for fset in facet_sets:
         gens = generators(fset)
-        reused = preimages.get(frozenset(gens))
-        if reused:
-            rays, lineality, _ = reused
-        else:
-            normals, eq_normals = dd_cone(gens, dim=dim)
-            rays, lineality = dd_cone(
-                [tuple(dot(a, b) for b in theta) for a in normals],
-                [tuple(dot(e, b) for b in theta) for e in eq_normals],
-                dim=len(theta),
-            )
+        rays, lineality, _ = preimages.get(frozenset(gens)) or _pull_back_cone(
+            gens, dim, theta
+        )
         face_rays = tuple(sorted(primitive_vector(target.vertices[i]) for i in fset))
         if lineality or rays != face_rays:
             return False
@@ -430,10 +407,7 @@ def _in_cone(gens, point):
         return False
     if len(pivots) == m:
         return all(M[i][m] * piv >= 0 for i in range(m))
-    normals, eq_normals = dd_cone(gens, dim=len(point))
-    return all(dot(a, point) >= 0 for a in normals) and not any(
-        dot(e, point) for e in eq_normals
-    )
+    return _in_hrep(*dd_cone(gens, dim=len(point)), point)
 
 
 def ci_data(scaf):

@@ -58,14 +58,8 @@ class LaurentPolynomial:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, exponent):
-        return self.terms.get(tuple(exponent), 0)
-
     def constant_term(self):
         return self.terms.get(tuple(0 for _ in range(self.nvars)), 0)
-
-    def support(self):
-        return tuple(sorted(self.terms))
 
     def __eq__(self, other):
         return (

@@ -13,11 +13,11 @@ ambient rays.
 from itertools import product
 
 from .errors import DomainError
-from .exact import dot, integer_solution, kernel_basis, solve_linear, transpose, vsub
+from .exact import dot, identity_matrix, integer_solution
 from .inversion import _relation_basis, ambient_rays
 from .mutations import mutate_polytope
 from .polyhedra import Cone, Polytope, lattice_isomorphic, spanning_fan
-from .scaffolding import product_structure, strut_polytope
+from .scaffolding import _piece, product_structure
 from .toric import PLFunction, git_to_stacky_fan, is_ample, is_nef, sections_polytope
 
 
@@ -218,49 +218,12 @@ def cayley(polytopes):
         raise DomainError("dimension_mismatch", "polytopes live in different spaces")
     r = len(polys)
     points = []
-    for i, p in enumerate(polys):
-        tag = tuple(1 if k == i else 0 for k in range(r))
+    for p, tag in zip(polys, identity_matrix(r)):
         for v in p.vertices:
             points.append(tuple(v) + tag)
     poly = Polytope.from_points(points)
     cone = Cone.from_rays(points, dim=n + r)
     return poly, cone
-
-
-def _full_dim_model(polytope):
-    """Rewrite a lattice polytope in coordinates on its own affine lattice."""
-    if polytope.is_full_dimensional():
-        return polytope
-    base = polytope.vertices[0]
-    diffs = [vsub(v, base) for v in polytope.vertices[1:]]
-    normals = kernel_basis(diffs, ncols=polytope.dim)
-    basis = kernel_basis(normals, ncols=polytope.dim)
-    coords = []
-    for v in polytope.vertices:
-        coords.append(solve_linear(transpose(basis), vsub(v, base)))
-    return Polytope.from_points(coords)
-
-
-def is_gorenstein(polytope, index):
-    """Whether the index-th dilate is reflexive in the polytope's own lattice.
-
-    The dilate must be a lattice polytope with a single interior lattice
-    point, and translating that point to the origin must leave a reflexive
-    polytope.  Lower dimensional polytopes are measured inside the lattice of
-    their affine span.
-    """
-    index = int(index)
-    if index < 1:
-        raise DomainError("bad_index", "index must be a positive integer")
-    q = polytope.dilate(index)
-    if not q.is_lattice():
-        return False
-    model = _full_dim_model(q)
-    inner = model.interior_lattice_points()
-    if len(inner) != 1:
-        return False
-    shift = tuple(-int(c) for c in inner[0])
-    return model.translate(shift).is_reflexive()
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +241,11 @@ def p_tilde(scaf):
     heights = [tuple(-dot(row, s.coeffs) for row in rel) for s in scaf.struts]
     points = []
     for s, height in enumerate(heights):
-        piece = strut_polytope(scaf, s)
+        piece = _piece(scaf, s)
         if piece is None:
             continue
-        for v in piece.vertices:
-            points.append(tuple(v) + height)
+        for v in piece:
+            points.append(v + height)
     return Polytope.from_points(points)
 
 
@@ -292,10 +255,7 @@ def p_tilde_one(scaf):
     n = scaf.u + scaf.shape.dim
     k = base.dim - n
     points = list(base.vertices)
-    for i in range(k):
-        points.append(
-            tuple(0 for _ in range(n)) + tuple(1 if j == i else 0 for j in range(k))
-        )
+    points += [tuple(0 for _ in range(n)) + unit for unit in identity_matrix(k)]
     return Polytope.from_points(points)
 
 
@@ -304,10 +264,7 @@ def p_s_polytope(scaf):
     u = scaf.u
     nrays = len(scaf.shape.rays)
     points = list(ambient_rays(scaf))
-    for j in range(nrays):
-        points.append(
-            tuple(0 for _ in range(u)) + tuple(1 if t == j else 0 for t in range(nrays))
-        )
+    points += [tuple(0 for _ in range(u)) + unit for unit in identity_matrix(nrays)]
     return Polytope.from_points(points)
 
 
@@ -327,12 +284,12 @@ def mutation_chain_check(scaf):
     nrays = len(scaf.shape.rays)
     u = scaf.u
     n = u + scaf.shape.dim
+    units = identity_matrix(n + k)
     model = p_tilde_one(scaf)
     for block, idx in factors:
         i = rel.index(tuple(int(j in idx) for j in range(nrays)))
-        w = tuple(0 for _ in range(n)) + tuple(1 if t == i else 0 for t in range(k))
+        w = units[n + i]
         pts = [tuple(0 for _ in range(n + k))]
-        for c in block:
-            pts.append(tuple(1 if t == u + c else 0 for t in range(n + k)))
+        pts += [units[u + c] for c in block]
         model = mutate_polytope(model, w, Polytope.from_points(pts))
     return lattice_isomorphic(model, p_s_polytope(scaf)) is not None

@@ -20,13 +20,13 @@ Polytope.from_points reads its vertices off them; Polytope.from_hrep
 takes as facets the inequalities whose tight vertex sets are
 inclusion-maximal among the proper nonempty ones, each in the canonical
 form convex_hull gives.  A Polytope keeps both descriptions, so its polar
-dual swaps them and transposes the incidences with no conversion, and a
-translate keeps them; the spanning fan, the normal fan and the face
-lattice only read them.  Face questions read ray-facet
-incidences and pulled-back H-descriptions: restrict_fan makes one
-conversion per maximal cone and one per preimage (_pull_back_cones, whose
-preimages a caller may reuse), and Fan.is_complete keys each ridge by the
-rays its normal vanishes on.  Lattice points are enumerated on integer
+dual swaps them and transposes the incidences with no conversion; the
+spanning fan, the normal fan and the face lattice only read them.  Face
+questions read ray-facet incidences and pulled-back H-descriptions:
+restrict_fan makes one conversion per maximal cone and one per preimage
+(_pull_back_cone, run on each cone by _pull_back_cones, whose preimages a
+caller may reuse), and Fan.is_complete keys each ridge by the rays its
+normal vanishes on.  Lattice points are enumerated on integer
 rows by a depth-first walk over the coordinates that bounds each one by
 the rows' partial sums and the most the later coordinates can add, in
 bounding boxes of at most MAX_LATTICE_BOX points (larger ones raise
@@ -193,7 +193,7 @@ def _dd_core(inequalities, equations, dim):
     # Running description: cone = span(lin) + cone(r for r, _ in rays).
     # Each ray carries the mask of the processed inequalities where it is
     # tight.  Every vector in lin is tight at all processed constraints.
-    lin = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    lin = list(identity_matrix(n))
     rays = []
 
     def _project_off(a):
@@ -472,15 +472,6 @@ class Polytope:
                 return False
         return True
 
-    def translate(self, v):
-        """The polytope moved by v; the order of the vertices and facets stays,
-        since a translation keeps lex order, and so do the incidences."""
-        w = as_exact_vector(v)
-        verts = tuple(as_exact_vector(vadd(p, w)) for p in self.vertices)
-        ineqs = tuple((a, as_exact(rhs + dot(a, w))) for a, rhs in self.inequalities)
-        eqs = tuple((a, as_exact(rhs + dot(a, w))) for a, rhs in self.equations)
-        return Polytope(self.dim, verts, ineqs, eqs, self.incidence)
-
     def dilate(self, k):
         k = as_exact(k)
         if k == 0:
@@ -616,13 +607,6 @@ class Polytope:
         walk(0, ())
         return tuple(pts)
 
-    def interior_lattice_points(self):
-        out = []
-        for p in self.integral_points():
-            if all(dot(a, p) > rhs for a, rhs in self.inequalities) and not self.equations:
-                out.append(p)
-        return tuple(out)
-
     def has_interior_origin(self):
         if self.equations:
             return False
@@ -669,12 +653,6 @@ class Polytope:
             and self.has_interior_origin()
             and self.dual().is_lattice()
         )
-
-    def is_fano(self):
-        """Full-dimensional, origin interior, all vertices primitive lattice points."""
-        if not (self.is_lattice() and self.has_interior_origin()):
-            return False
-        return all(gcd(*v) == 1 for v in self.vertices)
 
     def minkowski_sum(self, other):
         if self.dim != other.dim:
@@ -809,9 +787,7 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={self.rays})"
 
     def contains(self, v):
-        return all(dot(a, v) >= 0 for a in self.ineq_normals) and all(
-            dot(e, v) == 0 for e in self.eq_normals
-        )
+        return _in_hrep(self.ineq_normals, self.eq_normals, v)
 
     def contains_cone(self, other):
         return all(self.contains(r) for r in other.rays) and all(
@@ -824,17 +800,10 @@ class Cone:
     def is_pointed(self):
         return not self.lineality
 
-    def dual(self):
-        return Cone(self.dim, self.ineq_normals, self.eq_normals, self.rays, self.lineality)
 
-    def intersect(self, other):
-        if self.dim != other.dim:
-            raise DomainError("dimension_mismatch", "cones in different spaces")
-        return Cone.from_hrep(
-            list(self.ineq_normals) + list(other.ineq_normals),
-            list(self.eq_normals) + list(other.eq_normals),
-            dim=self.dim,
-        )
+def _in_hrep(normals, equations, v):
+    """Whether v lies in the cone {x : <a, x> >= 0, <e, x> = 0}."""
+    return all(dot(a, v) >= 0 for a in normals) and all(dot(e, v) == 0 for e in equations)
 
 
 def cone_over(polytope):
@@ -962,24 +931,31 @@ def restrict_fan(fan, basis):
 
 
 def _pull_back_cones(fan, basis):
-    """Each maximal cone's preimage along the basis rows.
+    """Each maximal cone's preimage along the basis rows (_pull_back_cone).
 
-    One dd_cone pass over a cone's rays gives its H-description; its
-    normals pulled back along the basis describe the preimage, and one more
-    pass in dimension k gives the preimage's rays.  Returns a dict, in fan
-    order, from each maximal cone's set of rays to the preimage's
-    (rays, lineality, pulled inequalities).
+    Returns a dict, in fan order, from each maximal cone's set of rays to
+    the preimage's (rays, lineality, pulled inequalities).
     """
-    k = len(basis)
     out = {}
     for c in fan.max_cones:
         cone_rays = [fan.rays[i] for i in c]
-        normals, eq_normals = dd_cone(cone_rays, dim=fan.dim)
-        ineqs = [tuple(dot(a, b) for b in basis) for a in normals]
-        eqs = [tuple(dot(e, b) for b in basis) for e in eq_normals]
-        rays, lineality = dd_cone(ineqs, eqs, dim=k)
-        out[frozenset(cone_rays)] = (rays, lineality, ineqs)
+        out[frozenset(cone_rays)] = _pull_back_cone(cone_rays, fan.dim, basis)
     return out
+
+
+def _pull_back_cone(generators, dim, basis):
+    """The preimage along the basis rows of the cone the generators span.
+
+    One dd_cone pass over the generators gives the cone's H-description;
+    its normals pulled back along the basis describe the preimage, and one
+    more pass in dimension k = len(basis) gives the preimage's rays.
+    Returns (rays, lineality, pulled inequalities).
+    """
+    normals, eq_normals = dd_cone(generators, dim=dim)
+    ineqs = [tuple(dot(a, b) for b in basis) for a in normals]
+    eqs = [tuple(dot(e, b) for b in basis) for e in eq_normals]
+    rays, lineality = dd_cone(ineqs, eqs, dim=len(basis))
+    return rays, lineality, ineqs
 
 
 def _merge_preimages(k, preimages):

@@ -8,7 +8,7 @@ first, matching the variable order of the forward construction.
 from itertools import combinations, product
 
 from .errors import DomainError
-from .exact import det
+from .exact import det, identity_matrix
 from .laurent import _bracket_sum
 from .polyhedra import Cone, Fan, Polytope, cone_over
 from .toric import sections_polytope
@@ -80,27 +80,41 @@ class Scaffolding:
         )
 
 
+def _strut_points(shape, strut):
+    """The vertices of the piece {chi} x P_D of a strut, lex sorted.
+
+    They are chi followed by each vertex of the sections polytope P_D,
+    which keeps P_D's lex order, so they need no conversion of their own.
+    Raises empty_polytope when the divisor has no sections.
+    """
+    return tuple(strut.chi + v for v in sections_polytope(shape, strut.coeffs).vertices)
+
+
+def _piece(scaf, index):
+    """_strut_points of one strut, None when its divisor has no sections."""
+    try:
+        return _strut_points(scaf.shape, scaf.struts[index])
+    except DomainError as exc:
+        if exc.kind == "empty_polytope":
+            return None
+        raise
+
+
 def strut_polytope(scaf, index):
     """The piece {chi} x P_D of one strut inside the target's lattice.
 
     None when the strut's divisor has no sections.
     """
-    strut = scaf.struts[index]
-    try:
-        sections = sections_polytope(scaf.shape, strut.coeffs)
-    except DomainError as exc:
-        if exc.kind == "empty_polytope":
-            return None
-        raise
-    return Polytope.from_points([strut.chi + v for v in sections.vertices])
+    points = _piece(scaf, index)
+    return None if points is None else Polytope.from_points(points)
 
 
 def _pieces(scaf):
-    return [strut_polytope(scaf, i) for i in range(len(scaf.struts))]
+    return [_piece(scaf, i) for i in range(len(scaf.struts))]
 
 
 def _piece_vertices(pieces):
-    return [v for piece in pieces if piece is not None for v in piece.vertices]
+    return [v for piece in pieces if piece is not None for v in piece]
 
 
 def unit_strut_basis(scaf):
@@ -137,7 +151,7 @@ def validate_scaffolding(scaf):
     target_vertices = set(scaf.target.vertices)
     vertexless = []
     for i, piece in enumerate(pieces):
-        if piece is None or not target_vertices & set(piece.vertices):
+        if piece is None or not target_vertices & set(piece):
             vertexless.append(i)
     report["vertexless_struts"] = tuple(vertexless)
     return not report["failures"], report
@@ -178,14 +192,14 @@ def product_fan(blocks):
             if t in seen or not 0 <= t < dim:
                 raise DomainError("bad_index", "blocks must partition 0..dim-1")
             seen.add(t)
+    units = identity_matrix(dim)
     rays = []
     factor_rays = []
     for b in blocks:
         mine = []
         for t in b:
-            ray = tuple(1 if p == t else 0 for p in range(dim))
             mine.append(len(rays))
-            rays.append(ray)
+            rays.append(units[t])
         neg = tuple(-1 if p in b else 0 for p in range(dim))
         mine.append(len(rays))
         rays.append(neg)
@@ -250,11 +264,8 @@ def scaffolding_from_rows(shape, rows, position, shift_columns):
         for j, k in position.items():
             coeffs[k] = int(row[j])
         struts.append(Strut(coeffs, (-int(row[j]) for j in shift_columns)))
-    for j in shift_columns:
-        struts.append(Strut((0,) * nrays, (int(i == j) for i in shift_columns)))
-    points = [
-        s.chi + v for s in struts for v in sections_polytope(shape, s.coeffs).vertices
-    ]
+    struts += [Strut((0,) * nrays, e) for e in identity_matrix(len(shift_columns))]
+    points = [v for s in struts for v in _strut_points(shape, s)]
     return Scaffolding(shape, len(shift_columns), struts, Polytope.from_points(points))
 
 
@@ -280,13 +291,14 @@ def scaffolding_from_forward(git, part):
     groups = [(s, c) for s, c in zip(part.S, part.choices) if len(s) > 1]
     blocks = [tuple(coord[j] for j in s if j != c) for s, c in groups]
     shape = product_fan(blocks)
+    units = identity_matrix(shape.dim)
     position = {}
     for (s, c), block in zip(groups, blocks):
         for j in s:
             if j == c:
                 ray = tuple(-1 if p in block else 0 for p in range(shape.dim))
             else:
-                ray = tuple(1 if p == coord[j] else 0 for p in range(shape.dim))
+                ray = units[coord[j]]
             position[j] = shape.ray_index(ray)
     return scaffolding_from_rows(shape, norm, position, part.U)
 

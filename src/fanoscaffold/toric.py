@@ -22,7 +22,7 @@ from .exact import (
     transpose,
     unimodular_inverse,
 )
-from .polyhedra import Cone, Fan, Polytope, _dd_step, dd_cone
+from .polyhedra import Cone, Fan, Polytope, _dd_step, _in_hrep, dd_cone
 
 
 class GitData:
@@ -81,22 +81,6 @@ class GitData:
 
     def __repr__(self):
         return f"GitData(r={self.r}, R={self.R})"
-
-
-def covers(git, subset):
-    """Whether omega is a strictly positive combination of the given weights.
-
-    That is, omega lies in the relative interior of the cone they span:
-    every equation normal vanishes on omega and every facet normal is
-    strictly positive there.
-    """
-    idx = sorted(set(subset))
-    if any(i < 0 or i >= git.R for i in idx):
-        raise DomainError("bad_index", "subset index out of range")
-    cone = Cone.from_rays([git.characters[i] for i in idx], dim=git.r)
-    return all(dot(e, git.omega) == 0 for e in cone.eq_normals) and all(
-        dot(a, git.omega) > 0 for a in cone.ineq_normals
-    )
 
 
 def _check_subset_cap(git):
@@ -220,10 +204,9 @@ def _basis_fan(git, basis, norm):
             "point_quotient", "R equals r: the quotient is a point and has no fan"
         )
     nonbasis = [i for i in range(git.R) if i not in basis]
+    units = dict(zip(nonbasis, identity_matrix(len(nonbasis))))
     rays = [
-        tuple(-norm[basis.index(i)][j] for j in nonbasis)
-        if i in basis
-        else tuple(int(i == j) for j in nonbasis)
+        units[i] if i in units else tuple(-norm[basis.index(i)][j] for j in nonbasis)
         for i in range(git.R)
     ]
     return StackyFan(len(nonbasis), rays, _max_cones(git))
@@ -243,33 +226,6 @@ def basis_coordinates(git, basis, vectors):
         [[git.characters[i][k] for i in basis] for k in range(r)]
     )
     return tuple(tuple(dot(row, v) for v in vectors) for row in binv)
-
-
-def stacky_fan_to_git(sfan):
-    """GIT data presenting the toric variety of a coordinate-labelled fan.
-
-    The weights are the columns of a canonical basis of the linear relations
-    among the rays; omega is the sum of the primitive extreme rays of the
-    intersection over all maximal cones sigma of the cone spanned by the
-    weights outside sigma.
-    """
-    R = len(sfan.rays)
-    n = sfan.dim
-    if rank(list(sfan.rays)) != n:
-        raise DomainError("not_full_rank", "rays do not span; torus factor present")
-    rel_rows = [tuple(v[k] for v in sfan.rays) for k in range(n)]
-    relations = kernel_basis(rel_rows, ncols=R)
-    r = len(relations)
-    characters = [tuple(relations[k][i] for k in range(r)) for i in range(R)]
-    chamber = None
-    for c in sfan.max_cones:
-        outside = [characters[i] for i in range(R) if i not in c]
-        cone = Cone.from_rays(outside, dim=r)
-        chamber = cone if chamber is None else chamber.intersect(cone)
-    if chamber is None or not chamber.rays or chamber.lineality:
-        raise DomainError("degenerate_chamber", "no interior stability character")
-    omega = tuple(sum(v[k] for v in chamber.rays) for k in range(r))
-    return GitData(r, R, characters, omega)
 
 
 def _span_normals(git):
@@ -305,12 +261,6 @@ def _chamber_walls(git):
     return git._walls
 
 
-def _on_wall(wall, v):
-    """Whether v lies in the wall whose cone is {x : <a, x> >= 0, <e, x> = 0}."""
-    normals, equations = wall
-    return all(dot(a, v) >= 0 for a in normals) and all(dot(e, v) == 0 for e in equations)
-
-
 def in_chamber_interior(git, omega):
     """Whether a character lies inside a full-dimensional GKZ chamber.
 
@@ -325,7 +275,7 @@ def in_chamber_interior(git, omega):
         return False
     if any(dot(a, w) < 0 for a in git.cone_normals):
         return False
-    return not any(_on_wall(wall, w) for wall in _chamber_walls(git)[1])
+    return not any(_in_hrep(*wall, w) for wall in _chamber_walls(git)[1])
 
 
 def secondary_fan(git):
@@ -384,7 +334,7 @@ def secondary_fan(git):
             flipped = signs[:k] + (-1,) + signs[k + 1:]
             if signs[k] > 0 and flipped in cells:
                 probe = tuple(map(sum, zip(*(v for v, z in cell if z >> k & 1))))
-                if not _on_wall(wall, probe):
+                if not _in_hrep(*wall, probe):
                     parent[find(signs)] = find(flipped)
     groups = {}
     for signs, cell in cells.items():
@@ -496,10 +446,7 @@ def projective_bundle_fan(base, summand_coeffs):
             raise DomainError("not_cartier", "summand difference is not integral")
         lifted.append(tuple(v) + tuple(int(t) for t in twist))
     fibre = [tuple(0 for _ in range(d)) + tuple(-1 for _ in range(extra))]
-    for m in range(extra):
-        fibre.append(
-            tuple(0 for _ in range(d)) + tuple(1 if p == m else 0 for p in range(extra))
-        )
+    fibre += [tuple(0 for _ in range(d)) + unit for unit in identity_matrix(extra)]
     rays = lifted + fibre
     max_cones = []
     for sigma in base.max_cones:

@@ -1,0 +1,25 @@
+"""Helpers shared by the test modules."""
+
+from fanoscaffold.exact import identity_matrix
+
+
+def random_unimodular_matrix(n, rng, steps=8):
+    """A random determinant +-1 integer matrix built from elementary moves.
+
+    rng is a random.Random instance; steps controls how many row shears,
+    swaps and sign flips are applied to the identity.
+    """
+    m = [list(row) for row in identity_matrix(n)]
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if kind == 0 and i != j:
+            c = rng.choice([-2, -1, 1, 2])
+            for k in range(n):
+                m[i][k] += c * m[j][k]
+        elif kind == 1 and i != j:
+            m[i], m[j] = m[j], m[i]
+        elif kind == 2:
+            m[i] = [-c for c in m[i]]
+    return tuple(tuple(row) for row in m)

@@ -9,7 +9,7 @@ onto the column order of the reference presentation.
 import random
 import time
 
-from fanoscaffold.exact import hermite_normal_form, random_unimodular_matrix
+from fanoscaffold.exact import hermite_normal_form
 from fanoscaffold.errors import DomainError
 from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.forward import przyjalkowski
@@ -45,6 +45,8 @@ from fanoscaffold.amenable import (
     tower_from_amenable,
     validate_amenable,
 )
+
+from helpers import random_unimodular_matrix
 
 mono = LaurentPolynomial.monomial
 

@@ -17,13 +17,14 @@ from fanoscaffold.exact import (
     kernel_basis,
     mat_vec,
     primitive_vector,
-    random_unimodular_matrix,
     rank,
     row_space_equal,
     solve_linear,
     transpose,
     unimodular_inverse,
 )
+
+from helpers import random_unimodular_matrix
 
 
 def mat_mul(A, B):

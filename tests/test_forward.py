@@ -11,20 +11,21 @@ from fanoscaffold.amenable import scaffolding_from_amenable, validate_amenable
 from fanoscaffold.exact import (
     kernel_basis,
     mat_vec,
-    random_unimodular_matrix,
     row_space_equal,
     transpose,
 )
 from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.forward import (
     ConvexPartitionWithBasis,
+    _convexity,
     normalized_matrix,
     przyjalkowski,
-    validate_partition,
 )
 from fanoscaffold.laurent import LaurentPolynomial, monomial_substitution
 from fanoscaffold.scaffolding import laurent_from_scaffolding, scaffolding_from_forward
 from fanoscaffold.toric import GitData, git_to_stacky_fan, is_nef
+
+from helpers import random_unimodular_matrix
 
 
 def mono(n, c=1, **positions):
@@ -72,7 +73,7 @@ def test_normalized_matrix_identity_on_basis():
 def test_cubic_surface_model():
     git = cubic_git()
     part = ConvexPartitionWithBasis((0,), [(1, 2, 3)], (), (3,))
-    assert validate_partition(git, part) == []
+    assert _convexity(git, part)[0] == []
     f = przyjalkowski(git, part)
     # (1 + x + y)^3 / (x y)
     x = mono(2, 1, v0=1)
@@ -84,7 +85,7 @@ def test_cubic_surface_model():
 def test_projective_bundle_model():
     git = bundle_git()
     part = ConvexPartitionWithBasis((0, 1), [(2, 3), (4, 5)], (6,), (2, 4))
-    assert validate_partition(git, part) == []
+    assert _convexity(git, part)[0] == []
     f = przyjalkowski(git, part)
     # variables: z = column 6 (pos 0), x = column 3 (pos 1), y = column 5 (pos 2)
     z = mono(3, 1, v0=1)
@@ -154,7 +155,7 @@ def test_invalid_partition_reported():
     git = bundle_git()
     # columns 0 and 3 carry the same weight, so they cannot form a basis
     part = ConvexPartitionWithBasis((0, 3), [(1, 2), (4, 5)], (6,), (1, 4))
-    failures = validate_partition(git, part)
+    failures = _convexity(git, part)[0]
     assert failures == ["basis block is not unimodular"]
     with pytest.raises(DomainError) as exc:
         przyjalkowski(git, part)
@@ -164,14 +165,14 @@ def test_invalid_partition_reported():
 def test_negative_group_total_rejected():
     git = GitData(2, 3, [(1, 0), (0, 1), (1, -1)], (1, 0))
     part = ConvexPartitionWithBasis((0, 1), [(2,)], (), (2,))
-    failures = validate_partition(git, part)
+    failures = _convexity(git, part)[0]
     assert any("not generated by the basis" in msg for msg in failures)
 
 
 def test_omega_sign_checked():
     git = GitData(2, 3, [(1, 0), (0, 1), (1, 1)], (0, 1))
     part = ConvexPartitionWithBasis((0, 2), [(1,)], (), (1,))
-    failures = validate_partition(git, part)
+    failures = _convexity(git, part)[0]
     assert any("omega" in msg for msg in failures)
 
 
@@ -180,10 +181,10 @@ def test_integer_coefficients_and_values():
     part = ConvexPartitionWithBasis((0,), [(1, 2, 3)], (), (3,))
     f = przyjalkowski(git, part)
     assert all(isinstance(c, int) for c in f.terms.values())
-    assert f.coefficient((-1, -1)) == 1
-    assert f.coefficient((0, 0)) == 6
-    assert f.coefficient((1, 0)) == 3
-    assert f.coefficient((2, 0)) == 0
+    assert f.terms.get((-1, -1), 0) == 1
+    assert f.terms.get((0, 0), 0) == 6
+    assert f.terms.get((1, 0), 0) == 3
+    assert f.terms.get((2, 0), 0) == 0
 
 
 @pytest.mark.parametrize("build", [przyjalkowski, scaffolding_from_forward])
@@ -249,10 +250,10 @@ def git_with_groups(draw):
 @settings(max_examples=300, deadline=None)
 @given(git_with_groups())
 def test_nef_verdict_matches_the_piecewise_linear_oracle(case):
-    # validate_partition tests nef in the weight space; PLFunction tests it
+    # _convexity tests nef in the weight space; PLFunction tests it
     # on the quotient fan, and a divisor with no linear piece is not nef.
     git, part = case
-    failures = validate_partition(git, part)
+    failures = _convexity(git, part)[0]
     try:
         sfan = git_to_stacky_fan(git)
     except DomainError as exc:
@@ -269,7 +270,7 @@ def test_nef_verdict_matches_the_piecewise_linear_oracle(case):
 @settings(max_examples=200, deadline=None)
 @given(git_with_groups(), st.data())
 def test_fan_verdict_matches_git_to_stacky_fan(case, data):
-    # validate_partition reads the quotient fan off the partition's own
+    # _convexity reads the quotient fan off the partition's own
     # basis, git_to_stacky_fan off the first unimodular subset; relabelling
     # the coordinates makes the two differ.  The fan is unavailable for the
     # same reason on both sides, and otherwise the two fans agree up to a
@@ -287,7 +288,7 @@ def test_fan_verdict_matches_git_to_stacky_fan(case, data):
         [perm[c] for c in part.choices],
     )
     unavailable = [
-        f for f in validate_partition(git, part) if f.startswith("quotient fan")
+        f for f in _convexity(git, part)[0] if f.startswith("quotient fan")
     ]
     try:
         sfan = git_to_stacky_fan(git)
@@ -307,7 +308,7 @@ def test_fan_verdict_matches_git_to_stacky_fan(case, data):
 def test_normalized_matrix_rejects_a_partition_that_is_not_convex():
     git = GitData(2, 5, [(1, 0), (0, 1), (1, 1), (1, 2), (1, -1)], (4, 3))
     part = ConvexPartitionWithBasis((0, 1), [(2, 3)], (4,), (3,))
-    failures = validate_partition(git, part)
+    failures = _convexity(git, part)[0]
     assert failures == ["group 0 total divisor is not nef"]
     vectors = ((-1, -1, 0),)
     assert validate_amenable(git, part, vectors)[0]
@@ -331,7 +332,7 @@ def test_forward_model_equals_the_polynomial_of_its_scaffolding(case):
     # With no variable column the model is a constant and has no
     # scaffolding.
     git, part = case
-    assume(not validate_partition(git, part))
+    assume(not _convexity(git, part)[0])
     model = przyjalkowski(git, part)
     if not part.variable_columns():
         assert model.nvars == 0

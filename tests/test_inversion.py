@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanoscaffold import inversion, scaffolding
+from fanoscaffold import inversion, polyhedra, scaffolding
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
     dot,
     mat_vec,
     primitive_vector,
-    random_unimodular_matrix,
     transpose,
     vscale,
 )
@@ -26,7 +25,6 @@ from fanoscaffold.inversion import (
     binomial_equations,
     ci_data,
     laurent_inversion,
-    q_s_polytope,
     verify_embedding,
 )
 from fanoscaffold.polyhedra import Polytope, dd_cone
@@ -40,6 +38,8 @@ from fanoscaffold.scaffolding import (
     validate_scaffolding,
 )
 from fanoscaffold.toric import GitData
+
+from helpers import random_unimodular_matrix
 
 
 def cubic_scaffolding():
@@ -91,7 +91,7 @@ def test_cubic_inversion():
     assert inv.recovered.B == (0,)
     assert inv.recovered.S == ((1, 2, 3),)
     assert inv.recovered.U == ()
-    qs = q_s_polytope(scaf)
+    qs = inversion._q_s_polytope(scaf, ambient_rays(scaf))
     assert qs.vertices == Polytope.from_points(
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     ).vertices
@@ -394,7 +394,9 @@ def test_face_cones_check_without_reused_preimages(name):
         calls["dd_cone"] += 1
         return dd_cone(*a, **k)
 
-    with mock.patch.object(inversion, "dd_cone", counted):
+    with mock.patch.object(inversion, "dd_cone", counted), mock.patch.object(
+        polyhedra, "dd_cone", counted
+    ):
         assert not inversion._face_cones_check(*args)
     assert calls["dd_cone"] == 2
     assert not face_cones_per_face(*args)
@@ -438,7 +440,7 @@ def test_no_unit_basis_fails_every_embedding_check():
         False,
         {"ambient_rays": False, "restricted_fan": False, "face_cones": False},
     )
-    for build in (ambient_rays, q_s_polytope, ci_data, laurent_inversion):
+    for build in (ambient_rays, ci_data, laurent_inversion):
         with pytest.raises(DomainError) as exc:
             build(bad)
         assert exc.value.kind == "invalid_scaffolding"
@@ -447,7 +449,6 @@ def test_no_unit_basis_fails_every_embedding_check():
 @pytest.mark.parametrize("entry", [
     ambient_rays,
     laurent_inversion,
-    q_s_polytope,
     verify_embedding,
     ci_data,
 ])
@@ -565,7 +566,7 @@ def test_q_s_unbounded_detected():
     target = Polytope.from_points([(1, 0), (2, 0)])
     scaf = Scaffolding(shape, 1, struts, target)
     with pytest.raises(DomainError) as exc:
-        q_s_polytope(scaf)
+        verify_embedding(scaf)
     assert exc.value.kind == "unbounded"
 
 

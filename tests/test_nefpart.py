@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import dot, vneg
+from fanoscaffold.exact import dot, kernel_basis, solve_linear, transpose, vneg, vsub
 from fanoscaffold.inversion import anticanonical_scaffolding, laurent_inversion
 from fanoscaffold.laurent import LaurentPolynomial
 from fanoscaffold.mutations import mutate_scaffolding, segment_factor
@@ -17,7 +17,6 @@ from fanoscaffold.nefpart import (
     check_fano_nef_partition,
     check_nef_partition,
     fano_nef_partition_from_inversion,
-    is_gorenstein,
     mutation_chain_check,
     p_s_polytope,
     p_tilde,
@@ -255,6 +254,40 @@ def test_fano_partition_struct_is_validated():
 # ---------------------------------------------------------------------------
 # Cayley polytopes
 # ---------------------------------------------------------------------------
+
+def full_dim_model(polytope):
+    """Rewrite a lattice polytope in coordinates on its own affine lattice."""
+    if polytope.is_full_dimensional():
+        return polytope
+    base = polytope.vertices[0]
+    diffs = [vsub(v, base) for v in polytope.vertices[1:]]
+    normals = kernel_basis(diffs, ncols=polytope.dim)
+    basis = transpose(kernel_basis(normals, ncols=polytope.dim))
+    return Polytope.from_points([solve_linear(basis, vsub(v, base)) for v in polytope.vertices])
+
+
+def is_gorenstein(polytope, index):
+    """Whether the index-th dilate is reflexive in the polytope's own lattice.
+
+    The dilate must be a lattice polytope with a single interior lattice
+    point, and translating that point to the origin must leave a reflexive
+    polytope.  Lower dimensional polytopes are measured inside the lattice
+    of their affine span.  The oracle for the Gorenstein Cayley polytopes
+    of nef partitions (Batyrev and Borisov).
+    """
+    q = polytope.dilate(index)
+    if not q.is_lattice():
+        return False
+    model = full_dim_model(q)
+    inner = [
+        p
+        for p in model.integral_points()
+        if all(dot(a, p) > rhs for a, rhs in model.inequalities)
+    ]
+    if len(inner) != 1:
+        return False
+    return Polytope.from_points([vsub(v, inner[0]) for v in model.vertices]).is_reflexive()
+
 
 def test_cayley_of_one_polytope_is_a_slice():
     poly, cone = cayley([p2_triangle()])

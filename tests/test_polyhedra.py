@@ -18,10 +18,10 @@ from fanoscaffold.exact import (
     kernel_basis,
     mat_vec,
     primitive_vector,
-    random_unimodular_matrix,
     rank,
     solve_linear,
     unimodular_inverse,
+    vadd,
     vscale,
 )
 from fanoscaffold.polyhedra import (
@@ -37,6 +37,8 @@ from fanoscaffold.polyhedra import (
     restrict_fan,
     spanning_fan,
 )
+
+from helpers import random_unimodular_matrix
 
 
 def in_cone(gens, target):
@@ -139,8 +141,6 @@ def test_cone_from_rays_against_bruteforce():
         # Double conversion is stable.
         again = Cone.from_hrep(cone.ineq_normals, cone.eq_normals, dim=d)
         assert again == cone
-        # Dual of dual.
-        assert cone.dual().dual() == cone
 
 
 def integral_row(row):
@@ -322,9 +322,11 @@ def test_cone_zero_and_intersection():
     assert z.rays == () and z.lineality == ()
     a = Cone.from_rays([(1, 0), (0, 1)])
     b = Cone.from_rays([(1, 1), (-1, 1)])
-    c = a.intersect(b)
+    c = Cone.from_hrep(a.ineq_normals + b.ineq_normals)
     assert c.rays == ((0, 1), (1, 1))
-    disjoint = Cone.from_rays([(1, 2), (-1, 1)]).intersect(Cone.from_rays([(1, 0), (1, 1)]))
+    d = Cone.from_rays([(1, 2), (-1, 1)])
+    e = Cone.from_rays([(1, 0), (1, 1)])
+    disjoint = Cone.from_hrep(d.ineq_normals + e.ineq_normals)
     assert disjoint.rays == () and disjoint.lineality == ()
 
 
@@ -337,7 +339,7 @@ def test_polytope_square():
     d = p.dual()
     assert set(d.vertices) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
     assert d.dual() == p
-    assert p.is_reflexive() and p.is_fano()
+    assert p.is_reflexive()
 
 
 def test_polytope_vertices_against_bruteforce():
@@ -370,6 +372,13 @@ def test_polytope_vertices_against_bruteforce():
 
 
 COORDS = st.fractions(-2, 2, max_denominator=3)
+
+
+def translate(p, v):
+    """The polytope p moved by the vector v."""
+    return Polytope.from_points([vadd(q, v) for q in p.vertices])
+
+
 SLOPES = st.fractions(-1, 1, max_denominator=2)
 
 
@@ -407,7 +416,7 @@ def test_integral_points_against_the_box_filter(pts, data):
     # A translate by a fraction keeps the normals and makes the right-hand
     # sides non-integral.
     shift = data.draw(st.tuples(*[COORDS] * p.dim))
-    q = p.translate(shift)
+    q = translate(p, shift)
     assert q.integral_points() == box_filter(q)
 
 
@@ -565,7 +574,6 @@ def test_from_hrep_makes_one_conversion(monkeypatch):
     assert len(calls) == 1 and len(p.vertices) == 4
     p.facet_vertex_sets()
     p.dual().facet_vertex_sets()
-    p.translate((1, 2)).facet_vertex_sets()
     normal_fan(p), spanning_fan(p), p.proper_faces()
     assert len(calls) == 1
 
@@ -623,14 +631,6 @@ def test_faces_of_cube():
     assert by_dim == {0: 8, 1: 12, 2: 6}
 
 
-def test_interior_points_and_fano():
-    simplex = Polytope.from_points([(1, 0), (0, 1), (-1, -1)])
-    assert simplex.interior_lattice_points() == ((0, 0),)
-    assert simplex.is_fano() and simplex.is_reflexive()
-    stretched = Polytope.from_points([(2, 0), (0, 2), (-2, -2)])
-    assert not stretched.is_fano()
-
-
 def test_minkowski_sum_and_erode():
     sq = Polytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
     seg = Polytope.from_points([(0, 0), (2, 0)])
@@ -655,12 +655,10 @@ def test_erode_lower_dimensional():
     assert gone is None and not exact
 
 
-def test_dilate_translate():
+def test_dilate():
     p = Polytope.from_points([(1, 0), (0, 1), (-1, -1)])
     q = p.dilate(2)
     assert set(q.vertices) == {(2, 0), (0, 2), (-2, -2)}
-    r = p.translate((1, 1))
-    assert set(r.vertices) == {(2, 1), (1, 2), (0, 0)}
     assert p.dilate(-1).vertices == Polytope.from_points([(-1, 0), (0, -1), (1, 1)]).vertices
 
 
@@ -696,7 +694,7 @@ def rational_origin_polytopes(draw):
     pts += draw(st.lists(st.tuples(*[COORDS] * n), max_size=4))
     p = Polytope.from_points(pts)
     if draw(st.booleans()):
-        p = p.translate(draw(st.tuples(*[SMALL_SHIFTS] * n)))
+        p = translate(p, draw(st.tuples(*[SMALL_SHIFTS] * n)))
     return p
 
 
@@ -746,7 +744,6 @@ def test_facet_vertex_sets_against_fraction_dot_products(pts, origin_polytope, d
     grown = p.minkowski_sum(other)
     built = [
         p,
-        p.translate(data.draw(st.tuples(*[COORDS] * n))),
         Polytope.from_hrep(p.inequalities, p.equations, dim=n),
         p.dilate(data.draw(st.fractions(-3, 3, max_denominator=3))),
         grown,
@@ -787,10 +784,6 @@ def test_stored_numbers_are_int_exactly_when_integral(pts, origin_polytope, data
     # from the same numbers converted to Fraction.
     n = len(pts[0])
     lattice = [tuple(int(6 * c) for c in q) for q in pts]
-    shifts = [
-        data.draw(st.tuples(*[st.integers(-2, 2)] * n)),
-        data.draw(st.tuples(*[SMALL_SHIFTS] * n)),
-    ]
     factors = [data.draw(st.integers(-2, 2)), data.draw(st.fractions(-3, 3, max_denominator=3))]
     built = []
     for points in (lattice, [fractions_of(q) for q in lattice], pts):
@@ -799,10 +792,6 @@ def test_stored_numbers_are_int_exactly_when_integral(pts, origin_polytope, data
         hrep = (p.inequalities, p.equations)
         by_fractions = [[(fractions_of(a), Fraction(b)) for a, b in h] for h in hrep]
         built.append((Polytope.from_hrep(*hrep, dim=n), Polytope.from_hrep(*by_fractions, dim=n)))
-        for w in shifts:
-            built.append((p.translate(w), p.translate(fractions_of(w))))
-            # a sum of two Fractions such as 1/2 + 1/2 comes back as an int
-            built.append((p.translate(w).translate(tuple(-c for c in w)), p))
         for k in factors:
             built.append((p.dilate(k), p.dilate(Fraction(k))))
     d = origin_polytope.dual()

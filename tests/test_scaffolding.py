@@ -4,13 +4,13 @@ from itertools import product
 import pytest
 
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import mat_vec, random_unimodular_matrix
+from fanoscaffold.exact import mat_vec
 from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.forward import (
     ConvexPartitionWithBasis,
+    _convexity,
     normalized_matrix,
     przyjalkowski,
-    validate_partition,
 )
 from fanoscaffold.mutations import mutate_scaffolding
 from fanoscaffold.nefpart import p_tilde
@@ -18,6 +18,7 @@ from fanoscaffold.polyhedra import Polytope
 from fanoscaffold.scaffolding import (
     Scaffolding,
     Strut,
+    _piece,
     dual_cone_check,
     laurent_from_scaffolding,
     product_fan,
@@ -28,6 +29,8 @@ from fanoscaffold.scaffolding import (
     validate_scaffolding,
 )
 from fanoscaffold.toric import GitData, sections_polytope
+
+from helpers import random_unimodular_matrix
 
 
 def cubic_data():
@@ -226,7 +229,7 @@ def bracket_polytope_scaffolding(git, part):
     by the row's variable exponents, and each divisor coefficient is minus
     the least pairing of a shape ray with that hull.
     """
-    assert validate_partition(git, part) == []
+    assert _convexity(git, part)[0] == []
     norm = normalized_matrix(git, part)
     u = len(part.U)
     var_cols = part.variable_columns()
@@ -274,6 +277,19 @@ def bracket_polytope_scaffolding(git, part):
 
 
 CORPUS_PARTITIONS = [n for n in fixture_names() if "partition" in fixture(n)]
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in fixture_names() if "scaffolding" in fixture(n)]
+)
+def test_piece_points_are_the_strut_polytope_vertices(name):
+    # A piece's points are read off the sections polytope with no second
+    # conversion, so they must already be the vertices, in lex order, that
+    # a conversion of them gives.
+    scaf = fixture(name)["scaffolding"]
+    for i in range(len(scaf.struts)):
+        points = _piece(scaf, i)
+        assert points == strut_polytope(scaf, i).vertices
 
 
 @pytest.mark.parametrize("name", CORPUS_PARTITIONS)

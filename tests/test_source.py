@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,3 +71,52 @@ def test_readme_lists_every_cap_kind():
     sentence = re.search(r"Inputs that would blow up are capped.*?\.\s", readme, re.S)
     listed = {k for k in re.findall(r"`(\w+)`", sentence.group(0)) if CAP.fullmatch(k)}
     assert raised and listed == raised
+
+
+# Public names that nothing in src/ or perfbench/ calls, each kept for the
+# reason given.  A name leaves the list when it gets a caller.
+UNCALLED_ALLOWED = {
+    "polyhedra.Polytope.proper_faces": "per-face reference oracle of verify_embedding's check (c)",
+    "polyhedra.restrict_fan": "reference oracle of the fan pull-back of check (b)",
+    "scaffolding.laurent_from_scaffolding": "the planned quantum-period subcommand calls it",
+    "inversion.binomial_equations": "paper claim awaiting a binomials subcommand",
+    "nefpart.mutation_chain_check": "paper claim awaiting a mutation-chain subcommand",
+}
+
+
+def test_every_public_name_is_called():
+    # A public module-level function or class, or a public method, is
+    # called when its name is read (a Name, an Attribute or an import
+    # alias) somewhere in src/ or perfbench/*.py outside its own
+    # definition.  Strings and docstrings do not count.
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                defined.append(("%s.%s" % (path.stem, node.name), node))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    ("%s.%s.%s" % (path.stem, node.name, m.name), m)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+
+    def read(node):
+        if isinstance(node, ast.Name):
+            return (node.id,)
+        if isinstance(node, ast.Attribute):
+            return (node.attr,)
+        if isinstance(node, ast.alias):
+            return (node.name.split(".")[-1], node.asname)
+        return ()
+
+    def names(node):
+        return Counter(name for n in ast.walk(node) for name in read(n))
+
+    reads = sum(map(names, trees.values()), Counter())
+    uncalled = [full for full, node in defined if reads[node.name] == names(node)[node.name]]
+    assert sorted(uncalled) == sorted(UNCALLED_ALLOWED)

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from fanoscaffold import exact, polyhedra, toric
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import dot, mat_vec, random_unimodular_matrix, rank, solve_linear, transpose
+from fanoscaffold.exact import dot, kernel_basis, mat_vec, rank, solve_linear, transpose
 from fanoscaffold.fixtures import fixture
 from fanoscaffold.polyhedra import Cone, dd_cone
 from fanoscaffold.toric import (
     GitData,
     PLFunction,
     StackyFan,
-    covers,
     git_to_stacky_fan,
     in_chamber_interior,
     irrelevant_collection,
@@ -24,8 +23,54 @@ from fanoscaffold.toric import (
     projective_bundle_fan,
     secondary_fan,
     sections_polytope,
-    stacky_fan_to_git,
 )
+
+from helpers import random_unimodular_matrix
+
+
+def covers(git, subset):
+    """Whether omega is a strictly positive combination of the given weights.
+
+    That is, omega lies in the relative interior of the cone they span:
+    every equation normal vanishes on omega and every facet normal is
+    strictly positive there.  The primitive of the subset enumerations
+    that the minimal covers are tested against.
+    """
+    cone = Cone.from_rays([git.characters[i] for i in subset], dim=git.r)
+    return all(dot(e, git.omega) == 0 for e in cone.eq_normals) and all(
+        dot(a, git.omega) > 0 for a in cone.ineq_normals
+    )
+
+
+def intersection(cones, dim):
+    """The intersection of cones in dimension dim, from their joint H-description."""
+    return Cone.from_hrep(
+        [a for c in cones for a in c.ineq_normals],
+        [e for c in cones for e in c.eq_normals],
+        dim=dim,
+    )
+
+
+def stacky_fan_to_git(sfan):
+    """GIT data presenting the toric variety of a coordinate-labelled fan.
+
+    The round-trip oracle of git_to_stacky_fan.  The weights are the
+    columns of a canonical basis of the linear relations among the rays;
+    omega is the sum of the extreme rays of the intersection, over all
+    maximal cones sigma, of the cone spanned by the weights outside sigma.
+    """
+    R = len(sfan.rays)
+    relations = kernel_basis(transpose(sfan.rays), ncols=R)
+    r = len(relations)
+    characters = transpose(relations)
+    chamber = intersection(
+        [
+            Cone.from_rays([characters[i] for i in range(R) if i not in c], dim=r)
+            for c in sfan.max_cones
+        ],
+        r,
+    )
+    return GitData(r, R, characters, tuple(map(sum, zip(*chamber.rays))))
 
 
 def p2_git():
@@ -285,14 +330,14 @@ def test_secondary_fan_chambers():
 
 def gkz_chamber(git, p):
     """The intersection of the cones of full-rank r-subsets of weights containing p."""
-    chamber = None
+    cones = []
     for sigma in combinations(range(git.R), git.r):
         gens = [git.characters[i] for i in sigma]
         if rank(gens) == git.r:
             cone = Cone.from_rays(gens, dim=git.r)
             if cone.contains(p):
-                chamber = cone if chamber is None else chamber.intersect(cone)
-    return chamber
+                cones.append(cone)
+    return intersection(cones, git.r) if cones else None
 
 
 @settings(max_examples=60, deadline=None)
