@@ -60,8 +60,8 @@ _INPUTS = {
 
 def _parse_omega(text):
     try:
-        return tuple(Fraction(piece.strip()) for piece in text.split(","))
-    except (ValueError, ZeroDivisionError):
+        return tuple(jsonio._decode_number(piece) for piece in text.split(","))
+    except ValueError:
         raise ValueError("bad stability vector %r" % (text,))
 
 

@@ -23,6 +23,7 @@ from .exact import (
     solve_linear,
     transpose,
     unimodular_inverse,
+    vsub,
 )
 from .forward import ConvexPartitionWithBasis
 from .polyhedra import (
@@ -445,10 +446,6 @@ def ci_data(scaf):
     }
 
 
-def _orient(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 def _triangulate_2d(points):
     """Placing triangulation of a planar point set, lex insertion order.
 
@@ -465,7 +462,8 @@ def _triangulate_2d(points):
         if len(chain) < 2:
             chain.append(idx)
             continue
-        if _orient(points[chain[0]], points[chain[1]], points[idx]) == 0:
+        o = points[chain[0]]
+        if _det2(vsub(points[chain[1]], o), vsub(points[idx], o)) == 0:
             chain.append(idx)
             continue
         rest = order[t:]
@@ -475,18 +473,19 @@ def _triangulate_2d(points):
     first = rest[0]
     for a, b in zip(chain, chain[1:]):
         tris.append((a, b, first))
-    if _orient(points[chain[0]], points[chain[-1]], points[first]) > 0:
+    o = points[chain[0]]
+    if _det2(vsub(points[chain[-1]], o), vsub(points[first], o)) > 0:
         hull = chain + [first]
     else:
         hull = list(reversed(chain)) + [first]
     for idx in rest[1:]:
         p = points[idx]
         m = len(hull)
-        visible = [
-            t
-            for t in range(m)
-            if _orient(points[hull[t]], points[hull[(t + 1) % m]], p) < 0
-        ]
+        visible = []
+        for t in range(m):
+            a = points[hull[t]]
+            if _det2(vsub(points[hull[(t + 1) % m]], a), vsub(p, a)) < 0:
+                visible.append(t)
         if not visible:
             raise DomainError("bad_index", "point inside current hull")
         for t in visible:

@@ -8,6 +8,7 @@ else; domain validation is left to the object constructors.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .exact import as_exact
@@ -25,12 +26,18 @@ def _encode_number(x):
     return x if type(x) is int else "%d/%d" % (x.numerator, x.denominator)
 
 
+# A number string is an integer or p/q, the form the encoders write.
+# Fraction also reads exponents, and "1e2000000" alone would build a
+# 6.6-million-bit integer.
+_NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _decode_number(x):
     if isinstance(x, bool):
         raise ValueError("expected a number, got %r" % (x,))
     if isinstance(x, int):
         return x
-    if isinstance(x, str):
+    if isinstance(x, str) and _NUMBER.fullmatch(x):
         try:
             return as_exact(x)
         except (ValueError, ZeroDivisionError):

@@ -15,7 +15,7 @@ from math import prod
 
 from .errors import DomainError
 from .exact import det, dot, identity_matrix, mat_vec, vadd, vsub
-from .polyhedra import MAX_LATTICE_BOX, Polytope, convex_hull
+from .polyhedra import MAX_LATTICE_BOX, Polytope
 
 
 class LaurentPolynomial:
@@ -52,8 +52,8 @@ class LaurentPolynomial:
         return cls(nvars, {tuple(0 for _ in range(nvars)): 1})
 
     @classmethod
-    def monomial(cls, exponent, coeff=1):
-        return cls(len(exponent), {tuple(exponent): coeff})
+    def monomial(cls, exponent):
+        return cls(len(exponent), {tuple(exponent): 1})
 
     def is_zero(self):
         return not self.terms
@@ -280,11 +280,11 @@ def classical_period(f, d_max):
         raise DomainError(
             "degree_too_large", f"period depth capped at {MAX_PERIOD_DEPTH}"
         )
-    inequalities, equations = convex_hull(list(f.terms))
+    newton = f.newton_polytope()
     out = [1] + [0] * d_max
-    if any(rhs for _, rhs in equations):
+    if any(rhs for _, rhs in newton.equations):
         return tuple(out)
-    weights, mask, base, step = _packing(f, inequalities, d_max)
+    weights, mask, base, step = _packing(f, newton.inequalities, d_max)
     terms = [(dot(weights, e), c) for e, c in f.terms.items()]
     power = {0: 1}
     for k in range(1, (d_max + 1) // 2 + 1):

@@ -100,7 +100,7 @@ def _transport_ray(ray, w, factor, u):
     return tuple(int(a - m * b) for a, b in zip(ray, w[u:]))
 
 
-def mutate_shape(shape, w, factor, u=0):
+def mutate_shape(shape, w, factor, u):
     """Transport a shape fan along a mutation of the surrounding space.
 
     Each linear piece of the transport is unimodular (the factor is

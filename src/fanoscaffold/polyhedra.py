@@ -12,26 +12,27 @@ inequalities to span a 2-face skips the adjacency scan, and a pointed
 cone's lineality is read off the running basis with no kernel computation.
 One step of it, the cut of a cone's rays by one hyperplane, is _dd_step;
 it gives both halves, so toric.secondary_fan splits its cells with it.
-Its core, _dd_core, also returns each ray's exact tight mask.  Convex
-hulls and facet enumeration are thin wrappers around it, and every
-Polytope comes from one conversion, whose tight masks it keeps as its
-vertex-facet incidences (one int bit mask per facet).
-Polytope.from_points reads its vertices off them; Polytope.from_hrep
-takes as facets the inequalities whose tight vertex sets are
-inclusion-maximal among the proper nonempty ones, each in the canonical
-form convex_hull gives.  A Polytope keeps both descriptions, so its polar
-dual swaps them and transposes the incidences with no conversion; the
-spanning fan, the normal fan and the face lattice only read them.  Face
-questions read ray-facet incidences and pulled-back H-descriptions:
-restrict_fan makes one conversion per maximal cone and one per preimage
-(_pull_back_cone, run on each cone by _pull_back_cones, whose preimages a
-caller may reuse), and Fan.is_complete keys each ridge by the rays its
-normal vanishes on.  Lattice points are enumerated on integer
-rows by a depth-first walk over the coordinates that bounds each one by
-the rows' partial sums and the most the later coordinates can add, in
-bounding boxes of at most MAX_LATTICE_BOX points (larger ones raise
-lattice_box_too_large).  Intended for small instances (ambient dimension up
-to about 10); no attempt is made at large-scale performance.
+Its core, _dd_core, also returns each ray's exact tight mask.
+
+Every Cone comes from one _dd_core pass and keeps its tight masks as the
+ray-facet incidences, one int bit mask per facet: Cone.from_rays reads
+the rays off them, and Cone.from_hrep takes as facets the inequalities
+whose tight ray sets are inclusion-maximal among the proper ones.  A
+Polytope is the pointed cone over P x {1} (Ziegler, Lectures on
+Polytopes, 1.5): from_points is Cone.from_rays of the points (p, 1),
+from_hrep is Cone.from_hrep of the homogenized constraints and t >= 0,
+and both dehomogenize the cone.  A Polytope keeps both descriptions, so
+its polar dual swaps them and transposes the incidences with no
+conversion; the spanning fan, the normal fan and the face lattice only
+read them, as Fan.is_complete reads its cones' incidences.  restrict_fan
+makes one conversion per maximal cone and one per preimage
+(_pull_back_cone, run on each cone by _pull_back_cones, whose preimages
+a caller may reuse).  Lattice points are enumerated on integer rows by a
+depth-first walk over the coordinates that bounds each one by the rows'
+partial sums and the most the later coordinates can add, in bounding
+boxes of at most MAX_LATTICE_BOX points (larger ones raise
+lattice_box_too_large).  Intended for small instances (ambient dimension
+up to about 10); no attempt is made at large-scale performance.
 """
 
 from itertools import combinations, permutations
@@ -65,7 +66,7 @@ MAX_LATTICE_BOX = 10**6
 def _normalize_constraint(vec):
     """Integer primitive form of a constraint normal, or None if zero."""
     v = _clear_denominators(vec)
-    if all(c == 0 for c in v):
+    if not any(v):
         return None
     return primitive_vector(v)
 
@@ -262,6 +263,11 @@ def _pivot_columns(rows):
     return [next(k for k, c in enumerate(row) if c) for row in rows]
 
 
+def _reindex(masks, keep):
+    """Each mask with bit keep[k] moved to bit k, and the other bits dropped."""
+    return tuple(sum(1 << k for k, i in enumerate(keep) if mask >> i & 1) for mask in masks)
+
+
 def _bits(mask):
     """The positions of the set bits of mask, in increasing order."""
     out = []
@@ -270,36 +276,6 @@ def _bits(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def convex_hull(points):
-    """Facet description of the convex hull of finitely many rational points.
-
-    Returns (inequalities, equations) where each inequality is a pair
-    (normal, rhs) meaning <normal, x> >= rhs with primitive integer data,
-    and each equation is a pair (normal, rhs) meaning <normal, x> = rhs
-    cutting out the affine hull.
-    """
-    pts = [as_exact_vector(p) for p in points]
-    if not pts:
-        raise DomainError("empty_polytope", "no points given")
-    return _lifted_hull(pts)[:2]
-
-
-def _lifted_hull(pts):
-    """(inequalities, equations, incidence) of the hull of exact points.
-
-    Each point p lifts to the primitive integer multiple of (p, 1); one
-    conversion of the lifted points gives the facets as the rays (a, -rhs)
-    that are >= 0 on all of them, and bit i of incidence[j] is set when
-    point i lies on facet j.
-    """
-    n = len(pts[0])
-    lifted = [_normalize_constraint(p + (1,)) for p in pts]
-    facet_rays, incidence, aff_lin = _dd_core(lifted, (), n + 1)
-    ineqs = tuple((v[:n], -v[n]) for v in facet_rays)
-    eqs = tuple((v[:n], -v[n]) for v in aff_lin)
-    return ineqs, eqs, incidence
 
 
 class Polytope:
@@ -334,13 +310,7 @@ class Polytope:
 
     @classmethod
     def from_points(cls, points):
-        """The convex hull of points, from one double description pass.
-
-        The pass gives each facet's tight set among the points.  A point
-        is a vertex exactly when no other point lies on every facet it
-        lies on, that is, when the facets through it meet in it alone, and
-        the tight sets restricted to the vertices are the incidences.
-        """
+        """The convex hull of points: Cone.from_rays of the lifted points (p, 1)."""
         pts = sorted({as_exact_vector(p) for p in points})
         if not pts:
             raise DomainError("empty_polytope", "no points given")
@@ -350,98 +320,56 @@ class Polytope:
         for p in pts:
             if len(p) != n:
                 raise DomainError("dimension_mismatch", "points of mixed length")
-        # Bit i of on_facet[j] is set when point i lies on facet j.
-        ineqs, eqs, on_facet = _lifted_hull(pts)
-        everything = (1 << len(pts)) - 1
-        keep = []
-        for i in range(len(pts)):
-            meet = everything
-            for mask in on_facet:
-                if mask >> i & 1:
-                    meet &= mask
-            if meet == 1 << i:
-                keep.append(i)
-        verts = tuple(pts[i] for i in keep)
-        # When every point is a vertex the masks are already indexed by the
-        # vertices; skipping the re-index there is measurably faster.
-        if len(keep) < len(pts):
-            on_facet = tuple(
-                sum(1 << k for k, i in enumerate(keep) if mask >> i & 1) for mask in on_facet
-            )
-        return cls(n, verts, ineqs, eqs, on_facet)
+        return cls._from_cone(n, Cone.from_rays([p + (1,) for p in pts], dim=n + 1))
 
     @classmethod
     def from_hrep(cls, inequalities, equations=(), dim=None):
         """The polytope {x : <a, x> >= rhs, <e, x> = rhs'}, from one conversion.
 
-        One double description pass over the homogenized constraints
-        (a, -rhs) >= 0, (e, -rhs') = 0 and t >= 0 gives the vertices, as
-        the rays with t > 0, and each vertex's tight inequalities; a line,
-        or a ray with t = 0 next to one with t > 0, raises unbounded, and
-        no ray with t > 0 raises empty_polytope.  The facets are the
-        inequalities whose tight vertex sets are inclusion-maximal among
-        the proper nonempty ones; of those with the same set, the first is
-        kept.  Each is stored as convex_hull of the vertices would store
-        it: the primitive integer multiple of (a, -rhs), reduced modulo
-        the canonical basis of the lifted vertices' kernel (whose rows are
-        the equations) when the polytope is flat, that is, when equations
-        are given or some inequality is tight at every vertex.  A single
-        point has the one inequality 0 >= -1, tight at no vertex.
+        Cone.from_hrep of (a, -rhs) >= 0, (e, -rhs') = 0 and t >= 0 gives
+        the vertices as the rays with t > 0; a line, or a ray with t = 0
+        next to one with t > 0, raises unbounded, and no ray with t > 0
+        raises empty_polytope.  A single point keeps the one facet t >= 0,
+        that is 0 >= -1.
         """
-        ineqs = [(as_exact_vector(a), as_exact(rhs)) for a, rhs in inequalities]
-        eqs = [(as_exact_vector(a), as_exact(rhs)) for a, rhs in equations]
+        ineqs = [as_exact_vector(a) + (-as_exact(rhs),) for a, rhs in inequalities]
+        eqs = [as_exact_vector(a) + (-as_exact(rhs),) for a, rhs in equations]
         if dim is None:
-            if ineqs:
-                dim = len(ineqs[0][0])
-            elif eqs:
-                dim = len(eqs[0][0])
-            else:
+            if not (ineqs or eqs):
                 raise DomainError("dimension_unknown", "no constraints and no dim")
+            dim = len((ineqs or eqs)[0]) - 1
         n = dim
-        hom = [a + (-rhs,) for a, rhs in ineqs]
-        hom.append((0,) * n + (1,))
-        rays, masks, lineality = _dd_core(hom, [a + (-rhs,) for a, rhs in eqs], n + 1)
-        if lineality:
+        ineqs.append((0,) * n + (1,))
+        cone = Cone.from_hrep(ineqs, eqs, dim=n + 1)
+        if cone.lineality:
             raise DomainError("unbounded", "feasible set contains a line")
-        recession = [r for r in rays if r[n] == 0]
-        if recession and len(recession) < len(rays):
+        recession = [r for r in cone.rays if r[n] == 0]
+        if recession and len(recession) < len(cone.rays):
             raise DomainError("unbounded", f"recession direction {recession[0][:n]}")
-        if not rays or recession:
+        if not cone.rays or recession:
             # Only recession rays and no vertex: the polyhedron is empty and
             # the homogenization degenerated to the recession cone.
             raise DomainError("empty_polytope", "inconsistent constraints")
-        pairs = sorted(
-            (tuple(exact_ratio(c, r[n]) for c in r[:n]), z) for r, z in zip(rays, masks)
-        )
-        verts = tuple(v for v, _ in pairs)
-        # Bit i of tight[j] is set when vertex i lies on inequality j; no
-        # vertex lies on t >= 0.
-        tight = [0] * len(ineqs)
-        for i, (_, z) in enumerate(pairs):
-            for j in _bits(z):
-                tight[j] |= 1 << i
-        everything = (1 << len(verts)) - 1
-        # first maps each proper nonempty tight set to its first inequality.
-        first = {}
-        for j, mask in enumerate(tight):
-            if mask and mask != everything:
-                first.setdefault(mask, j)
-        if len(verts) == 1:
-            # A point keeps one inequality, tight at no vertex: t >= 0.
-            first[0] = len(ineqs)
-        if eqs or everything in tight:
-            hull = kernel_basis([_normalize_constraint(v + (1,)) for v in verts], ncols=n + 1)
-        else:
-            hull = ()
-        pivots = _pivot_columns(hull)
-        facets = sorted(
-            (_reduce_mod_rows(_normalize_constraint(hom[j]), hull, pivots), mask)
-            for mask, j in first.items()
-            if not any(mask != other and mask & other == mask for other in first)
-        )
-        cineqs = tuple((r[:n], -r[n]) for r, _ in facets)
-        ceqs = tuple((v[:n], -v[n]) for v in hull)
-        return cls(dim, verts, cineqs, ceqs, tuple(mask for _, mask in facets))
+        return cls._from_cone(n, cone)
+
+    @classmethod
+    def _from_cone(cls, n, cone):
+        """The polytope P in dimension n whose cone over P x {1} is cone.
+
+        The ray r gives the vertex r[:n] / r[n], and the normal (a, -rhs)
+        the facet <a, x> >= rhs.  When every vertex is a lattice point, the
+        rays are the points (v, 1), already in the vertices' lex order.
+        """
+        rays, incidence = cone.rays, cone.incidence
+        verts = [r[:n] for r in rays]
+        if any(r[n] != 1 for r in rays):
+            verts = [tuple(exact_ratio(c, r[n]) for c in r[:n]) for r in rays]
+            order = sorted(range(len(verts)), key=verts.__getitem__)
+            verts = [verts[i] for i in order]
+            incidence = _reindex(incidence, order)
+        ineqs = tuple((a[:n], -a[n]) for a in cone.ineq_normals)
+        eqs = tuple((e[:n], -e[n]) for e in cone.eq_normals)
+        return cls(n, tuple(verts), ineqs, eqs, incidence)
 
     def __eq__(self, other):
         return (
@@ -462,20 +390,8 @@ class Polytope:
     def is_lattice(self):
         return all(c.denominator == 1 for v in self.vertices for c in v)
 
-    def contains(self, point):
-        p = as_exact_vector(point)
-        for a, rhs in self.inequalities:
-            if dot(a, p) < rhs:
-                return False
-        for a, rhs in self.equations:
-            if dot(a, p) != rhs:
-                return False
-        return True
-
     def dilate(self, k):
         k = as_exact(k)
-        if k == 0:
-            return Polytope.from_points([(0,) * self.dim])
         return Polytope.from_points([vscale(k, v) for v in self.vertices])
 
     def facet_vertex_sets(self):
@@ -726,51 +642,123 @@ class Cone:
     lineality: canonical basis of the contained linear subspace.
     ineq_normals / eq_normals: the dual description; <a, x> >= 0 and
     <e, x> = 0 with the same canonical conventions on the dual side.
+    incidence: one int bit mask per facet normal; bit i is set when
+        rays[i] lies on that facet.
+
+    The constructor checks nothing: build a Cone with from_rays or
+    from_hrep, each one double description pass, not directly.
     """
 
-    __slots__ = ("dim", "rays", "lineality", "ineq_normals", "eq_normals")
+    __slots__ = ("dim", "rays", "lineality", "ineq_normals", "eq_normals", "incidence")
 
-    def __init__(self, dim, rays, lineality, ineq_normals, eq_normals):
+    def __init__(self, dim, rays, lineality, ineq_normals, eq_normals, incidence):
         self.dim = dim
         self.rays = rays
         self.lineality = lineality
         self.ineq_normals = ineq_normals
         self.eq_normals = eq_normals
+        self.incidence = incidence
 
     @classmethod
     def from_rays(cls, generators, dim=None):
-        gens = [tuple(g) for g in generators]
+        """The cone the generators span, from one double description pass.
+
+        The pass gives the facet normals, the equations and each facet's
+        tight set among the generators.  Only when a generator lies on
+        every facet is the lineality computed, as the kernel of the
+        normals and equations, and the generators reduced modulo it.  A
+        reduced generator is a ray exactly when no other one lies on
+        every facet it lies on.
+        """
+        gens = list(generators)
         if dim is None:
             if not gens:
                 raise DomainError("dimension_unknown", "no generators and no dim")
             dim = len(gens[0])
-        cleaned = []
+        # Each distinct nonzero generator once, in order.
+        cleaned = {}
         for g in gens:
             if len(g) != dim:
                 raise DomainError("dimension_mismatch", "generators of mixed length")
             v = _normalize_constraint(g)
             if v is not None:
-                cleaned.append(v)
-        # Dual cone of the generators gives the facet normals, then the dual
-        # of that description gives the extreme rays among the generators.
-        normals, eq_normals = dd_cone(cleaned, dim=dim)
-        rays, lineality = dd_cone(normals, eq_normals, dim=dim)
-        return cls(dim, rays, lineality, normals, eq_normals)
+                cleaned[v] = None
+        cleaned = list(cleaned)
+        # Bit i of on_facet[j] is set when cleaned[i] lies on facet j.
+        normals, on_facet, eq_normals = _dd_core(cleaned, (), dim)
+        reps = common = (1 << len(cleaned)) - 1
+        for mask in on_facet:
+            common &= mask
+        lineality = ()
+        if common:
+            lineality = tuple(kernel_basis(normals + eq_normals, ncols=dim))
+            pivots = _pivot_columns(lineality)
+            cleaned = [_reduce_mod_rows(g, lineality, pivots) for g in cleaned]
+            # reps keeps the first of each reduced generator outside the
+            # lineality.
+            first = {}
+            for i, g in enumerate(cleaned):
+                first.setdefault(g, i)
+            first.pop((0,) * dim, None)
+            reps = sum(1 << i for i in first.values())
+        # A generator in the lineality is not in reps, and a later copy of a
+        # reduced generator meets the first copy, so neither is kept.
+        keep = []
+        for i in range(len(cleaned)):
+            meet = reps
+            for mask in on_facet:
+                if mask >> i & 1:
+                    meet &= mask
+            if meet == 1 << i:
+                keep.append(i)
+        keep.sort(key=cleaned.__getitem__)
+        # When every generator is a ray, in order, the masks are already
+        # indexed by the rays; skipping the re-index there is faster.
+        if keep != list(range(len(cleaned))):
+            on_facet = _reindex(on_facet, keep)
+        rays = tuple(map(cleaned.__getitem__, keep))
+        return cls(dim, rays, lineality, normals, eq_normals, on_facet)
 
     @classmethod
     def from_hrep(cls, ineq_normals, eq_normals=(), dim=None):
+        """The cone {x : <a, x> >= 0, <e, x> = 0}, from one conversion.
+
+        The facets are the inequalities whose tight ray sets are
+        inclusion-maximal among the proper ones, the first of each set.
+        Each is stored as from_rays stores it: primitive, and reduced
+        modulo the canonical kernel of the rays and lineality (whose rows
+        are the equations) when the cone is flat, that is, when equations
+        are given or an inequality is tight at every ray.
+        """
+        ineqs = [tuple(a) for a in ineq_normals]
+        eqs = [tuple(e) for e in eq_normals]
         if dim is None:
-            ineq_normals = [tuple(a) for a in ineq_normals]
-            eq_normals = [tuple(e) for e in eq_normals]
-            if ineq_normals:
-                dim = len(ineq_normals[0])
-            elif eq_normals:
-                dim = len(eq_normals[0])
-            else:
+            if not (ineqs or eqs):
                 raise DomainError("dimension_unknown", "no constraints and no dim")
-        rays, lineality = dd_cone(ineq_normals, eq_normals, dim=dim)
-        normals, dual_lin = dd_cone(rays, lineality, dim=dim)
-        return cls(dim, rays, lineality, normals, dual_lin)
+            dim = len((ineqs or eqs)[0])
+        rays, masks, lineality = _dd_core(ineqs, eqs, dim)
+        # Bit i of tight[j] is set when rays[i] lies on inequality j.
+        tight = [0] * len(ineqs)
+        for i, z in enumerate(masks):
+            for j in _bits(z):
+                tight[j] |= 1 << i
+        everything = (1 << len(rays)) - 1
+        # first maps each proper tight set to its first inequality.
+        first = {}
+        for j, mask in enumerate(tight):
+            if mask != everything:
+                first.setdefault(mask, j)
+        hull = ()
+        if eqs or everything in tight:
+            hull = tuple(kernel_basis(rays + lineality, ncols=dim))
+        pivots = _pivot_columns(hull)
+        facets = sorted(
+            (_reduce_mod_rows(_normalize_constraint(ineqs[j]), hull, pivots), mask)
+            for mask, j in first.items()
+            if not any(mask != other and mask & other == mask for other in first)
+        )
+        normals = tuple(a for a, _ in facets)
+        return cls(dim, rays, lineality, normals, hull, tuple(mask for _, mask in facets))
 
     def __eq__(self, other):
         return (
@@ -794,9 +782,6 @@ class Cone:
             self.contains(l) and self.contains(vneg(l)) for l in other.lineality
         )
 
-    def cone_dim(self):
-        return rank(list(self.rays) + list(self.lineality))
-
     def is_pointed(self):
         return not self.lineality
 
@@ -808,8 +793,7 @@ def _in_hrep(normals, equations, v):
 
 def cone_over(polytope):
     """The cone over polytope x {1} in one more dimension."""
-    gens = [tuple(v) + (1,) for v in polytope.vertices]
-    return Cone.from_rays([_normalize_constraint(g) for g in gens], dim=polytope.dim + 1)
+    return Cone.from_rays([v + (1,) for v in polytope.vertices], dim=polytope.dim + 1)
 
 
 class Fan:
@@ -870,21 +854,21 @@ class Fan:
     def is_complete(self):
         """Whether the fan covers the whole space.
 
-        Checks that all maximal cones are full dimensional and that every
-        codimension one face is shared by exactly two of them.  This is the
-        right criterion for fans whose cones meet along faces.  A facet of
-        a pointed cone is keyed by the cone's rays on which its normal
-        vanishes, which are exactly the facet's own rays.
+        Checks that all maximal cones are full dimensional (no equations)
+        and that every codimension one face is shared by exactly two of
+        them.  This is the right criterion for fans whose cones meet along
+        faces.  A facet of a pointed cone is keyed by its own rays, read
+        off the cone's incidences.
         """
         if not self.max_cones:
             return False
         ridge_counts = {}
         for c in self.max_cones:
             cone = self.cone(c)
-            if cone.cone_dim() != self.dim or not cone.is_pointed():
+            if cone.eq_normals or not cone.is_pointed():
                 return False
-            for a in cone.ineq_normals:
-                key = tuple(r for r in cone.rays if not dot(a, r))
+            for mask in cone.incidence:
+                key = tuple(cone.rays[i] for i in _bits(mask))
                 ridge_counts[key] = ridge_counts.get(key, 0) + 1
         return all(v == 2 for v in ridge_counts.values())
 

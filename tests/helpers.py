@@ -1,6 +1,17 @@
 """Helpers shared by the test modules."""
 
-from fanoscaffold.exact import identity_matrix
+from fanoscaffold.exact import as_exact_vector, dot, identity_matrix
+
+
+def contains(polytope, point):
+    """Whether point lies in the polytope, by its H-description.
+
+    The membership oracle of the lattice point and hull tests.
+    """
+    p = as_exact_vector(point)
+    return all(dot(a, p) >= rhs for a, rhs in polytope.inequalities) and all(
+        dot(a, p) == rhs for a, rhs in polytope.equations
+    )
 
 
 def random_unimodular_matrix(n, rng, steps=8):

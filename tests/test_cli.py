@@ -422,6 +422,14 @@ def test_invert_accepts_a_stability_override(tmp_path, capsys):
     assert json.loads(out)["git"]["omega"] == [2, 3]
 
 
+@pytest.mark.parametrize("omega", ["1e2000000", "1.5", " 3/4 "])
+def test_invert_rejects_a_stability_override_in_another_number_form(tmp_path, capsys, omega):
+    scaf = write_json(tmp_path, "s.json",
+                      jsonio.encode_scaffolding(fixture("dp6-squares")["scaffolding"]))
+    code, out, err = invoke(capsys, "invert", "--scaffolding", scaf, "--omega", omega)
+    assert code == 2 and not out and "bad stability vector" in err
+
+
 def test_newton_emits_a_tikz_cycle(tmp_path, capsys):
     f = write_json(tmp_path, "f.json", jsonio.encode_laurent(fixture("cubic-surface")["laurent"]))
     code, out, _ = invoke(capsys, "newton", "--f", f, "--emit-tikz")

@@ -32,7 +32,7 @@ def mono(n, c=1, **positions):
     e = [0] * n
     for key, val in positions.items():
         e[int(key[1:])] = val
-    return LaurentPolynomial.monomial(tuple(e), c)
+    return LaurentPolynomial(n, {tuple(e): c})
 
 
 def cubic_git():

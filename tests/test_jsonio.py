@@ -31,6 +31,16 @@ def test_git_round_trip_keeps_fractional_stability():
     assert jsonio.decode_git(obj) == git
 
 
+# An exponent, a decimal point and surrounding spaces: Fraction reads all
+# three, and "1e2000000" would build a 6.6-million-bit integer.
+@pytest.mark.parametrize("text", ["1e2000000", "1.5", " 3/4 "])
+def test_number_strings_are_integers_or_p_over_q(text):
+    obj = jsonio.encode_git(GitData(2, 4, [(1, 0), (0, 1), (1, 1), (1, 2)], (1, 1)))
+    obj["omega"] = [1, text]
+    with pytest.raises(ValueError):
+        jsonio.decode_git(obj)
+
+
 def test_integral_fractions_encode_and_decode_as_ints():
     chars = [(1, 0), (0, 1), (1, 1), (1, 2)]
     by_fraction = GitData(2, 4, chars, (Fraction(2), Fraction(1, 2)))

@@ -161,7 +161,7 @@ def test_mutation_levels_are_capped():
 
 def test_shape_transport_gives_hirzebruch_fan():
     shape = product_fan([(0,), (1,)])
-    moved = mutate_shape(shape, (1, 0), vertical_unit())
+    moved = mutate_shape(shape, (1, 0), vertical_unit(), 0)
     assert moved.rays == ((-1, 0), (0, 1), (1, -1), (1, 0))
     assert moved.is_complete()
 
@@ -172,7 +172,7 @@ def test_shape_transport_detects_crease():
     shape = product_fan([(0,), (1,)])
     factor = Polytope.from_points([(0, 0), (1, -1)])
     with pytest.raises(DomainError) as exc:
-        mutate_shape(shape, (1, 1), factor)
+        mutate_shape(shape, (1, 1), factor, 0)
     assert exc.value.kind == "not_mutable"
     assert "not complete" in exc.value.detail
 

@@ -30,7 +30,6 @@ from fanoscaffold.polyhedra import (
     Fan,
     Polytope,
     cone_over,
-    convex_hull,
     dd_cone,
     lattice_isomorphic,
     normal_fan,
@@ -38,7 +37,7 @@ from fanoscaffold.polyhedra import (
     spanning_fan,
 )
 
-from helpers import random_unimodular_matrix
+from helpers import contains, random_unimodular_matrix
 
 
 def in_cone(gens, target):
@@ -245,6 +244,48 @@ def test_dd_core_masks_are_the_tight_sets(system):
     )
 
 
+def two_pass_cone_from_rays(generators, n):
+    """(rays, lineality, normals, equations) as the former Cone.from_rays
+    found them: one dd_cone pass over the generators for the facets, and a
+    second over the facets for the rays."""
+    normals, eq_normals = dd_cone(generators, dim=n)
+    rays, lineality = dd_cone(normals, eq_normals, dim=n)
+    return rays, lineality, normals, eq_normals
+
+
+def two_pass_cone_from_hrep(ineqs, eqs, n):
+    """The same four as the former Cone.from_hrep found them: one dd_cone
+    pass over the constraints for the rays, and a second over the rays
+    for the facets."""
+    rays, lineality = dd_cone(ineqs, eqs, dim=n)
+    normals, eq_normals = dd_cone(rays, lineality, dim=n)
+    return rays, lineality, normals, eq_normals
+
+
+def incidences_by_dot_products(cone):
+    return tuple(
+        sum(1 << i for i, r in enumerate(cone.rays) if not dot(a, r)) for a in cone.ineq_normals
+    )
+
+
+# Opposite, doubled and zero generators (a lineality, a scaled ray and
+# nothing); a flat cone given by an equation; {0} and the whole space.
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, 2, 2), (0, 0, 0)], []))
+@example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(0, 0, 1)]))
+@example((2, [], []))
+@settings(max_examples=300, deadline=None)
+@given(constraint_systems())
+def test_one_pass_cones_against_two_passes(system):
+    # The rows span one cone and cut out another (with the equations).
+    n, rows, eqs = system
+    for cone, oracle in (
+        (Cone.from_rays(rows, dim=n), two_pass_cone_from_rays(rows, n)),
+        (Cone.from_hrep(rows, eqs, dim=n), two_pass_cone_from_hrep(rows, eqs, n)),
+    ):
+        assert (cone.rays, cone.lineality, cone.ineq_normals, cone.eq_normals) == oracle
+        assert cone.incidence == incidences_by_dot_products(cone)
+
+
 @st.composite
 def pointed_cones_and_cuts(draw):
     """A full-dimensional pointed cone of rank r <= 4 and up to four cuts.
@@ -310,7 +351,7 @@ def test_dd_cone_of_a_pointed_cone_computes_no_kernel(monkeypatch):
 
 def test_cone_lower_dimensional():
     cone = Cone.from_rays([(1, 1, 0), (1, 2, 0)])
-    assert cone.cone_dim() == 2
+    assert cone.dim - len(cone.eq_normals) == 2
     assert ((0, 0, 1),) == tuple(cone.eq_normals) or (0, 0, 1) in cone.eq_normals
     assert cone.contains((2, 3, 0))
     assert not cone.contains((2, 3, 1))
@@ -335,7 +376,7 @@ def test_polytope_square():
     assert len(p.vertices) == 4
     assert p.is_full_dimensional() and p.is_lattice()
     assert len(p.inequalities) == 4
-    assert p.contains((0, 0)) and not p.contains((2, 0))
+    assert contains(p, (0, 0)) and not contains(p, (2, 0))
     d = p.dual()
     assert set(d.vertices) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
     assert d.dual() == p
@@ -365,7 +406,7 @@ def test_polytope_vertices_against_bruteforce():
         assert set(p.vertices) == brute_verts
         # Every input point satisfies the H-rep.
         for q in pts:
-            assert p.contains(q)
+            assert contains(p, q)
         # Facets are supported: each has affine rank dim-1 worth of vertices.
         for s in p.facet_vertex_sets():
             assert len(s) >= p.dim - len(p.equations)
@@ -405,7 +446,7 @@ def box_filter(p):
     lo = [math.ceil(min(v[i] for v in p.vertices)) for i in range(p.dim)]
     hi = [math.floor(max(v[i] for v in p.vertices)) for i in range(p.dim)]
     box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-    return tuple(x for x in box if p.contains(x))
+    return tuple(x for x in box if contains(p, x))
 
 
 @settings(max_examples=200, deadline=None)
@@ -485,17 +526,27 @@ def two_pass_vertices(inequalities, equations, n):
     return tuple(sorted(verts)) or "empty_polytope"
 
 
+def hull_by_dd_cone(points):
+    """The former convex_hull: (inequalities, equations) of the hull of the
+    points, as the rays and lineality of one dd_cone pass over the lifted
+    points (p, 1), each split as (r[:n], -r[n])."""
+    pts = [as_exact_vector(q) for q in points]
+    n = len(pts[0])
+    rays, lineality = dd_cone([q + (1,) for q in pts], dim=n + 1)
+    return tuple((r[:n], -r[n]) for r in rays), tuple((r[:n], -r[n]) for r in lineality)
+
+
 def two_pass_from_hrep(inequalities, equations, n):
     """The former Polytope.from_hrep: its vertices from one conversion, its
-    facets from a second (convex_hull of the vertices), and its incidences
-    by Fraction dot products.  Returns (described string, incidences), or
-    the DomainError kind."""
+    facets from a second (hull_by_dd_cone of the vertices), and its
+    incidences by Fraction dot products.  Returns (described string,
+    incidences), or the DomainError kind."""
     ineqs = [(as_exact_vector(a), as_exact(rhs)) for a, rhs in inequalities]
     eqs = [(as_exact_vector(a), as_exact(rhs)) for a, rhs in equations]
     verts = two_pass_vertices(ineqs, eqs, n)
     if isinstance(verts, str):
         return verts
-    cineqs, ceqs = convex_hull(verts)
+    cineqs, ceqs = hull_by_dd_cone(verts)
     incidence = tuple(
         frozenset(i for i, v in enumerate(verts) if dot(a, v) == rhs) for a, rhs in cineqs
     )
@@ -578,11 +629,34 @@ def test_from_hrep_makes_one_conversion(monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_constructor_makes_one_conversion(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return core(*args)
+
+    triangle = Polytope.from_points([(1, 0), (0, 1), (-1, -1)])
+    core = polyhedra._dd_core
+    monkeypatch.setattr(polyhedra, "_dd_core", counted)
+    builds = [
+        lambda: Cone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 2, 1), (0, 1, 1)]),
+        lambda: Cone.from_hrep([(0, 1, 0), (0, 0, 1), (0, 1, -1)], [(1, 1, 1)]),
+        lambda: Polytope.from_points([(0, 0), (2, 0), (0, 2), (1, 1), (Fraction(1, 2), 0)]),
+        lambda: Polytope.from_hrep([((1, 0), 0), ((0, 1), 0), ((-2, -1), Fraction(-3, 2))]),
+        lambda: cone_over(triangle),
+    ]
+    for build in builds:
+        del calls[:]
+        build()
+        assert len(calls) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(point_sets())
 def test_from_points_against_a_second_conversion(pts):
     p = Polytope.from_points(pts)
-    ineqs, eqs = convex_hull(pts)
+    ineqs, eqs = hull_by_dd_cone(pts)
     assert p.vertices == two_pass_vertices(ineqs, eqs, p.dim)
     assert (p.inequalities, p.equations) == (ineqs, eqs)
 
@@ -616,8 +690,8 @@ def test_polytope_from_hrep_and_unbounded():
 def test_polytope_lower_dimensional():
     seg = Polytope.from_points([(0, 0, 1), (2, 0, 1)])
     assert len(seg.equations) == 2
-    assert seg.contains((1, 0, 1))
-    assert not seg.contains((1, 1, 1))
+    assert contains(seg, (1, 0, 1))
+    assert not contains(seg, (1, 1, 1))
     assert seg.integral_points() == ((0, 0, 1), (1, 0, 1), (2, 0, 1))
 
 
@@ -895,7 +969,7 @@ def test_restrict_fan_against_pairwise_domination(p, kind, seed, data):
 def test_cone_over():
     square = Polytope.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     c = cone_over(square)
-    assert c.dim == 3 and c.cone_dim() == 3
+    assert c.dim == 3 and c.eq_normals == ()
     assert c.contains((0, 0, 1)) and not c.contains((3, 0, 1))
     assert set(c.rays) == {(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)}
 

@@ -235,15 +235,15 @@ def count_calls(monkeypatch, name, *modules):
 def test_chamber_data_conversion_counts(monkeypatch):
     git = fixture("circulant-three")["git"]
     fresh = fixture("circulant-three")["git"]
-    dd = count_calls(monkeypatch, "dd_cone", polyhedra, toric)
+    dd = count_calls(monkeypatch, "_dd_core", polyhedra)
     solves = count_calls(monkeypatch, "solve_linear", exact, toric)
     irrelevant_collection(git)
     assert len(dd) == 1 and solves == []
     del dd[:]
-    # 15 conversions for the 15 walls, 26 for the 13 chambers and one for
-    # the support's rays; the cells themselves take none.
+    # One conversion for each of the 15 walls and the 13 chambers, and one
+    # for the support's rays; the cells themselves take none.
     assert len(secondary_fan(fresh)) == 13
-    assert len(dd) <= 42
+    assert len(dd) == 29
 
 
 def test_chamber_walls_take_one_conversion_each(monkeypatch):
