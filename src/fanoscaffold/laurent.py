@@ -15,7 +15,7 @@ from math import prod
 
 from .errors import DomainError
 from .exact import det, dot, identity_matrix, mat_vec, vadd, vsub
-from .polyhedra import MAX_LATTICE_BOX, Polytope
+from .polyhedra import MAX_LATTICE_BOX, Polytope, dd_cone
 
 
 class LaurentPolynomial:
@@ -280,11 +280,14 @@ def classical_period(f, d_max):
         raise DomainError(
             "degree_too_large", f"period depth capped at {MAX_PERIOD_DEPTH}"
         )
-    newton = f.newton_polytope()
+    # The dual of the cone over Newton(f) x {1}: its rays (a, -b) are the
+    # facets <a, x> >= b, and its lineality holds the hull's equations.
+    n = f.nvars
+    facets, hull = dd_cone([e + (1,) for e in f.terms], dim=n + 1)
     out = [1] + [0] * d_max
-    if any(rhs for _, rhs in newton.equations):
+    if any(e[n] for e in hull):
         return tuple(out)
-    weights, mask, base, step = _packing(f, newton.inequalities, d_max)
+    weights, mask, base, step = _packing(f, [(a[:n], -a[n]) for a in facets], d_max)
     terms = [(dot(weights, e), c) for e, c in f.terms.items()]
     power = {0: 1}
     for k in range(1, (d_max + 1) // 2 + 1):

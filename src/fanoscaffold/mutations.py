@@ -9,7 +9,7 @@ induced piecewise linear map.
 """
 
 from .errors import DomainError
-from .exact import dot, is_zero_vector, kernel_basis
+from .exact import dot, is_zero_vector, kernel_basis, vadd, vscale
 from .laurent import MAX_MUTATION_LEVEL
 from .polyhedra import Fan, Polytope
 from .scaffolding import Scaffolding, Strut, strut_polytope, validate_scaffolding
@@ -68,10 +68,11 @@ def _mutate_slices(polytope, w, factor, heights):
                 raise DomainError("not_mutable",
                                   "summand failure at level %d" % h)
             points.extend(eroded.vertices)
-        elif h == 0:
-            points.extend(piece.vertices)
         else:
-            points.extend(piece.minkowski_sum(factor.dilate(h)).vertices)
+            # The final hull is canonical, so the sums need no hull of their own.
+            points.extend(
+                vadd(p, vscale(h, q)) for p in piece.vertices for q in factor.vertices
+            )
     result = Polytope.from_points(points)
     assert result.is_lattice()
     return result

@@ -11,18 +11,21 @@ from itertools import combinations
 
 from .errors import DomainError
 from .exact import (
+    _row_reduce,
     as_exact_vector,
     dot,
     hermite_normal_form,
     identity_matrix,
     is_zero_vector,
     kernel_basis,
+    primitive_vector,
     rank,
     solve_linear,
     transpose,
     unimodular_inverse,
+    vneg,
 )
-from .polyhedra import Cone, Fan, Polytope, _dd_step, _in_hrep, dd_cone
+from .polyhedra import Cone, Fan, Polytope, _dd_step, dd_cone
 
 
 class GitData:
@@ -40,13 +43,13 @@ class GitData:
     Two private slots hold chamber data, each computed on first use and
     then reused by every later question about the same data: the minimal
     covers of ``irrelevant_collection`` (one dd_cone pass over the fiber
-    polytope), and the span normals and walls that ``secondary_fan`` and
-    ``in_chamber_interior`` share (a subset enumeration, then one dd_cone
-    pass per wall).  Both are capped at R <= 16; a capped input raises on
-    every call and caches nothing.
+    polytope), and the table of bases that ``secondary_fan`` and
+    ``in_chamber_interior`` share (``_chamber_bases``: one elimination
+    per r-subset of weights, no conversion).  Both are capped at
+    R <= 16; a capped input raises on every call and caches nothing.
     """
 
-    __slots__ = ("r", "R", "characters", "omega", "cone_normals", "_covers", "_walls")
+    __slots__ = ("r", "R", "characters", "omega", "cone_normals", "_covers", "_bases")
 
     def __init__(self, r, R, characters, omega):
         characters = tuple(tuple(int(c) for c in d) for d in characters)
@@ -70,7 +73,7 @@ class GitData:
         self.omega = omega
         self.cone_normals = normals
         self._covers = None
-        self._walls = None
+        self._bases = None
 
     def __eq__(self, other):
         return (
@@ -228,45 +231,49 @@ def basis_coordinates(git, basis, vectors):
     return tuple(tuple(dot(row, v) for v in vectors) for row in binv)
 
 
-def _span_normals(git):
-    """Primitive normals of the hyperplanes spanned by weight subsets."""
-    r = git.r
-    normals = set()
-    for comb in combinations(range(git.R), r - 1):
-        sub = [git.characters[i] for i in comb]
-        if rank(sub) != r - 1:
-            continue
-        ker = kernel_basis(sub, ncols=r)
-        if len(ker) == 1:
-            normals.add(ker[0])
-    return sorted(normals)
+def _chamber_bases(git):
+    """(normals, bases): the bases of weights and their cones, once per GitData.
 
-
-def _chamber_walls(git):
-    """(span normals, walls), computed once per GitData.
-
-    A wall is the cone spanned by the weights on a hyperplane that weight
-    subsets span, kept as the (normals, equations) of its dual from one
-    dd_cone pass: walls[k] lies on normals[k].  Capped at R <= 16, like
-    the covers.
+    A basis is an r-subset B of weights that spans.  One elimination of
+    [W_B | I], W_B holding the weights of B as columns, has its pivots in
+    the first r columns exactly when B spans, and then gives
+    [p I | p W_B^-1].  Row j of the right block times p (so scaled by p^2 > 0), made
+    primitive, is h_j: positive on the j-th weight of B and zero on the
+    others, so cone(W_B) = {w : <h_j, w> >= 0 for all j}.  normals are
+    the h_j up to sign, first nonzero entry positive, sorted: the normals
+    of the hyperplanes that weights span.  bases holds one (rows, facets,
+    positive) per basis: its h_j, the bits of their normals, and the bits
+    of those normals that equal an h_j.  Capped at R <= 16.
     """
     _check_subset_cap(git)
-    if git._walls is None:
-        normals = tuple(_span_normals(git))
-        walls = tuple(
-            dd_cone([d for d in git.characters if dot(h, d) == 0], dim=git.r)
-            for h in normals
-        )
-        git._walls = (normals, walls)
-    return git._walls
+    if git._bases is None:
+        r = git.r
+        eye = identity_matrix(r)
+        table = []
+        for basis in combinations(range(git.R), r):
+            M, pivots, _, p = _row_reduce(
+                [tuple(git.characters[i][k] for i in basis) + eye[k] for k in range(r)]
+            )
+            if pivots == list(range(r)):
+                table.append(tuple(primitive_vector([p * c for c in row[r:]]) for row in M))
+        # Of h and -h, the lex larger has its first nonzero entry positive.
+        normals = tuple(sorted({max(h, vneg(h)) for rows in table for h in rows}))
+        bit = {h: 1 << k for k, h in enumerate(normals)}
+        bases = [
+            (rows, sum(bit[max(h, vneg(h))] for h in rows), sum(bit.get(h, 0) for h in rows))
+            for rows in table
+        ]
+        git._bases = (normals, tuple(bases))
+    return git._bases
 
 
 def in_chamber_interior(git, omega):
     """Whether a character lies inside a full-dimensional GKZ chamber.
 
-    True when omega is in the character cone and on no wall, a wall being
-    the cone spanned by the weights inside a hyperplane that weight subsets
-    span.
+    True when omega is nonzero, in the character cone and on no wall.  A
+    wall is the cone of the weights on a hyperplane that weight subsets
+    span; by Caratheodory a character lies on one exactly when it lies
+    on the boundary of a basis cone, where its least <h_j, omega> is 0.
     """
     w = as_exact_vector(omega)
     if len(w) != git.r:
@@ -275,70 +282,53 @@ def in_chamber_interior(git, omega):
         return False
     if any(dot(a, w) < 0 for a in git.cone_normals):
         return False
-    return not any(_in_hrep(*wall, w) for wall in _chamber_walls(git)[1])
+    return all(min(dot(h, w) for h in rows) != 0 for rows, _, _ in _chamber_bases(git)[1])
 
 
 def secondary_fan(git):
     """The GKZ chamber decomposition of the character cone.
 
     Cuts the pointed support cone by every hyperplane spanned by weights
-    into cells keyed by sign vectors, the side of each normal a cell lies
-    on.  A cell is its list of (ray, tight mask) pairs: bit k of a mask
-    says the ray lies on hyperplane k, for every hyperplane processed so
-    far, and the bits above those of the hyperplanes mark the support's
-    facets (git.cone_normals) the ray lies on, so a cell's masks always
-    come from an H-description of it.  A hyperplane that cuts a cell
-    splits it in one double description step (polyhedra._dd_step); a
-    cell whose rays lie on one side is kept whole.  The support is convex,
-    so two cells share a facet exactly when their sign vectors differ in
-    one place k, and the facet is the face of either cell on hyperplane k:
-    the sum of the cell's rays on it probes the facet without intersecting
-    cells.  That probe lies in the relative interior of the facet, so on
-    no other span hyperplane, and the cells merge when it is off wall k.
-    Returns the chambers as canonical cones, sorted by their ray tuples.
-    Capped at rank 4, then at R <= 16.
+    into cells keyed by side masks, bit k set when the cell lies on the
+    positive side of normal k.  A cell is its list of (ray, tight mask)
+    pairs: bit k of a mask says the ray lies on hyperplane k, for every
+    hyperplane processed so far, and the bits above those of the
+    hyperplanes mark the support's facets (git.cone_normals) the ray lies
+    on, so a cell's masks always come from an H-description of it.  A
+    hyperplane that cuts a cell splits it in one double description step
+    (polyhedra._dd_step).  A cell lies in the cone of a basis exactly
+    when its side mask matches the basis's positive bits on its facet
+    bits, and its chamber is the intersection of the basis cones that
+    contain it (Gelfand, Kapranov and Zelevinsky, ch. 7): cells in the
+    same bases make one chamber.  Returns the chambers as canonical
+    cones, sorted by their ray tuples.  Capped at rank 4, then at R <= 16.
     """
     r = git.r
     if r > 4:
         raise DomainError("rank_too_large", "secondary fan capped at rank 4")
-    normals, walls = _chamber_walls(git)
+    normals, bases = _chamber_bases(git)
     top = len(normals)
     cells = {
-        (): [
+        0: [
             (v, sum(1 << (top + j) for j, a in enumerate(git.cone_normals) if not dot(a, v)))
             for v in dd_cone(git.cone_normals, dim=r)[0]
         ]
     }
     for k, h in enumerate(normals):
         nxt = {}
-        for signs, cell in cells.items():
+        for side, cell in cells.items():
             # A full-dimensional pointed cell's adjacent rays share r - 2
             # tight hyperplanes.
             pos, neg, on = _dd_step(cell, [dot(h, v) for v, _ in cell], 1 << k, r - 2)
-            if pos and neg:
-                nxt[signs + (1,)] = pos + on
-                nxt[signs + (-1,)] = neg + on
-            else:
-                nxt[signs + (1 if pos else -1,)] = pos + neg + on
+            if pos:
+                nxt[side | 1 << k] = pos + on
+            if neg:
+                nxt[side] = neg + on
         cells = nxt
-    parent = {signs: signs for signs in cells}
-
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    for signs, cell in cells.items():
-        for k, wall in enumerate(walls):
-            flipped = signs[:k] + (-1,) + signs[k + 1:]
-            if signs[k] > 0 and flipped in cells:
-                probe = tuple(map(sum, zip(*(v for v, z in cell if z >> k & 1))))
-                if not _in_hrep(*wall, probe):
-                    parent[find(signs)] = find(flipped)
     groups = {}
-    for signs, cell in cells.items():
-        groups.setdefault(find(signs), []).extend(v for v, _ in cell)
+    for side, cell in cells.items():
+        key = sum(1 << i for i, (_, facets, plus) in enumerate(bases) if side & facets == plus)
+        groups.setdefault(key, []).extend(v for v, _ in cell)
     chambers = [Cone.from_rays(gens, dim=r) for gens in groups.values()]
     return tuple(sorted(chambers, key=lambda c: c.rays))
 

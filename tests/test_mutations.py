@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanoscaffold import mutations
+from fanoscaffold import mutations, polyhedra
 from fanoscaffold.errors import DomainError
 from fanoscaffold.forward import ConvexPartitionWithBasis
 from fanoscaffold.laurent import MAX_MUTATION_LEVEL, LaurentPolynomial, algebraic_mutation
@@ -255,6 +255,24 @@ def test_mutate_scaffolding_checks_the_shape_before_slicing_the_target(monkeypat
     # of the two struts at its 2.
     mutate_scaffolding(dp6_square_scaffolding(), (1, 0), vertical_unit())
     assert len(slices) == 7
+
+
+def test_nonnegative_levels_take_one_conversion_per_slice(monkeypatch):
+    # Levels 0, 1 and 2 each take the conversion of their slice and no
+    # hull of their own; the result is the one conversion of the sums.
+    triangle = Polytope.from_points([(0, 0), (2, 0), (0, 2)])
+    factor = vertical_unit()
+    calls = []
+    core = polyhedra._dd_core
+
+    def counted(*args):
+        calls.append(args)
+        return core(*args)
+
+    monkeypatch.setattr(polyhedra, "_dd_core", counted)
+    result = mutate_polytope(triangle, (1, 0), factor)
+    assert result.vertices == ((0, 0), (0, 2), (2, 0), (2, 2))
+    assert len(calls) == 4
 
 
 def test_segment_factor():

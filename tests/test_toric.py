@@ -10,7 +10,7 @@ from fanoscaffold import exact, polyhedra, toric
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import dot, kernel_basis, mat_vec, rank, solve_linear, transpose
 from fanoscaffold.fixtures import fixture
-from fanoscaffold.polyhedra import Cone, dd_cone
+from fanoscaffold.polyhedra import Cone
 from fanoscaffold.toric import (
     GitData,
     PLFunction,
@@ -139,14 +139,15 @@ def test_irrelevant_collection_p2():
 
 
 @st.composite
-def git_with_wall_omega(draw):
+def git_with_wall_omega(draw, max_extra=6):
     """GIT data with a pointed cone and omega a sum of some weights.
 
     Every weight has positive coordinate sum, so the character cone is
-    pointed; summing a random subset puts omega on walls often.
+    pointed; summing a random subset puts omega on walls often.  R is at
+    most 7 and at most r + max_extra.
     """
     r = draw(st.integers(1, 3))
-    R = draw(st.integers(r, 7))
+    R = draw(st.integers(r, min(7, r + max_extra)))
     weight = st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(
         lambda w: sum(w) > 0
     )
@@ -240,24 +241,10 @@ def test_chamber_data_conversion_counts(monkeypatch):
     irrelevant_collection(git)
     assert len(dd) == 1 and solves == []
     del dd[:]
-    # One conversion for each of the 15 walls and the 13 chambers, and one
-    # for the support's rays; the cells themselves take none.
+    # One conversion for each of the 13 chambers and one for the support's
+    # rays; the table of bases and the cells take none.
     assert len(secondary_fan(fresh)) == 13
-    assert len(dd) == 29
-
-
-def test_chamber_walls_take_one_conversion_each(monkeypatch):
-    # A wall is the dual description of the cone its weights span, from
-    # one pass per span normal.
-    dd = count_calls(monkeypatch, "dd_cone", polyhedra, toric)
-    for name in ("circulant-three", "dp6-squares", "projective-bundle"):
-        git = fixture(name)["git"]
-        del dd[:]
-        normals, walls = toric._chamber_walls(git)
-        assert len(dd) == len(normals) == len(walls) > 0
-        for h, wall in zip(normals, walls):
-            weights = [d for d in git.characters if dot(h, d) == 0]
-            assert Cone.from_hrep(*wall, dim=git.r) == Cone.from_rays(weights, dim=git.r)
+    assert len(dd) == 14
 
 
 def test_git_to_stacky_fan_p2():
@@ -326,6 +313,30 @@ def test_secondary_fan_chambers():
     simple = secondary_fan(p1p1_git())
     assert len(simple) == 1
     assert simple[0].rays == ((0, 1), (1, 0))
+    # A zero-dimensional character space is one chamber, the origin.
+    assert [c.rays for c in secondary_fan(GitData(0, 0, [], ()))] == [()]
+
+
+def span_normals(git):
+    """Primitive normals of the hyperplanes that (r - 1)-subsets of weights span.
+
+    The reference for the normals of toric._chamber_bases: one kernel per
+    subset of rank r - 1.
+    """
+    normals = set()
+    for comb in combinations(range(git.R), git.r - 1):
+        sub = [git.characters[i] for i in comb]
+        if rank(sub) == git.r - 1:
+            normals.add(kernel_basis(sub, ncols=git.r)[0])
+    return sorted(normals)
+
+
+def walls(git):
+    """The cones spanned by the weights on each span hyperplane."""
+    return [
+        Cone.from_rays([d for d in git.characters if dot(h, d) == 0], dim=git.r)
+        for h in span_normals(git)
+    ]
 
 
 def gkz_chamber(git, p):
@@ -341,9 +352,8 @@ def gkz_chamber(git, p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(git_with_wall_omega(), st.integers(0, 2**32))
+@given(git_with_wall_omega(max_extra=3), st.integers(0, 2**32))
 def test_secondary_fan_against_simplicial_cones(git, seed):
-    assume(git.R <= git.r + 3)
     chambers = secondary_fan(git)
     for c in chambers:
         probe = tuple(sum(v[k] for v in c.rays) for k in range(git.r))
@@ -367,22 +377,34 @@ def test_in_chamber_interior():
     assert in_chamber_interior(p1p1_git(), (2, 5))
 
 
-def test_the_character_cone_is_converted_once(monkeypatch):
-    # GitData keeps the dual rays it validates omega against, so the
-    # chamber test reads them instead of converting the characters again;
-    # the only other conversions are one per wall.
-    calls = []
+@settings(max_examples=100, deadline=None)
+@given(
+    git_up_to_rank_four(),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.lists(st.booleans(), min_size=9, max_size=9),
+)
+def test_chamber_bases_against_the_walls(git, probe, chosen):
+    # The table's normals are the span normals, and a character is inside
+    # a chamber exactly when it is nonzero, in the support and on no wall.
+    assert list(toric._chamber_bases(git)[0]) == span_normals(git)
+    cones = walls(git)
+    weights = [d for d, c in zip(git.characters, chosen) if c]
+    total = tuple(sum(d[k] for d in weights) for k in range(git.r))
+    for w in (git.omega, tuple(probe[:git.r]), total):
+        inside = any(w) and all(dot(a, w) >= 0 for a in git.cone_normals)
+        assert in_chamber_interior(git, w) == (
+            inside and not any(wall.contains(w) for wall in cones)
+        )
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return dd_cone(*args, **kwargs)
 
-    monkeypatch.setattr(toric, "dd_cone", counted)
+def test_in_chamber_interior_takes_no_conversion(monkeypatch):
+    # GitData keeps the dual rays it validates omega against, and the
+    # table of bases is eliminations only.
     git = weighted_flag_git()
+    dd = count_calls(monkeypatch, "_dd_core", polyhedra)
     assert in_chamber_interior(git, git.omega)
-    normals, _ = toric._chamber_walls(git)
-    assert calls[0] == git.characters
-    assert calls[1:] == [[d for d in git.characters if dot(h, d) == 0] for h in normals]
+    assert not in_chamber_interior(git, (1, 1))
+    assert dd == []
 
 
 def test_secondary_fan_reads_the_support_off_the_cone_normals(monkeypatch):
@@ -395,20 +417,15 @@ def test_secondary_fan_reads_the_support_off_the_cone_normals(monkeypatch):
     assert sum(a is git.cone_normals for a in calls) == 1
 
 
-def test_chamber_walls_are_computed_once_per_git_data(monkeypatch):
-    calls = []
-    original = toric._span_normals
-
-    def counted(git):
-        calls.append(git)
-        return original(git)
-
-    monkeypatch.setattr(toric, "_span_normals", counted)
+def test_chamber_bases_are_computed_once_per_git_data(monkeypatch):
+    # One elimination per 2-subset of the 7 weights, on the first question.
+    eliminations = count_calls(monkeypatch, "_row_reduce", toric)
     git = weighted_flag_git()
     chambers = secondary_fan(git)
+    assert len(eliminations) == 21
     assert in_chamber_interior(git, git.omega)
     assert secondary_fan(git) == chambers
-    assert calls == [git]
+    assert len(eliminations) == 21
 
 
 def test_subset_enumerations_are_capped_on_every_call():
