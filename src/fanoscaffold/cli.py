@@ -78,19 +78,12 @@ def _tikz_cycle(polytope):
             "dimension_mismatch", "tikz output needs a full-dimensional polygon"
         )
     vertices = polytope.vertices
-    n = len(vertices)
-    cx = sum(Fraction(v[0]) for v in vertices) / n
-    cy = sum(Fraction(v[1]) for v in vertices) / n
+    cx = Fraction(sum(v[0] for v in vertices), len(vertices))
+    cy = Fraction(sum(v[1] for v in vertices), len(vertices))
     order = _cyclic_order_2d([(v[0] - cx, v[1] - cy) for v in vertices])
-    vertices = [vertices[i] for i in order]
-
-    def fmt(x):
-        x = Fraction(x)
-        if x.denominator == 1:
-            return "%d" % x.numerator
-        return "%d/%d" % (x.numerator, x.denominator)
-
-    corners = " -- ".join("(%s,%s)" % (fmt(v[0]), fmt(v[1])) for v in vertices)
+    # Each coordinate is an int or a non-integral Fraction (the Polytope
+    # invariant), so %s prints it as "3" or "1/2", the JSON layer's format.
+    corners = " -- ".join("(%s,%s)" % vertices[i] for i in order)
     return corners + " -- cycle"
 
 

@@ -7,13 +7,14 @@ and one fraction-free (Bareiss) Gauss-Jordan elimination behind ``rank``,
 combines the two: the Hermite form gives a lattice basis, ``solve_linear``
 the coordinates in it.
 
-Floats are banned throughout the package; vectors are tuples of ``int`` or
-``fractions.Fraction``, matrices are tuples of row tuples.  A number that the
-geometry stores (a vertex coordinate, a right-hand side, a stability
-character) goes through ``as_exact`` first: it is an ``int`` exactly when it
-is integral and a ``Fraction`` otherwise, so integral data never pays for
-Fraction arithmetic.  The two forms compare, hash and sort alike.  HNF is the
-single canonicalisation primitive: every "equal up to basis change"
+This module is the package's one number boundary.  Vectors are tuples of
+``int`` or ``fractions.Fraction``, matrices are tuples of row tuples, and a
+number is an ``int`` exactly when it is integral, so integral data never
+pays for Fraction arithmetic.  Every result here, and every number that the
+geometry stores, is ``as_exact``; integer input goes through ``to_int_vector``,
+which raises ``not_integral`` instead of truncating; a float raises
+``not_exact`` in both.  The two forms compare, hash and sort alike.  HNF is
+the single canonicalisation primitive: every "equal up to basis change"
 comparison routes through it.
 """
 
@@ -76,10 +77,12 @@ def primitive_vector(v):
 
 
 def as_exact(x):
-    """x as an ``int`` when it is integral, else as a ``Fraction``."""
+    """x as an ``int`` if it is integral, else a ``Fraction``; not_exact on a float."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
+        if isinstance(x, float):
+            raise DomainError("not_exact", f"entry {x!r} is a float")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -96,14 +99,18 @@ def exact_ratio(c, d):
 
 
 def to_int_vector(v):
-    """Cast a vector of integral Fractions to ints; error if any entry is not integral."""
-    out = []
+    """v as a tuple of ints; not_integral on a non-integer, not_exact on a float."""
+    v = tuple(v)
     for a in v:
-        f = as_exact(a)
+        if type(a) is not int:
+            break
+    else:
+        return v
+    out = as_exact_vector(v)
+    for a, f in zip(v, out):
         if type(f) is not int:
             raise DomainError("not_integral", f"entry {a} is not an integer")
-        out.append(f)
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +251,9 @@ def _determinant(A, reduced):
     """det A read off ``_row_reduce`` of the square A, or of [A | I]."""
     _, pivots, sign, p = reduced
     if pivots != list(range(len(A))):
-        return Fraction(0)
+        return 0
     scale = prod(lcm(*(c.denominator for c in row)) for row in A)
-    return Fraction(sign * p, scale)
+    return exact_ratio(sign * p, scale)
 
 
 def rank(A):
@@ -254,7 +261,7 @@ def rank(A):
 
 
 def det(A):
-    """Exact determinant (Fraction) of a square matrix."""
+    """Exact determinant of a square matrix."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise DomainError("not_square", "determinant of a non-square matrix")
@@ -286,9 +293,9 @@ def solve_linear(A, b):
     n = len(M[0]) - 1 if M else 0
     if pivots and pivots[-1] == n:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, col in enumerate(pivots):
-        x[col] = Fraction(M[i][n], p)
+        x[col] = exact_ratio(M[i][n], p)
     return tuple(x)
 
 
@@ -308,6 +315,6 @@ def integer_solution(A, b):
     h, u = hermite_normal_form(transpose([to_int_vector(row) for row in A]))
     basis = [row for row in h if any(row)]
     y = solve_linear([[v[i] for v in basis] for i in range(m)], to_int_vector(b))
-    if y is None or any(c.denominator != 1 for c in y):
+    if y is None or any(type(c) is not int for c in y):
         return None
-    return tuple(sum(c.numerator * w[i] for c, w in zip(y, u)) for i in range(n))
+    return tuple(sum(c * w[i] for c, w in zip(y, u)) for i in range(n))

@@ -9,7 +9,7 @@ mutation-equivalent answers related by a monomial change of variables.
 
 from .errors import DomainError
 from .laurent import _bracket_sum
-from .exact import _row_reduce, identity_matrix
+from .exact import _row_reduce, identity_matrix, to_int_vector
 from .toric import _basis_fan, basis_coordinates, irrelevant_collection
 
 
@@ -25,14 +25,14 @@ class ConvexPartitionWithBasis:
     __slots__ = ("B", "S", "U", "choices")
 
     def __init__(self, B, S, U=(), choices=None):
-        B = tuple(int(i) for i in B)
-        S = tuple(tuple(sorted(set(int(j) for j in s))) for s in S)
-        U = tuple(sorted(set(int(j) for j in U)))
+        B = to_int_vector(B)
+        S = tuple(tuple(sorted(set(to_int_vector(s)))) for s in S)
+        U = tuple(sorted(set(to_int_vector(U))))
         if any(not s for s in S):
             raise DomainError("bad_partition", "groups must be nonempty")
         if choices is None:
             choices = tuple(s[-1] for s in S)
-        choices = tuple(int(c) for c in choices)
+        choices = to_int_vector(choices)
         if len(choices) != len(S):
             raise DomainError("bad_partition", "one choice per group required")
         for c, s in zip(choices, S):
@@ -177,8 +177,8 @@ def przyjalkowski(git, part):
     ]
     terms = [
         (
-            tuple(-int(row[j]) for j in var_cols),
-            [(positions, int(sum(row[j] for j in s))) for s, positions in groups],
+            tuple(-row[j] for j in var_cols),
+            [(positions, sum(row[j] for j in s)) for s, positions in groups],
         )
         for row in norm
     ]

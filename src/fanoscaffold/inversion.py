@@ -183,8 +183,7 @@ def _det2(a, b):
 
 def _relation_basis(shape):
     """Canonical basis of the integer relations among the shape's rays."""
-    rays = tuple(tuple(int(c) for c in r) for r in shape.rays)
-    return kernel_basis(transpose(rays), ncols=len(rays))
+    return kernel_basis(transpose(shape.rays), ncols=len(shape.rays))
 
 
 def _ray_relations(shape):

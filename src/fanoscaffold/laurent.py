@@ -14,7 +14,7 @@ the coordinate box that bounds the quotient's exponents.
 from math import prod
 
 from .errors import DomainError
-from .exact import det, dot, identity_matrix, mat_vec, vadd, vsub
+from .exact import det, dot, identity_matrix, mat_vec, to_int_vector, vadd, vsub
 from .polyhedra import MAX_LATTICE_BOX, Polytope, dd_cone
 
 
@@ -31,7 +31,7 @@ class LaurentPolynomial:
     def __init__(self, nvars, terms):
         clean = {}
         for e, c in terms.items():
-            e = tuple(int(x) for x in e)
+            e = to_int_vector(e)
             if len(e) != nvars:
                 raise DomainError("dimension_mismatch", "exponent length differs from nvars")
             if not isinstance(c, int):
@@ -165,7 +165,7 @@ def monomial_substitution(f, matrix):
     matrix must be unimodular so the substitution is invertible on the
     torus.
     """
-    rows = tuple(tuple(int(c) for c in row) for row in matrix)
+    rows = tuple(map(to_int_vector, matrix))
     if len(rows) != f.nvars or any(len(r) != f.nvars for r in rows):
         raise DomainError("dimension_mismatch", "matrix shape differs from nvars")
     if abs(det(rows)) != 1:
@@ -377,7 +377,7 @@ def algebraic_mutation(f, w, factor):
     divisibility by factor^|h|.  The inverse mutation uses -w with the same
     factor.  Levels beyond MAX_MUTATION_LEVEL raise level_too_large.
     """
-    w = tuple(int(c) for c in w)
+    w = to_int_vector(w)
     if len(w) != f.nvars:
         raise DomainError("dimension_mismatch", "weight length differs from nvars")
     if not any(w):

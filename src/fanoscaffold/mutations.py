@@ -9,7 +9,7 @@ induced piecewise linear map.
 """
 
 from .errors import DomainError
-from .exact import dot, is_zero_vector, kernel_basis, vadd, vscale
+from .exact import dot, is_zero_vector, kernel_basis, to_int_vector, vadd, vscale
 from .laurent import MAX_MUTATION_LEVEL
 from .polyhedra import Fan, Polytope
 from .scaffolding import Scaffolding, Strut, strut_polytope, validate_scaffolding
@@ -58,7 +58,7 @@ def _checked_heights(polytope, w, factor):
 def _mutate_slices(polytope, w, factor, heights):
     """The mutated polytope, built slice by slice between the heights."""
     points = []
-    for h in range(int(min(heights)), int(max(heights)) + 1):
+    for h in range(min(heights), max(heights) + 1):
         piece = _slice_at_level(polytope, w, h)
         if piece is None:
             continue
@@ -88,6 +88,7 @@ def mutate_polytope(polytope, w, factor):
     first failing level, and level_too_large when a vertex lies beyond
     height MAX_MUTATION_LEVEL.
     """
+    w = to_int_vector(w)
     return _mutate_slices(polytope, w, factor, _checked_heights(polytope, w, factor))
 
 
@@ -98,7 +99,7 @@ def _transport_ray(ray, w, factor, u):
     subtracts the minimum pairing times the shape part of the weight.
     """
     m = min(dot(ray, f[u:]) for f in factor.vertices)
-    return tuple(int(a - m * b) for a, b in zip(ray, w[u:]))
+    return tuple(a - m * b for a, b in zip(ray, w[u:]))
 
 
 def mutate_shape(shape, w, factor, u):
@@ -124,6 +125,7 @@ def mutate_scaffolding(scaf, w, factor):
     validated before being returned.
     """
     u = scaf.u
+    w = to_int_vector(w)
     # The shape transport is cheap and can reject the mutation outright, so
     # it runs before the target's slices, after the data checks whose error
     # kinds take precedence.
@@ -148,13 +150,12 @@ def mutate_scaffolding(scaf, w, factor):
             raise DomainError("not_mutable",
                               "strut %d loses its single shift" % i)
         shifted = Polytope.from_points([v[u:] for v in moved.vertices])
-        coeffs = tuple(int(-min(dot(r, q) for q in shifted.vertices))
-                       for r in shape.rays)
+        coeffs = tuple(-min(dot(r, q) for q in shifted.vertices) for r in shape.rays)
         check = sections_polytope(shape, coeffs)
         if check.vertices != shifted.vertices:
             raise DomainError("not_mutable",
                               "strut %d is not a sections polytope" % i)
-        struts.append(Strut(coeffs, tuple(int(x) for x in chi.pop())))
+        struts.append(Strut(coeffs, chi.pop()))
     out = Scaffolding(shape, u, struts, target)
     ok, report = validate_scaffolding(out)
     if not ok:

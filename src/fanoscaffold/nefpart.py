@@ -13,7 +13,7 @@ ambient rays.
 from itertools import product
 
 from .errors import DomainError
-from .exact import dot, identity_matrix, integer_solution
+from .exact import dot, identity_matrix, integer_solution, to_int_vector
 from .inversion import _relation_basis, ambient_rays
 from .mutations import mutate_polytope
 from .polyhedra import Cone, Polytope, lattice_isomorphic, spanning_fan
@@ -38,7 +38,7 @@ def check_nef_partition(delta, parts):
     """
     if not delta.is_reflexive():
         raise DomainError("not_reflexive", "nef partitions need a reflexive polytope")
-    parts = tuple(tuple(int(i) for i in p) for p in parts)
+    parts = tuple(map(to_int_vector, parts))
     nverts = len(delta.vertices)
     seen = set()
     for part in parts:
@@ -105,8 +105,8 @@ class FanoNefPartition:
     __slots__ = ("fan", "e_parts", "f_part")
 
     def __init__(self, fan, e_parts, f_part):
-        e_parts = tuple(tuple(int(i) for i in p) for p in e_parts)
-        f_part = tuple(int(i) for i in f_part)
+        e_parts = tuple(map(to_int_vector, e_parts))
+        f_part = to_int_vector(f_part)
         nrays = len(fan.rays)
         seen = set()
         for p in e_parts + (f_part,):
@@ -287,7 +287,7 @@ def mutation_chain_check(scaf):
     units = identity_matrix(n + k)
     model = p_tilde_one(scaf)
     for block, idx in factors:
-        i = rel.index(tuple(int(j in idx) for j in range(nrays)))
+        i = rel.index(tuple(1 if j in idx else 0 for j in range(nrays)))
         w = units[n + i]
         pts = [tuple(0 for _ in range(n + k))]
         pts += [units[u + c] for c in block]

@@ -42,6 +42,7 @@ from operator import mul
 from .errors import DomainError
 from .exact import (
     _clear_denominators,
+    _row_reduce,
     as_exact,
     as_exact_vector,
     det,
@@ -51,8 +52,6 @@ from .exact import (
     kernel_basis,
     primitive_vector,
     rank,
-    solve_linear,
-    to_int_vector,
     vadd,
     vneg,
     vscale,
@@ -388,7 +387,7 @@ class Polytope:
         return not self.equations
 
     def is_lattice(self):
-        return all(c.denominator == 1 for v in self.vertices for c in v)
+        return all(type(c) is int for v in self.vertices for c in v)
 
     def dilate(self, k):
         k = as_exact(k)
@@ -993,19 +992,16 @@ def lattice_isomorphic(p, q):
     qset = set(qv)
     # Fix one independent d-tuple bp of vertices of p, then try to match it
     # with every ordered d-tuple bq of vertices of q.  U maps the rows of bp
-    # to the rows of bq: U[j][k] = sum_i bp^-1[k][i] * bq[i][j].  With
-    # D = det bp, the columns D * bp^-1 e_i are integer vectors, so each
-    # candidate costs one integer product and an exact division by D.
+    # to the rows of bq: U[j][k] = sum_i bp^-1[k][i] * bq[i][j].  One
+    # reduction of M = [bp | I] gives [D I | D bp^-1] with D = +-det bp, so
+    # each candidate costs one integer product and an exact division by D.
     bp = next((c for c in combinations(pv, d) if rank(c) == d), None)
     if bp is None:
         return None
-    D = int(det(bp))
-    cols = [to_int_vector(vscale(D, solve_linear(bp, e))) for e in identity_matrix(d)]
+    M, _, _, D = _row_reduce([v + e for v, e in zip(bp, identity_matrix(d))])
+    inv = [row[d:] for row in M]
     for bq in permutations(qv, d):
-        scaled = [
-            [sum(cols[i][k] * bq[i][j] for i in range(d)) for k in range(d)]
-            for j in range(d)
-        ]
+        scaled = [[dot(row, col) for row in inv] for col in zip(*bq)]
         if any(c % D for row in scaled for c in row):
             continue
         urows = tuple(tuple(c // D for c in row) for row in scaled)

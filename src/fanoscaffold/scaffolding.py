@@ -8,7 +8,7 @@ first, matching the variable order of the forward construction.
 from itertools import combinations, product
 
 from .errors import DomainError
-from .exact import det, identity_matrix
+from .exact import det, identity_matrix, to_int_vector
 from .laurent import _bracket_sum
 from .polyhedra import Cone, Fan, Polytope, cone_over
 from .toric import sections_polytope
@@ -21,8 +21,8 @@ class Strut:
     __slots__ = ("coeffs", "chi")
 
     def __init__(self, coeffs, chi=()):
-        self.coeffs = tuple(int(c) for c in coeffs)
-        self.chi = tuple(int(c) for c in chi)
+        self.coeffs = to_int_vector(coeffs)
+        self.chi = to_int_vector(chi)
 
     def is_unit(self):
         return all(c == 0 for c in self.coeffs)
@@ -45,7 +45,7 @@ class Scaffolding:
     def __init__(self, shape, u, struts, target):
         if not isinstance(shape, Fan):
             raise DomainError("bad_scaffolding", "shape must be a fan")
-        u = int(u)
+        (u,) = to_int_vector((u,))
         if u < 0:
             raise DomainError("bad_scaffolding", "negative shift rank")
         struts = tuple(struts)
@@ -262,8 +262,8 @@ def scaffolding_from_rows(shape, rows, position, shift_columns):
     for row in rows:
         coeffs = [0] * nrays
         for j, k in position.items():
-            coeffs[k] = int(row[j])
-        struts.append(Strut(coeffs, (-int(row[j]) for j in shift_columns)))
+            coeffs[k] = row[j]
+        struts.append(Strut(coeffs, (-row[j] for j in shift_columns)))
     struts += [Strut((0,) * nrays, e) for e in identity_matrix(len(shift_columns))]
     points = [v for s in struts for v in _strut_points(shape, s)]
     return Scaffolding(shape, len(shift_columns), struts, Polytope.from_points(points))

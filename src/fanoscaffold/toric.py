@@ -21,6 +21,7 @@ from .exact import (
     primitive_vector,
     rank,
     solve_linear,
+    to_int_vector,
     transpose,
     unimodular_inverse,
     vneg,
@@ -52,7 +53,7 @@ class GitData:
     __slots__ = ("r", "R", "characters", "omega", "cone_normals", "_covers", "_bases")
 
     def __init__(self, r, R, characters, omega):
-        characters = tuple(tuple(int(c) for c in d) for d in characters)
+        characters = tuple(map(to_int_vector, characters))
         omega = as_exact_vector(omega)
         if len(characters) != R:
             raise DomainError("bad_git_data", f"expected {R} characters, got {len(characters)}")
@@ -140,7 +141,7 @@ class StackyFan:
     __slots__ = ("dim", "rays", "max_cones")
 
     def __init__(self, dim, rays, max_cones):
-        rays = tuple(tuple(int(c) for c in v) for v in rays)
+        rays = tuple(map(to_int_vector, rays))
         for v in rays:
             if len(v) != dim:
                 raise DomainError("dimension_mismatch", "ray length differs from dim")
@@ -362,7 +363,7 @@ class PLFunction:
         self.pieces = tuple(pieces)
 
     def is_cartier(self):
-        return all(c.denominator == 1 for p in self.pieces for c in p)
+        return all(type(c) is int for p in self.pieces for c in p)
 
     def is_nef(self):
         """Every linear piece underestimates the value at every ray."""
@@ -432,9 +433,9 @@ def projective_bundle_fan(base, summand_coeffs):
     lifted = []
     for i, v in enumerate(base.rays):
         twist = tuple(-(coeffs[m][i] - coeffs[0][i]) for m in range(1, k))
-        if any(t.denominator != 1 for t in twist):
+        if any(type(t) is not int for t in twist):
             raise DomainError("not_cartier", "summand difference is not integral")
-        lifted.append(tuple(v) + tuple(int(t) for t in twist))
+        lifted.append(tuple(v) + twist)
     fibre = [tuple(0 for _ in range(d)) + tuple(-1 for _ in range(extra))]
     fibre += [tuple(0 for _ in range(d)) + unit for unit in identity_matrix(extra)]
     rays = lifted + fibre

@@ -23,6 +23,14 @@ from fanoscaffold.exact import (
     transpose,
     unimodular_inverse,
 )
+from fanoscaffold.fixtures import fixture
+from fanoscaffold.forward import ConvexPartitionWithBasis
+from fanoscaffold.laurent import LaurentPolynomial, algebraic_mutation, monomial_substitution
+from fanoscaffold.mutations import mutate_polytope, mutate_scaffolding
+from fanoscaffold.nefpart import FanoNefPartition, check_nef_partition
+from fanoscaffold.polyhedra import Fan, Polytope
+from fanoscaffold.scaffolding import Scaffolding, Strut
+from fanoscaffold.toric import GitData, StackyFan
 
 from helpers import random_unimodular_matrix
 
@@ -230,7 +238,8 @@ def test_rank_and_solve_against_minors(A, data):
     if minor_rank([row + [v] for row, v in zip(A, b)]) > r:
         assert x is None
     else:
-        assert all(isinstance(c, Fraction) for c in x)
+        # An entry is an int exactly when it is integral.
+        assert all((type(c) is int) == (c.denominator == 1) for c in x)
         assert mat_vec(A, x) == tuple(b)
         basis = greedy_columns(A)
         assert all(x[j] == 0 for j in range(n) if j not in basis)
@@ -248,7 +257,7 @@ def test_rank_and_solve_against_minors(A, data):
 def test_det_and_inverse_against_cofactors(A):
     n = len(A)
     d = cofactor_det(A)
-    assert det(A) == d and isinstance(det(A), Fraction)
+    assert det(A) == d and (type(det(A)) is int) == (d.denominator == 1)
     if d not in (1, -1):
         with pytest.raises(DomainError) as err:
             unimodular_inverse(A)
@@ -267,3 +276,49 @@ def test_det_and_inverse_against_cofactors(A):
     X = unimodular_inverse(A)
     assert all(type(c) is int for row in X for c in row)
     assert mat_mul(A, X) == identity_matrix(n)
+
+
+# Integer data enters the package through exact.to_int_vector: each entry
+# point raises instead of truncating a non-integral entry or a float.
+SEGMENT = Polytope.from_points([(0, 0), (0, 1)])
+SQUARE = Polytope.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+LINE = Fan(1, [(1,), (-1,)], [(0,), (1,)])
+X = LaurentPolynomial(1, {(1,): 1})
+ONE = LaurentPolynomial(1, {(0,): 1})
+
+INTEGER_ENTRY_POINTS = {
+    "GitData characters": lambda x: GitData(1, 2, [(x,), (1,)], (1,)),
+    "StackyFan rays": lambda x: StackyFan(1, [(x,), (-1,)], [(0,), (1,)]),
+    "Strut coeffs": lambda x: Strut((x, 1)),
+    "Strut chi": lambda x: Strut((0, 1), (x,)),
+    "Scaffolding u": lambda x: Scaffolding(LINE, x, [Strut((0, 0), (0,))], SEGMENT),
+    "LaurentPolynomial exponents": lambda x: LaurentPolynomial(1, {(x,): 1}),
+    "monomial_substitution matrix": lambda x: monomial_substitution(X, [[x]]),
+    "algebraic_mutation weight": lambda x: algebraic_mutation(X, (x,), ONE),
+    "mutate_polytope weight": lambda x: mutate_polytope(SQUARE, (x, 0), SEGMENT),
+    "mutate_scaffolding weight": lambda x: mutate_scaffolding(
+        fixture("dp6-squares")["scaffolding"], (x, 0), SEGMENT
+    ),
+    "ConvexPartitionWithBasis": lambda x: ConvexPartitionWithBasis((0,), [(1, x)]),
+    "FanoNefPartition parts": lambda x: FanoNefPartition(LINE, [(0,)], (x,)),
+    "check_nef_partition parts": lambda x: check_nef_partition(SQUARE, [(0, x), (2, 3)]),
+}
+
+
+@pytest.mark.parametrize("build", INTEGER_ENTRY_POINTS.values(), ids=INTEGER_ENTRY_POINTS)
+@pytest.mark.parametrize("x, kind", [(Fraction(3, 2), "not_integral"), (1.5, "not_exact")])
+def test_integer_entry_points_reject_non_integers(build, x, kind):
+    with pytest.raises(DomainError) as err:
+        build(x)
+    assert err.value.kind == kind
+    build(Fraction(1))
+
+
+def test_rational_entry_points_reject_floats():
+    with pytest.raises(DomainError) as err:
+        Polytope.from_points([(0.5, 0), (0, 1), (0, 0)])
+    assert err.value.kind == "not_exact"
+    with pytest.raises(DomainError) as err:
+        GitData(1, 2, [(1,), (1,)], (0.5,))
+    assert err.value.kind == "not_exact"
+    assert GitData(1, 2, [(1,), (1,)], (Fraction(1, 2),)).omega == (Fraction(1, 2),)

@@ -54,6 +54,18 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_no_module_casts_with_int_or_float():
+    # int() truncates 3/2 to 1 and float() rounds: integer input goes
+    # through exact.to_int_vector and results through exact.as_exact.
+    casts = [
+        "%s:%d" % (path.stem, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("int", "float")
+    ]
+    assert casts == []
+
+
 def test_readme_lists_every_cap_kind():
     # The caps are the DomainError kinds named *_too_large or too_many_*;
     # the README sentence on capped inputs names each one and no other.

@@ -138,6 +138,23 @@ def test_irrelevant_collection_p2():
     assert irrelevant_collection(git) == ((0,), (1,), (2,))
 
 
+def positive_weights(r):
+    """Weights in [-3, 3]^r with positive coordinate sum, drawn with no rejection.
+
+    A draw with negative sum is negated, and one with sum 0 gets 1 added to
+    its first coordinate below 3, so every such weight can still be drawn.
+    """
+    def positive(w):
+        if sum(w) < 0:
+            return [-c for c in w]
+        if sum(w) == 0:
+            i = next(i for i, c in enumerate(w) if c < 3)
+            w[i] += 1
+        return w
+
+    return st.lists(st.integers(-3, 3), min_size=r, max_size=r).map(positive)
+
+
 @st.composite
 def git_with_wall_omega(draw, max_extra=6):
     """GIT data with a pointed cone and omega a sum of some weights.
@@ -148,10 +165,7 @@ def git_with_wall_omega(draw, max_extra=6):
     """
     r = draw(st.integers(1, 3))
     R = draw(st.integers(r, min(7, r + max_extra)))
-    weight = st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(
-        lambda w: sum(w) > 0
-    )
-    chars = draw(st.lists(weight, min_size=R, max_size=R))
+    chars = draw(st.lists(positive_weights(r), min_size=R, max_size=R))
     chosen = draw(st.lists(st.sampled_from(range(R)), min_size=1, unique=True))
     omega = tuple(sum(chars[i][k] for i in chosen) for k in range(r))
     assume(rank(chars) == r)
@@ -197,10 +211,7 @@ def git_up_to_rank_four(draw):
     """
     r = draw(st.integers(1, 4))
     R = draw(st.integers(r, r + 5))
-    weight = st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(
-        lambda w: sum(w) > 0
-    )
-    chars = draw(st.lists(weight, min_size=R, max_size=R))
+    chars = draw(st.lists(positive_weights(r), min_size=R, max_size=R))
     assume(rank(chars) == r)
     coeffs = draw(st.lists(st.integers(0, 2), min_size=R, max_size=R))
     total = [sum(c * d[k] for c, d in zip(coeffs, chars)) for k in range(r)]
