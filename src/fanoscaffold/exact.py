@@ -12,13 +12,15 @@ This module is the package's one number boundary.  Vectors are tuples of
 number is an ``int`` exactly when it is integral, so integral data never
 pays for Fraction arithmetic.  Every result here, and every number that the
 geometry stores, is ``as_exact``; integer input goes through ``to_int_vector``,
-which raises ``not_integral`` instead of truncating; a float raises
-``not_exact`` in both.  The two forms compare, hash and sort alike.  HNF is
+which raises ``not_integral`` instead of truncating; anything that is neither
+an ``int`` nor a ``Fraction`` (a float, a string, a bool) raises ``not_exact``
+in both.  The two forms compare, hash and sort alike.  HNF is
 the single canonicalisation primitive: every "equal up to basis change"
 comparison routes through it.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -62,7 +64,9 @@ def transpose(A):
     return tuple(zip(*A)) if A else ()
 
 
+@cache
 def identity_matrix(n):
+    """The n x n identity, built once per n; its rows are shared tuples."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -77,13 +81,15 @@ def primitive_vector(v):
 
 
 def as_exact(x):
-    """x as an ``int`` if it is integral, else a ``Fraction``; not_exact on a float."""
+    """x as an ``int`` if it is integral, else a ``Fraction``.
+
+    Raises not_exact on anything that is neither an ``int`` nor a
+    ``Fraction``: a float, a string, a bool.
+    """
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        if isinstance(x, float):
-            raise DomainError("not_exact", f"entry {x!r} is a float")
-        x = Fraction(x)
+        raise DomainError("not_exact", f"entry {x!r} is not an int or a Fraction")
     return x.numerator if x.denominator == 1 else x
 
 
@@ -99,7 +105,10 @@ def exact_ratio(c, d):
 
 
 def to_int_vector(v):
-    """v as a tuple of ints; not_integral on a non-integer, not_exact on a float."""
+    """v as a tuple of ints; not_integral on a non-integral Fraction.
+
+    Any entry that ``as_exact`` rejects raises not_exact.
+    """
     v = tuple(v)
     for a in v:
         if type(a) is not int:
@@ -198,12 +207,13 @@ def row_space_equal(A, B):
 def _clear_denominators(vec):
     """vec times the least positive integer that makes it integral.
 
-    Entries are ``int`` or ``Fraction``.  An all-int vector is already
-    integral and comes back as a tuple of the same entries, with no
-    denominator read.
+    An all-int vector is already integral and comes back as a tuple of
+    the same entries, with no denominator read; any other goes through
+    ``as_exact_vector``, so an entry that is not exact raises not_exact.
     """
     if all(type(c) is int for c in vec):
         return tuple(vec)
+    vec = as_exact_vector(vec)
     m = lcm(*(c.denominator for c in vec))
     return tuple(c.numerator * (m // c.denominator) for c in vec)
 

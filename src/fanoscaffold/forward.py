@@ -153,9 +153,14 @@ def normalized_matrix(git, part):
     Rows follow the order of part.B; columns stay in place, so the basis
     columns carry unit vectors and every entry is an integer.  It comes
     from the same elimination as the convexity check; raises
-    invalid_partition listing every failure that _convexity finds.
+    invalid_partition listing every failure that _convexity finds.  The
+    check runs once per GitData and partition (``GitData._convex``).
     """
-    failures, coords = _convexity(git, part)
+    found = git._convex.get(part)
+    if found is None:
+        failures, coords = _convexity(git, part)
+        found = git._convex[part] = (tuple(failures), coords)
+    failures, coords = found
     if failures:
         raise DomainError("invalid_partition", "; ".join(failures))
     return tuple(row[: git.R] for row in coords)

@@ -39,8 +39,8 @@ def _decode_number(x):
         return x
     if isinstance(x, str) and _NUMBER.fullmatch(x):
         try:
-            return as_exact(x)
-        except (ValueError, ZeroDivisionError):
+            return as_exact(Fraction(x))
+        except ZeroDivisionError:
             raise ValueError("bad fraction string %r" % (x,))
     raise ValueError("expected an integer or a fraction string, got %r" % (x,))
 

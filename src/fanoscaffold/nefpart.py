@@ -17,7 +17,7 @@ from .exact import dot, identity_matrix, integer_solution, to_int_vector
 from .inversion import _relation_basis, ambient_rays
 from .mutations import mutate_polytope
 from .polyhedra import Cone, Polytope, lattice_isomorphic, spanning_fan
-from .scaffolding import _piece, product_structure
+from .scaffolding import _pieces, product_structure
 from .toric import PLFunction, git_to_stacky_fan, is_ample, is_nef, sections_polytope
 
 
@@ -239,13 +239,12 @@ def p_tilde(scaf):
     """
     rel = _relation_basis(scaf.shape)
     heights = [tuple(-dot(row, s.coeffs) for row in rel) for s in scaf.struts]
-    points = []
-    for s, height in enumerate(heights):
-        piece = _piece(scaf, s)
-        if piece is None:
-            continue
-        for v in piece:
-            points.append(v + height)
+    points = [
+        v + height
+        for piece, height in zip(_pieces(scaf), heights)
+        if piece is not None
+        for v in piece
+    ]
     return Polytope.from_points(points)
 
 

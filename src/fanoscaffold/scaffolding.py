@@ -40,7 +40,15 @@ class Strut:
 
 
 class Scaffolding:
-    __slots__ = ("shape", "u", "struts", "target")
+    """Struts on a shape fan with u shift coordinates, presenting a target.
+
+    The private slot ``_pieces`` holds the vertices of each strut's piece
+    (None for a divisor with no sections), computed on first use by
+    ``_pieces`` or stored by ``scaffolding_from_rows``, which already has
+    them; every reader of a piece reads that one tuple.
+    """
+
+    __slots__ = ("shape", "u", "struts", "target", "_pieces")
 
     def __init__(self, shape, u, struts, target):
         if not isinstance(shape, Fan):
@@ -72,6 +80,7 @@ class Scaffolding:
         self.u = u
         self.struts = struts
         self.target = target
+        self._pieces = None
 
     def __repr__(self):
         return (
@@ -90,10 +99,19 @@ def _strut_points(shape, strut):
     return tuple(strut.chi + v for v in sections_polytope(shape, strut.coeffs).vertices)
 
 
-def _piece(scaf, index):
-    """_strut_points of one strut, None when its divisor has no sections."""
+def _pieces(scaf):
+    """_strut_points of each strut, None when its divisor has no sections.
+
+    Computed once per Scaffolding; a raise caches nothing.
+    """
+    if scaf._pieces is None:
+        scaf._pieces = tuple(_piece_or_none(scaf.shape, s) for s in scaf.struts)
+    return scaf._pieces
+
+
+def _piece_or_none(shape, strut):
     try:
-        return _strut_points(scaf.shape, scaf.struts[index])
+        return _strut_points(shape, strut)
     except DomainError as exc:
         if exc.kind == "empty_polytope":
             return None
@@ -105,12 +123,8 @@ def strut_polytope(scaf, index):
 
     None when the strut's divisor has no sections.
     """
-    points = _piece(scaf, index)
+    points = _pieces(scaf)[index]
     return None if points is None else Polytope.from_points(points)
-
-
-def _pieces(scaf):
-    return [_piece(scaf, i) for i in range(len(scaf.struts))]
 
 
 def _piece_vertices(pieces):
@@ -265,8 +279,11 @@ def scaffolding_from_rows(shape, rows, position, shift_columns):
             coeffs[k] = row[j]
         struts.append(Strut(coeffs, (-row[j] for j in shift_columns)))
     struts += [Strut((0,) * nrays, e) for e in identity_matrix(len(shift_columns))]
-    points = [v for s in struts for v in _strut_points(shape, s)]
-    return Scaffolding(shape, len(shift_columns), struts, Polytope.from_points(points))
+    pieces = tuple(_strut_points(shape, s) for s in struts)
+    target = Polytope.from_points(_piece_vertices(pieces))
+    scaf = Scaffolding(shape, len(shift_columns), struts, target)
+    scaf._pieces = pieces
+    return scaf
 
 
 def scaffolding_from_forward(git, part):

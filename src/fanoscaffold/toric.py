@@ -41,16 +41,22 @@ class GitData:
     pass.  The cone is pointed exactly when they have rank r, and a
     character lies in it exactly when it pairs >= 0 with each of them.
 
-    Two private slots hold chamber data, each computed on first use and
-    then reused by every later question about the same data: the minimal
-    covers of ``irrelevant_collection`` (one dd_cone pass over the fiber
-    polytope), and the table of bases that ``secondary_fan`` and
-    ``in_chamber_interior`` share (``_chamber_bases``: one elimination
-    per r-subset of weights, no conversion).  Both are capped at
-    R <= 16; a capped input raises on every call and caches nothing.
+    Three private slots hold derived data, each computed on first use and
+    then reused by every later question about the same data: ``_covers``,
+    the minimal covers of ``irrelevant_collection`` (one dd_cone pass over
+    the fiber polytope); ``_bases``, the table of bases that
+    ``secondary_fan`` and ``in_chamber_interior`` share (``_chamber_bases``:
+    one elimination per r-subset of weights, no conversion); and
+    ``_convex``, a dict from each partition asked about to the
+    ``forward._convexity`` pair (failures as a tuple, coordinates), which
+    ``forward.normalized_matrix`` fills, so the model and the scaffolding
+    of a partition share one convexity pass.  The chamber data are capped
+    at R <= 16; an input that raises caches nothing.
     """
 
-    __slots__ = ("r", "R", "characters", "omega", "cone_normals", "_covers", "_bases")
+    __slots__ = (
+        "r", "R", "characters", "omega", "cone_normals", "_covers", "_bases", "_convex"
+    )
 
     def __init__(self, r, R, characters, omega):
         characters = tuple(map(to_int_vector, characters))
@@ -75,6 +81,7 @@ class GitData:
         self.cone_normals = normals
         self._covers = None
         self._bases = None
+        self._convex = {}
 
     def __eq__(self, other):
         return (

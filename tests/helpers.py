@@ -34,3 +34,17 @@ def random_unimodular_matrix(n, rng, steps=8):
         elif kind == 2:
             m[i] = [-c for c in m[i]]
     return tuple(tuple(row) for row in m)
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Patch name in each module to record the first argument of every call."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls

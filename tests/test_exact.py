@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
     _clear_denominators,
+    as_exact,
     det,
     hermite_normal_form,
     identity_matrix,
@@ -20,6 +21,7 @@ from fanoscaffold.exact import (
     rank,
     row_space_equal,
     solve_linear,
+    to_int_vector,
     transpose,
     unimodular_inverse,
 )
@@ -28,7 +30,7 @@ from fanoscaffold.forward import ConvexPartitionWithBasis
 from fanoscaffold.laurent import LaurentPolynomial, algebraic_mutation, monomial_substitution
 from fanoscaffold.mutations import mutate_polytope, mutate_scaffolding
 from fanoscaffold.nefpart import FanoNefPartition, check_nef_partition
-from fanoscaffold.polyhedra import Fan, Polytope
+from fanoscaffold.polyhedra import Cone, Fan, Polytope, dd_cone
 from fanoscaffold.scaffolding import Scaffolding, Strut
 from fanoscaffold.toric import GitData, StackyFan
 
@@ -279,7 +281,8 @@ def test_det_and_inverse_against_cofactors(A):
 
 
 # Integer data enters the package through exact.to_int_vector: each entry
-# point raises instead of truncating a non-integral entry or a float.
+# point raises instead of truncating a non-integral entry, and a float, a
+# string or a bool is not a number at all.
 SEGMENT = Polytope.from_points([(0, 0), (0, 1)])
 SQUARE = Polytope.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
 LINE = Fan(1, [(1,), (-1,)], [(0,), (1,)])
@@ -306,7 +309,10 @@ INTEGER_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("build", INTEGER_ENTRY_POINTS.values(), ids=INTEGER_ENTRY_POINTS)
-@pytest.mark.parametrize("x, kind", [(Fraction(3, 2), "not_integral"), (1.5, "not_exact")])
+@pytest.mark.parametrize(
+    "x, kind",
+    [(Fraction(3, 2), "not_integral"), (1.5, "not_exact"), ("1", "not_exact"), (True, "not_exact")],
+)
 def test_integer_entry_points_reject_non_integers(build, x, kind):
     with pytest.raises(DomainError) as err:
         build(x)
@@ -322,3 +328,25 @@ def test_rational_entry_points_reject_floats():
         GitData(1, 2, [(1,), (1,)], (0.5,))
     assert err.value.kind == "not_exact"
     assert GitData(1, 2, [(1,), (1,)], (Fraction(1, 2),)).omega == (Fraction(1, 2),)
+
+
+NOT_EXACT_ENTRY_POINTS = {
+    "Fan float ray": lambda: Fan(1, [(1.5,), (-1,)], [(0,), (1,)]),
+    "Cone.from_rays float ray": lambda: Cone.from_rays([(1.5, 0), (0, 1)]),
+    "dd_cone float generator": lambda: dd_cone([(1.5, 0), (0, 1)], dim=2),
+    "GitData string omega": lambda: GitData(1, 2, [(2,), (1,)], ("1/2",)),
+    "GitData string character": lambda: GitData(1, 2, [("2",), (1,)], (1,)),
+    "Polytope.from_points string": lambda: Polytope.from_points([("1e3", 0), (0, 1), (0, 0)]),
+    "Polytope.from_points bool": lambda: Polytope.from_points([(True, 0), (0, 1), (0, 0)]),
+    "to_int_vector bool": lambda: to_int_vector((True, 2)),
+    "as_exact string": lambda: as_exact("1"),
+}
+
+
+@pytest.mark.parametrize("build", NOT_EXACT_ENTRY_POINTS.values(), ids=NOT_EXACT_ENTRY_POINTS)
+def test_entries_that_are_not_int_or_fraction_raise_not_exact(build):
+    # The geometry constructors clear denominators through as_exact_vector,
+    # so a float reaches the same check as everywhere else.
+    with pytest.raises(DomainError) as err:
+        build()
+    assert err.value.kind == "not_exact"

@@ -25,7 +25,7 @@ from fanoscaffold.laurent import LaurentPolynomial, monomial_substitution
 from fanoscaffold.scaffolding import laurent_from_scaffolding, scaffolding_from_forward
 from fanoscaffold.toric import GitData, git_to_stacky_fan, is_nef
 
-from helpers import random_unimodular_matrix
+from helpers import count_calls, random_unimodular_matrix
 
 
 def mono(n, c=1, **positions):
@@ -160,6 +160,36 @@ def test_invalid_partition_reported():
     with pytest.raises(DomainError) as exc:
         przyjalkowski(git, part)
     assert exc.value.kind == "invalid_partition"
+
+
+def test_convexity_runs_once_per_git_data_and_partition(monkeypatch):
+    # The model, the scaffolding and the normalized matrix of one partition
+    # share the GitData's one convexity pass; a second partition or a fresh
+    # GitData makes its own.
+    calls = count_calls(monkeypatch, "_convexity", forward)
+    git = bundle_git()
+    part = ConvexPartitionWithBasis((0, 1), [(2, 3), (4, 5)], (6,), (2, 4))
+    przyjalkowski(git, part)
+    scaffolding_from_forward(git, part)
+    normalized_matrix(git, part)
+    assert calls == [git]
+    other = ConvexPartitionWithBasis((0, 1), [(2, 3), (4, 5)], (6,), (3, 5))
+    normalized_matrix(git, other)
+    fresh = bundle_git()
+    normalized_matrix(fresh, part)
+    assert calls == [git, git, fresh]
+
+
+def test_invalid_partition_is_checked_once():
+    # The failures are kept, as a tuple, and raised again on every call.
+    git = bundle_git()
+    part = ConvexPartitionWithBasis((0, 3), [(1, 2), (4, 5)], (6,), (1, 4))
+    for build in (przyjalkowski, normalized_matrix, scaffolding_from_forward):
+        with pytest.raises(DomainError) as exc:
+            build(git, part)
+        assert exc.value.kind == "invalid_partition"
+        assert exc.value.detail == "basis block is not unimodular"
+    assert git._convex == {part: (("basis block is not unimodular",), None)}
 
 
 def test_negative_group_total_rejected():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanoscaffold import inversion, polyhedra, scaffolding
+from fanoscaffold import exact, forward, inversion, polyhedra, scaffolding, toric
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
     dot,
@@ -39,7 +39,7 @@ from fanoscaffold.scaffolding import (
 )
 from fanoscaffold.toric import GitData
 
-from helpers import random_unimodular_matrix
+from helpers import count_calls, random_unimodular_matrix
 
 
 def cubic_scaffolding():
@@ -597,3 +597,25 @@ def test_relation_basis_of_a_product_is_its_factor_indicators():
             assert sorted(_relation_basis(fan)) == sorted(indicators)
             count += 1
     assert count == 1 + 2 + 5 + 15 + 52 + 203
+
+
+def test_roundtrip_conversion_counts(monkeypatch):
+    # One round trip of the quotient-roundtrip benchmark op on
+    # circulant-three.  The convexity check runs once per GitData and
+    # partition, and the strut pieces are converted once per scaffolding;
+    # a second pass of either raises these counts.
+    fx = fixture("circulant-three")
+    git, part = fx["git"], fx["partition"]
+    dd = count_calls(monkeypatch, "_dd_core", polyhedra)
+    eliminations = count_calls(
+        monkeypatch, "_row_reduce", exact, forward, inversion, polyhedra, toric
+    )
+    g = GitData(git.r, git.R, git.characters, git.omega)
+    toric.git_to_stacky_fan(g)
+    forward.przyjalkowski(g, part)
+    scaf = scaffolding_from_forward(g, part)
+    laurent_inversion(scaf)
+    assert verify_embedding(scaf)[0]
+    assert len(toric.secondary_fan(g)) == 13
+    assert toric.in_chamber_interior(g, g.omega)
+    assert (len(dd), len(eliminations)) == (39, 60)

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from fanoscaffold import mutations, nefpart, scaffolding, toric
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import mat_vec
 from fanoscaffold.fixtures import fixture, fixture_names
@@ -12,13 +13,14 @@ from fanoscaffold.forward import (
     normalized_matrix,
     przyjalkowski,
 )
+from fanoscaffold.inversion import laurent_inversion
 from fanoscaffold.mutations import mutate_scaffolding
 from fanoscaffold.nefpart import p_tilde
 from fanoscaffold.polyhedra import Polytope
 from fanoscaffold.scaffolding import (
     Scaffolding,
     Strut,
-    _piece,
+    _pieces,
     dual_cone_check,
     laurent_from_scaffolding,
     product_fan,
@@ -30,7 +32,7 @@ from fanoscaffold.scaffolding import (
 )
 from fanoscaffold.toric import GitData, sections_polytope
 
-from helpers import random_unimodular_matrix
+from helpers import count_calls, random_unimodular_matrix
 
 
 def cubic_data():
@@ -288,8 +290,48 @@ def test_piece_points_are_the_strut_polytope_vertices(name):
     # a conversion of them gives.
     scaf = fixture(name)["scaffolding"]
     for i in range(len(scaf.struts)):
-        points = _piece(scaf, i)
+        points = _pieces(scaf)[i]
         assert points == strut_polytope(scaf, i).vertices
+
+
+@pytest.mark.parametrize("name", CORPUS_PARTITIONS)
+def test_forward_scaffolding_keeps_its_pieces(monkeypatch, name):
+    # scaffolding_from_forward stores the pieces it builds the target from,
+    # so the checks that read them convert no sections polytope again.
+    fx = fixture(name)
+    scaf = scaffolding_from_forward(fx["git"], fx["partition"])
+    calls = count_calls(
+        monkeypatch, "sections_polytope", toric, scaffolding, nefpart, mutations
+    )
+    laurent_inversion(scaf)
+    assert validate_scaffolding(scaf)[0]
+    dual_cone_check(scaf)
+    assert calls == []
+
+
+def piece_readers(scaf):
+    return validate_scaffolding(scaf), dual_cone_check(scaf), p_tilde(scaf)
+
+
+@pytest.mark.parametrize(
+    "name, source",
+    [(n, "fixture") for n in fixture_names() if "scaffolding" in fixture(n)]
+    + [(n, "forward") for n in CORPUS_PARTITIONS],
+)
+def test_stored_pieces_read_like_fresh_ones(name, source):
+    # A scaffolding read once (or built from rows, which stores its pieces)
+    # answers like a copy whose pieces are still unset.
+    fx = fixture(name)
+    if source == "forward":
+        scaf = scaffolding_from_forward(fx["git"], fx["partition"])
+    else:
+        scaf = fx["scaffolding"]
+    first = piece_readers(scaf)
+    assert scaf._pieces is not None
+    fresh = Scaffolding(scaf.shape, scaf.u, scaf.struts, scaf.target)
+    assert fresh._pieces is None
+    assert piece_readers(fresh) == piece_readers(scaf) == first
+    assert fresh._pieces == scaf._pieces
 
 
 @pytest.mark.parametrize("name", CORPUS_PARTITIONS)

@@ -25,7 +25,7 @@ from fanoscaffold.toric import (
     sections_polytope,
 )
 
-from helpers import random_unimodular_matrix
+from helpers import count_calls, random_unimodular_matrix
 
 
 def covers(git, subset):
@@ -228,20 +228,6 @@ def git_up_to_rank_four(draw):
 @given(git_up_to_rank_four())
 def test_minimal_covers_against_the_subset_enumeration(git):
     assert irrelevant_collection(git) == minimal_covers_by_subsets(git)
-
-
-def count_calls(monkeypatch, name, *modules):
-    """Patch name in each module to record the first argument of every call."""
-    calls = []
-    original = getattr(modules[0], name)
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_chamber_data_conversion_counts(monkeypatch):
