@@ -31,9 +31,6 @@ from .polyhedra import (
     Polytope,
     _dual_vertex,
     _in_hrep,
-    _merge_preimages,
-    _pull_back_cone,
-    _pull_back_cones,
     dd_cone,
     normal_fan,
     spanning_fan,
@@ -283,20 +280,25 @@ def _lift_facet_normal(scaf, basis, normal):
 def verify_embedding(scaf):
     """Run the three embedding checks for a scaffolding.
 
-    (a) the ambient fan's rays are exactly the strut rays plus the ray
-        block's units;
-    (b) the ambient fan restricted along theta, the lattice inclusion, is
+    (a) the ambient fan, the normal fan of Q_S, has exactly the strut rays
+        plus the ray block's units as rays;
+    (b) the ambient fan pulled back along theta, the lattice inclusion, is
         the spanning fan of the target;
     (c) for every proper face of the target, the face's cone is recovered
         from the ambient data.
 
-    Check (b) pulls each maximal ambient cone back along theta, with two
-    dd_cone passes per cone.  Check (c) tests only facets and vertices
-    (see _face_cones_check): a facet whose cone is a maximal ambient cone
-    reads its preimage off check (b), any other facet costs two passes,
-    and a vertex costs one elimination, or one pass when its generators
-    are dependent.  Returns (ok, report) with one boolean per check; all
-    are False when no unit struts form a basis of the shifts.
+    All three read one lemma.  Let pi(x) = (<x, t>) over the rows t of
+    theta, so that <theta y, x> = <y, pi(x)>.  Then q minimizes theta y
+    over Q_S exactly when pi(q) minimizes y over pi(Q_S): the preimage
+    along theta of the normal cone of Q_S at q is the normal cone of
+    pi(Q_S) at pi(q) (compare Ziegler, Lectures on Polytopes, Lecture 7).
+    So (a) reads the facet normals of Q_S, and (b) is one conversion, the
+    hull of the projected vertices of Q_S: the pulled-back fan is the
+    normal fan of that image when it is full dimensional, and has no full
+    dimensional cone otherwise.  (c) reads each vertex's preimage off the
+    incidences of both polytopes (see _face_cones_check).  Returns
+    (ok, report) with one boolean per check; all are False when no unit
+    struts form a basis of the shifts.
     """
     report = {"ambient_rays": False, "restricted_fan": False,
               "face_cones": False}
@@ -306,21 +308,43 @@ def verify_embedding(scaf):
         return False, report
     u = scaf.u
     dim = u + len(scaf.shape.rays)
-    ambient_fan = normal_fan(_q_s_polytope(scaf, rhos))
+    q_s = _q_s_polytope(scaf, rhos)
     expected = set()
     for rho in rhos:
         # a strut whose coefficients and shift are all 0 has ray 0, which is
         # never a fan ray
         expected.add(primitive_vector(rho) if any(rho) else rho)
     expected.update(identity_matrix(dim)[u:])
-    report["ambient_rays"] = set(ambient_fan.rays) == expected
+    report["ambient_rays"] = {primitive_vector(a) for a, _ in q_s.inequalities} == expected
 
-    preimages = _pull_back_cones(ambient_fan, theta)
-    restricted = _merge_preimages(len(theta), preimages)
-    report["restricted_fan"] = restricted == spanning_fan(scaf.target)
+    projected = [tuple(dot(t, q) for t in theta) for q in q_s.vertices]
+    image = Polytope.from_points(projected)
+    target_fan = spanning_fan(scaf.target)
+    full = image.is_full_dimensional()
+    report["restricted_fan"] = full and normal_fan(image) == target_fan
 
+    # Each vertex q of Q_S, keyed by the facet normals through it, maps to
+    # the rays of its normal cone's preimage: the facet normals of the
+    # image through pi(q) when pi(q) is a vertex of a full dimensional
+    # image, and None otherwise, since that preimage then has lineality or
+    # is not full dimensional.
+    vertex_of = {v: i for i, v in enumerate(image.vertices)} if full else {}
+    preimages = {}
+    for i, q in enumerate(projected):
+        key = frozenset(_facet_normals_at(q_s, i))
+        j = vertex_of.get(q)
+        preimages[key] = None if j is None else tuple(sorted(_facet_normals_at(image, j)))
     report["face_cones"] = _face_cones_check(scaf, basis, rhos, theta, preimages)
     return all(report.values()), report
+
+
+def _facet_normals_at(polytope, i):
+    """The primitive normals of the facets through vertex i."""
+    return [
+        primitive_vector(a)
+        for (a, _), mask in zip(polytope.inequalities, polytope.incidence)
+        if mask >> i & 1
+    ]
 
 
 def _face_cones_check(scaf, basis, rhos, theta, preimages):
@@ -340,14 +364,13 @@ def _face_cones_check(scaf, basis, rhos, theta, preimages):
     v's generators are among G's.  So the check holds exactly when every
     facet passes and every vertex v has theta(v) in C_{v}.
 
-    preimages maps the ray set of each maximal ambient cone to its
-    preimage's rays, lineality and inequalities, as check (b) computed
-    them (polyhedra._pull_back_cones).  A facet whose primitive generators
-    are exactly such a ray set has that cone as C_F, so the stored
-    preimage is what its own two passes would give.  Any other facet
-    takes the same two passes (polyhedra._pull_back_cone): one over its
-    generators for C_F's H-description and, pulled back along theta, one
-    in the target's dimension for the preimage.
+    preimages maps the ray set of each maximal ambient cone, the facet
+    normals of Q_S through one of its vertices, to the rays of that
+    cone's preimage along theta, or to None when the preimage is not a
+    pointed full dimensional cone; verify_embedding reads them off the
+    incidences with no conversion.  A facet whose primitive generators
+    are exactly such a ray set reads its preimage there.  Any other facet
+    takes two passes (_pull_back_cone).
     """
     u = scaf.u
     dim = u + len(scaf.shape.rays)
@@ -380,17 +403,32 @@ def _face_cones_check(scaf, basis, rhos, theta, preimages):
 
     for fset in facet_sets:
         gens = generators(fset)
-        rays, lineality, _ = preimages.get(frozenset(gens)) or _pull_back_cone(
-            gens, dim, theta
-        )
-        face_rays = tuple(sorted(primitive_vector(target.vertices[i]) for i in fset))
-        if lineality or rays != face_rays:
+        key = frozenset(gens)
+        rays = preimages[key] if key in preimages else _pull_back_cone(gens, dim, theta)
+        if rays != tuple(sorted(primitive_vector(target.vertices[i]) for i in fset)):
             return False
     columns = transpose(theta)
     return all(
         _in_cone(generators({i}), tuple(dot(v, col) for col in columns))
         for i, v in enumerate(target.vertices)
     )
+
+
+def _pull_back_cone(generators, dim, theta):
+    """The rays of the preimage along theta of the cone the generators span.
+
+    One dd_cone pass over the generators gives the cone's H-description;
+    its normals pulled back along the rows of theta describe the preimage,
+    and one more pass in the target's dimension gives its rays.  Returns
+    None when the preimage has lineality.
+    """
+    normals, eq_normals = dd_cone(generators, dim=dim)
+    rays, lineality = dd_cone(
+        [tuple(dot(a, t) for t in theta) for a in normals],
+        [tuple(dot(e, t) for t in theta) for e in eq_normals],
+        dim=len(theta),
+    )
+    return None if lineality else rays
 
 
 def _in_cone(gens, point):

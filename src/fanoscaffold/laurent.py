@@ -29,12 +29,13 @@ class LaurentPolynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms):
+        (nvars,) = to_int_vector((nvars,))
         clean = {}
         for e, c in terms.items():
             e = to_int_vector(e)
             if len(e) != nvars:
                 raise DomainError("dimension_mismatch", "exponent length differs from nvars")
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise DomainError("bad_coefficient", "coefficients must be integers")
             if c:
                 clean[e] = clean.get(e, 0) + c
@@ -120,7 +121,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise DomainError("bad_exponent", "powers must be nonnegative integers")
         out = LaurentPolynomial.one(self.nvars)
         for _ in range(k):
@@ -274,8 +275,8 @@ def classical_period(f, d_max):
     """
     if f.is_zero():
         raise DomainError("zero_polynomial", "period of the zero polynomial")
-    if d_max < 0:
-        raise DomainError("bad_exponent", "d_max must be nonnegative")
+    if type(d_max) is not int or d_max < 0:
+        raise DomainError("bad_exponent", "d_max must be a nonnegative integer")
     if d_max > MAX_PERIOD_DEPTH:
         raise DomainError(
             "degree_too_large", f"period depth capped at {MAX_PERIOD_DEPTH}"

@@ -24,15 +24,13 @@ from_hrep is Cone.from_hrep of the homogenized constraints and t >= 0,
 and both dehomogenize the cone.  A Polytope keeps both descriptions, so
 its polar dual swaps them and transposes the incidences with no
 conversion; the spanning fan, the normal fan and the face lattice only
-read them, as Fan.is_complete reads its cones' incidences.  restrict_fan
-makes one conversion per maximal cone and one per preimage
-(_pull_back_cone, run on each cone by _pull_back_cones, whose preimages
-a caller may reuse).  Lattice points are enumerated on integer rows by a
-depth-first walk over the coordinates that bounds each one by the rows'
-partial sums and the most the later coordinates can add, in bounding
-boxes of at most MAX_LATTICE_BOX points (larger ones raise
-lattice_box_too_large).  Intended for small instances (ambient dimension
-up to about 10); no attempt is made at large-scale performance.
+read them, as Fan.is_complete reads its cones' incidences.  Lattice
+points are enumerated on integer rows by a depth-first walk over the
+coordinates that bounds each one by the rows' partial sums and the most
+the later coordinates can add, in bounding boxes of at most
+MAX_LATTICE_BOX points (larger ones raise lattice_box_too_large).
+Intended for small instances (ambient dimension up to about 10); no
+attempt is made at large-scale performance.
 """
 
 from itertools import combinations, permutations
@@ -52,6 +50,7 @@ from .exact import (
     kernel_basis,
     primitive_vector,
     rank,
+    to_int_vector,
     vadd,
     vneg,
     vscale,
@@ -806,6 +805,7 @@ class Fan:
     __slots__ = ("dim", "rays", "max_cones")
 
     def __init__(self, dim, rays, max_cones):
+        (dim,) = to_int_vector((dim,))
         prim = []
         for r in rays:
             v = _normalize_constraint(r)
@@ -898,77 +898,6 @@ def normal_fan(polytope):
         for i in _bits(mask):
             cones[i].append(k)
     return Fan(polytope.dim, [a for a, _ in polytope.inequalities], cones)
-
-
-def restrict_fan(fan, basis):
-    """Pull a complete fan back along the inclusion spanned by basis rows.
-
-    basis is a list of k independent integer vectors in the fan's space,
-    assumed to span a saturated sublattice.  A point y of Z^k maps to
-    sum_i y_i basis[i].  Maximal cones of the result are the preimages of
-    the fan's maximal cones that are full dimensional in the subspace.
-    This is _merge_preimages of _pull_back_cones, and the one entry point
-    through which the two are tested; verify_embedding runs them itself.
-    """
-    return _merge_preimages(len(basis), _pull_back_cones(fan, basis))
-
-
-def _pull_back_cones(fan, basis):
-    """Each maximal cone's preimage along the basis rows (_pull_back_cone).
-
-    Returns a dict, in fan order, from each maximal cone's set of rays to
-    the preimage's (rays, lineality, pulled inequalities).
-    """
-    out = {}
-    for c in fan.max_cones:
-        cone_rays = [fan.rays[i] for i in c]
-        out[frozenset(cone_rays)] = _pull_back_cone(cone_rays, fan.dim, basis)
-    return out
-
-
-def _pull_back_cone(generators, dim, basis):
-    """The preimage along the basis rows of the cone the generators span.
-
-    One dd_cone pass over the generators gives the cone's H-description;
-    its normals pulled back along the basis describe the preimage, and one
-    more pass in dimension k = len(basis) gives the preimage's rays.
-    Returns (rays, lineality, pulled inequalities).
-    """
-    normals, eq_normals = dd_cone(generators, dim=dim)
-    ineqs = [tuple(dot(a, b) for b in basis) for a in normals]
-    eqs = [tuple(dot(e, b) for b in basis) for e in eq_normals]
-    rays, lineality = dd_cone(ineqs, eqs, dim=len(basis))
-    return rays, lineality, ineqs
-
-
-def _merge_preimages(k, preimages):
-    """The fan in dimension k of the full-dimensional pulled-back cones.
-
-    A preimage is dropped when another one contains it, which is read off
-    the other's pulled inequalities without any further conversion.
-    """
-    pulled = {}
-    for rays, lineality, ineqs in preimages.values():
-        if lineality or rank(list(rays)) != k:
-            continue
-        # The equations pull back to zero on a full-dimensional preimage,
-        # so the inequalities alone describe it.
-        pulled.setdefault(frozenset(rays), ineqs)
-    # Drop cones contained in another cone.  Equal preimages were merged
-    # above; a strict containment needs overlapping cones, which the fan
-    # does not rule out.
-    kept = []
-    for s in pulled:
-        dominated = any(
-            t != s and all(dot(a, r) >= 0 for a in ineqs for r in s)
-            for t, ineqs in pulled.items()
-        )
-        if not dominated:
-            kept.append(s)
-    fan_rays = sorted(set().union(*kept))
-    lookup = {r: i for i, r in enumerate(fan_rays)}
-    max_cones = [tuple(sorted(lookup[r] for r in s)) for s in kept]
-    return Fan(k, fan_rays, max_cones)
 
 
 def lattice_isomorphic(p, q):

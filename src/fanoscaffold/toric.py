@@ -59,6 +59,7 @@ class GitData:
     )
 
     def __init__(self, r, R, characters, omega):
+        r, R = to_int_vector((r, R))
         characters = tuple(map(to_int_vector, characters))
         omega = as_exact_vector(omega)
         if len(characters) != R:
@@ -148,6 +149,7 @@ class StackyFan:
     __slots__ = ("dim", "rays", "max_cones")
 
     def __init__(self, dim, rays, max_cones):
+        (dim,) = to_int_vector((dim,))
         rays = tuple(map(to_int_vector, rays))
         for v in rays:
             if len(v) != dim:

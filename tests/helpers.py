@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
-from fanoscaffold.exact import as_exact_vector, dot, identity_matrix
+from fanoscaffold.exact import as_exact_vector, dot, identity_matrix, rank
+from fanoscaffold.polyhedra import Cone, Fan, dd_cone
 
 
 def contains(polytope, point):
@@ -48,3 +49,33 @@ def count_calls(monkeypatch, name, *modules):
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def restrict_fan_pairwise(fan, basis):
+    """Pull a fan back along the inclusion spanned by the basis rows.
+
+    A point y maps to sum_i y_i basis[i].  Each maximal cone's preimage
+    takes two DD passes; the full-dimensional pointed ones are kept unless
+    another one contains them, tested by building both cones of every
+    pair.  The two-pass oracle of verify_embedding's check (b).
+    """
+    k = len(basis)
+    cones = []
+    for c in fan.max_cones:
+        cone = fan.cone(c)
+        ineqs = [tuple(dot(a, b) for b in basis) for a in cone.ineq_normals]
+        eqs = [tuple(dot(e, b) for b in basis) for e in cone.eq_normals]
+        rays, lineality = dd_cone(ineqs, eqs, dim=k)
+        if not lineality and rank(list(rays)) == k:
+            cones.append(frozenset(rays))
+    kept = [
+        s for s in set(cones)
+        if not any(
+            t != s and Cone.from_rays(sorted(t), dim=k).contains_cone(
+                Cone.from_rays(sorted(s), dim=k))
+            for t in set(cones)
+        )
+    ]
+    fan_rays = sorted(set().union(*kept))
+    lookup = {r: i for i, r in enumerate(fan_rays)}
+    return Fan(k, fan_rays, [tuple(sorted(lookup[r] for r in s)) for s in kept])

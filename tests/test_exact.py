@@ -27,7 +27,12 @@ from fanoscaffold.exact import (
 )
 from fanoscaffold.fixtures import fixture
 from fanoscaffold.forward import ConvexPartitionWithBasis
-from fanoscaffold.laurent import LaurentPolynomial, algebraic_mutation, monomial_substitution
+from fanoscaffold.laurent import (
+    LaurentPolynomial,
+    algebraic_mutation,
+    classical_period,
+    monomial_substitution,
+)
 from fanoscaffold.mutations import mutate_polytope, mutate_scaffolding
 from fanoscaffold.nefpart import FanoNefPartition, check_nef_partition
 from fanoscaffold.polyhedra import Cone, Fan, Polytope, dd_cone
@@ -302,6 +307,11 @@ INTEGER_ENTRY_POINTS = {
     "mutate_scaffolding weight": lambda x: mutate_scaffolding(
         fixture("dp6-squares")["scaffolding"], (x, 0), SEGMENT
     ),
+    "GitData r": lambda x: GitData(x, 2, [(1,), (1,)], (1,)),
+    "GitData R": lambda x: GitData(1, x, [(1,)], (1,)),
+    "Fan dim": lambda x: Fan(x, [(1,), (-1,)], [(0,), (1,)]),
+    "StackyFan dim": lambda x: StackyFan(x, [(1,), (-1,)], [(0,), (1,)]),
+    "LaurentPolynomial nvars": lambda x: LaurentPolynomial(x, {(1,): 1}),
     "ConvexPartitionWithBasis": lambda x: ConvexPartitionWithBasis((0,), [(1, x)]),
     "FanoNefPartition parts": lambda x: FanoNefPartition(LINE, [(0,)], (x,)),
     "check_nef_partition parts": lambda x: check_nef_partition(SQUARE, [(0, x), (2, 3)]),
@@ -318,6 +328,23 @@ def test_integer_entry_points_reject_non_integers(build, x, kind):
         build(x)
     assert err.value.kind == kind
     build(Fraction(1))
+
+
+BOOL_SCALARS = {
+    "LaurentPolynomial coefficient": (
+        lambda: LaurentPolynomial(1, {(1,): 1, (-1,): True}), "bad_coefficient"),
+    "LaurentPolynomial power": (lambda: (X + ONE) ** True, "bad_exponent"),
+    "classical_period depth": (lambda: classical_period(X + ONE, True), "bad_exponent"),
+}
+
+
+@pytest.mark.parametrize("build, kind", BOOL_SCALARS.values(), ids=BOOL_SCALARS)
+def test_bools_are_not_integer_scalars(build, kind):
+    # A bool compares and multiplies as 0 or 1, but the encoders would write
+    # it as JSON true, which no decoder reads as a number.
+    with pytest.raises(DomainError) as err:
+        build()
+    assert err.value.kind == kind
 
 
 def test_rational_entry_points_reject_floats():

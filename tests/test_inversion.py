@@ -11,6 +11,7 @@ from fanoscaffold import exact, forward, inversion, polyhedra, scaffolding, tori
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
     dot,
+    identity_matrix,
     mat_vec,
     primitive_vector,
     transpose,
@@ -27,7 +28,7 @@ from fanoscaffold.inversion import (
     laurent_inversion,
     verify_embedding,
 )
-from fanoscaffold.polyhedra import Polytope, dd_cone
+from fanoscaffold.polyhedra import Fan, Polytope, dd_cone, normal_fan, spanning_fan
 from fanoscaffold.scaffolding import (
     Scaffolding,
     Strut,
@@ -39,7 +40,7 @@ from fanoscaffold.scaffolding import (
 )
 from fanoscaffold.toric import GitData
 
-from helpers import count_calls, random_unimodular_matrix
+from helpers import count_calls, random_unimodular_matrix, restrict_fan_pairwise
 
 
 def cubic_scaffolding():
@@ -369,6 +370,49 @@ def test_face_cones_check_against_the_per_face_oracle(scaf):
         assert embedding_outcome(scaf) == outcome
 
 
+def flat_shape_scaffolding():
+    """A shape whose two rays span only a line, so theta has rank 1 and
+    the image of Q_S is a segment in the plane: no preimage of an ambient
+    cone is full dimensional.  The strut's ray (-2, -2) is not primitive,
+    and neither is the normal of its facet of Q_S."""
+    shape = Fan(2, [(1, 0), (-1, 0)], [(0,), (1,)])
+    square = Polytope.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    return Scaffolding(shape, 0, [Strut((2, 2))], square)
+
+
+def fan_checks_by_fans(scaf):
+    """Checks (a) and (b) read off the normal fan of Q_S: its rays against
+    the primitive strut rays and units, and its maximal cones pulled back
+    along theta by two passes each, merged by pairwise domination, against
+    the target's spanning fan."""
+    try:
+        _, rhos, theta = inversion._ambient_lattice(scaf)
+    except DomainError:
+        return {"ambient_rays": False, "restricted_fan": False}
+    ambient = normal_fan(inversion._q_s_polytope(scaf, rhos))
+    expected = {primitive_vector(rho) if any(rho) else rho for rho in rhos}
+    expected.update(identity_matrix(ambient.dim)[scaf.u:])
+    return {
+        "ambient_rays": set(ambient.rays) == expected,
+        "restricted_fan": restrict_fan_pairwise(ambient, theta) == spanning_fan(scaf.target),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_scaffoldings())
+@example(facets_pass_vertex_fails())
+@example(flat_shape_scaffolding())
+def test_fan_checks_against_the_two_pass_oracle(scaf):
+    outcome = embedding_outcome(scaf)
+    try:
+        expected = fan_checks_by_fans(scaf)
+    except DomainError as exc:
+        assert outcome == exc.kind
+    else:
+        report = outcome[1]
+        assert {k: report[k] for k in expected} == expected
+
+
 def test_facets_can_pass_while_a_vertex_fails():
     args = face_cones_arguments(facets_pass_vertex_fails())
     assert not face_cones_per_face(*args)
@@ -618,4 +662,4 @@ def test_roundtrip_conversion_counts(monkeypatch):
     assert verify_embedding(scaf)[0]
     assert len(toric.secondary_fan(g)) == 13
     assert toric.in_chamber_interior(g, g.omega)
-    assert (len(dd), len(eliminations)) == (39, 60)
+    assert (len(dd), len(eliminations)) == (24, 52)

@@ -33,11 +33,10 @@ from fanoscaffold.polyhedra import (
     dd_cone,
     lattice_isomorphic,
     normal_fan,
-    restrict_fan,
     spanning_fan,
 )
 
-from helpers import contains, random_unimodular_matrix
+from helpers import contains, random_unimodular_matrix, restrict_fan_pairwise
 
 
 def in_cone(gens, target):
@@ -895,42 +894,6 @@ def test_fan_canonicalization_and_equality():
         assert ei.value.kind == kind
 
 
-def test_restrict_fan():
-    p1p1 = Fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)],
-               [(0, 2), (0, 3), (1, 2), (1, 3)])
-    diag = restrict_fan(p1p1, [(1, 1)])
-    assert diag.rays == ((-1,), (1,))
-    assert len(diag.max_cones) == 2 and diag.is_complete()
-    p2 = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)])
-    axis = restrict_fan(p2, [(1, 0)])
-    assert axis.rays == ((-1,), (1,)) and len(axis.max_cones) == 2
-
-
-def restrict_fan_pairwise(fan, basis):
-    """restrict_fan by whole cones: each maximal cone built with two DD
-    passes, and domination tested by building both cones of every pair."""
-    k = len(basis)
-    cones = []
-    for c in fan.max_cones:
-        cone = fan.cone(c)
-        ineqs = [tuple(dot(a, b) for b in basis) for a in cone.ineq_normals]
-        eqs = [tuple(dot(e, b) for b in basis) for e in cone.eq_normals]
-        rays, lineality = dd_cone(ineqs, eqs, dim=k)
-        if not lineality and rank(list(rays)) == k:
-            cones.append(frozenset(rays))
-    kept = [
-        s for s in set(cones)
-        if not any(
-            t != s and Cone.from_rays(sorted(t), dim=k).contains_cone(
-                Cone.from_rays(sorted(s), dim=k))
-            for t in set(cones)
-        )
-    ]
-    fan_rays = sorted(set().union(*kept))
-    lookup = {r: i for i, r in enumerate(fan_rays)}
-    return Fan(k, fan_rays, [tuple(sorted(lookup[r] for r in s)) for s in kept])
-
-
 @st.composite
 def origin_polytopes(draw):
     """Lattice polytopes in dims 2-3 with the origin inside: the cross
@@ -943,27 +906,36 @@ def origin_polytopes(draw):
     return Polytope.from_points(pts)
 
 
+def project(p, basis):
+    """The image of p under x -> (<b, x>) over the basis rows."""
+    return Polytope.from_points([tuple(dot(b, v) for b in basis) for v in p.vertices])
+
+
+def test_normal_fan_of_a_projection():
+    # The square's normal fan is that of P1 x P1, pulled back along the
+    # diagonal; the triangle's is that of P2, pulled back along an axis.
+    square = Polytope.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    triangle = Polytope.from_points([(-1, -1), (2, -1), (-1, 2)])
+    assert normal_fan(square) == Fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)],
+                                     [(0, 2), (0, 3), (1, 2), (1, 3)])
+    assert normal_fan(triangle) == Fan(2, [(1, 0), (0, 1), (-1, -1)],
+                                       [(0, 1), (0, 2), (1, 2)])
+    for p, basis in ((square, [(1, 1)]), (triangle, [(1, 0)])):
+        line = normal_fan(project(p, basis))
+        assert line.rays == ((-1,), (1,)) and len(line.max_cones) == 2
+        assert line.is_complete()
+        assert restrict_fan_pairwise(normal_fan(p), basis) == line
+
+
 @settings(max_examples=80, deadline=None)
-@given(origin_polytopes(), st.sampled_from(["spanning", "normal", "overlay"]),
-       st.integers(0, 2**32 - 1), st.data())
-def test_restrict_fan_against_pairwise_domination(p, kind, seed, data):
-    sf, nf = spanning_fan(p), normal_fan(p)
-    if kind == "overlay":
-        # Both fans' cones at once, plus a few cones of two rays: the cones
-        # overlap and some are not full dimensional, so preimages can be
-        # strictly contained in one another and can carry equations.
-        rays = sf.rays + nf.rays
-        pairs = data.draw(st.lists(
-            st.tuples(*[st.integers(0, len(rays) - 1)] * 2), max_size=3))
-        cones = list(sf.max_cones) + list(pairs) + [
-            tuple(len(sf.rays) + i for i in c) for c in nf.max_cones]
-        fan = Fan(p.dim, rays, cones)
-    else:
-        fan = sf if kind == "spanning" else nf
+@given(origin_polytopes(), st.integers(0, 2**32 - 1), st.data())
+def test_pulled_back_normal_fan_is_the_normal_fan_of_the_projection(p, seed, data):
+    # The preimage of the normal cone of p at v is the normal cone of the
+    # image at the image of v, the lemma behind verify_embedding's check (b).
     # The first k rows of a unimodular matrix span a saturated sublattice.
     u = random_unimodular_matrix(p.dim, random.Random(seed), steps=12)
     k = data.draw(st.integers(1, p.dim))
-    assert restrict_fan(fan, u[:k]) == restrict_fan_pairwise(fan, u[:k])
+    assert restrict_fan_pairwise(normal_fan(p), u[:k]) == normal_fan(project(p, u[:k]))
 
 
 def test_cone_over():

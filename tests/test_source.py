@@ -89,7 +89,6 @@ def test_readme_lists_every_cap_kind():
 # reason given.  A name leaves the list when it gets a caller.
 UNCALLED_ALLOWED = {
     "polyhedra.Polytope.proper_faces": "per-face reference oracle of verify_embedding's check (c)",
-    "polyhedra.restrict_fan": "reference oracle of the fan pull-back of check (b)",
     "scaffolding.laurent_from_scaffolding": "the planned quantum-period subcommand calls it",
     "inversion.binomial_equations": "paper claim awaiting a binomials subcommand",
     "nefpart.mutation_chain_check": "paper claim awaiting a mutation-chain subcommand",
