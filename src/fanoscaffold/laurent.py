@@ -4,14 +4,20 @@ A Laurent polynomial is stored as a dict from exponent tuples to nonzero
 integer coefficients.  The classical period is the sequence of constant
 terms ct(f^d).  classical_period builds f^k only up to k = ceil(d / 2) and
 reads ct(f^(a+b)) = sum_e [f^a]_e * [f^b]_(-e) off pairs of neighbouring
-powers; its terms are keyed by single ints that pack the exponent and its
-facet values (Kronecker substitution), and pruned against the Newton
-polytope.  classical_period_naive powers in full and is the oracle.
+powers.  It first narrows the exponents by unimodular shears, then keeps
+each power as lines along one coordinate: a dict from an int that packs
+the line's other coordinates and their facet values to one int that holds
+the line's coefficients in fixed-width slots (Kronecker substitution both
+times), so one int product multiplies two whole lines.  Lines are pruned
+against the projection of a cap read off the Newton polytope.
+classical_period_naive powers in full and is the oracle.
 Mutations are performed by exact division of the graded pieces, inside
 the coordinate box that bounds the quotient's exponents.
 """
 
-from math import prod
+from itertools import permutations, repeat
+from math import gcd, prod
+from operator import mul, neg
 
 from .errors import DomainError
 from .exact import det, dot, identity_matrix, mat_vec, to_int_vector, vadd, vsub
@@ -104,7 +110,7 @@ class LaurentPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return LaurentPolynomial(
                 self.nvars, {e: c * other for e, c in self.terms.items()}
             )
@@ -180,8 +186,8 @@ def monomial_substitution(f, matrix):
 
 MAX_PERIOD_DEPTH = 64
 
-# Most term products one step of classical_period may form: the terms of
-# the power built so far times the terms of f.
+# Most slot products one step of classical_period may form: the slots of
+# the power built so far times the slots of f's lines (_slots).
 MAX_PERIOD_PRODUCTS = 5 * 10 ** 5
 
 # Largest |<w, e>| a mutation reaches.  Each level costs one slice of the
@@ -189,47 +195,184 @@ MAX_PERIOD_PRODUCTS = 5 * 10 ** 5
 MAX_MUTATION_LEVEL = 64
 
 
-def _packing(f, inequalities, d_max):
-    """Pack the exponents of classical_period's powers into single ints.
+def _width(column):
+    return max(column) - min(column)
 
-    Returns (weights, mask, base, step).  key(e) = dot(weights, e) is linear
-    in e, so key(e1 + e2) = key(e1) + key(e2), key(-e) = -key(e) and key 0 is
-    the constant term.  Its low n*w bits hold e as signed base-2^w digits,
-    which is injective on every exponent of f^k for k <= ceil(d_max / 2).
-    Above them sits one field of B = width bits per facet inequality
-    <a, x> >= b, holding <a, e>.  A term of f^k with at most r further
-    factors passes every facet test (<a, e> <= r * max(-b, 0)) exactly when
+
+def _ends(column):
+    """The positions of the greatest and of the least entries of column."""
+    hi, lo = max(column), min(column)
+    return (
+        [k for k, v in enumerate(column) if v == hi],
+        [k for k, v in enumerate(column) if v == lo],
+    )
+
+
+def _shear(x, y, wx, wy, sign):
+    """The s of the given sign that minimises the width of x + s * y, and
+    that width.
+
+    wx and wy are the widths of x and y, with 0 < wy < 2 * wx.  The width
+    is convex in s and at least |s| * wy - wx, so only 0 < |s| < 2 * wx / wy
+    can beat s = 0; bisection finds the least width on the given side in
+    about log2(wx / wy) steps.
+    """
+
+    def width(s):
+        s *= sign
+        return _width([a + s * b for a, b in zip(x, y)])
+
+    lo, hi = 1, (2 * wx - 1) // wy
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if width(mid + 1) < width(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return sign * lo, width(lo)
+
+
+def _reduce_widths(exponents):
+    """The exponents after shears col_i += s * col_j that narrow a column.
+
+    Column i of the exponents is coordinate i of every term.  A shear is
+    the unimodular change of coordinates e -> e + s * e_j * unit_i, which
+    maps every power of f termwise and fixes the exponent 0, so it keeps
+    every constant term.  The width of col_i + s * col_j is convex in s;
+    its slopes on either side of s = 0 are read off the entries of col_j
+    at the ends of col_i, and a pair is sheared (_shear) only on a side
+    where the width falls.  A move is made only when it narrows col_i.
+    Every move lowers the summed width, so the loop ends, once a whole
+    round of pairs has made no move.
+    """
+    columns = [list(c) for c in zip(*exponents)]
+    if not columns:
+        return list(exponents)
+    widths = [_width(c) for c in columns]
+    ends = [_ends(c) for c in columns]
+    pairs = list(permutations(range(len(columns)), 2))
+    tried = quiet = 0
+    while quiet < len(pairs):
+        i, j = pairs[tried % len(pairs)]
+        tried += 1
+        quiet += 1
+        if not 0 < widths[j] < 2 * widths[i]:
+            continue
+        top, bottom = ends[i]
+        y = columns[j].__getitem__
+        if max(map(y, top)) < min(map(y, bottom)):
+            sign = 1
+        elif min(map(y, top)) > max(map(y, bottom)):
+            sign = -1
+        else:
+            continue
+        s, w = _shear(columns[i], columns[j], widths[i], widths[j], sign)
+        if w < widths[i]:
+            columns[i] = [a + s * b for a, b in zip(columns[i], columns[j])]
+            widths[i] = w
+            ends[i] = _ends(columns[i])
+            quiet = 0
+    return list(zip(*columns))
+
+
+def _line_axis(exponents):
+    """The coordinate along which f's terms form lines, or None.
+
+    Leaving out coordinate i groups the terms into lines by the rest of
+    their exponent.  Coordinate i qualifies when it makes at most three
+    lines for every four terms and the lines are at least half full: their
+    summed spans are at most twice the number of terms.  Of the qualifying
+    ones the one with fewest lines wins, then the one with the smaller
+    summed span, then the lower index.  None means every line is one slot.
+    Lines save products only when they hold several terms each; with
+    nearly one term per line, the cap test on a whole line (_project)
+    keeps more terms than the test on each term would.
+    """
+    best = None
+    for i in range(len(exponents[0])):
+        lines = {}
+        for e in exponents:
+            lines.setdefault(e[:i] + e[i + 1:], []).append(e[i])
+        span = sum(_width(z) + 1 for z in lines.values())
+        if 4 * len(lines) <= 3 * len(exponents) and span <= 2 * len(exponents):
+            best = min(best or (len(lines), span, i), (len(lines), span, i))
+    return None if best is None else best[2]
+
+
+def _project(caps, axis):
+    """The tests on a line's prefix that hold when the line meets the cap.
+
+    caps are the tests <a, e> <= r * h, with h >= 0, that the exponents a
+    power keeps must pass.  Fourier-Motzkin elimination of coordinate axis
+    keeps the tests with a[axis] = 0 and adds, for each pair of tests with
+    a[axis] > 0 and b[axis] < 0, the sum -b[axis] * (a, h) + a[axis] * (b, g),
+    which is free of that coordinate.  Over the reals these describe the
+    projection of the cap exactly, so a prefix fails only when no point of
+    its line lies in the cap.  Of the tests with one primitive normal only
+    the tightest is kept; a test whose normal vanishes always holds.
+    """
+    level, up, down = [], [], []
+    for a, h in caps:
+        t, rest = a[axis], a[:axis] + a[axis + 1:]
+        if t > 0:
+            up.append((rest, h, t))
+        elif t < 0:
+            down.append((rest, h, -t))
+        else:
+            level.append((rest, h))
+    level += [
+        ([u * x + t * y for x, y in zip(a, b)], u * h + t * g)
+        for a, h, t in up for b, g, u in down
+    ]
+    tightest = {}
+    for a, h in level:
+        g = gcd(*a)
+        if g:
+            normal = tuple([x // g for x in a])
+            h0, g0 = tightest.get(normal, (h, g))
+            if h * g0 <= h0 * g:
+                tightest[normal] = (h, g)
+    return [(tuple([x * g for x in a]), h) for a, (h, g) in tightest.items()]
+
+
+def _packing(prefixes, caps, d_max):
+    """Pack the line prefixes of classical_period's powers into single ints.
+
+    Returns (weights, mask, base, step).  key(p) = dot(weights, p) is linear
+    in p, so key(p1 + p2) = key(p1) + key(p2), key(-p) = -key(p) and key 0 is
+    the line through the constant term.  Its low m*w bits hold the m
+    coordinates of p as signed base-2^w digits, which is injective on every
+    prefix of f^k for k <= ceil(d_max / 2).  Above them sits one field of
+    B = width bits per cap test <a, p> <= r * h, holding <a, p>.  A prefix
+    of f^k with at most r further factors passes every test exactly when
     (base + r * step - key) & mask == mask: each field of that difference
     is the slack plus 2^(B-1), kept in [1, 2^B) by the choice of B, and its
     top bit is set exactly when the slack is nonnegative.
     """
-    n = f.nvars
-    top = (d_max + 1) // 2 * max(abs(x) for e in f.terms for x in e)
-    w = top.bit_length() + 1
-    low = n * w
-    # Every slack is at most d_max * mx in absolute value.
-    mx = max(
-        [abs(b) for _, b in inequalities]
-        + [abs(dot(a, e)) for a, _ in inequalities for e in f.terms],
-        default=0,
-    )
+    m = len(prefixes[0])
+    big = max((abs(x) for p in prefixes for x in p), default=0)
+    w = ((d_max + 1) // 2 * big).bit_length() + 1
+    low = m * w
+    # |<a, p>| <= big * sum |a_i| for a prefix p of f, so every slack is at
+    # most d_max * mx in absolute value.
+    mx = max((max(h, big * sum(map(abs, a))) for a, h in caps), default=0)
     width = (d_max * mx).bit_length() + 1
-    weights = [1 << (w * i) for i in range(n)]
+    weights = [1 << (w * i) for i in range(m)]
     mask = step = 0
-    for j, (a, b) in enumerate(inequalities):
+    for j, (a, h) in enumerate(caps):
         shift = low + width * j
-        for i in range(n):
+        for i in range(m):
             weights[i] += a[i] << shift
         mask += 1 << (shift + width - 1)
-        step += max(-b, 0) << shift
-    return weights, mask, mask + (1 << (low - 1)), step
+        step += h << shift
+    return weights, mask, mask + (1 << low >> 1), step
 
 
 def _next_power(power, terms, cap, mask):
-    """The terms of power * f that pass the facet test against cap.
+    """The lines of power * f whose prefixes pass the cap test.
 
-    Each key is tested once, when first formed; rejected keys are kept so
-    that they are neither accumulated nor tested again.
+    Each prefix key is tested once, when first formed; rejected keys are
+    kept so that they are neither accumulated nor tested again.
     """
     out = {}
     get = out.get
@@ -249,11 +392,46 @@ def _next_power(power, terms, cap, mask):
 
 
 def _pair(p, q):
-    """Constant term of p * q: sum over e of p[e] * q[-e], over the smaller."""
+    """The lines of p * q through the constant term, summed: sum over
+    prefixes e of p[e] * q[-e], over the smaller."""
     if len(q) < len(p):
         p, q = q, p
-    get = q.get
-    return sum(c * get(-key, 0) for key, c in p.items())
+    return sum(map(mul, p.values(), map(q.get, map(neg, p), repeat(0))))
+
+
+def _self_pair(p):
+    """_pair(p, p), with each product of opposite lines formed once: key 0
+    pairs with itself, and each key k > 0 with -k twice over."""
+    half = [key for key in p if key > 0]
+    return p.get(0, 0) ** 2 + 2 * sum(
+        map(mul, map(p.__getitem__, half), map(p.get, map(neg, half), repeat(0)))
+    )
+
+
+def _slot(line, index, width):
+    """Slot index of a line of signed width-bit slots.
+
+    Every slot lies strictly between -2^(width-2) and 2^(width-2), so the
+    slots below index sum to less than half a slot of that weight: the bias
+    of 2^(width-1) at index and half a unit below it leaves that slot plus
+    2^(width-1) in the low width bits of the shifted sum, with no borrow.
+    """
+    shift = index * width
+    half = 1 << (width - 1)
+    return (((line + (half << shift) + (1 << shift >> 1)) >> shift) & (2 * half - 1)) - half
+
+
+def _slots(lines, width):
+    """The width-bit slots the lines occupy, each line up to its highest
+    nonzero slot: the size of the ints that one step multiplies."""
+    return sum(v.bit_length() // width for v in lines) + len(lines)
+
+
+def _check_period_input(f, d_max):
+    if f.is_zero():
+        raise DomainError("zero_polynomial", "period of the zero polynomial")
+    if type(d_max) is not int or d_max < 0:
+        raise DomainError("bad_exponent", "d_max must be a nonnegative integer")
 
 
 def classical_period(f, d_max):
@@ -261,22 +439,45 @@ def classical_period(f, d_max):
 
     Only the powers P_k = f^k with k <= ceil(d_max / 2) are built.  Once P_k
     is ready it gives ct(f^(2k-1)) = sum_e P_k[e] * P_(k-1)[-e] and, when
-    2k <= d_max, ct(f^(2k)) = sum_e P_k[e] * P_k[-e].  A term e of P_k meets
-    at most d_max - k further factors, from later powers or from its
-    pairing partner, so it is dropped unless -e could lie in j * Newton(f)
-    for some 0 <= j <= d_max - k, tested one facet at a time (sound, not
-    sharp).  Exponents are packed into single ints (_packing): a product of
-    terms is one addition and the facet test one subtraction and one mask.
+    2k <= d_max, ct(f^(2k)) = sum_e P_k[e] * P_k[-e].
+
+    The exponents are first narrowed by unimodular shears (_reduce_widths),
+    which keep every constant term.  Then one coordinate z is picked along
+    which f's terms fall on few, well-filled lines (_line_axis), and each
+    power P_k is a dict from the packed prefix key of a line (its other
+    n - 1 coordinates, _packing) to one signed int that holds the line's
+    coefficients in W-bit slots, the term with coordinate z in slot
+    z - k * z0, where z0 = min(0, least z of f).  Multiplying two lines is
+    one int product (Kronecker substitution), exact in int arithmetic.
+    A slot of a power or of a pair sum for degree j <= d_max is a sum of
+    some of the products that make up one coefficient of |f|^j, so its
+    absolute value is at most ||f||_1^d_max < 2^(W-2) for
+    W = bitlen(||f||_1^d_max) + 2; the constant term of degree d is slot
+    d * -z0 of the pair sum, read through one bias (_slot).  When no
+    coordinate qualifies every line is one slot and this is the pruned
+    term-by-term product.
+
+    A term e of P_k meets at most r = d_max - k further factors, from later
+    powers or from its pairing partner, so it matters only if -e lies in
+    j * Newton(f) for some 0 <= j <= r, which implies <a, e> <= r * max(-b, 0)
+    for each facet <a, x> >= b (the cap; sound, not sharp).  A term outside
+    the cap has only descendants outside the caps of later powers, and a
+    nonzero product P_a[e] * P_b[-e] has e in a * Newton(f) and -e in
+    b * Newton(f), hence both inside their caps.  So a line is dropped when
+    its prefix fails the Fourier-Motzkin projection of the cap (_project):
+    such a line holds no point of the cap, and the cap points of a kept
+    line keep exact coefficients while its other slots never reach a cap
+    point or the constant term.
+
     When the affine hull of Newton(f) misses the origin, every term of f^k
     with k >= 1 lies on <a, x> = k * rhs with rhs != 0, so those constant
     terms are 0.  Depths above MAX_PERIOD_DEPTH raise degree_too_large, and
-    a step that would form more than MAX_PERIOD_PRODUCTS term products
-    raises period_too_large before it starts.
+    a step that would form more than MAX_PERIOD_PRODUCTS slot products
+    (the slots of the lines of P_(k-1) times those of f, each line counted
+    from its origin to its highest nonzero slot: _slots) raises
+    period_too_large before it starts, so the int work stays bounded.
     """
-    if f.is_zero():
-        raise DomainError("zero_polynomial", "period of the zero polynomial")
-    if type(d_max) is not int or d_max < 0:
-        raise DomainError("bad_exponent", "d_max must be a nonnegative integer")
+    _check_period_input(f, d_max)
     if d_max > MAX_PERIOD_DEPTH:
         raise DomainError(
             "degree_too_large", f"period depth capped at {MAX_PERIOD_DEPTH}"
@@ -284,30 +485,51 @@ def classical_period(f, d_max):
     # The dual of the cone over Newton(f) x {1}: its rays (a, -b) are the
     # facets <a, x> >= b, and its lineality holds the hull's equations.
     n = f.nvars
-    facets, hull = dd_cone([e + (1,) for e in f.terms], dim=n + 1)
+    exponents = _reduce_widths(list(f.terms))
+    facets, hull = dd_cone([e + (1,) for e in exponents], dim=n + 1)
     out = [1] + [0] * d_max
     if any(e[n] for e in hull):
         return tuple(out)
-    weights, mask, base, step = _packing(f, [(a[:n], -a[n]) for a in facets], d_max)
-    terms = [(dot(weights, e), c) for e, c in f.terms.items()]
+    caps = [(a[:n], max(a[n], 0)) for a in facets]
+    axis = _line_axis(exponents)
+    if axis is None:
+        prefixes, zs = exponents, [0] * len(exponents)
+    else:
+        prefixes = [e[:axis] + e[axis + 1:] for e in exponents]
+        zs = [e[axis] for e in exponents]
+        caps = _project(caps, axis)
+    z0 = min(0, *zs)
+    span = max(zs) - z0
+    width = (sum(map(abs, f.terms.values())) ** d_max).bit_length() + 2
+    weights, mask, base, step = _packing(prefixes, caps, d_max)
+    lines = {}
+    for p, z, c in zip(prefixes, zs, f.terms.values()):
+        key = dot(weights, p)
+        lines[key] = lines.get(key, 0) + (c << width * (z - z0))
+    terms = list(lines.items())
+    slots = _slots(lines.values(), width)
     power = {0: 1}
     for k in range(1, (d_max + 1) // 2 + 1):
-        if len(power) * len(terms) > MAX_PERIOD_PRODUCTS:
+        # A line of P_(k-1) has at most (k - 1) * span + 1 slots, so the
+        # exact count is needed only when that bound is over the cap.
+        if (
+            len(power) * ((k - 1) * span + 1) * slots > MAX_PERIOD_PRODUCTS
+            and _slots(power.values(), width) * slots > MAX_PERIOD_PRODUCTS
+        ):
             raise DomainError(
                 "period_too_large",
-                f"period steps capped at {MAX_PERIOD_PRODUCTS} term products",
+                f"period steps capped at {MAX_PERIOD_PRODUCTS} slot products",
             )
         prev, power = power, _next_power(power, terms, base + (d_max - k) * step, mask)
-        out[2 * k - 1] = _pair(power, prev)
+        out[2 * k - 1] = _slot(_pair(power, prev), (2 * k - 1) * -z0, width)
         if 2 * k <= d_max:
-            out[2 * k] = _pair(power, power)
+            out[2 * k] = _slot(_self_pair(power), 2 * k * -z0, width)
     return tuple(out)
 
 
 def classical_period_naive(f, d_max):
     """Reference implementation of the period with no pruning."""
-    if f.is_zero():
-        raise DomainError("zero_polynomial", "period of the zero polynomial")
+    _check_period_input(f, d_max)
     out = [1]
     power = LaurentPolynomial.one(f.nvars)
     for _ in range(d_max):

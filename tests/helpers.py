@@ -37,13 +37,14 @@ def random_unimodular_matrix(n, rng, steps=8):
     return tuple(tuple(row) for row in m)
 
 
-def count_calls(monkeypatch, name, *modules):
-    """Patch name in each module to record the first argument of every call."""
+def count_calls(monkeypatch, name, *modules, record=lambda *args: args[0]):
+    """Patch name in each module to record record(*args) of every call, by
+    default its first argument."""
     calls = []
     original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(record(*args))
         return original(*args, **kwargs)
 
     for module in modules:

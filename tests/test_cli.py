@@ -144,6 +144,15 @@ def test_period_of_a_laurent_file(tmp_path, capsys):
     assert json.loads(out) == {"coeffs": [1, 6, 90, 1680]}
 
 
+def test_period_of_a_constant_in_no_variables(tmp_path, capsys):
+    # A model in no variables, such as przyjalkowski can return, is a
+    # constant c with period 1, c, c^2, ...
+    f = write_json(tmp_path, "f.json", {"vars": 0, "terms": [{"e": [], "c": 3}]})
+    code, out, err = invoke(capsys, "period", "--f", f, "--max-degree", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"coeffs": [1, 3, 9, 27]}
+
+
 def test_embed_check_of_a_dilated_target(tmp_path, capsys):
     # A failing embedding is a report, not an error: only the face cones
     # fail, and the command exits 0.

@@ -31,6 +31,7 @@ from fanoscaffold.laurent import (
     LaurentPolynomial,
     algebraic_mutation,
     classical_period,
+    classical_period_naive,
     monomial_substitution,
 )
 from fanoscaffold.mutations import mutate_polytope, mutate_scaffolding
@@ -330,11 +331,25 @@ def test_integer_entry_points_reject_non_integers(build, x, kind):
     build(Fraction(1))
 
 
+@pytest.mark.parametrize("period", [classical_period, classical_period_naive])
+@pytest.mark.parametrize("d", [-1, 2.0, Fraction(3, 2), Fraction(2), "2"])
+def test_period_depths_reject_non_integers(period, d):
+    # A depth is a count of factors: it is a nonnegative int, and the
+    # oracle checks it exactly as classical_period does.
+    with pytest.raises(DomainError) as err:
+        period(X + ONE, d)
+    assert err.value.kind == "bad_exponent"
+
+
 BOOL_SCALARS = {
     "LaurentPolynomial coefficient": (
         lambda: LaurentPolynomial(1, {(1,): 1, (-1,): True}), "bad_coefficient"),
     "LaurentPolynomial power": (lambda: (X + ONE) ** True, "bad_exponent"),
     "classical_period depth": (lambda: classical_period(X + ONE, True), "bad_exponent"),
+    "classical_period_naive depth": (
+        lambda: classical_period_naive(X + ONE, True), "bad_exponent"),
+    "LaurentPolynomial scalar product": (lambda: X * True, "bad_coefficient"),
+    "LaurentPolynomial reflected scalar product": (lambda: True * X, "bad_coefficient"),
 }
 
 

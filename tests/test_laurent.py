@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from math import comb, factorial
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoscaffold import polyhedra
+from fanoscaffold import laurent, polyhedra
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import dot
 from fanoscaffold.fixtures import fixture
@@ -15,13 +16,15 @@ from fanoscaffold.laurent import (
     MAX_PERIOD_PRODUCTS,
     LaurentPolynomial,
     _exact_divide,
+    _line_axis,
+    _reduce_widths,
     algebraic_mutation,
     classical_period,
     classical_period_naive,
     monomial_substitution,
 )
 
-from helpers import random_unimodular_matrix
+from helpers import count_calls, random_unimodular_matrix
 
 L = LaurentPolynomial
 
@@ -106,6 +109,93 @@ def small_laurent(draw, n=None):
 @given(small_laurent(), st.integers(0, 7))
 def test_period_equals_naive(f, d):
     assert classical_period(f, d) == classical_period_naive(f, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_laurent(), st.integers(0, 7), st.randoms(use_true_random=False))
+def test_period_after_a_skewing_substitution_equals_naive(f, d, rng):
+    # Twelve random shears, swaps and sign flips spread the exponents; the
+    # period narrows them again before it packs lines.
+    g = monomial_substitution(f, random_unimodular_matrix(f.nvars, rng, steps=12))
+    assert classical_period(g, d) == classical_period_naive(g, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_laurent(), st.integers(0, 6), st.data())
+def test_period_with_huge_coefficients_equals_naive(f, d, data):
+    # Mixed signs of magnitude at least 2^64: every slot of a line is a
+    # signed number far wider than a machine word.
+    g = L(f.nvars, {e: c * data.draw(st.integers(2**64, 2**80)) for e, c in f.terms.items()})
+    assert classical_period(g, d) == classical_period_naive(g, d)
+
+
+def test_huge_coefficients_on_lines():
+    a, b = 3**45, 2**70 + 1
+    f = poly(2, ((1, 0), a), ((-1, 0), -b), ((0, 1), -a), ((0, -1), b), ((0, 0), -(2**64)))
+    assert _line_axis(_reduce_widths(list(f.terms))) is not None
+    assert classical_period(f, 10) == classical_period_naive(f, 10)
+
+
+@pytest.mark.parametrize("nvars, terms, lines", [
+    (1, {(1,): 1, (-1,): 1}, True),
+    (1, {(1,): 2, (0,): -1, (-2,): 3}, True),
+    (1, {(40,): 1, (-40,): 1}, False),
+    (1, {(40,): 1, (0,): 3, (-40,): -2}, False),
+    (1, {(40,): 1, (-1,): 5}, False),
+    (2, {(40, 0): 1, (-40, 0): 1, (0, 40): 1, (0, -40): 1}, False),
+    (2, {(40, 0): 1, (-40, 0): 1, (0, 1): 1, (0, -1): 1}, True),
+    (2, {(40, 1): 2, (-40, 1): 1, (0, -1): -1, (1, 0): 1}, False),
+])
+def test_one_variable_and_wide_gaps(nvars, terms, lines):
+    # A line is packed only when f's terms fill at least half its slots;
+    # x^40 + x^-40 would fill 2 of 81, so each line is one slot.  With
+    # y + 1/y beside it the lines run along y instead.
+    f = L(nvars, terms)
+    assert (_line_axis(_reduce_widths(list(f.terms))) is not None) == lines
+    assert classical_period(f, 8) == classical_period_naive(f, 8)
+
+
+def test_period_in_no_variables():
+    f = L(0, {(): 3})
+    assert classical_period(f, 3) == classical_period_naive(f, 3) == (1, 3, 9, 27)
+    assert classical_period(f, 0) == (1,)
+
+
+def test_period_of_exponents_near_a_trillion():
+    # Two shears by about 10^12 hide a five-term model; the greedy shears
+    # take them out again in a few moves.
+    t = 10**12
+    f = poly(2, ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1), ((1, 1), 1), ((-1, 0), 1))
+    g = monomial_substitution(f, ((1, t), (0, 1)))
+    g = monomial_substitution(g, ((1, 0), (t + 1, 1)))
+    assert all(max(map(abs, e)) > t for e in g.terms)
+    expected = classical_period_naive(f, 14)
+    start = time.perf_counter()
+    assert classical_period(g, 14) == expected
+    assert time.perf_counter() - start < 1
+    assert all(max(c) - min(c) <= 2 for c in zip(*_reduce_widths(list(g.terms))))
+
+
+@pytest.mark.parametrize("name, depth, skew, work", [
+    # circulant-three at its benchmark depth, skewed by a fixed unimodular
+    # matrix: the shears undo the skew and the lines along either
+    # coordinate hold five terms on average.  With every line one slot the
+    # same steps form 61,175 products.
+    ("circulant-three", 16, ((3, 7), (2, 5)), 870),
+    # shifted-fourfold's lines in four variables: without the tests that
+    # Fourier-Motzkin combines from pairs of facets, 1,210.
+    ("shifted-fourfold", 12, None, 1185),
+])
+def test_period_work_is_pinned(monkeypatch, name, depth, skew, work):
+    f = fixture(name)["laurent"]
+    g = f if skew is None else monomial_substitution(f, skew)
+    expected = classical_period(f, depth)
+    products = count_calls(
+        monkeypatch, "_next_power", laurent,
+        record=lambda power, terms, *_: len(power) * len(terms),
+    )
+    assert classical_period(g, depth) == expected
+    assert sum(products) == work
 
 
 def closed_form_period(d, step, coeff):
