@@ -147,6 +147,8 @@ def decode_laurent(obj):
         e = _int_vector(_field(entry, "e"))
         if len(e) != nvars:
             raise ValueError("exponent length does not match vars")
+        if e in terms:
+            raise ValueError("exponent %s appears twice" % (list(e),))
         terms[e] = _decode_int(_field(entry, "c"))
     return LaurentPolynomial(nvars, terms)
 

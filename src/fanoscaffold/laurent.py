@@ -9,18 +9,27 @@ each power as lines along one coordinate: a dict from an int that packs
 the line's other coordinates and their facet values to one int that holds
 the line's coefficients in fixed-width slots (Kronecker substitution both
 times), so one int product multiplies two whole lines.  Lines are pruned
-against the projection of a cap read off the Newton polytope.
+by the facets of the hull of f's line prefixes and the origin.
 classical_period_naive powers in full and is the oracle.
 Mutations are performed by exact division of the graded pieces, inside
 the coordinate box that bounds the quotient's exponents.
 """
 
 from itertools import permutations, repeat
-from math import gcd, prod
+from math import prod
 from operator import mul, neg
 
 from .errors import DomainError
-from .exact import det, dot, identity_matrix, mat_vec, to_int_vector, vadd, vsub
+from .exact import (
+    det,
+    dot,
+    identity_matrix,
+    mat_vec,
+    solve_linear,
+    to_int_vector,
+    vadd,
+    vsub,
+)
 from .polyhedra import MAX_LATTICE_BOX, Polytope, dd_cone
 
 
@@ -130,7 +139,14 @@ class LaurentPolynomial:
         if type(k) is not int or k < 0:
             raise DomainError("bad_exponent", "powers must be nonnegative integers")
         out = LaurentPolynomial.one(self.nvars)
+        products = 0
         for _ in range(k):
+            products += len(out.terms) * len(self.terms)
+            if products > MAX_POWER_PRODUCTS:
+                raise DomainError(
+                    "power_too_large",
+                    f"powers capped at {MAX_POWER_PRODUCTS} term products",
+                )
             out = out * self
         return out
 
@@ -189,6 +205,11 @@ MAX_PERIOD_DEPTH = 64
 # Most slot products one step of classical_period may form: the slots of
 # the power built so far times the slots of f's lines (_slots).
 MAX_PERIOD_PRODUCTS = 5 * 10 ** 5
+
+# Most term products one power f^k may form: the terms of f times those of
+# f^(j-1), summed over its steps j <= k, counted before each step.  Model
+# brackets and mutation factors are raised only through __pow__.
+MAX_POWER_PRODUCTS = 2 * 10 ** 5
 
 # Largest |<w, e>| a mutation reaches.  Each level costs one slice of the
 # polytope or one power of the factor, so the cap is checked before any.
@@ -285,8 +306,8 @@ def _line_axis(exponents):
     ones the one with fewest lines wins, then the one with the smaller
     summed span, then the lower index.  None means every line is one slot.
     Lines save products only when they hold several terms each; with
-    nearly one term per line, the cap test on a whole line (_project)
-    keeps more terms than the test on each term would.
+    nearly one term per line, the cap test on a whole line keeps more
+    terms than the test on each term would.
     """
     best = None
     for i in range(len(exponents[0])):
@@ -297,42 +318,6 @@ def _line_axis(exponents):
         if 4 * len(lines) <= 3 * len(exponents) and span <= 2 * len(exponents):
             best = min(best or (len(lines), span, i), (len(lines), span, i))
     return None if best is None else best[2]
-
-
-def _project(caps, axis):
-    """The tests on a line's prefix that hold when the line meets the cap.
-
-    caps are the tests <a, e> <= r * h, with h >= 0, that the exponents a
-    power keeps must pass.  Fourier-Motzkin elimination of coordinate axis
-    keeps the tests with a[axis] = 0 and adds, for each pair of tests with
-    a[axis] > 0 and b[axis] < 0, the sum -b[axis] * (a, h) + a[axis] * (b, g),
-    which is free of that coordinate.  Over the reals these describe the
-    projection of the cap exactly, so a prefix fails only when no point of
-    its line lies in the cap.  Of the tests with one primitive normal only
-    the tightest is kept; a test whose normal vanishes always holds.
-    """
-    level, up, down = [], [], []
-    for a, h in caps:
-        t, rest = a[axis], a[:axis] + a[axis + 1:]
-        if t > 0:
-            up.append((rest, h, t))
-        elif t < 0:
-            down.append((rest, h, -t))
-        else:
-            level.append((rest, h))
-    level += [
-        ([u * x + t * y for x, y in zip(a, b)], u * h + t * g)
-        for a, h, t in up for b, g, u in down
-    ]
-    tightest = {}
-    for a, h in level:
-        g = gcd(*a)
-        if g:
-            normal = tuple([x // g for x in a])
-            h0, g0 = tightest.get(normal, (h, g))
-            if h * g0 <= h0 * g:
-                tightest[normal] = (h, g)
-    return [(tuple([x * g for x in a]), h) for a, (h, g) in tightest.items()]
 
 
 def _packing(prefixes, caps, d_max):
@@ -459,45 +444,49 @@ def classical_period(f, d_max):
 
     A term e of P_k meets at most r = d_max - k further factors, from later
     powers or from its pairing partner, so it matters only if -e lies in
-    j * Newton(f) for some 0 <= j <= r, which implies <a, e> <= r * max(-b, 0)
-    for each facet <a, x> >= b (the cap; sound, not sharp).  A term outside
-    the cap has only descendants outside the caps of later powers, and a
-    nonzero product P_a[e] * P_b[-e] has e in a * Newton(f) and -e in
-    b * Newton(f), hence both inside their caps.  So a line is dropped when
-    its prefix fails the Fourier-Motzkin projection of the cap (_project):
-    such a line holds no point of the cap, and the cap points of a kept
-    line keep exact coefficients while its other slots never reach a cap
-    point or the constant term.
+    j * Newton(f) for some 0 <= j <= r.  That set lies in j * Q, for
+    Q = conv(Newton(f) and 0), and so in r * Q, since Q is convex and holds
+    0: the cap is -e in r * Q (sound, not sharp).  A term outside the cap
+    has only descendants outside the caps of later powers, as
+    (r - 1) * Q + Newton(f) lies in r * Q, and a nonzero product
+    P_a[e] * P_b[-e] has e in a * Newton(f) and -e in b * Newton(f), hence
+    both inside their caps.  Leaving out the line axis maps Q onto the
+    prefix hull conv(prefixes of f and 0), so a line meets the cap exactly
+    when its prefix p has -p in r times that hull: <a, p> <= r * h for each
+    facet <a, x> >= -h, h >= 0, of the hull, read off one conversion.  A
+    line that fails holds no point of the cap and is dropped; the cap
+    points of a kept line keep exact coefficients while its other slots
+    never reach a cap point or the constant term.
 
-    When the affine hull of Newton(f) misses the origin, every term of f^k
-    with k >= 1 lies on <a, x> = k * rhs with rhs != 0, so those constant
-    terms are 0.  Depths above MAX_PERIOD_DEPTH raise degree_too_large, and
-    a step that would form more than MAX_PERIOD_PRODUCTS slot products
-    (the slots of the lines of P_(k-1) times those of f, each line counted
-    from its origin to its highest nonzero slot: _slots) raises
-    period_too_large before it starts, so the int work stays bounded.
+    When a functional is 1 on every exponent of f (the affine hull of
+    Newton(f) misses the origin), it is k on every term of f^k, so the
+    constant terms with k >= 1 are 0.  Depths above MAX_PERIOD_DEPTH raise
+    degree_too_large, and a step that would form more than
+    MAX_PERIOD_PRODUCTS slot products (the slots of the lines of P_(k-1)
+    times those of f, each line counted from its origin to its highest
+    nonzero slot: _slots) raises period_too_large before it starts, so the
+    int work stays bounded.
     """
     _check_period_input(f, d_max)
     if d_max > MAX_PERIOD_DEPTH:
         raise DomainError(
             "degree_too_large", f"period depth capped at {MAX_PERIOD_DEPTH}"
         )
-    # The dual of the cone over Newton(f) x {1}: its rays (a, -b) are the
-    # facets <a, x> >= b, and its lineality holds the hull's equations.
-    n = f.nvars
     exponents = _reduce_widths(list(f.terms))
-    facets, hull = dd_cone([e + (1,) for e in exponents], dim=n + 1)
     out = [1] + [0] * d_max
-    if any(e[n] for e in hull):
+    if solve_linear(exponents, (1,) * len(exponents)) is not None:
         return tuple(out)
-    caps = [(a[:n], max(a[n], 0)) for a in facets]
     axis = _line_axis(exponents)
     if axis is None:
         prefixes, zs = exponents, [0] * len(exponents)
     else:
         prefixes = [e[:axis] + e[axis + 1:] for e in exponents]
         zs = [e[axis] for e in exponents]
-        caps = _project(caps, axis)
+    # The rays (a, h) of the dual of the cone over (prefixes and 0) x {1}
+    # are the facets <a, x> >= -h of the prefix hull.
+    m = len(prefixes[0])
+    facets, _ = dd_cone([p + (1,) for p in prefixes] + [(0,) * m + (1,)], dim=m + 1)
+    caps = [(a[:m], a[m]) for a in facets if any(a[:m])]
     z0 = min(0, *zs)
     span = max(zs) - z0
     width = (sum(map(abs, f.terms.values())) ** d_max).bit_length() + 2

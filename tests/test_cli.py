@@ -208,6 +208,35 @@ def test_period_work_is_capped(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "period_too_large"
 
 
+def test_powers_are_capped(tmp_path, capsys):
+    # A model bracket and a mutation factor each raised until the power
+    # would form more than 2 * 10^5 term products.
+    git = write_json(tmp_path, "git.json", {
+        "r": 1, "R": 4, "characters": [[1], [1], [1], [100]], "omega": [1]})
+    part = write_json(tmp_path, "part.json", {"B": [0], "S": [[1, 2, 3]]})
+    f = write_json(tmp_path, "f.json", {
+        "vars": 3, "terms": [{"e": [0, 0, 8], "c": 1}, {"e": [1, 0, 0], "c": 1}]})
+    square = [[0, 0, 0], [10, 0, 0], [0, 10, 0], [10, 10, 0]]
+    mut = write_json(tmp_path, "m.json", {
+        "w": [0, 0, 1], "factor": {"dim": 3, "vertices": square}})
+    for argv in (
+        ("forward", "--git", git, "--partition", part),
+        ("mutate-laurent", "--f", f, "--mutation", mut),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and "Traceback" not in err, argv[0]
+        assert json.loads(out)["error"]["kind"] == "power_too_large", argv[0]
+
+
+def test_repeated_exponents_exit_with_two(tmp_path, capsys):
+    # The encoder writes each exponent once; a second x must not overwrite
+    # the first and leave the period of 2x + 1/x.
+    f = write_json(tmp_path, "f.json", {"vars": 1, "terms": [
+        {"e": [1], "c": 1}, {"e": [-1], "c": 1}, {"e": [1], "c": 2}]})
+    code, out, err = invoke(capsys, "period", "--f", f, "--max-degree", "4")
+    assert (code, out) == (2, "") and "[1]" in err
+
+
 def test_usage_errors_exit_with_two(tmp_path, capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     code, _, err = invoke(capsys, "period", "--f", str(tmp_path / "gone.json"),

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,20 @@ def bundle_git():
     rows = [(1, 0, 0, 1, -1, 1, 1), (0, 1, 1, 0, 1, 0, 0)]
     chars = [tuple(row[j] for row in rows) for j in range(7)]
     return GitData(2, 7, chars, (1, 1))
+
+
+@pytest.mark.parametrize("k", [100, 200])
+def test_model_bracket_power_is_capped(k):
+    # The bracket of the weight-k coordinate is raised to the power k: at
+    # k = 200 it took 7.5 s, and now raises once the power would form
+    # more than laurent.MAX_POWER_PRODUCTS term products.
+    git = GitData(1, 4, [(1,), (1,), (1,), (k,)], (1,))
+    part = ConvexPartitionWithBasis((0,), ((1, 2, 3),), (), (3,))
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as exc:
+        przyjalkowski(git, part)
+    assert exc.value.kind == "power_too_large"
+    assert time.perf_counter() - start < 2
 
 
 def test_partition_structure_errors():

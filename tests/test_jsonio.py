@@ -62,6 +62,12 @@ def test_laurent_round_trip_sorts_terms():
     assert jsonio.decode_laurent(obj) == f
 
 
+def test_repeated_exponents_are_rejected():
+    obj = {"vars": 2, "terms": [{"e": [1, 0], "c": 1}, {"e": [1, 0], "c": 2}]}
+    with pytest.raises(ValueError, match=r"\[1, 0\]"):
+        jsonio.decode_laurent(obj)
+
+
 def test_partition_round_trip():
     part = ConvexPartitionWithBasis((0, 1), ((2, 3), (4, 5)), (6,), (2, 4))
     obj = jsonio.encode_partition(part)

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from fanoscaffold import laurent, polyhedra
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import dot
-from fanoscaffold.fixtures import fixture
+from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.laurent import (
     MAX_PERIOD_DEPTH,
     MAX_PERIOD_PRODUCTS,
+    MAX_POWER_PRODUCTS,
     LaurentPolynomial,
     _exact_divide,
     _line_axis,
@@ -182,8 +183,9 @@ def test_period_of_exponents_near_a_trillion():
     # coordinate hold five terms on average.  With every line one slot the
     # same steps form 61,175 products.
     ("circulant-three", 16, ((3, 7), (2, 5)), 870),
-    # shifted-fourfold's lines in four variables: without the tests that
-    # Fourier-Motzkin combines from pairs of facets, 1,210.
+    # shifted-fourfold's lines in four variables: tested against only the
+    # 4 of the prefix hull's 6 facets that are images of cap facets
+    # parallel to the line axis, 1,210.
     ("shifted-fourfold", 12, None, 1185),
 ])
 def test_period_work_is_pinned(monkeypatch, name, depth, skew, work):
@@ -196,6 +198,54 @@ def test_period_work_is_pinned(monkeypatch, name, depth, skew, work):
     )
     assert classical_period(g, depth) == expected
     assert sum(products) == work
+
+
+def assert_cap_tests_are_hull_facets(packed):
+    # Each cap test (a, h) of a call, <a, p> <= r * h, must be a facet
+    # <a, x> >= -h of conv(prefixes and 0) with a != 0, and each facet
+    # must come once: the tight sets of the tests are those of the hull's
+    # facets (the inequalities of Polytope.from_points that are tight at
+    # some but not all points; a hull in no coordinates has none).
+    for prefixes, caps in packed:
+        points = sorted(set(prefixes) | {(0,) * len(prefixes[0])})
+        got = []
+        for a, h in caps:
+            slack = [dot(a, p) + h for p in points]
+            assert any(a) and h >= 0 and min(slack) == 0 < max(slack)
+            got.append(frozenset(i for i, v in enumerate(slack) if v == 0))
+        facets = set()
+        if points[0]:
+            for a, rhs in polyhedra.Polytope.from_points(points).inequalities:
+                tight = frozenset(i for i, p in enumerate(points) if dot(a, p) == rhs)
+                if 0 < len(tight) < len(points):
+                    facets.add(tight)
+        assert len(got) == len(set(got)) and set(got) == facets
+
+
+def record_cap_tests(monkeypatch):
+    return count_calls(
+        monkeypatch, "_packing", laurent, record=lambda prefixes, caps, _: (prefixes, caps)
+    )
+
+
+def test_cap_tests_of_the_corpus_are_hull_facets(monkeypatch):
+    packed = record_cap_tests(monkeypatch)
+    names = [name for name in fixture_names() if "laurent" in fixture(name)]
+    for name in names:
+        classical_period(fixture(name)["laurent"], 6)
+    assert len(packed) == len(names)
+    assert_cap_tests_are_hull_facets(packed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_laurent(), st.randoms(use_true_random=False))
+def test_cap_tests_are_hull_facets(f, rng):
+    g = monomial_substitution(f, random_unimodular_matrix(f.nvars, rng))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        packed = record_cap_tests(monkeypatch)
+        classical_period(f, 4)
+        classical_period(g, 4)
+    assert_cap_tests_are_hull_facets(packed)
 
 
 def closed_form_period(d, step, coeff):
@@ -241,6 +291,32 @@ def test_period_work_cap():
     with pytest.raises(DomainError) as ei:
         classical_period(box, 3)
     assert ei.value.kind == "period_too_large"
+
+
+def test_power_work_cap():
+    # (1 + x + y)^k forms k(k+1)(k+2)/2 term products: 194,472 for k = 72,
+    # while k = 73 would take the total to 202,575 > 2 * 10^5 and raises.
+    f = poly(2, ((0, 0), 1), ((1, 0), 1), ((0, 1), 1))
+    assert MAX_POWER_PRODUCTS == 2 * 10**5
+    assert len((f ** 72).terms) == 73 * 74 // 2
+    with pytest.raises(DomainError) as ei:
+        f ** 73
+    assert ei.value.kind == "power_too_large"
+
+
+@pytest.mark.parametrize("h", [8, 64])
+def test_mutation_factor_power_is_capped(h):
+    # The factor is the 121 lattice points of [0, 10]^2 at z = 0: the
+    # mutation took 3 s at h = 8 and, by extrapolation, half an hour at
+    # h = 64.  The 5th step of the power would take it over the cap, so it
+    # raises after about 0.3 s.
+    factor = L(3, {(i, j, 0): 1 for i in range(11) for j in range(11)})
+    f = poly(3, ((0, 0, h), 1), ((1, 0, 0), 1))
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as ei:
+        algebraic_mutation(f, (0, 0, 1), factor)
+    assert ei.value.kind == "power_too_large"
+    assert time.perf_counter() - start < 2
 
 
 def test_period_zero_error():

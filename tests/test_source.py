@@ -5,6 +5,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from fanoscaffold import laurent, polyhedra
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fanoscaffold"
 CAP = re.compile(r"\w+_too_large|too_many_\w+")
@@ -79,10 +81,33 @@ def test_readme_lists_every_cap_kind():
                 and CAP.fullmatch(node.args[0].value)
             ):
                 raised.add(node.args[0].value)
-    readme = (ROOT / "README.md").read_text()
-    sentence = re.search(r"Inputs that would blow up are capped.*?\.\s", readme, re.S)
-    listed = {k for k in re.findall(r"`(\w+)`", sentence.group(0)) if CAP.fullmatch(k)}
+    listed = {k for k in re.findall(r"`(\w+)`", cap_sentence()) if CAP.fullmatch(k)}
     assert raised and listed == raised
+
+
+def cap_sentence():
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"Inputs that would blow up are capped.*?\.\s", readme, re.S).group(0)
+
+
+# The constant each cap compares with, for the caps that have one.
+CAP_CONSTANTS = {
+    "degree_too_large": laurent.MAX_PERIOD_DEPTH,
+    "period_too_large": laurent.MAX_PERIOD_PRODUCTS,
+    "power_too_large": laurent.MAX_POWER_PRODUCTS,
+    "lattice_box_too_large": polyhedra.MAX_LATTICE_BOX,
+    "level_too_large": laurent.MAX_MUTATION_LEVEL,
+}
+
+
+def test_readme_cap_numbers_are_the_constants():
+    # The first number in the parenthesis after a cap kind, written 64,
+    # 10^6 or 5·10^5, is the number that cap's constant holds.
+    stated = {}
+    for kind, note in re.findall(r"`(\w+)`\s+\(([^)]*)", cap_sentence()):
+        a, b, c = re.search(r"(?:(\d+)·)?(\d+)(?:\^(\d+))?", note).groups()
+        stated[kind] = int(a or 1) * int(b) ** int(c or 1)
+    assert {k: stated.get(k) for k in CAP_CONSTANTS} == CAP_CONSTANTS
 
 
 # Public names that nothing in src/ or perfbench/ calls, each kept for the
