@@ -23,7 +23,6 @@ from .exact import (
     solve_linear,
     transpose,
     unimodular_inverse,
-    vsub,
 )
 from .forward import ConvexPartitionWithBasis
 from .polyhedra import (
@@ -33,6 +32,7 @@ from .polyhedra import (
     _in_hrep,
     dd_cone,
     normal_fan,
+    placing_triangulation,
     spanning_fan,
 )
 from .scaffolding import (
@@ -483,75 +483,14 @@ def ci_data(scaf):
     }
 
 
-def _triangulate_2d(points):
-    """Placing triangulation of a planar point set, lex insertion order.
-
-    Every point becomes a triangle vertex.  Points are assumed pairwise
-    distinct; with a lex insertion order each new point lies outside the
-    hull of its predecessors, so only hull edges ever get attached.
-    """
-    order = sorted(range(len(points)), key=lambda i: points[i])
-    tris = []
-    hull = []
-    chain = []
-    rest = []
-    for t, idx in enumerate(order):
-        if len(chain) < 2:
-            chain.append(idx)
-            continue
-        o = points[chain[0]]
-        if _det2(vsub(points[chain[1]], o), vsub(points[idx], o)) == 0:
-            chain.append(idx)
-            continue
-        rest = order[t:]
-        break
-    else:
-        raise DomainError("not_full_dimensional", "all points collinear")
-    first = rest[0]
-    for a, b in zip(chain, chain[1:]):
-        tris.append((a, b, first))
-    o = points[chain[0]]
-    if _det2(vsub(points[chain[-1]], o), vsub(points[first], o)) > 0:
-        hull = chain + [first]
-    else:
-        hull = list(reversed(chain)) + [first]
-    for idx in rest[1:]:
-        p = points[idx]
-        m = len(hull)
-        visible = []
-        for t in range(m):
-            a = points[hull[t]]
-            if _det2(vsub(points[hull[(t + 1) % m]], a), vsub(p, a)) < 0:
-                visible.append(t)
-        if not visible:
-            raise DomainError("bad_index", "point inside current hull")
-        for t in visible:
-            tris.append((hull[t], hull[(t + 1) % m], idx))
-        # replace the contiguous visible chain by the new point
-        vis = set(visible)
-        start = None
-        for t in range(m):
-            if t in vis and (t - 1) % m not in vis:
-                start = t
-                break
-        end = (start + len(visible)) % m
-        new_hull = [hull[end]]
-        t = end
-        while t != start:
-            t = (t + 1) % m
-            new_hull.append(hull[t])
-        new_hull.append(idx)
-        hull = new_hull
-    return tris
-
-
 def anticanonical_scaffolding(polytope):
     """The single-strut scaffolding of a reflexive polytope.
 
-    The shape's rays are all boundary lattice points of the dual; in the
-    plane consecutive pairs bound the cones, in dimension three each dual
-    facet is triangulated by lex placing.  The unique strut is the sum of
-    all toric boundary divisors.
+    The shape's rays are all boundary lattice points of the dual.  The
+    lattice points of each dual facet, flattened by dropping the coordinate
+    its normal weighs most, are cut into cells by placing_triangulation,
+    and each cell spans one cone.  The unique strut is the sum of all toric
+    boundary divisors.
     """
     if polytope.dim not in (2, 3):
         raise DomainError(
@@ -562,23 +501,12 @@ def anticanonical_scaffolding(polytope):
     dual = polytope.dual()
     origin = (0,) * polytope.dim
     boundary = [q for q in dual.integral_points() if q != origin]
-    if polytope.dim == 2:
-        order = _cyclic_order_2d(boundary)
-        cones = [
-            (order[t], order[(t + 1) % len(order)])
-            for t in range(len(order))
-        ]
-    else:
-        index = {q: i for i, q in enumerate(boundary)}
-        cones = []
-        for (normal, _), facet_set in zip(dual.inequalities, dual.facet_vertex_sets()):
-            face = Polytope.from_points([dual.vertices[i] for i in sorted(facet_set)])
-            pts = face.integral_points()
-            drop = max(range(3), key=lambda k: abs(normal[k]))
-            keep = [k for k in range(3) if k != drop]
-            flat = [tuple(p[k] for k in keep) for p in pts]
-            for a, b, c in _triangulate_2d(flat):
-                cones.append((index[pts[a]], index[pts[b]], index[pts[c]]))
+    cones = []
+    for a, rhs in dual.inequalities:
+        on_facet = [i for i, q in enumerate(boundary) if dot(a, q) == rhs]
+        drop = max(range(polytope.dim), key=lambda k: abs(a[k]))
+        flat = [boundary[i][:drop] + boundary[i][drop + 1:] for i in on_facet]
+        cones += [[on_facet[j] for j in cell] for cell in placing_triangulation(flat)]
     fan = Fan(polytope.dim, boundary, cones)
     strut = Strut((1,) * len(fan.rays), ())
     return Scaffolding(fan, 0, [strut], polytope)

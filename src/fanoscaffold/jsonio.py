@@ -149,7 +149,10 @@ def decode_laurent(obj):
             raise ValueError("exponent length does not match vars")
         if e in terms:
             raise ValueError("exponent %s appears twice" % (list(e),))
-        terms[e] = _decode_int(_field(entry, "c"))
+        c = _decode_int(_field(entry, "c"))
+        if c == 0:
+            raise ValueError("exponent %s has coefficient 0" % (list(e),))
+        terms[e] = c
     return LaurentPolynomial(nvars, terms)
 
 

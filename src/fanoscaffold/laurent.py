@@ -208,7 +208,8 @@ MAX_PERIOD_PRODUCTS = 5 * 10 ** 5
 
 # Most term products one power f^k may form: the terms of f times those of
 # f^(j-1), summed over its steps j <= k, counted before each step.  Model
-# brackets and mutation factors are raised only through __pow__.
+# brackets and mutation factors are raised only through __pow__, and a
+# mutation's product f_h * factor^h is held to the same number.
 MAX_POWER_PRODUCTS = 2 * 10 ** 5
 
 # Largest |<w, e>| a mutation reaches.  Each level costs one slice of the
@@ -587,7 +588,9 @@ def algebraic_mutation(f, w, factor):
     f splits into graded pieces f_h by the pairing <w, exponent> = h; the
     result is sum over h of f_h * factor^h, where negative h demand exact
     divisibility by factor^|h|.  The inverse mutation uses -w with the same
-    factor.  Levels beyond MAX_MUTATION_LEVEL raise level_too_large.
+    factor.  Levels beyond MAX_MUTATION_LEVEL raise level_too_large, and a
+    product f_h * factor^h of more than MAX_POWER_PRODUCTS term products
+    raises power_too_large.
     """
     w = to_int_vector(w)
     if len(w) != f.nvars:
@@ -615,7 +618,14 @@ def algebraic_mutation(f, w, factor):
     for h in sorted(levels):
         piece = LaurentPolynomial(f.nvars, levels[h])
         if h >= 0:
-            out = out + piece * factor ** h
+            power = factor ** h
+            if len(piece.terms) * len(power.terms) > MAX_POWER_PRODUCTS:
+                raise DomainError(
+                    "power_too_large",
+                    f"the mutation product of level {h} and the factor's power "
+                    f"is capped at {MAX_POWER_PRODUCTS} term products",
+                )
+            out = out + piece * power
         else:
             quotient = _exact_divide(piece, factor ** (-h))
             if quotient is None:

@@ -23,8 +23,9 @@ Polytopes, 1.5): from_points is Cone.from_rays of the points (p, 1),
 from_hrep is Cone.from_hrep of the homogenized constraints and t >= 0,
 and both dehomogenize the cone.  A Polytope keeps both descriptions, so
 its polar dual swaps them and transposes the incidences with no
-conversion; the spanning fan, the normal fan and the face lattice only
-read them, as Fan.is_complete reads its cones' incidences.  Lattice
+conversion; the spanning fan and the normal fan only read them, as
+Fan.is_complete reads its cones' incidences.  A placing triangulation
+is the lower facets of one conversion of the lifted points.  Lattice
 points are enumerated on integer rows by a depth-first walk over the
 coordinates that bounds each one by the rows' partial sums and the most
 the later coordinates can add, in bounding boxes of at most
@@ -400,32 +401,6 @@ class Polytope:
         """
         return tuple(frozenset(_bits(mask)) for mask in self.incidence)
 
-    def proper_faces(self):
-        """All proper nonempty faces as (dim, vertex index tuple) pairs.
-
-        Faces are the intersections of facet vertex sets; the improper face
-        (the polytope itself) and the empty face are omitted.  Kept as the
-        per-face reference that check (c) of verify_embedding is tested on.
-        """
-        found = set(mask for mask in self.incidence if mask)
-        frontier = set(found)
-        while frontier:
-            nxt = set()
-            for f in frontier:
-                for g in self.incidence:
-                    h = f & g
-                    if h and h not in found:
-                        found.add(h)
-                        nxt.add(h)
-            frontier = nxt
-        found.discard((1 << len(self.vertices)) - 1)
-        out = []
-        for mask in found:
-            s = _bits(mask)
-            out.append((_affine_rank([self.vertices[i] for i in s]), tuple(s)))
-        out.sort()
-        return out
-
     def integral_points(self):
         """All lattice points of the polytope, lex sorted.
 
@@ -614,13 +589,6 @@ def _dual_vertex(a, rhs):
         return a
     q, p = rhs.denominator, -rhs.numerator
     return tuple(exact_ratio(q * c, p) for c in a)
-
-
-def _affine_rank(points):
-    if not points:
-        return -1
-    base = points[0]
-    return rank([vsub(p, base) for p in points[1:]])
 
 
 def _integer_row(a, rhs):
@@ -898,6 +866,49 @@ def normal_fan(polytope):
         for i in _bits(mask):
             cones[i].append(k)
     return Fan(polytope.dim, [a for a, _ in polytope.inequalities], cones)
+
+
+def placing_triangulation(points):
+    """The lex placing triangulation of distinct lattice points on a line or a plane.
+
+    Placing the points in lex order, each one is joined to every boundary
+    face of the cells so far that it sees, so every point is a vertex.
+    Returns the sorted cells, each a sorted tuple of indices into points.
+
+    A placing triangulation is regular (De Loera, Rambau and Santos,
+    Triangulations, 4.3): lift the point of lex rank k to height t^k, and
+    the cells are the lower facets of the lifted points.  So one
+    Cone.from_rays conversion of the points (p, t^k, 1) and the upward ray
+    (0, ..., 0, 1, 0) gives them, as the facets whose incidence masks miss
+    the upward ray.
+
+    Let w be the width of the points' bounding box and D the largest |det|
+    of a lattice triangle in it, so D <= 2w^2.  In the plane any
+    t > max(3D, 2D^2) works, so t = 8w^4 + 6w^2 + 1 does:
+    - each new point lies above the plane of every earlier cell, since its
+      barycentric coordinates there are at most D in absolute value, so
+      that plane is below 3D t^(k-1) < t^k at the point;
+    - over each hull edge the new point sees, every earlier point lies
+      above the new triangle's plane, since its coefficient on the new
+      point is at most -1/D and its other two at most D, so that plane is
+      below 2D t^(k-1) - t^k / D < 0 at the point.  An earlier point on
+      the edge's line lies above it too, since t > w makes the heights
+      strictly convex along any line.
+    So on a line t > w is enough, and any t >= 2 is when the points are
+    equally spaced, as the lattice points of an edge are.
+    """
+    w = max(max(c) - min(c) for c in zip(*points))
+    t = 8 * w**4 + 6 * w**2 + 1
+    order = sorted(range(len(points)), key=points.__getitem__)
+    index = {tuple(points[i]) + (t**k, 1): i for k, i in enumerate(order)}
+    up = (0,) * len(points[0]) + (1, 0)
+    cone = Cone.from_rays(list(index) + [up])
+    up_bit = 1 << cone.rays.index(up)
+    return tuple(sorted(
+        tuple(sorted(index[cone.rays[b]] for b in _bits(mask)))
+        for mask in cone.incidence
+        if not mask & up_bit
+    ))
 
 
 def lattice_isomorphic(p, q):

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
-from fanoscaffold.exact import as_exact_vector, dot, identity_matrix, rank
+from fanoscaffold.errors import DomainError
+from fanoscaffold.exact import as_exact_vector, dot, identity_matrix, rank, vsub
 from fanoscaffold.polyhedra import Cone, Fan, dd_cone
 
 
@@ -80,3 +81,98 @@ def restrict_fan_pairwise(fan, basis):
     fan_rays = sorted(set().union(*kept))
     lookup = {r: i for i, r in enumerate(fan_rays)}
     return Fan(k, fan_rays, [tuple(sorted(lookup[r] for r in s)) for s in kept])
+
+
+def affine_rank(points):
+    """The dimension of the affine hull of points, -1 for none."""
+    if not points:
+        return -1
+    base = points[0]
+    return rank([vsub(p, base) for p in points[1:]])
+
+
+def proper_faces(polytope):
+    """All proper nonempty faces as (dim, vertex index tuple) pairs.
+
+    Faces are the intersections of facet vertex sets; the improper face
+    (the polytope itself) and the empty face are omitted.  The per-face
+    reference that check (c) of verify_embedding is tested on.
+    """
+    facets = polytope.facet_vertex_sets()
+    found = {f for f in facets if f}
+    frontier = set(found)
+    while frontier:
+        frontier = {f & g for f in frontier for g in facets if f & g} - found
+        found |= frontier
+    found.discard(frozenset(range(len(polytope.vertices))))
+    return sorted(
+        (affine_rank([polytope.vertices[i] for i in s]), tuple(sorted(s)))
+        for s in found
+    )
+
+
+def _det2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def triangulate_2d(points):
+    """Placing triangulation of a planar point set, lex insertion order.
+
+    Every point becomes a triangle vertex.  Points are assumed pairwise
+    distinct; with a lex insertion order each new point lies outside the
+    hull of its predecessors, so only hull edges ever get attached.  The
+    incremental hull oracle of polyhedra.placing_triangulation.
+    """
+    order = sorted(range(len(points)), key=lambda i: points[i])
+    tris = []
+    hull = []
+    chain = []
+    rest = []
+    for t, idx in enumerate(order):
+        if len(chain) < 2:
+            chain.append(idx)
+            continue
+        o = points[chain[0]]
+        if _det2(vsub(points[chain[1]], o), vsub(points[idx], o)) == 0:
+            chain.append(idx)
+            continue
+        rest = order[t:]
+        break
+    else:
+        raise DomainError("not_full_dimensional", "all points collinear")
+    first = rest[0]
+    for a, b in zip(chain, chain[1:]):
+        tris.append((a, b, first))
+    o = points[chain[0]]
+    if _det2(vsub(points[chain[-1]], o), vsub(points[first], o)) > 0:
+        hull = chain + [first]
+    else:
+        hull = list(reversed(chain)) + [first]
+    for idx in rest[1:]:
+        p = points[idx]
+        m = len(hull)
+        visible = []
+        for t in range(m):
+            a = points[hull[t]]
+            if _det2(vsub(points[hull[(t + 1) % m]], a), vsub(p, a)) < 0:
+                visible.append(t)
+        if not visible:
+            raise DomainError("bad_index", "point inside current hull")
+        for t in visible:
+            tris.append((hull[t], hull[(t + 1) % m], idx))
+        # replace the contiguous visible chain by the new point
+        vis = set(visible)
+        start = None
+        for t in range(m):
+            if t in vis and (t - 1) % m not in vis:
+                start = t
+                break
+        end = (start + len(visible)) % m
+        new_hull = [hull[end]]
+        t = end
+        while t != start:
+            t = (t + 1) % m
+            new_hull.append(hull[t])
+        new_hull.append(idx)
+        hull = new_hull
+    return tris

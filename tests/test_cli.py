@@ -237,6 +237,29 @@ def test_repeated_exponents_exit_with_two(tmp_path, capsys):
     assert (code, out) == (2, "") and "[1]" in err
 
 
+def test_zero_coefficients_exit_with_two(tmp_path, capsys):
+    # x + 1/x + 0x^2: a term the encoder never writes.
+    f = write_json(tmp_path, "f.json", {"vars": 1, "terms": [
+        {"e": [1], "c": 1}, {"e": [-1], "c": 1}, {"e": [2], "c": 0}]})
+    code, out, err = invoke(capsys, "period", "--f", f, "--max-degree", "4")
+    assert (code, out) == (2, "") and "[2]" in err
+
+
+def test_mutation_product_is_capped(tmp_path, capsys):
+    # The level z^4 has the 961 points of [0, 30]^2 and the factor's 4th
+    # power the 1,681 of [0, 40]^2: over 1.6 * 10^6 term products.
+    terms = [{"e": [i, j, 4], "c": 1} for i in range(31) for j in range(31)]
+    f = write_json(tmp_path, "f.json", {
+        "vars": 3, "terms": terms + [{"e": [1, 0, 0], "c": 1}]})
+    square = [[0, 0, 0], [10, 0, 0], [0, 10, 0], [10, 10, 0]]
+    mut = write_json(tmp_path, "m.json", {
+        "w": [0, 0, 1], "factor": {"dim": 3, "vertices": square}})
+    code, out, err = invoke(capsys, "mutate-laurent", "--f", f, "--mutation", mut)
+    assert code == 1 and "Traceback" not in err
+    error = json.loads(out)["error"]
+    assert error["kind"] == "power_too_large" and "mutation product" in error["detail"]
+
+
 def test_usage_errors_exit_with_two(tmp_path, capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     code, _, err = invoke(capsys, "period", "--f", str(tmp_path / "gone.json"),

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -28,7 +29,14 @@ from fanoscaffold.inversion import (
     laurent_inversion,
     verify_embedding,
 )
-from fanoscaffold.polyhedra import Fan, Polytope, dd_cone, normal_fan, spanning_fan
+from fanoscaffold.polyhedra import (
+    Fan,
+    Polytope,
+    dd_cone,
+    normal_fan,
+    placing_triangulation,
+    spanning_fan,
+)
 from fanoscaffold.scaffolding import (
     Scaffolding,
     Strut,
@@ -40,7 +48,13 @@ from fanoscaffold.scaffolding import (
 )
 from fanoscaffold.toric import GitData
 
-from helpers import count_calls, random_unimodular_matrix, restrict_fan_pairwise
+from helpers import (
+    count_calls,
+    proper_faces,
+    random_unimodular_matrix,
+    restrict_fan_pairwise,
+    triangulate_2d,
+)
 
 
 def cubic_scaffolding():
@@ -275,7 +289,7 @@ def face_cones_per_face(scaf, basis, rhos, theta, preimages=None):
         unit = tuple(1 if p == u + j else 0 for p in range(dim))
         tight.append((unit, frozenset(k for k, lift in enumerate(lifts) if not lift[u + j])))
     facet_sets = target.facet_vertex_sets()
-    for _, indices in target.proper_faces():
+    for _, indices in proper_faces(target):
         members = set(indices)
         cover = {k for k, fset in enumerate(facet_sets) if members <= fset}
         if not cover:
@@ -536,6 +550,112 @@ def test_embedding_map_shape():
     )
 
 
+# The cones of the anticanonical fans, as the incremental 2-D hull
+# triangulated each dual facet.
+OCTAHEDRON_CONES = (
+    (0, 1, 3), (0, 1, 9), (0, 3, 9), (1, 2, 3), (1, 2, 9), (2, 3, 4), (2, 4, 5),
+    (2, 5, 11), (2, 9, 10), (2, 10, 11), (3, 4, 6), (3, 6, 9), (4, 5, 6), (5, 6, 7),
+    (5, 7, 8), (5, 8, 11), (6, 7, 14), (6, 9, 12), (6, 12, 14), (7, 8, 14), (8, 11, 13),
+    (8, 13, 16), (8, 14, 15), (8, 15, 16), (9, 10, 17), (9, 12, 17), (10, 11, 17),
+    (11, 13, 19), (11, 17, 18), (11, 18, 19), (12, 14, 17), (13, 16, 19), (14, 15, 23),
+    (14, 17, 20), (14, 20, 23), (15, 16, 23), (16, 19, 22), (16, 22, 25), (16, 23, 24),
+    (16, 24, 25), (17, 18, 20), (18, 19, 20), (19, 20, 21), (19, 21, 22), (20, 21, 23),
+    (21, 22, 23), (22, 23, 24), (22, 24, 25),
+)
+
+CUBE_CONES = (
+    (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4), (1, 2, 5), (1, 3, 5), (2, 4, 5),
+    (3, 4, 5),
+)
+
+P3_CONES = {
+    None: (
+        (0, 1, 5), (0, 1, 15), (0, 5, 15), (1, 2, 5), (1, 2, 15), (2, 3, 5), (2, 3, 15),
+        (3, 4, 5), (3, 4, 15), (4, 5, 6), (4, 6, 7), (4, 7, 8), (4, 8, 20), (4, 15, 16),
+        (4, 16, 17), (4, 17, 18), (4, 18, 32), (4, 20, 28), (4, 28, 32), (5, 6, 9),
+        (5, 9, 15), (6, 7, 9), (7, 8, 9), (8, 9, 10), (8, 10, 11), (8, 11, 22),
+        (8, 20, 29), (8, 22, 29), (9, 10, 12), (9, 12, 15), (10, 11, 12), (11, 12, 13),
+        (11, 13, 23), (11, 22, 23), (12, 13, 14), (12, 14, 15), (13, 14, 23),
+        (14, 15, 19), (14, 19, 21), (14, 21, 23), (15, 16, 24), (15, 19, 24),
+        (16, 17, 24), (17, 18, 24), (18, 24, 25), (18, 25, 26), (18, 26, 32),
+        (19, 21, 24), (20, 28, 29), (21, 23, 24), (22, 23, 29), (23, 24, 27),
+        (23, 27, 29), (24, 25, 30), (24, 27, 30), (25, 26, 30), (26, 30, 31),
+        (26, 31, 32), (27, 29, 30), (28, 29, 32), (29, 30, 32), (30, 31, 33),
+        (30, 32, 33), (31, 32, 33),
+    ),
+    1: (
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 7), (2, 4, 5),
+        (2, 5, 7), (3, 4, 6), (3, 6, 10), (3, 7, 9), (3, 9, 10), (4, 5, 8), (4, 6, 8),
+        (5, 7, 8), (6, 8, 10), (7, 8, 11), (7, 9, 16), (7, 11, 13), (7, 13, 16),
+        (8, 10, 12), (8, 11, 14), (8, 12, 14), (9, 10, 16), (10, 12, 15), (10, 15, 21),
+        (10, 16, 18), (10, 18, 20), (10, 20, 21), (11, 13, 14), (12, 14, 15),
+        (13, 14, 16), (14, 15, 19), (14, 16, 17), (14, 17, 19), (15, 19, 21),
+        (16, 17, 22), (16, 18, 28), (16, 22, 25), (16, 25, 28), (17, 19, 22),
+        (18, 20, 28), (19, 21, 24), (19, 22, 23), (19, 23, 24), (20, 21, 28),
+        (21, 24, 29), (21, 28, 30), (21, 29, 33), (21, 30, 31), (21, 31, 32),
+        (21, 32, 33), (22, 23, 25), (23, 24, 25), (24, 25, 26), (24, 26, 27),
+        (24, 27, 29), (25, 26, 28), (26, 27, 28), (27, 28, 29), (28, 29, 30),
+        (29, 30, 31), (29, 31, 32), (29, 32, 33),
+    ),
+    2: (
+        (0, 1, 2), (0, 1, 24), (0, 2, 3), (0, 3, 7), (0, 7, 14), (0, 14, 24), (1, 2, 4),
+        (1, 4, 24), (2, 3, 9), (2, 4, 5), (2, 5, 6), (2, 6, 8), (2, 8, 9), (3, 7, 28),
+        (3, 9, 16), (3, 16, 28), (4, 5, 10), (4, 10, 24), (5, 6, 10), (6, 8, 18),
+        (6, 10, 11), (6, 11, 12), (6, 12, 13), (6, 13, 15), (6, 15, 17), (6, 17, 18),
+        (7, 14, 28), (8, 9, 18), (9, 16, 31), (9, 18, 31), (10, 11, 19), (10, 19, 24),
+        (11, 12, 19), (12, 13, 19), (13, 15, 33), (13, 19, 20), (13, 20, 21),
+        (13, 21, 22), (13, 22, 23), (13, 23, 27), (13, 27, 30), (13, 30, 32),
+        (13, 32, 33), (14, 24, 28), (15, 17, 33), (16, 28, 31), (17, 18, 33),
+        (18, 31, 33), (19, 20, 24), (20, 21, 24), (21, 22, 24), (22, 23, 24),
+        (23, 24, 25), (23, 25, 26), (23, 26, 27), (24, 25, 28), (25, 26, 28),
+        (26, 27, 28), (27, 28, 29), (27, 29, 30), (28, 29, 31), (29, 30, 31),
+        (30, 31, 32), (31, 32, 33),
+    ),
+    3: (
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 6), (2, 4, 5),
+        (2, 5, 6), (3, 4, 7), (3, 6, 9), (3, 7, 13), (3, 9, 13), (4, 5, 8), (4, 7, 8),
+        (5, 6, 8), (6, 8, 10), (6, 9, 12), (6, 10, 11), (6, 11, 12), (7, 8, 13),
+        (8, 10, 15), (8, 13, 14), (8, 14, 15), (9, 12, 13), (10, 11, 15), (11, 12, 15),
+        (12, 13, 17), (12, 15, 16), (12, 16, 18), (12, 17, 22), (12, 18, 19),
+        (12, 19, 22), (13, 14, 20), (13, 17, 23), (13, 20, 27), (13, 23, 27),
+        (14, 15, 20), (15, 16, 21), (15, 20, 21), (16, 18, 21), (17, 22, 23),
+        (18, 19, 21), (19, 21, 22), (20, 21, 27), (21, 22, 24), (21, 24, 28),
+        (21, 27, 28), (22, 23, 26), (22, 24, 25), (22, 25, 26), (23, 26, 27),
+        (24, 25, 28), (25, 26, 28), (26, 27, 30), (26, 28, 29), (26, 29, 30),
+        (27, 28, 31), (27, 30, 32), (27, 31, 33), (27, 32, 33), (28, 29, 31),
+        (29, 30, 31), (30, 31, 32), (31, 32, 33),
+    ),
+    4: (
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 9), (1, 4, 7), (1, 7, 9),
+        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 6, 8), (3, 8, 9), (4, 5, 10), (4, 7, 23),
+        (4, 10, 14), (4, 14, 16), (4, 16, 23), (5, 6, 10), (6, 8, 13), (6, 10, 11),
+        (6, 11, 12), (6, 12, 13), (7, 9, 23), (8, 9, 13), (9, 13, 15), (9, 15, 17),
+        (9, 17, 23), (10, 11, 18), (10, 14, 33), (10, 18, 24), (10, 24, 28),
+        (10, 28, 31), (10, 31, 33), (11, 12, 18), (12, 13, 18), (13, 15, 22),
+        (13, 18, 19), (13, 19, 20), (13, 20, 21), (13, 21, 22), (14, 16, 33),
+        (15, 17, 22), (16, 23, 33), (17, 22, 23), (18, 19, 24), (19, 20, 24),
+        (20, 21, 24), (21, 22, 24), (22, 23, 27), (22, 24, 25), (22, 25, 26),
+        (22, 26, 27), (23, 27, 30), (23, 30, 32), (23, 32, 33), (24, 25, 28),
+        (25, 26, 28), (26, 27, 28), (27, 28, 29), (27, 29, 30), (28, 29, 31),
+        (29, 30, 31), (30, 31, 32), (31, 32, 33),
+    ),
+    5: (
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 7), (1, 3, 4), (1, 4, 5), (1, 5, 29),
+        (1, 7, 15), (1, 15, 29), (2, 3, 7), (3, 4, 6), (3, 6, 9), (3, 7, 8), (3, 8, 9),
+        (4, 5, 13), (4, 6, 10), (4, 10, 11), (4, 11, 25), (4, 13, 25), (5, 13, 29),
+        (6, 9, 10), (7, 8, 15), (8, 9, 15), (9, 10, 12), (9, 12, 14), (9, 14, 18),
+        (9, 15, 16), (9, 16, 17), (9, 17, 18), (10, 11, 22), (10, 12, 19), (10, 19, 20),
+        (10, 20, 22), (11, 22, 25), (12, 14, 19), (13, 25, 29), (14, 18, 19),
+        (15, 16, 29), (16, 17, 29), (17, 18, 29), (18, 19, 21), (18, 21, 24),
+        (18, 24, 28), (18, 28, 33), (18, 29, 30), (18, 30, 31), (18, 31, 32),
+        (18, 32, 33), (19, 20, 21), (20, 21, 22), (21, 22, 23), (21, 23, 24),
+        (22, 23, 25), (23, 24, 25), (24, 25, 26), (24, 26, 27), (24, 27, 28),
+        (25, 26, 29), (26, 27, 29), (27, 28, 29), (28, 29, 30), (28, 30, 31),
+        (28, 31, 32), (28, 32, 33),
+    ),
+}
+
+
 def dp7():
     return Polytope.from_points([(0, 1), (-1, 1), (-1, 0), (0, -1), (2, -1)])
 
@@ -568,10 +688,20 @@ def test_anticanonical_octahedron():
     )
     scaf = anticanonical_scaffolding(octa)
     assert len(scaf.shape.rays) == 26
+    assert scaf.shape.max_cones == OCTAHEDRON_CONES
     assert scaf.shape.is_complete()
     ok, report = validate_scaffolding(scaf)
     assert ok, report
     assert dual_cone_check(scaf)
+
+
+def test_anticanonical_cube():
+    scaf = anticanonical_scaffolding(Polytope.from_points(list(product((-1, 1), repeat=3))))
+    assert scaf.shape.rays == (
+        (-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert scaf.shape.max_cones == CUBE_CONES
+    ok, report = validate_scaffolding(scaf)
+    assert ok, report
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
@@ -585,9 +715,38 @@ def test_anticanonical_p3_projects_each_facet_along_its_normal(seed):
         points = [mat_vec(u, v) for v in points]
     scaf = anticanonical_scaffolding(Polytope.from_points(points))
     assert len(scaf.shape.rays) == 34
+    assert scaf.shape.max_cones == P3_CONES[seed]
     assert scaf.shape.is_complete()
     ok, report = validate_scaffolding(scaf)
     assert ok, report
+
+
+def reflexive_hull(rng):
+    """The hull of a random subset of {-1, 0, 1}^3 that is reflexive."""
+    box = [p for p in product((-1, 0, 1), repeat=3) if any(p)]
+    while True:
+        try:
+            p = Polytope.from_points(rng.sample(box, rng.randrange(4, 12)))
+        except DomainError:
+            continue
+        if p.is_full_dimensional() and p.is_reflexive():
+            return p
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dual_facets_triangulate_as_the_incremental_hull(seed):
+    # anticanonical_scaffolding's cells on every dual facet of a reflexive
+    # hull and of its dual, flattened as it flattens them, are those of the
+    # hand-built lex placing triangulation.
+    p = reflexive_hull(random.Random(seed))
+    for q in (p, p.dual()):
+        dual = q.dual()
+        points = dual.integral_points()
+        for a, rhs in dual.inequalities:
+            drop = max(range(3), key=lambda k: abs(a[k]))
+            flat = [v[:drop] + v[drop + 1:] for v in points if dot(a, v) == rhs]
+            expected = sorted(tuple(sorted(cell)) for cell in triangulate_2d(flat))
+            assert placing_triangulation(flat) == tuple(expected)
 
 
 def test_anticanonical_rejects_bad_inputs():

@@ -68,6 +68,13 @@ def test_repeated_exponents_are_rejected():
         jsonio.decode_laurent(obj)
 
 
+def test_zero_coefficients_are_rejected():
+    # The encoder writes only nonzero terms.
+    obj = {"vars": 1, "terms": [{"e": [1], "c": 1}, {"e": [2], "c": 0}]}
+    with pytest.raises(ValueError, match=r"\[2\]"):
+        jsonio.decode_laurent(obj)
+
+
 def test_partition_round_trip():
     part = ConvexPartitionWithBasis((0, 1), ((2, 3), (4, 5)), (6,), (2, 4))
     obj = jsonio.encode_partition(part)

@@ -33,10 +33,18 @@ from fanoscaffold.polyhedra import (
     dd_cone,
     lattice_isomorphic,
     normal_fan,
+    placing_triangulation,
     spanning_fan,
 )
 
-from helpers import contains, random_unimodular_matrix, restrict_fan_pairwise
+from helpers import (
+    affine_rank,
+    contains,
+    proper_faces,
+    random_unimodular_matrix,
+    restrict_fan_pairwise,
+    triangulate_2d,
+)
 
 
 def in_cone(gens, target):
@@ -624,7 +632,7 @@ def test_from_hrep_makes_one_conversion(monkeypatch):
     assert len(calls) == 1 and len(p.vertices) == 4
     p.facet_vertex_sets()
     p.dual().facet_vertex_sets()
-    normal_fan(p), spanning_fan(p), p.proper_faces()
+    normal_fan(p), spanning_fan(p), proper_faces(p)
     assert len(calls) == 1
 
 
@@ -696,7 +704,7 @@ def test_polytope_lower_dimensional():
 
 def test_faces_of_cube():
     cube = Polytope.from_points(list(__import__("itertools").product([0, 1], repeat=3)))
-    faces = cube.proper_faces()
+    faces = proper_faces(cube)
     by_dim = {}
     for d, s in faces:
         by_dim.setdefault(d, 0)
@@ -944,6 +952,27 @@ def test_cone_over():
     assert c.dim == 3 and c.eq_normals == ()
     assert c.contains((0, 0, 1)) and not c.contains((3, 0, 1))
     assert set(c.rays) == {(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)}
+
+
+def oracle_cells(points):
+    return tuple(sorted(tuple(sorted(cell)) for cell in triangulate_2d(points)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                min_size=3, max_size=40, unique=True))
+@example([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
+@example([(0, 0), (16, 1), (1, 16), (15, 15), (8, 8), (7, 9)])
+def test_placing_triangulation_matches_the_incremental_hull(points):
+    # The lifted conversion's lower facets are the cells of the lex placing
+    # triangulation built by hand, collinear starts included.
+    assume(affine_rank(points) == 2)
+    assert placing_triangulation(points) == oracle_cells(points)
+
+
+def test_placing_triangulation_of_points_on_a_line():
+    # Unevenly spaced points are cut into consecutive pairs.
+    assert placing_triangulation([(3,), (0,), (1,), (7,)]) == ((0, 2), (0, 3), (1, 2))
 
 
 def test_lattice_isomorphic_linear():

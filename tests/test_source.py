@@ -113,7 +113,6 @@ def test_readme_cap_numbers_are_the_constants():
 # Public names that nothing in src/ or perfbench/ calls, each kept for the
 # reason given.  A name leaves the list when it gets a caller.
 UNCALLED_ALLOWED = {
-    "polyhedra.Polytope.proper_faces": "per-face reference oracle of verify_embedding's check (c)",
     "scaffolding.laurent_from_scaffolding": "the planned quantum-period subcommand calls it",
     "inversion.binomial_equations": "paper claim awaiting a binomials subcommand",
     "nefpart.mutation_chain_check": "paper claim awaiting a mutation-chain subcommand",
