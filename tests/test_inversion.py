@@ -34,7 +34,6 @@ from fanoscaffold.polyhedra import (
     Polytope,
     dd_cone,
     normal_fan,
-    placing_triangulation,
     spanning_fan,
 )
 from fanoscaffold.scaffolding import (
@@ -735,18 +734,24 @@ def reflexive_hull(rng):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_dual_facets_triangulate_as_the_incremental_hull(seed):
-    # anticanonical_scaffolding's cells on every dual facet of a reflexive
-    # hull and of its dual, flattened as it flattens them, are those of the
-    # hand-built lex placing triangulation.
+    # The fan of anticanonical_scaffolding, on a reflexive hull and on its
+    # dual, is the one the hand-built lex placing triangulation gives on
+    # each dual facet's own lattice points, flattened along the coordinate
+    # the facet normal weighs most.
     p = reflexive_hull(random.Random(seed))
     for q in (p, p.dual()):
         dual = q.dual()
-        points = dual.integral_points()
-        for a, rhs in dual.inequalities:
+        boundary = [v for v in dual.integral_points() if any(v)]
+        index = {v: i for i, v in enumerate(boundary)}
+        cones = []
+        for (a, _), facet in zip(dual.inequalities, dual.facet_vertex_sets()):
+            pts = Polytope.from_points([dual.vertices[i] for i in facet]).integral_points()
             drop = max(range(3), key=lambda k: abs(a[k]))
-            flat = [v[:drop] + v[drop + 1:] for v in points if dot(a, v) == rhs]
-            expected = sorted(tuple(sorted(cell)) for cell in triangulate_2d(flat))
-            assert placing_triangulation(flat) == tuple(expected)
+            flat = [v[:drop] + v[drop + 1:] for v in pts]
+            cones += [[index[pts[i]] for i in cell] for cell in triangulate_2d(flat)]
+        expected = Fan(3, boundary, cones)
+        fan = anticanonical_scaffolding(q).shape
+        assert (fan.rays, fan.max_cones) == (expected.rays, expected.max_cones)
 
 
 def test_anticanonical_rejects_bad_inputs():

@@ -173,7 +173,7 @@ def test_period_of_exponents_near_a_trillion():
     expected = classical_period_naive(f, 14)
     start = time.perf_counter()
     assert classical_period(g, 14) == expected
-    assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < 1
     assert all(max(c) - min(c) <= 2 for c in zip(*_reduce_widths(list(g.terms))))
 
 
