@@ -111,7 +111,7 @@ def _cmd_forward(args, data):
 
 
 def _cmd_invert(args, data):
-    omega = _parse_omega(args.omega) if args.omega else None
+    omega = None if args.omega is None else _parse_omega(args.omega)
     inv = laurent_inversion(data["scaffolding"], omega)
     return {
         "matrix": inv.matrix,

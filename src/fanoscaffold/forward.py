@@ -9,8 +9,8 @@ mutation-equivalent answers related by a monomial change of variables.
 
 from .errors import DomainError
 from .laurent import _bracket_sum
-from .exact import _row_reduce, identity_matrix, to_int_vector
-from .toric import _basis_fan, basis_coordinates, irrelevant_collection
+from .exact import identity_matrix, to_int_vector
+from .toric import _basis_fan, basis_coordinates, positivity
 
 
 class ConvexPartitionWithBasis:
@@ -92,13 +92,8 @@ def _convexity(git, part):
     each group's total divisor is nef on the quotient.  The coordinates
     are None when the basis block cannot be eliminated.
 
-    The nef test runs in the weight space: the class L of a group's total
-    divisor is nef exactly when, for every minimal cover I of omega, L is
-    a nonnegative combination of the weights D_I.  On the maximal cone
-    whose complement is I, the linear piece of L's piecewise linear
-    function leaves a coefficient vector of class L supported on I, and
-    the weights D_I are independent, so that vector is the unique
-    solution; no solution means no linear piece, and L is not nef.
+    The nef test runs in the weight space, on the class of each group's
+    total divisor (toric.positivity).
     """
     failures = []
     r = git.r
@@ -126,24 +121,12 @@ def _convexity(git, part):
     except DomainError as exc:
         failures.append(f"quotient fan unavailable: {exc.detail}")
         return failures, coords
-    # One elimination of [D_I | L_1 ... L_k] per minimal cover I.  The
-    # weights D_I are independent, so their columns take the first |I|
-    # pivots, and L_j is a combination of them exactly when its entries
-    # below row |I| are 0; its coefficient on weight l is M[l][col] / p.
-    levels = [
-        tuple(sum(git.characters[j][k] for j in s) for s in part.S) for k in range(r)
+    classes = [tuple(sum(git.characters[j][k] for j in s) for k in range(r)) for s in part.S]
+    failures += [
+        f"group {i} total divisor is not nef"
+        for i, (nef, _) in enumerate(positivity(git, classes))
+        if not nef
     ]
-    not_nef = set()
-    for cover in (irrelevant_collection(git) if part.S else ()):
-        n = len(cover)
-        M, _, _, p = _row_reduce(
-            [tuple(git.characters[j][k] for j in cover) + levels[k] for k in range(r)]
-        )
-        for i in range(len(part.S)):
-            column = [row[n + i] for row in M]
-            if any(column[n:]) or any(c * p < 0 for c in column[:n]):
-                not_nef.add(i)
-    failures += [f"group {i} total divisor is not nef" for i in sorted(not_nef)]
     return failures, coords
 
 

@@ -19,6 +19,7 @@ from .exact import (
     identity_matrix,
     kernel_basis,
     primitive_vector,
+    rank,
     row_space_equal,
     solve_linear,
     transpose,
@@ -30,6 +31,7 @@ from .polyhedra import (
     Polytope,
     _dual_vertex,
     _in_hrep,
+    _smallest_face,
     dd_cone,
     normal_fan,
     placing_triangulation,
@@ -254,9 +256,11 @@ def _lift_facet_normal(scaf, basis, normal):
     The normal pairs to -1 with the facet.  The lift's shift block holds
     the pairings of its shift part n_U with the shifts of the basis unit
     struts, since the ambient shift block is written in their basis.
-    Its shape part lies in some maximal cone of the shape fan; writing it in
-    that cone's ray basis gives nonnegative coordinates, one per ray.
-    Returns None when no maximal cone contains the shape part.
+    Its shape part y lies in some maximal cone of the shape fan; writing it
+    in that cone's ray basis gives nonnegative coordinates, one per ray.
+    When no simplicial maximal cone holds y, y is written in the rays of
+    the smallest face holding it of the first maximal cone that does
+    (_face_coordinates).  Returns None when no maximal cone contains y.
     """
     shape = scaf.shape
     u = scaf.u
@@ -265,15 +269,42 @@ def _lift_facet_normal(scaf, basis, normal):
         if len(cone_indices) != shape.dim:
             continue
         cols = [shape.rays[i] for i in cone_indices]
-        rows = transpose([list(c) for c in cols])
-        sol = solve_linear(rows, y)
-        if sol is None or any(t < 0 for t in sol):
+        sol = solve_linear(transpose(cols), y)
+        if sol is not None and all(t >= 0 for t in sol):
+            coords = zip(cone_indices, sol)
+            break
+    else:
+        coords = _face_coordinates(shape, y)
+        if coords is None:
+            return None
+    lifted = [dot(scaf.struts[b].chi, normal[:u]) for b in basis]
+    lifted += [0] * len(shape.rays)
+    for i, t in coords:
+        lifted[u + i] = t
+    return tuple(lifted)
+
+
+def _face_coordinates(fan, y):
+    """(ray index, coordinate) pairs of y in the smallest face holding it.
+
+    The face is that of the first maximal cone that contains y.  The
+    coordinates are unique only when its rays are independent; otherwise
+    unsupported_shape is raised.  Returns None when no maximal cone
+    contains y.
+    """
+    for c in fan.max_cones:
+        cone = fan.cone(c)
+        if not cone.contains(y):
             continue
-        lifted = [dot(scaf.struts[b].chi, normal[:u]) for b in basis]
-        lifted += [0] * len(shape.rays)
-        for t, i in zip(sol, cone_indices):
-            lifted[u + i] = t
-        return tuple(lifted)
+        face = _smallest_face(cone, [y])
+        if rank(face) < len(face):
+            raise DomainError(
+                "unsupported_shape",
+                "the lift of (%s) is not unique: the smallest cone of the shape "
+                "fan holding it is not simplicial" % ", ".join(map(str, y)),
+            )
+        sol = solve_linear([[v[k] for v in face] for k in range(fan.dim)], y)
+        return [(fan.ray_index(v), t) for v, t in zip(face, sol)]
     return None
 
 
@@ -298,7 +329,8 @@ def verify_embedding(scaf):
     dimensional cone otherwise.  (c) reads each vertex's preimage off the
     incidences of both polytopes (see _face_cones_check).  Returns
     (ok, report) with one boolean per check; all are False when no unit
-    struts form a basis of the shifts.
+    struts form a basis of the shifts.  Raises unsupported_shape when the
+    lift of a facet normal is not unique (_face_coordinates).
     """
     report = {"ambient_rays": False, "restricted_fan": False,
               "face_cones": False}

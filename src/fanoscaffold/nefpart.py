@@ -13,17 +13,25 @@ ambient rays.
 from itertools import product
 
 from .errors import DomainError
-from .exact import dot, identity_matrix, integer_solution, to_int_vector
+from .exact import dot, identity_matrix, integer_solution, solve_linear, to_int_vector
 from .inversion import _relation_basis, ambient_rays
 from .mutations import mutate_polytope
-from .polyhedra import Cone, Polytope, lattice_isomorphic, spanning_fan
+from .polyhedra import Cone, Polytope, _smallest_face, lattice_isomorphic, spanning_fan
 from .scaffolding import _pieces, product_structure
-from .toric import PLFunction, git_to_stacky_fan, is_ample, is_nef, sections_polytope
+from .toric import git_to_stacky_fan, positivity, sections_polytope
 
 
 # ---------------------------------------------------------------------------
 # nef partitions of a reflexive polytope
 # ---------------------------------------------------------------------------
+
+def _require_partition(parts, rest, n, items):
+    """Raise bad_partition unless parts and rest split range(n), each index
+    once, and parts is a nonempty tuple of nonempty parts."""
+    flat = sorted(i for p in parts + rest for i in p)
+    if not parts or not all(parts) or flat != list(range(n)):
+        raise DomainError("bad_partition", f"parts must partition the {items} indices")
+
 
 def check_nef_partition(delta, parts):
     """Check a partition of a reflexive polytope's vertices for nef-ness.
@@ -39,17 +47,7 @@ def check_nef_partition(delta, parts):
     if not delta.is_reflexive():
         raise DomainError("not_reflexive", "nef partitions need a reflexive polytope")
     parts = tuple(map(to_int_vector, parts))
-    nverts = len(delta.vertices)
-    seen = set()
-    for part in parts:
-        for i in part:
-            if not 0 <= i < nverts or i in seen:
-                raise DomainError(
-                    "bad_partition", "parts must partition the vertex indices"
-                )
-            seen.add(i)
-    if not parts or any(not p for p in parts) or len(seen) != nverts:
-        raise DomainError("bad_partition", "parts must partition the vertex indices")
+    _require_partition(parts, (), len(delta.vertices), "vertex")
     fan = spanning_fan(delta)
     indicators = []
     for part in parts:
@@ -57,18 +55,15 @@ def check_nef_partition(delta, parts):
         for i in part:
             coeffs[fan.ray_index(delta.vertices[i])] = 1
         indicators.append(tuple(coeffs))
-    pl_ok = True
-    cartier = True
-    for coeffs in indicators:
-        try:
-            phi = PLFunction(fan, coeffs)
-        except DomainError as err:
-            if err.kind != "not_q_cartier":
-                raise
-            pl_ok = False
-            cartier = False
-            continue
-        cartier = cartier and phi.is_cartier()
+    # An indicator's linear piece on a maximal cone agrees with it on the
+    # cone's rays; Cartier asks every piece to be integral.
+    pieces = [
+        solve_linear([fan.rays[i] for i in c], [coeffs[i] for i in c])
+        for coeffs in indicators
+        for c in fan.max_cones
+    ]
+    pl_ok = None not in pieces
+    cartier = pl_ok and all(type(x) is int for piece in pieces for x in piece)
     nablas = tuple(sections_polytope(fan, coeffs) for coeffs in indicators)
     total = nablas[0]
     for nabla in nablas[1:]:
@@ -91,34 +86,25 @@ def check_nef_partition(delta, parts):
 
 
 # ---------------------------------------------------------------------------
-# ray partitions of a complete fan
+# ray partitions of a quotient fan
 # ---------------------------------------------------------------------------
 
 class FanoNefPartition:
-    """A partition of a fan's rays into a base part and spanning parts.
+    """A partition of the coordinates of GIT data into a base part and
+    spanning parts.
 
-    The fan may be an ordinary or a stacky fan; the parts index into its ray
-    tuple and must cover every index exactly once.  The base part may be
-    empty, the spanning parts may not.
+    Each coordinate is a ray of the quotient fan; the parts must cover
+    every coordinate exactly once.  The base part may be empty, the
+    spanning parts may not.
     """
 
-    __slots__ = ("fan", "e_parts", "f_part")
+    __slots__ = ("git", "e_parts", "f_part")
 
-    def __init__(self, fan, e_parts, f_part):
+    def __init__(self, git, e_parts, f_part):
         e_parts = tuple(map(to_int_vector, e_parts))
         f_part = to_int_vector(f_part)
-        nrays = len(fan.rays)
-        seen = set()
-        for p in e_parts + (f_part,):
-            for i in p:
-                if not 0 <= i < nrays or i in seen:
-                    raise DomainError(
-                        "bad_partition", "parts must partition the ray indices"
-                    )
-                seen.add(i)
-        if not e_parts or any(not p for p in e_parts) or len(seen) != nrays:
-            raise DomainError("bad_partition", "parts must partition the ray indices")
-        self.fan = fan
+        _require_partition(e_parts, (f_part,), git.R, "ray")
+        self.git = git
         self.e_parts = e_parts
         self.f_part = f_part
 
@@ -136,26 +122,21 @@ def fano_nef_partition_from_inversion(inv):
         raise DomainError(
             "unsupported_shape", "shape is not a product of projective spaces"
         )
-    fan = git_to_stacky_fan(inv.git)
     f_part = tuple(inv.recovered.B) + tuple(inv.recovered.U)
-    return FanoNefPartition(fan, inv.recovered.S, f_part)
+    return FanoNefPartition(inv.git, inv.recovered.S, f_part)
 
 
 def _is_fan_cone(fan, sigma):
     """Whether the cone sigma is a cone of the fan: a face of a maximal cone.
 
-    The smallest face of a maximal cone C containing sigma is cut out by the
-    facet normals of C that vanish on sigma, and its rays are the rays of C
-    on which all of those normals vanish; sigma is a face of C exactly when
-    these are sigma's own rays (Kaibel and Pfetsch, Comput. Geom. 2002).
+    sigma is a face of a maximal cone C containing it exactly when the
+    smallest face of C holding sigma's rays has sigma's own rays.
     """
     for c in fan.max_cones:
         cone = Cone.from_rays([fan.rays[i] for i in c], dim=fan.dim)
         if cone.lineality != sigma.lineality or not cone.contains_cone(sigma):
             continue
-        tight = [a for a in cone.ineq_normals if not any(dot(a, r) for r in sigma.rays)]
-        face = tuple(r for r in cone.rays if not any(dot(a, r) for a in tight))
-        if face == sigma.rays:
+        if _smallest_face(cone, sigma.rays) == sigma.rays:
             return True
     return False
 
@@ -163,26 +144,20 @@ def _is_fan_cone(fan, sigma):
 def check_fano_nef_partition(fnp):
     """Ampleness, nef-ness and the Gorenstein condition for a ray partition.
 
-    The base part must carry an ample divisor, each spanning part a nef one,
-    and the union of the spanning parts' rays must generate a cone of the fan
-    whose generators lie on an integral affine hyperplane at height one.
+    The base part must carry an ample divisor, each spanning part a nef one
+    (toric.positivity, on the class of each part: the sum of its weights),
+    and the union of the spanning parts' rays must generate a cone of the
+    quotient fan whose generators lie on an integral affine hyperplane at
+    height one.
     """
-    fan = fnp.fan
-    nrays = len(fan.rays)
-
-    def divisor_check(check, indices):
-        coeffs = [0] * nrays
-        for i in indices:
-            coeffs[i] = 1
-        try:
-            return check(fan, coeffs)
-        except DomainError as err:
-            if err.kind != "not_q_cartier":
-                raise
-            return False
-
-    ample_base = divisor_check(is_ample, fnp.f_part)
-    nef_parts = tuple(divisor_check(is_nef, p) for p in fnp.e_parts)
+    git = fnp.git
+    fan = git_to_stacky_fan(git)
+    classes = [
+        tuple(sum(git.characters[j][k] for j in part) for k in range(git.r))
+        for part in (fnp.f_part,) + fnp.e_parts
+    ]
+    (_, ample_base), *verdicts = positivity(git, classes)
+    nef_parts = tuple(nef for nef, _ in verdicts)
     spanning = [i for p in fnp.e_parts for i in p]
     sigma = Cone.from_rays([fan.rays[i] for i in spanning], dim=fan.dim)
     in_fan = _is_fan_cone(fan, sigma)

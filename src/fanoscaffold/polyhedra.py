@@ -757,6 +757,20 @@ def _in_hrep(normals, equations, v):
     return all(dot(a, v) >= 0 for a in normals) and all(dot(e, v) == 0 for e in equations)
 
 
+def _smallest_face(cone, points):
+    """The rays of the smallest face of a cone that holds the given points.
+
+    The points lie in the cone.  The face is cut out by the facets on
+    which every point lies, and its rays are those on all of these facets,
+    read off the incidences (Kaibel and Pfetsch, Comput. Geom. 2002).
+    """
+    on = (1 << len(cone.rays)) - 1
+    for a, mask in zip(cone.ineq_normals, cone.incidence):
+        if not any(dot(a, p) for p in points):
+            on &= mask
+    return tuple(v for i, v in enumerate(cone.rays) if on >> i & 1)
+
+
 def cone_over(polytope):
     """The cone over polytope x {1} in one more dimension."""
     return Cone.from_rays([v + (1,) for v in polytope.vertices], dim=polytope.dim + 1)

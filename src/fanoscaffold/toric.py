@@ -3,8 +3,9 @@
 A toric variety is handled in two interchangeable forms: as GIT data (a
 diagonal torus action on affine space together with a stability character)
 and as a fan whose rays stay attached to the affine coordinates.  Divisors
-are coefficient vectors indexed by those coordinates; piecewise linear
-functions, positivity tests and section polytopes are derived from them.
+are coefficient vectors indexed by those coordinates, and their classes
+vectors of the weight space; positivity is read off the classes, section
+polytopes off the coefficients.
 """
 
 from itertools import combinations
@@ -20,7 +21,6 @@ from .exact import (
     kernel_basis,
     primitive_vector,
     rank,
-    solve_linear,
     to_int_vector,
     transpose,
     unimodular_inverse,
@@ -343,66 +343,44 @@ def secondary_fan(git):
     return tuple(sorted(chambers, key=lambda c: c.rays))
 
 
-class PLFunction:
-    """A piecewise linear function on a fan, linear on each maximal cone.
+def positivity(git, classes):
+    """[(nef, ample), ...]: the positivity on the quotient of each class.
 
-    Built from one value per ray; the linear piece on a maximal cone is the
-    functional agreeing with those values on the cone's rays.  Fails with
-    kind "not_q_cartier" when no such functional exists on some cone.
+    A class L of the weight space is nef exactly when, for every minimal
+    cover I of omega, L is a nonnegative combination of the weights D_I,
+    and ample exactly when every such combination is positive.  This is
+    the piecewise linear test on the quotient fan: its maximal cones are
+    the complements of the covers, and D_I is independent (Cox, Little
+    and Schenck, "Toric Varieties", section 14.3).  On the cone whose
+    complement is I, a divisor of class L minus its linear piece is a
+    vector of class L supported on I, so it is the unique combination
+    of D_I; its entry at coordinate j is the divisor's value at the ray
+    v_j less the piece's, which nef asks to be >= 0 and ample > 0 at every
+    ray outside the cone.  No combination means no linear piece: L is not
+    Q-Cartier, and neither nef nor ample.
+
+    One elimination of [D_I | L_1 ... L_k] per minimal cover I serves
+    every class.  The weights D_I are independent, so their columns take
+    the first |I| pivots, and L_j is a combination of them exactly when
+    its entries below row |I| are 0; its coefficient on weight l is
+    M[l][col] / p.
     """
-
-    __slots__ = ("source", "coeffs", "pieces")
-
-    def __init__(self, fan_like, coeffs):
-        coeffs = as_exact_vector(coeffs)
-        if len(coeffs) != len(fan_like.rays):
-            raise DomainError("dimension_mismatch", "one coefficient per ray required")
-        pieces = []
-        for cone_idx in fan_like.max_cones:
-            rows = [fan_like.rays[i] for i in cone_idx]
-            rhs = [coeffs[i] for i in cone_idx]
-            sol = solve_linear(rows, rhs)
-            if sol is None:
-                raise DomainError(
-                    "not_q_cartier", f"no linear piece on cone {tuple(cone_idx)}"
-                )
-            pieces.append(tuple(sol))
-        self.source = fan_like
-        self.coeffs = coeffs
-        self.pieces = tuple(pieces)
-
-    def is_cartier(self):
-        return all(type(c) is int for p in self.pieces for c in p)
-
-    def is_nef(self):
-        """Every linear piece underestimates the value at every ray."""
-        rays = self.source.rays
-        for piece in self.pieces:
-            for j, v in enumerate(rays):
-                if dot(piece, v) > self.coeffs[j]:
-                    return False
-        return True
-
-    def is_ample(self):
-        """Nef with strict inequality at every ray outside the piece's cone."""
-        rays = self.source.rays
-        for piece, cone_idx in zip(self.pieces, self.source.max_cones):
-            inside = set(cone_idx)
-            for j, v in enumerate(rays):
-                val = dot(piece, v)
-                if j in inside:
-                    if val != self.coeffs[j]:
-                        return False
-                elif val >= self.coeffs[j]:
-                    return False
-        return True
-
-
-def is_nef(fan_like, coeffs):
-    return PLFunction(fan_like, coeffs).is_nef()
-
-def is_ample(fan_like, coeffs):
-    return PLFunction(fan_like, coeffs).is_ample()
+    r = git.r
+    levels = [tuple(c[k] for c in classes) for k in range(r)]
+    verdicts = [(True, True)] * len(classes)
+    for cover in (irrelevant_collection(git) if classes else ()):
+        n = len(cover)
+        M, _, _, p = _row_reduce(
+            [tuple(git.characters[j][k] for j in cover) + levels[k] for k in range(r)]
+        )
+        for i, (nef, _) in enumerate(verdicts):
+            column = [row[n + i] for row in M]
+            least = min(c * p for c in column[:n])
+            if any(column[n:]) or least < 0:
+                verdicts[i] = (False, False)
+            elif least == 0:
+                verdicts[i] = (nef, False)
+    return verdicts
 
 
 def sections_polytope(fan_like, coeffs):

@@ -1,7 +1,7 @@
 """Helpers shared by the test modules."""
 
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import as_exact_vector, dot, identity_matrix, rank, vsub
+from fanoscaffold.exact import as_exact_vector, dot, identity_matrix, rank, solve_linear, vsub
 from fanoscaffold.polyhedra import Cone, Fan, dd_cone
 
 
@@ -51,6 +51,31 @@ def count_calls(monkeypatch, name, *modules, record=lambda *args: args[0]):
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def pl_positivity(fan, coeffs):
+    """(nef, ample) of a divisor, by its piecewise linear function on a fan.
+
+    fan has rays and max_cones (a Fan or a StackyFan) and coeffs holds one
+    value per ray.  The linear piece on a maximal cone is the functional
+    that agrees with the values on the cone's rays; with no such piece on
+    some cone the divisor is not Q-Cartier, neither nef nor ample.  Nef
+    asks every piece to be at most the value at every ray, ample asks it
+    to be below the value at every ray outside the piece's cone.  The
+    reference oracle of toric.positivity.
+    """
+    coeffs = as_exact_vector(coeffs)
+    nef = ample = True
+    for cone in fan.max_cones:
+        piece = solve_linear([fan.rays[i] for i in cone], [coeffs[i] for i in cone])
+        if piece is None:
+            return False, False
+        for j, v in enumerate(fan.rays):
+            if j not in cone:
+                gap = coeffs[j] - dot(piece, v)
+                nef = nef and gap >= 0
+                ample = ample and gap > 0
+    return nef, ample
 
 
 def restrict_fan_pairwise(fan, basis):

@@ -483,7 +483,7 @@ def test_invert_accepts_a_stability_override(tmp_path, capsys):
     assert json.loads(out)["git"]["omega"] == [2, 3]
 
 
-@pytest.mark.parametrize("omega", ["1e2000000", "1.5", " 3/4 "])
+@pytest.mark.parametrize("omega", ["1e2000000", "1.5", " 3/4 ", ""])
 def test_invert_rejects_a_stability_override_in_another_number_form(tmp_path, capsys, omega):
     scaf = write_json(tmp_path, "s.json",
                       jsonio.encode_scaffolding(fixture("dp6-squares")["scaffolding"]))

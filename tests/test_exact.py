@@ -314,7 +314,9 @@ INTEGER_ENTRY_POINTS = {
     "StackyFan dim": lambda x: StackyFan(x, [(1,), (-1,)], [(0,), (1,)]),
     "LaurentPolynomial nvars": lambda x: LaurentPolynomial(x, {(1,): 1}),
     "ConvexPartitionWithBasis": lambda x: ConvexPartitionWithBasis((0,), [(1, x)]),
-    "FanoNefPartition parts": lambda x: FanoNefPartition(LINE, [(0,)], (x,)),
+    "FanoNefPartition parts": lambda x: FanoNefPartition(
+        GitData(1, 2, [(1,), (1,)], (1,)), [(0,)], (x,)
+    ),
     "check_nef_partition parts": lambda x: check_nef_partition(SQUARE, [(0, x), (2, 3)]),
 }
 

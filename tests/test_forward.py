@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -24,9 +25,9 @@ from fanoscaffold.forward import (
 )
 from fanoscaffold.laurent import LaurentPolynomial, monomial_substitution
 from fanoscaffold.scaffolding import laurent_from_scaffolding, scaffolding_from_forward
-from fanoscaffold.toric import GitData, git_to_stacky_fan, is_nef
+from fanoscaffold.toric import GitData, git_to_stacky_fan, positivity
 
-from helpers import count_calls, random_unimodular_matrix
+from helpers import count_calls, pl_positivity, random_unimodular_matrix
 
 
 def mono(n, c=1, **positions):
@@ -295,8 +296,8 @@ def git_with_groups(draw):
 @settings(max_examples=300, deadline=None)
 @given(git_with_groups())
 def test_nef_verdict_matches_the_piecewise_linear_oracle(case):
-    # _convexity tests nef in the weight space; PLFunction tests it
-    # on the quotient fan, and a divisor with no linear piece is not nef.
+    # _convexity tests nef in the weight space; the oracle tests it on the
+    # quotient fan, and a divisor with no linear piece is not nef.
     git, part = case
     failures = _convexity(git, part)[0]
     try:
@@ -305,11 +306,36 @@ def test_nef_verdict_matches_the_piecewise_linear_oracle(case):
         assert f"quotient fan unavailable: {exc.detail}" in failures
         return
     for i, s in enumerate(part.S):
-        try:
-            nef = is_nef(sfan, [1 if j in s else 0 for j in range(git.R)])
-        except DomainError:
-            nef = False
+        nef, _ = pl_positivity(sfan, [1 if j in s else 0 for j in range(git.R)])
         assert (f"group {i} total divisor is not nef" not in failures) == nef
+
+
+@settings(max_examples=300, deadline=None)
+@given(git_with_groups(), st.data())
+def test_positivity_matches_the_piecewise_linear_oracle(case, data):
+    # Random classes: the class of a random integer divisor, so that walls
+    # of omega (non-simplicial quotient fans) leave many classes with no
+    # linear piece, beside the classes of the groups' total divisors.  The
+    # oracle's fan has the Gale dual rays, the columns of a basis of the
+    # relations among the weights, which may be zero where
+    # git_to_stacky_fan refuses the fan; the test is linear, so any basis
+    # serves.
+    git, part = case
+    relations = kernel_basis(transpose(git.characters), ncols=git.R)
+    sfan = SimpleNamespace(rays=transpose(relations), max_cones=toric._max_cones(git))
+    divisors = [[1 if j in s else 0 for j in range(git.R)] for s in part.S]
+    divisors += data.draw(
+        st.lists(
+            st.lists(st.integers(-2, 3), min_size=git.R, max_size=git.R),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    classes = [
+        tuple(sum(a * d[k] for a, d in zip(coeffs, git.characters)) for k in range(git.r))
+        for coeffs in divisors
+    ]
+    assert positivity(git, classes) == [pl_positivity(sfan, coeffs) for coeffs in divisors]
 
 
 @settings(max_examples=200, deadline=None)

@@ -434,6 +434,34 @@ def test_facets_can_pass_while_a_vertex_fails():
         assert inversion._face_cones_check(*args)
 
 
+def octahedron_scaffolding():
+    """The octahedron on its own normal fan, whose six maximal cones have
+    four rays each.  The dual vertex of each facet is a ray of the shape,
+    so its lift is unique."""
+    octa = Polytope.from_points(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    )
+    return Scaffolding(normal_fan(octa), 0, [Strut((1,) * 8)], octa)
+
+
+def test_face_cones_check_lifts_through_a_face_of_a_non_simplicial_cone():
+    scaf = octahedron_scaffolding()
+    assert validate_scaffolding(scaf)[0]
+    assert verify_embedding(scaf) == (
+        True, {"ambient_rays": True, "restricted_fan": True, "face_cones": True}
+    )
+    assert face_cones_per_face(*face_cones_arguments(scaf))
+
+
+def test_a_normal_inside_a_four_ray_cone_has_no_unique_lift():
+    # (1, 0, 0) is interior to the cone at the vertex (1, 0, 0), spanned by
+    # the four normals (1, +-1, +-1).
+    with pytest.raises(DomainError) as exc:
+        inversion._lift_facet_normal(octahedron_scaffolding(), (), (1, 0, 0))
+    assert exc.value.kind == "unsupported_shape"
+    assert "not unique" in exc.value.detail
+
+
 @pytest.mark.parametrize("name", fixture_names())
 def test_face_cones_check_without_reused_preimages(name):
     # With no preimages to read, every facet takes its own two dd_cone
@@ -816,7 +844,7 @@ def test_roundtrip_conversion_counts(monkeypatch):
     git, part = fx["git"], fx["partition"]
     dd = count_calls(monkeypatch, "_dd_core", polyhedra)
     eliminations = count_calls(
-        monkeypatch, "_row_reduce", exact, forward, inversion, polyhedra, toric
+        monkeypatch, "_row_reduce", exact, inversion, polyhedra, toric
     )
     g = GitData(git.r, git.R, git.characters, git.omega)
     toric.git_to_stacky_fan(g)

@@ -131,6 +131,7 @@ def test_partition_input_is_validated():
         with pytest.raises(DomainError) as exc:
             check_nef_partition(delta, bad)
         assert exc.value.kind == "bad_partition"
+        assert exc.value.detail == "parts must partition the vertex indices"
     wide = Polytope.from_points([(2, 2), (2, -2), (-2, 2), (-2, -2)])
     with pytest.raises(DomainError) as exc:
         check_nef_partition(wide, [(0, 1, 2, 3)])
@@ -185,11 +186,10 @@ def test_fano_partition_is_lost_under_mutation():
 
 def test_fano_partition_synthetic_checks():
     git = GitData(2, 4, [(1, 0), (0, 1), (1, 0), (0, 1)], (1, 1))
-    fan = git_to_stacky_fan(git)
-    good = check_fano_nef_partition(FanoNefPartition(fan, [(0, 1)], (2, 3)))
+    good = check_fano_nef_partition(FanoNefPartition(git, [(0, 1)], (2, 3)))
     assert good["valid"]
     # opposite rays span no cone of the fan, and the leftover pair is not ample
-    bad = check_fano_nef_partition(FanoNefPartition(fan, [(0, 2)], (1, 3)))
+    bad = check_fano_nef_partition(FanoNefPartition(git, [(0, 2)], (1, 3)))
     assert not bad["gorenstein_cone"]
     assert not bad["ample_base"]
     assert bad["nef_parts"] == (True,)
@@ -239,7 +239,8 @@ def test_face_test_against_face_enumeration(fan, data):
 
 
 def test_fano_partition_struct_is_validated():
-    fan = product_fan([(0,), (1,)])
+    # P^1 x P^1: four coordinates.
+    git = GitData(2, 4, [(1, 0), (0, 1), (1, 0), (0, 1)], (1, 1))
     for e_parts, f_part in [
         ([(0,)], (1,)),
         ([(0, 1), (1, 2)], (3,)),
@@ -247,8 +248,9 @@ def test_fano_partition_struct_is_validated():
         ([], (0, 1, 2, 3)),
     ]:
         with pytest.raises(DomainError) as exc:
-            FanoNefPartition(fan, e_parts, f_part)
+            FanoNefPartition(git, e_parts, f_part)
         assert exc.value.kind == "bad_partition"
+        assert exc.value.detail == "parts must partition the ray indices"
 
 
 # ---------------------------------------------------------------------------

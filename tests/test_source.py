@@ -1,11 +1,12 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import re
 from collections import Counter
 from pathlib import Path
 
-from fanoscaffold import laurent, polyhedra
+from fanoscaffold import cli, laurent, polyhedra
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fanoscaffold"
@@ -108,6 +109,18 @@ def test_readme_cap_numbers_are_the_constants():
         a, b, c = re.search(r"(?:(\d+)·)?(\d+)(?:\^(\d+))?", note).groups()
         stated[kind] = int(a or 1) * int(b) ** int(c or 1)
     assert {k: stated.get(k) for k in CAP_CONSTANTS} == CAP_CONSTANTS
+
+
+def test_readme_lists_every_subcommand():
+    # The first code block of README's command line section is the table
+    # of subcommands: each parser subcommand, in order, with its help text.
+    subs = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    table = section.split("```\n", 2)[1].rstrip("`\n")
+    rows = [tuple(line.split(None, 1)) for line in table.splitlines()]
+    assert rows == [(a.dest, a.help) for a in subs._choices_actions]
 
 
 # Public names that nothing in src/ or perfbench/ calls, each kept for the

@@ -13,19 +13,17 @@ from fanoscaffold.fixtures import fixture
 from fanoscaffold.polyhedra import Cone
 from fanoscaffold.toric import (
     GitData,
-    PLFunction,
     StackyFan,
     git_to_stacky_fan,
     in_chamber_interior,
     irrelevant_collection,
-    is_ample,
-    is_nef,
+    positivity,
     projective_bundle_fan,
     secondary_fan,
     sections_polytope,
 )
 
-from helpers import count_calls, random_unimodular_matrix
+from helpers import count_calls, pl_positivity, random_unimodular_matrix
 
 
 def covers(git, subset):
@@ -111,8 +109,6 @@ def test_integral_numbers_are_stored_as_ints():
     half = GitData(2, 4, chars, (Fraction(1, 2), Fraction(2)))
     assert list(map(type, half.omega)) == [Fraction, int]
     sf = git_to_stacky_fan(p2_git())
-    assert list(map(type, PLFunction(sf, (Fraction(1), 1, Fraction(1, 2))).coeffs)) == [
-        int, int, Fraction]
     p = sections_polytope(sf, (Fraction(2), 1, Fraction(3, 3)))
     assert p.vertices == ((-1, -1), (-1, 3), (3, -1))
     numbers = [c for v in p.vertices for c in v] + [b for _, b in p.inequalities]
@@ -234,7 +230,7 @@ def test_chamber_data_conversion_counts(monkeypatch):
     git = fixture("circulant-three")["git"]
     fresh = fixture("circulant-three")["git"]
     dd = count_calls(monkeypatch, "_dd_core", polyhedra)
-    solves = count_calls(monkeypatch, "solve_linear", exact, toric)
+    solves = count_calls(monkeypatch, "solve_linear", exact)
     irrelevant_collection(git)
     assert len(dd) == 1 and solves == []
     del dd[:]
@@ -438,30 +434,34 @@ def test_subset_enumerations_are_capped_on_every_call():
     assert ei.value.kind == "too_many_coordinates"
 
 
-def test_pl_function_p2():
-    sf = git_to_stacky_fan(p2_git())
-    hyper = PLFunction(sf, (1, 0, 0))
-    assert hyper.is_cartier() and hyper.is_nef() and hyper.is_ample()
+def test_positivity_on_p2():
+    # The hyperplane class, the anticanonical class, the trivial class and
+    # minus the hyperplane class.
+    git = p2_git()
+    verdicts = [(True, True), (True, True), (True, False), (False, False)]
+    assert positivity(git, [(1,), (3,), (0,), (-1,)]) == verdicts
+    sf = git_to_stacky_fan(git)
+    for coeffs, verdict in zip([(1, 0, 0), (1, 1, 1), (0, 0, 0), (0, 0, -1)], verdicts):
+        assert pl_positivity(sf, coeffs) == verdict
     p = sections_polytope(sf, (1, 0, 0))
     assert set(p.vertices) == {(0, 0), (1, 0), (0, 1)}
     anti = sections_polytope(sf, (1, 1, 1))
     assert len(anti.integral_points()) == 10
-    assert is_ample(sf, (1, 1, 1))
-    trivial = PLFunction(sf, (0, 0, 0))
-    assert trivial.is_nef() and not trivial.is_ample()
 
 
-def test_pl_function_needs_consistency():
-    # A non-simplicial cone forces the values to be affine on its rays.
-    sf = StackyFan(
-        2,
-        [(1, 0), (0, 1), (-1, 0), (0, -1)],
-        [(0, 1, 2, 3)],
-    )
-    PLFunction(sf, (1, 1, -1, -1))
-    with pytest.raises(DomainError) as ei:
-        PLFunction(sf, (1, 0, 0, 0))
-    assert ei.value.kind == "not_q_cartier"
+def test_positivity_needs_a_linear_piece():
+    # omega = (1, 1) lies on the ray of the middle weight, a wall, so the
+    # cone of the quotient fan on the coordinates {0, 2} (the complement
+    # of the cover {1}) has two generators on one ray: a class off the
+    # middle weight's line has no linear piece there, and is neither nef
+    # nor ample, however positive.
+    git = GitData(2, 3, [(1, 0), (1, 1), (0, 1)], (1, 1))
+    assert irrelevant_collection(git) == ((1,), (0, 2))
+    sf = git_to_stacky_fan(git)
+    cases = [((1, 0), (1, 0, 0)), ((2, 1), (1, 1, 0)), ((1, 1), (0, 1, 0)), ((0, 0), (0, 0, 0))]
+    verdicts = [(False, False), (False, False), (True, True), (True, False)]
+    assert positivity(git, [c for c, _ in cases]) == verdicts
+    assert [pl_positivity(sf, coeffs) for _, coeffs in cases] == verdicts
 
 
 def test_projective_bundle_tower_to_f2():
@@ -493,8 +493,15 @@ def test_bundle_fan_nef_ample():
     up[idx_up] = 1
     down = [0] * 4
     down[idx_down] = 1
-    assert not is_nef(f2, up)
-    assert is_nef(f2, down) and not is_ample(f2, down)
+    assert pl_positivity(f2, up) == (False, False)
+    assert pl_positivity(f2, down) == (True, False)
+    # The same surface as a quotient: the relations among the rays are
+    # v0 + v1 + 2 v2 = 0 and v2 + v3 = 0, and (3, 1) lies in the ample
+    # cone.  up has class (0, 1), down (2, 1).
+    git = GitData(2, 4, [(1, 0), (1, 0), (2, 1), (0, 1)], (3, 1))
+    assert git_to_stacky_fan(git).max_cones == f2.max_cones
+    assert positivity(git, [(0, 1), (2, 1), (3, 1)]) == [
+        (False, False), (True, False), (True, True)]
     assert sections_polytope(f2, down).integral_points() == (
         (0, 0),
         (0, 1),
