@@ -52,10 +52,6 @@ def vscale(c, u):
     return tuple(c * a for a in u)
 
 
-def is_zero_vector(u):
-    return all(a == 0 for a in u)
-
-
 def mat_vec(A, x):
     return tuple(dot(row, x) for row in A)
 
@@ -188,19 +184,19 @@ def kernel_basis(A, ncols=None):
             raise ValueError("kernel_basis of an empty matrix needs ncols")
         return list(identity_matrix(ncols))
     H, U = hermite_normal_form(transpose(A))
-    vectors = [U[i] for i in range(len(H)) if is_zero_vector(H[i])]
+    vectors = [U[i] for i in range(len(H)) if not any(H[i])]
     if not vectors:
         return []
     HK, _ = hermite_normal_form(vectors)
-    return [row for row in HK if not is_zero_vector(row)]
+    return [row for row in HK if any(row)]
 
 
 def row_space_equal(A, B):
     """Do two integer matrices span the same row lattice?"""
     HA, _ = hermite_normal_form(A)
     HB, _ = hermite_normal_form(B)
-    HA = tuple(r for r in HA if not is_zero_vector(r))
-    HB = tuple(r for r in HB if not is_zero_vector(r))
+    HA = tuple(r for r in HA if any(r))
+    HB = tuple(r for r in HB if any(r))
     return HA == HB
 
 

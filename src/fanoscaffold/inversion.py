@@ -18,6 +18,7 @@ from .exact import (
     dot,
     identity_matrix,
     kernel_basis,
+    mat_vec,
     primitive_vector,
     rank,
     row_space_equal,
@@ -188,8 +189,10 @@ def _relation_basis(shape):
 def _ray_relations(shape):
     """Integer relations among the shape's rays used for the binomials.
 
-    Plane fans get one wall relation per ray via consecutive minors;
-    anything else gets the canonical basis of the saturated relation
+    Plane fans get one wall relation per ray via consecutive minors; none
+    is zero, as a plane shape with a bounded sections polytope has at
+    least three rays, and no three distinct primitive rays lie on a line.
+    Anything else gets the canonical basis of the saturated relation
     lattice, which on a product of projective spaces is one indicator
     vector per factor.
     """
@@ -207,8 +210,6 @@ def _ray_relations(shape):
             w[i] += _det2(vj, vk)
             w[j] -= _det2(vi, vk)
             w[k] += _det2(vi, vj)
-            if not any(w):
-                continue
             first = next(c for c in w if c)
             if first < 0:
                 w = [-c for c in w]
@@ -349,7 +350,7 @@ def verify_embedding(scaf):
     expected.update(identity_matrix(dim)[u:])
     report["ambient_rays"] = {primitive_vector(a) for a, _ in q_s.inequalities} == expected
 
-    projected = [tuple(dot(t, q) for t in theta) for q in q_s.vertices]
+    projected = [mat_vec(theta, q) for q in q_s.vertices]
     image = Polytope.from_points(projected)
     target_fan = spanning_fan(scaf.target)
     full = image.is_full_dimensional()
@@ -441,7 +442,7 @@ def _face_cones_check(scaf, basis, rhos, theta, preimages):
             return False
     columns = transpose(theta)
     return all(
-        _in_cone(generators({i}), tuple(dot(v, col) for col in columns))
+        _in_cone(generators({i}), mat_vec(columns, v))
         for i, v in enumerate(target.vertices)
     )
 
@@ -456,8 +457,8 @@ def _pull_back_cone(generators, dim, theta):
     """
     normals, eq_normals = dd_cone(generators, dim=dim)
     rays, lineality = dd_cone(
-        [tuple(dot(a, t) for t in theta) for a in normals],
-        [tuple(dot(e, t) for t in theta) for e in eq_normals],
+        [mat_vec(theta, a) for a in normals],
+        [mat_vec(theta, e) for e in eq_normals],
         dim=len(theta),
     )
     return None if lineality else rays

@@ -1,15 +1,16 @@
-"""Slice-wise polytope mutations and their action on scaffoldings.
+"""Polytope mutations and their action on scaffoldings.
 
 A mutation is given by an integer weight vector w and a factor polytope
 lying in the hyperplane w = 0.  Slices of the polytope at negative
 heights must shed the dilated factor as an exact Minkowski summand;
-slices at positive heights absorb it.  The same transformation applied
-strut by strut moves a whole scaffolding, changing its shape fan by the
-induced piecewise linear map.
+slices at positive heights absorb it.  Both sides are read off the
+polytope's own vertices and facets (_mutate_slices).  The same
+transformation applied strut by strut moves a whole scaffolding,
+changing its shape fan by the induced piecewise linear map.
 """
 
 from .errors import DomainError
-from .exact import dot, is_zero_vector, kernel_basis, to_int_vector, vadd, vscale
+from .exact import dot, kernel_basis, to_int_vector, vadd, vscale
 from .laurent import MAX_MUTATION_LEVEL
 from .polyhedra import Fan, Polytope
 from .scaffolding import Scaffolding, Strut, strut_polytope, validate_scaffolding
@@ -20,7 +21,7 @@ def _check_mutation_data(dim, w, factor):
     if len(w) != dim or factor.dim != dim:
         raise DomainError("dimension_mismatch",
                           "weight and factor must live in the polytope's space")
-    if is_zero_vector(w):
+    if not any(w):
         raise DomainError("zero_vector", "mutation weight must be nonzero")
     if not factor.is_lattice():
         raise DomainError("not_lattice", "factor must be a lattice polytope")
@@ -28,18 +29,6 @@ def _check_mutation_data(dim, w, factor):
         if dot(w, v) != 0:
             raise DomainError("factor_not_orthogonal",
                               "factor vertex off the weight hyperplane")
-
-
-def _slice_at_level(polytope, w, h):
-    """The (possibly empty) slice of a polytope at height h along w."""
-    eqs = polytope.equations + ((tuple(w), h),)
-    try:
-        return Polytope.from_hrep(polytope.inequalities, eqs,
-                                  dim=polytope.dim)
-    except DomainError as exc:
-        if exc.kind == "empty_polytope":
-            return None
-        raise
 
 
 def _checked_heights(polytope, w, factor):
@@ -56,23 +45,58 @@ def _checked_heights(polytope, w, factor):
 
 
 def _mutate_slices(polytope, w, factor, heights):
-    """The mutated polytope, built slice by slice between the heights."""
+    """The mutated polytope, read off the polytope's vertices and facets.
+
+    P_h is the slice of P at height h along w, and F the factor.  Side
+    h >= 0: a point x of P at height h >= 0 is a convex combination
+    sum l_i u_i of the vertices of P meet {w >= 0}, which are the vertices
+    of P with h_v >= 0 and those of P_0; as h = sum l_i w(u_i), x + h f is
+    sum l_i (u_i + w(u_i) f).  So the hull of the P_h + hF over h >= 0 is
+    that of the v + h_v f, for vertices v with h_v > 0 and f of F, and of
+    the vertices of P_0 when 0 lies between the heights.
+
+    Each level h < 0, in increasing order: G_h = {x : w(x) = h,
+    x + |h|F in P} is one from_hrep of w = h and of P's facets and
+    equations, each <a, x> >= rhs or = rhs moved to rhs - |h| min_f <a, f>.
+    The level fails when G_h is empty, and is exact when the hull of
+    G_h + |h|F has the vertices of P_h.  An equation on which <e, f> is
+    not constant on F admits no x + |h|F in P; its moved form may keep
+    points, but their hull then leaves P_h, so every level h < 0 fails.
+    At the least and greatest heights P_h is a face of P, read off its
+    vertices; any other slice is one conversion.
+    """
+    n = polytope.dim
+    fverts = factor.vertices
+    lo, hi = min(heights), max(heights)
+
+    def slice_vertices(h):
+        if h in (lo, hi):
+            return tuple(v for v, hv in zip(polytope.vertices, heights) if hv == h)
+        eqs = polytope.equations + ((w, h),)
+        return Polytope.from_hrep(polytope.inequalities, eqs, dim=n).vertices
+
+    def moved_in(rows, h):
+        return [(a, rhs + h * min(dot(a, f) for f in fverts)) for a, rhs in rows]
+
     points = []
-    for h in range(min(heights), max(heights) + 1):
-        piece = _slice_at_level(polytope, w, h)
-        if piece is None:
-            continue
-        if h < 0:
-            eroded, exact = piece.erode(factor.dilate(-h))
-            if eroded is None or not exact:
-                raise DomainError("not_mutable",
-                                  "summand failure at level %d" % h)
-            points.extend(eroded.vertices)
-        else:
-            # The final hull is canonical, so the sums need no hull of their own.
-            points.extend(
-                vadd(p, vscale(h, q)) for p in piece.vertices for q in factor.vertices
-            )
+    for h in range(lo, min(hi + 1, 0)):
+        eqs = moved_in(polytope.equations, h) + [(w, h)]
+        try:
+            eroded = Polytope.from_hrep(moved_in(polytope.inequalities, h), eqs, dim=n)
+        except DomainError as exc:
+            if exc.kind != "empty_polytope":
+                raise
+            eroded = None
+        if eroded is None or Polytope.from_points(
+            vadd(x, vscale(-h, f)) for x in eroded.vertices for f in fverts
+        ).vertices != slice_vertices(h):
+            raise DomainError("not_mutable", "summand failure at level %d" % h)
+        points.extend(eroded.vertices)
+    points.extend(
+        vadd(v, vscale(h, f)) for v, h in zip(polytope.vertices, heights) if h > 0 for f in fverts
+    )
+    if lo <= 0 <= hi:
+        points.extend(slice_vertices(0))
     result = Polytope.from_points(points)
     assert result.is_lattice()
     return result
@@ -133,6 +157,7 @@ def mutate_scaffolding(scaf, w, factor):
     shape = mutate_shape(scaf.shape, w, factor, u)
     target = _mutate_slices(scaf.target, w, factor, heights)
     struts = []
+    pieces = []
     for i in range(len(scaf.struts)):
         piece = strut_polytope(scaf, i)
         if piece is None:
@@ -149,14 +174,17 @@ def mutate_scaffolding(scaf, w, factor):
         if len(chi) != 1:
             raise DomainError("not_mutable",
                               "strut %d loses its single shift" % i)
-        shifted = Polytope.from_points([v[u:] for v in moved.vertices])
-        coeffs = tuple(-min(dot(r, q) for q in shifted.vertices) for r in shape.rays)
-        check = sections_polytope(shape, coeffs)
-        if check.vertices != shifted.vertices:
+        # All vertices share the shift, so their shape parts keep the lex order.
+        shifted = tuple(v[u:] for v in moved.vertices)
+        coeffs = tuple(-min(dot(r, q) for q in shifted) for r in shape.rays)
+        if sections_polytope(shape, coeffs).vertices != shifted:
             raise DomainError("not_mutable",
                               "strut %d is not a sections polytope" % i)
         struts.append(Strut(coeffs, chi.pop()))
+        pieces.append(moved.vertices)
     out = Scaffolding(shape, u, struts, target)
+    # The checked pieces are the ones validate_scaffolding would rebuild.
+    out._pieces = tuple(pieces)
     ok, report = validate_scaffolding(out)
     if not ok:
         raise DomainError("not_mutable",
@@ -169,7 +197,7 @@ def segment_factor(w):
     if len(w) != 2:
         raise DomainError("unsupported_dimension",
                           "canonical segment factors are two dimensional")
-    if is_zero_vector(w):
+    if not any(w):
         raise DomainError("zero_vector", "weight must be nonzero")
     gen = kernel_basis([list(w)], ncols=2)[0]
     origin = (0, 0)
@@ -186,12 +214,17 @@ def strut_mutability(scaf, weights):
     if scaf.u + scaf.shape.dim != 2:
         raise DomainError("unsupported_dimension",
                           "mutability table needs a two dimensional target")
+    pieces = [strut_polytope(scaf, i) for i in range(len(scaf.struts))]
+    factors = []
     table = []
-    for i in range(len(scaf.struts)):
-        piece = strut_polytope(scaf, i)
+    for piece in pieces:
         row = []
-        for w in weights:
-            factor = segment_factor(w)
+        for j, w in enumerate(weights):
+            # The first row builds each factor just before its first use,
+            # so errors keep the order of the strut and weight loops.
+            if j == len(factors):
+                factors.append(segment_factor(w))
+            factor = factors[j]
             if piece is None:
                 row.append(True)
                 continue

@@ -418,8 +418,6 @@ class Polytope:
         more than MAX_LATTICE_BOX points raises lattice_box_too_large
         before anything is enumerated.
         """
-        if not self.vertices:
-            return ()
         n = self.dim
         if not n:
             return ((),)
@@ -548,34 +546,6 @@ class Polytope:
             raise DomainError("dimension_mismatch", "summands of different dimension")
         pts = [vadd(p, q) for p in self.vertices for q in other.vertices]
         return Polytope.from_points(pts)
-
-    def erode(self, other):
-        """Minkowski difference self minus other.
-
-        Returns (polytope_or_None, exact) where the polytope is
-        {x : x + other <= self} (None when empty) and exact records whether
-        adding `other` back recovers self.
-        """
-        if self.dim != other.dim:
-            raise DomainError("dimension_mismatch", "operands of different dimension")
-        ineqs = []
-        for a, rhs in self.inequalities:
-            shift = min(dot(a, q) for q in other.vertices)
-            ineqs.append((a, rhs - shift))
-        eqs = []
-        for a, rhs in self.equations:
-            vals = {dot(a, q) for q in other.vertices}
-            if len(vals) > 1:
-                return None, False
-            eqs.append((a, rhs - vals.pop()))
-        try:
-            diff = Polytope.from_hrep(ineqs, eqs, dim=self.dim)
-        except DomainError as err:
-            if err.kind == "empty_polytope":
-                return None, False
-            raise
-        exact = diff.minkowski_sum(other) == self
-        return diff, exact
 
 
 def _dual_vertex(a, rhs):
@@ -949,9 +919,7 @@ def lattice_isomorphic(p, q):
     # to the rows of bq: U[j][k] = sum_i bp^-1[k][i] * bq[i][j].  One
     # reduction of M = [bp | I] gives [D I | D bp^-1] with D = +-det bp, so
     # each candidate costs one integer product and an exact division by D.
-    bp = next((c for c in combinations(pv, d) if rank(c) == d), None)
-    if bp is None:
-        return None
+    bp = next(c for c in combinations(pv, d) if rank(c) == d)
     M, _, _, D = _row_reduce([v + e for v, e in zip(bp, identity_matrix(d))])
     inv = [row[d:] for row in M]
     for bq in permutations(qv, d):

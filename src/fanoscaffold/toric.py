@@ -17,7 +17,6 @@ from .exact import (
     dot,
     hermite_normal_form,
     identity_matrix,
-    is_zero_vector,
     kernel_basis,
     primitive_vector,
     rank,
@@ -199,7 +198,7 @@ def git_to_stacky_fan(git):
             continue
         return _basis_fan(git, basis, norm)
     hnf, _ = hermite_normal_form(git.characters)
-    if tuple(row for row in hnf if not is_zero_vector(row)) != identity_matrix(r):
+    if tuple(row for row in hnf if any(row)) != identity_matrix(r):
         raise DomainError("no_unimodular_basis", "quotient lattice has torsion")
     relations = kernel_basis(transpose(git.characters), ncols=R)
     return StackyFan(R - r, transpose(relations), _max_cones(git))

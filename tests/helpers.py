@@ -1,8 +1,19 @@
 """Helpers shared by the test modules."""
 
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import as_exact_vector, dot, identity_matrix, rank, solve_linear, vsub
-from fanoscaffold.polyhedra import Cone, Fan, dd_cone
+from fanoscaffold.exact import (
+    as_exact_vector,
+    dot,
+    identity_matrix,
+    rank,
+    solve_linear,
+    to_int_vector,
+    vadd,
+    vscale,
+    vsub,
+)
+from fanoscaffold.mutations import _checked_heights
+from fanoscaffold.polyhedra import Cone, Fan, Polytope, dd_cone
 
 
 def contains(polytope, point):
@@ -201,3 +212,58 @@ def triangulate_2d(points):
         new_hull.append(idx)
         hull = new_hull
     return tris
+
+
+def erode(polytope, other):
+    """Minkowski difference polytope minus other.
+
+    Returns (polytope_or_None, exact) where the polytope is
+    {x : x + other <= polytope} (None when empty) and exact records whether
+    adding `other` back recovers polytope.
+    """
+    if polytope.dim != other.dim:
+        raise DomainError("dimension_mismatch", "operands of different dimension")
+    ineqs = []
+    for a, rhs in polytope.inequalities:
+        shift = min(dot(a, q) for q in other.vertices)
+        ineqs.append((a, rhs - shift))
+    eqs = []
+    for a, rhs in polytope.equations:
+        vals = {dot(a, q) for q in other.vertices}
+        if len(vals) > 1:
+            return None, False
+        eqs.append((a, rhs - vals.pop()))
+    try:
+        diff = Polytope.from_hrep(ineqs, eqs, dim=polytope.dim)
+    except DomainError as err:
+        if err.kind == "empty_polytope":
+            return None, False
+        raise
+    exact = diff.minkowski_sum(other) == polytope
+    return diff, exact
+
+
+def mutate_polytope_per_level(polytope, w, factor):
+    """mutate_polytope by cutting the polytope at every integer level.
+
+    Each slice at height h < 0 is eroded by the dilated factor |h|F and
+    must give it back exactly; each slice at h >= 0 gains hF.  The hull of
+    the transformed slices is the mutation.  The reference oracle of
+    mutations._mutate_slices, with the same data checks and errors.
+    """
+    w = to_int_vector(w)
+    heights = _checked_heights(polytope, w, factor)
+    points = []
+    for h in range(min(heights), max(heights) + 1):
+        eqs = polytope.equations + ((w, h),)
+        piece = Polytope.from_hrep(polytope.inequalities, eqs, dim=polytope.dim)
+        if h < 0:
+            eroded, exact = erode(piece, factor.dilate(-h))
+            if eroded is None or not exact:
+                raise DomainError("not_mutable", "summand failure at level %d" % h)
+            points.extend(eroded.vertices)
+        else:
+            points.extend(
+                vadd(p, vscale(h, q)) for p in piece.vertices for q in factor.vertices
+            )
+    return Polytope.from_points(points)

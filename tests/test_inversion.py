@@ -21,6 +21,7 @@ from fanoscaffold.exact import (
 from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.forward import ConvexPartitionWithBasis
 from fanoscaffold.inversion import (
+    _ray_relations,
     _relation_basis,
     ambient_rays,
     anticanonical_scaffolding,
@@ -182,6 +183,49 @@ def test_binomials_product_shape():
     assert len(bins) == 2
     for plus, minus in bins:
         assert sum(plus[3:]) == 2 and sum(minus[3:]) == 0
+
+
+def test_binomials_of_a_three_dimensional_shape():
+    # The cube's anticanonical shape is the fan of P^1 x P^1 x P^1, whose
+    # relations are the canonical basis: one pair of opposite rays each.
+    # Each binomial trades that pair for two copies of the strut column.
+    cube = Polytope.from_points(list(product((-1, 1), repeat=3)))
+    bins = binomial_equations(laurent_inversion(anticanonical_scaffolding(cube)))
+    strut = (2, 0, 0, 0, 0, 0, 0)
+    assert bins == (
+        ((0, 0, 0, 1, 1, 0, 0), strut),
+        ((0, 0, 1, 0, 0, 1, 0), strut),
+        ((0, 1, 0, 0, 0, 0, 1), strut),
+    )
+
+
+def test_binomials_put_a_strut_against_its_wall_on_the_plus_side():
+    # The second strut is 2 on the ray (1, 0), which the wall relation
+    # (0, -1) + (1, 1) - (1, 0) = 0 takes with coefficient -1, so its column
+    # gets exponent 2 next to the relation's positive rays.
+    scaf = anticanonical_scaffolding(dp7())
+    scaf = Scaffolding(scaf.shape, 0, scaf.struts + (Strut((0, 0, 0, 2, 0)),), scaf.target)
+    bins = binomial_equations(laurent_inversion(scaf))
+    assert ((0, 2, 0, 1, 0, 0, 1), (1, 0, 0, 0, 0, 1, 0)) in bins
+
+
+def test_wall_relations_start_with_a_positive_entry():
+    # The rays in lex order are (-2, -3), (-2, -1), (-1, 0), (0, 1), (1, 0).
+    # The minors of the wall at (-2, -3), between (-2, -1) and (1, 0), give
+    # -(-2, -3) + 3 (-2, -1) + 4 (1, 0) = 0, which is negated.
+    fan = Fan(2, [(1, 0), (0, 1), (-1, 0), (-2, -1), (-2, -3)],
+              [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert fan.is_complete()
+    rels = _ray_relations(fan)
+    assert rels == [
+        (0, 0, 1, 0, 1),
+        (0, 1, -2, 1, 0),
+        (1, -3, 0, 0, -4),
+        (1, -3, 4, 0, 0),
+        (1, 0, 0, 3, 2),
+    ]
+    for w in rels:
+        assert [dot(w, col) for col in zip(*fan.rays)] == [0, 0]
 
 
 def test_verify_embedding_fixtures():

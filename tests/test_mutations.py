@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fanoscaffold import mutations, polyhedra
+from fanoscaffold import polyhedra
 from fanoscaffold.errors import DomainError
+from fanoscaffold.exact import kernel_basis
 from fanoscaffold.forward import ConvexPartitionWithBasis
 from fanoscaffold.laurent import MAX_MUTATION_LEVEL, LaurentPolynomial, algebraic_mutation
 from fanoscaffold.mutations import (
-    _slice_at_level,
     mutate_polytope,
     mutate_scaffolding,
     mutate_shape,
@@ -23,6 +25,8 @@ from fanoscaffold.scaffolding import (
     validate_scaffolding,
 )
 from fanoscaffold.toric import GitData
+
+from helpers import count_calls, mutate_polytope_per_level
 
 
 def hexagon():
@@ -224,6 +228,44 @@ def test_mutate_scaffolding_reports_failing_strut():
     assert exc.value.detail == "strut 0: summand failure at level -2"
 
 
+def test_mutate_scaffolding_rejects_a_strut_that_leaves_its_shift():
+    # The factor moves along the shift coordinate, so the strut {0} x [0, 1]
+    # on the P^1 fan gains points with shift 1 at its level 1.
+    p1 = Fan(1, [(1,), (-1,)], [(0,), (1,)])
+    struts = [Strut((1, 0), (0,)), Strut((0, 0), (1,))]
+    target = Polytope.from_points([(0, 0), (0, 1), (1, 0)])
+    scaf = Scaffolding(p1, 1, struts, target)
+    with pytest.raises(DomainError) as exc:
+        mutate_scaffolding(scaf, (0, 1), Polytope.from_points([(0, 0), (1, 0)]))
+    assert exc.value.kind == "not_mutable"
+    assert exc.value.detail == "strut 0 loses its single shift"
+
+
+def test_mutate_scaffolding_rejects_a_strut_off_the_moved_shape():
+    # The point strut sits at level 2 through its shift alone, so it grows
+    # into the segment from (0, 0) to (0, 2) in the shape coordinates, which
+    # is not a sections polytope of the transported P^2 fan.
+    shape = product_fan([(0, 1)])
+    point = Polytope.from_points([(-2, 0, 0)])
+    scaf = Scaffolding(shape, 1, [Strut((0, 0, 0), (-2,))], point)
+    factor = Polytope.from_points([(0, 0, 0), (0, 0, 1)])
+    with pytest.raises(DomainError) as exc:
+        mutate_scaffolding(scaf, (-1, -1, 0), factor)
+    assert exc.value.kind == "not_mutable"
+    assert exc.value.detail == "strut 0 is not a sections polytope"
+
+
+def test_mutate_scaffolding_reports_the_failed_validation():
+    # The dp6 struts do not fill the square, and their moved pieces do not
+    # fill the moved square either.
+    scaf = dp6_square_scaffolding()
+    scaf = Scaffolding(scaf.shape, 0, scaf.struts, square())
+    with pytest.raises(DomainError) as exc:
+        mutate_scaffolding(scaf, (1, 0), vertical_unit())
+    assert exc.value.kind == "not_mutable"
+    assert exc.value.detail == "strut hull differs from the target"
+
+
 def test_mutate_scaffolding_checks_the_shape_before_slicing_the_target(monkeypatch):
     # w = (1, 0) folds the ray (-1, -1) of the P^2 fan onto (0, -1), so the
     # transported fan is not complete; the target triangle spans 7 levels.
@@ -231,48 +273,92 @@ def test_mutate_scaffolding_checks_the_shape_before_slicing_the_target(monkeypat
     target = Polytope.from_points([(-2, -2), (4, -2), (-2, 4)])
     scaf = Scaffolding(shape, 0, [Strut((2, 2, 2))], target)
     assert validate_scaffolding(scaf)[0]
-    slices = []
-
-    def counted(*args):
-        slices.append(args)
-        return _slice_at_level(*args)
-
-    monkeypatch.setattr(mutations, "_slice_at_level", counted)
+    factor = segment_factor((1, 0))
+    calls = count_calls(monkeypatch, "_dd_core", polyhedra)
+    with pytest.raises(DomainError):
+        mutate_shape(shape, (1, 0), factor, 0)
+    transport = len(calls)
+    del calls[:]
     with pytest.raises(DomainError) as exc:
-        mutate_scaffolding(scaf, (1, 0), segment_factor((1, 0)))
+        mutate_scaffolding(scaf, (1, 0), factor)
     assert exc.value.kind == "not_mutable"
     assert exc.value.detail == "transported shape fan is not complete"
-    assert slices == []
+    # The failed transport's own cone conversions are all there is.
+    assert len(calls) == transport
     # The data checks still come first: this wider triangle reaches level
     # 80 and its transport fails as well.
     wide = Polytope.from_points([(-40, -40), (80, -40), (-40, 80)])
+    wide_scaf = Scaffolding(shape, 0, [Strut((40, 40, 40))], wide)
+    del calls[:]
     with pytest.raises(DomainError) as exc:
-        mutate_scaffolding(Scaffolding(shape, 0, [Strut((40, 40, 40))], wide),
-                           (1, 0), segment_factor((1, 0)))
+        mutate_scaffolding(wide_scaf, (1, 0), factor)
     assert exc.value.kind == "level_too_large"
-    assert slices == []
-    # A transport that succeeds slices the hexagon at its 3 levels and each
-    # of the two struts at its 2.
-    mutate_scaffolding(dp6_square_scaffolding(), (1, 0), vertical_unit())
-    assert len(slices) == 7
+    assert calls == []
+    # A transport that succeeds: 4 cones to check the moved shape and 4 to
+    # mutate the hexagon (see below).  Each strut takes 3: the sections
+    # polytope of its piece, the piece's hull and the sections polytope
+    # that checks the moved piece.  The square on levels -1 and 0 mutates
+    # with 3 conversions, the one on levels 0 and 1 with 1.  The
+    # validation rebuilds no piece and takes 1 hull.
+    dp6 = dp6_square_scaffolding()
+    unit = vertical_unit()
+    del calls[:]
+    mutate_scaffolding(dp6, (1, 0), unit)
+    assert len(calls) == 4 + 4 + 2 * 3 + 3 + 1 + 1
 
 
-def test_nonnegative_levels_take_one_conversion_per_slice(monkeypatch):
-    # Levels 0, 1 and 2 each take the conversion of their slice and no
-    # hull of their own; the result is the one conversion of the sums.
+def test_mutation_conversions_read_the_polytope(monkeypatch):
+    # The levels 0 to 2 of the triangle take no slice: level 0 is its left
+    # edge, read off its vertices, and above it the vertex (2, 0) moves
+    # along twice the factor.  The one conversion is the hull.
     triangle = Polytope.from_points([(0, 0), (2, 0), (0, 2)])
-    factor = vertical_unit()
-    calls = []
-    core = polyhedra._dd_core
-
-    def counted(*args):
-        calls.append(args)
-        return core(*args)
-
-    monkeypatch.setattr(polyhedra, "_dd_core", counted)
-    result = mutate_polytope(triangle, (1, 0), factor)
+    hexa = hexagon()
+    unit = vertical_unit()
+    calls = count_calls(monkeypatch, "_dd_core", polyhedra)
+    result = mutate_polytope(triangle, (1, 0), unit)
     assert result.vertices == ((0, 0), (0, 2), (2, 0), (2, 2))
-    assert len(calls) == 4
+    assert len(calls) == 1
+    # The hexagon's level -1 is its left edge: one conversion erodes it
+    # and one adds the factor back.  Level 0 is a slice, and then the hull.
+    del calls[:]
+    mutate_polytope(hexa, (1, 0), unit)
+    assert len(calls) == 2 + 1 + 1
+
+
+@st.composite
+def mutation_data(draw):
+    """A lattice polytope in dims 2-4 with a weight and a factor.
+
+    Half the polytopes lie in the hyperplane x_n = 0, so they have an
+    equation.  The factor is the hull of 1-3 small combinations of a
+    lattice basis of the weight's kernel.
+    """
+    n = draw(st.integers(2, 4))
+    flat = draw(st.booleans())
+    coords = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coords] * (n - flat)), min_size=1, max_size=7))
+    polytope = Polytope.from_points([p + (0,) * flat for p in pts])
+    w = draw(st.tuples(*[coords] * n).filter(any))
+    basis = kernel_basis([w], ncols=n)
+    steps = st.tuples(*[st.integers(-1, 1)] * len(basis))
+    combos = draw(st.lists(steps, min_size=1, max_size=3))
+    factor = [tuple(sum(c * b[k] for c, b in zip(combo, basis)) for k in range(n))
+              for combo in combos]
+    return polytope, w, Polytope.from_points(factor)
+
+
+def outcome(mutate, polytope, w, factor):
+    try:
+        return mutate(polytope, w, factor).vertices
+    except DomainError as exc:
+        return exc.kind, exc.detail
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation_data())
+def test_mutation_against_the_per_level_oracle(data):
+    # The same vertices, or the same error kind and detail.
+    assert outcome(mutate_polytope, *data) == outcome(mutate_polytope_per_level, *data)
 
 
 def test_segment_factor():
@@ -319,6 +405,19 @@ def test_strut_mutability_point_strut_is_vacuous():
     good, table = strut_mutability(scaf, [(1, 0)])
     assert good
     assert table == ((True,), (True,), (True,))
+
+
+def test_strut_mutability_raises_in_the_order_of_its_loop():
+    # The strut's piece has the vertex (-1, 1/2), so mutating it by the
+    # first weight raises before the second weight's factor is built.
+    fan = Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+    piece = Polytope.from_points([(-1, 0), (-1, Fraction(1, 2)), (0, 0)])
+    scaf = Scaffolding(fan, 0, [Strut((0, 0, 1))], piece)
+    for weights, kind in (([(1, 0), (0, 0)], "not_lattice"),
+                          ([(0, 0), (1, 0)], "zero_vector")):
+        with pytest.raises(DomainError) as exc:
+            strut_mutability(scaf, weights)
+        assert exc.value.kind == kind
 
 
 def test_newton_polytope_tracks_algebraic_mutation():

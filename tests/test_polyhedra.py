@@ -40,6 +40,7 @@ from fanoscaffold.polyhedra import (
 from helpers import (
     affine_rank,
     contains,
+    erode,
     proper_faces,
     random_unimodular_matrix,
     restrict_fan_pairwise,
@@ -717,22 +718,22 @@ def test_minkowski_sum_and_erode():
     seg = Polytope.from_points([(0, 0), (2, 0)])
     s = sq.minkowski_sum(seg)
     assert len(s.vertices) == 4
-    back, exact = s.erode(seg)
+    back, exact = erode(s, seg)
     assert exact and back == sq
     tri = Polytope.from_points([(0, 0), (1, 0), (0, 1)])
-    eroded, exact = sq.erode(tri)
+    eroded, exact = erode(sq, tri)
     assert eroded is not None and not exact
-    nothing, exact = tri.erode(seg)
+    nothing, exact = erode(tri, seg)
     assert nothing is None and not exact
 
 
 def test_erode_lower_dimensional():
     seg = Polytope.from_points([(0, 0), (4, 0)])
     sub = Polytope.from_points([(0, 0), (1, 0)])
-    diff, exact = seg.erode(sub)
+    diff, exact = erode(seg, sub)
     assert exact and diff == Polytope.from_points([(0, 0), (3, 0)])
     off = Polytope.from_points([(0, 0), (0, 1)])
-    gone, exact = seg.erode(off)
+    gone, exact = erode(seg, off)
     assert gone is None and not exact
 
 
@@ -828,11 +829,11 @@ def test_facet_vertex_sets_against_fraction_dot_products(pts, origin_polytope, d
         Polytope.from_hrep(p.inequalities, p.equations, dim=n),
         p.dilate(data.draw(st.fractions(-3, 3, max_denominator=3))),
         grown,
-        grown.erode(other)[0],
+        erode(grown, other)[0],
         origin_polytope,
         origin_polytope.dual(),
     ]
-    shrunk, _ = p.erode(other)
+    shrunk, _ = erode(p, other)
     if shrunk is not None:
         built.append(shrunk)
     for r in built:
