@@ -12,20 +12,14 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .amenable import amenable_binomials, tower_from_amenable, validate_amenable
 from .errors import DomainError
+from .exact import vsub
 from .fixtures import fixture, fixture_names
 from .forward import przyjalkowski
-from .inversion import (
-    _cyclic_order_2d,
-    anticanonical_scaffolding,
-    ci_data,
-    laurent_inversion,
-    verify_embedding,
-)
+from .inversion import anticanonical_scaffolding, ci_data, laurent_inversion, verify_embedding
 from .laurent import LaurentPolynomial, algebraic_mutation, classical_period
 from .mutations import mutate_polytope, mutate_scaffolding, strut_mutability
 from .nefpart import (
@@ -72,15 +66,36 @@ def _indicator_polynomial(polytope):
 
 
 def _tikz_cycle(polytope):
-    """Vertices of a polygon as a plot-ready boundary cycle."""
+    """Vertices of a polygon as a plot-ready boundary cycle.
+
+    The cycle walks the edges counterclockwise, from the first vertex at or
+    after angle 0 around the centroid.  An edge with inner normal a runs
+    counterclockwise from p to q when cross(q - p, a) > 0.
+    """
     if polytope.dim != 2 or not polytope.is_full_dimensional():
         raise DomainError(
             "dimension_mismatch", "tikz output needs a full-dimensional polygon"
         )
     vertices = polytope.vertices
-    cx = Fraction(sum(v[0] for v in vertices), len(vertices))
-    cy = Fraction(sum(v[1] for v in vertices), len(vertices))
-    order = _cyclic_order_2d([(v[0] - cx, v[1] - cy) for v in vertices])
+    n = len(vertices)
+    sx = sum(v[0] for v in vertices)
+    sy = sum(v[1] for v in vertices)
+
+    def upper(i):
+        # At angle in [0, pi) around the centroid (sx, sy) / n.
+        x, y = n * vertices[i][0] - sx, n * vertices[i][1] - sy
+        return y > 0 or (y == 0 and x > 0)
+
+    succ = {}
+    for (a, _), edge in zip(polytope.inequalities, polytope.facet_vertex_sets()):
+        p, q = edge
+        dx, dy = vsub(vertices[q], vertices[p])
+        if dx * a[1] - dy * a[0] < 0:
+            p, q = q, p
+        succ[p] = q
+    order = [next(q for p, q in succ.items() if upper(q) and not upper(p))]
+    while len(order) < n:
+        order.append(succ[order[-1]])
     # Each coordinate is an int or a non-integral Fraction (the Polytope
     # invariant), so %s prints it as "3" or "1/2", the JSON layer's format.
     corners = " -- ".join("(%s,%s)" % vertices[i] for i in order)

@@ -10,8 +10,6 @@ strut and one column per non-basis strut, per shift coordinate and per
 shape ray, in that order.
 """
 
-from functools import cmp_to_key
-
 from .errors import DomainError
 from .exact import (
     _row_reduce,
@@ -31,8 +29,8 @@ from .polyhedra import (
     Fan,
     Polytope,
     _dual_vertex,
+    _fan_face,
     _in_hrep,
-    _smallest_face,
     dd_cone,
     normal_fan,
     placing_triangulation,
@@ -155,32 +153,6 @@ def _q_s_polytope(scaf, rhos):
     return Polytope.from_hrep(ineqs, dim=dim)
 
 
-def _cyclic_order_2d(vectors):
-    """Indices of plane vectors sorted counterclockwise, starting in the
-    upper half plane at the positive x axis."""
-
-    def half(v):
-        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
-
-    def cmp(i, j):
-        a, b = vectors[i], vectors[j]
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return tuple(sorted(range(len(vectors)), key=cmp_to_key(cmp)))
-
-
-def _det2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def _relation_basis(shape):
     """Canonical basis of the integer relations among the shape's rays."""
     return kernel_basis(transpose(shape.rays), ncols=len(shape.rays))
@@ -189,33 +161,37 @@ def _relation_basis(shape):
 def _ray_relations(shape):
     """Integer relations among the shape's rays used for the binomials.
 
-    Plane fans get one wall relation per ray via consecutive minors; none
-    is zero, as a plane shape with a bounded sections polytope has at
-    least three rays, and no three distinct primitive rays lie on a line.
-    Anything else gets the canonical basis of the saturated relation
-    lattice, which on a product of projective spaces is one indicator
-    vector per factor.
+    Plane fans get one wall relation per ray j, from j's neighbours i and
+    k, the other rays of its two maximal cones: det(v_j, v_k) e_i -
+    det(v_i, v_k) e_j + det(v_i, v_j) e_k, up to sign.  Its entries at i
+    and k are determinants of two rays spanning a maximal cone, so neither
+    is zero, and a ray that does not lie on exactly two 2-cones raises
+    unsupported_shape.  Anything else gets the canonical basis of the
+    saturated relation lattice, which on a product of projective spaces
+    is one indicator vector per factor.
     """
     rays = shape.rays
-    n = len(rays)
-    if shape.dim == 2:
-        order = _cyclic_order_2d(rays)
-        rels = set()
-        for t in range(n):
-            i = order[(t - 1) % n]
-            j = order[t]
-            k = order[(t + 1) % n]
-            vi, vj, vk = rays[i], rays[j], rays[k]
-            w = [0] * n
-            w[i] += _det2(vj, vk)
-            w[j] -= _det2(vi, vk)
-            w[k] += _det2(vi, vj)
-            first = next(c for c in w if c)
-            if first < 0:
-                w = [-c for c in w]
-            rels.add(tuple(w))
-        return sorted(rels)
-    return sorted(_relation_basis(shape))
+    if shape.dim != 2:
+        return sorted(_relation_basis(shape))
+    rels = set()
+    for j, vj in enumerate(rays):
+        walls = [c for c in shape.max_cones if j in c]
+        if len(walls) != 2 or any(len(c) != 2 for c in walls):
+            raise DomainError(
+                "unsupported_shape",
+                "ray (%s) of the plane shape does not lie on exactly two 2-cones"
+                % ", ".join(map(str, vj)),
+            )
+        i, k = (c[1] if c[0] == j else c[0] for c in walls)
+        vi, vk = rays[i], rays[k]
+        w = [0] * len(rays)
+        w[i] = vj[0] * vk[1] - vj[1] * vk[0]
+        w[j] = vk[0] * vi[1] - vk[1] * vi[0]
+        w[k] = vi[0] * vj[1] - vi[1] * vj[0]
+        if next(c for c in w if c) < 0:
+            w = [-c for c in w]
+        rels.add(tuple(w))
+    return sorted(rels)
 
 
 def binomial_equations(inv):
@@ -293,20 +269,17 @@ def _face_coordinates(fan, y):
     unsupported_shape is raised.  Returns None when no maximal cone
     contains y.
     """
-    for c in fan.max_cones:
-        cone = fan.cone(c)
-        if not cone.contains(y):
-            continue
-        face = _smallest_face(cone, [y])
-        if rank(face) < len(face):
-            raise DomainError(
-                "unsupported_shape",
-                "the lift of (%s) is not unique: the smallest cone of the shape "
-                "fan holding it is not simplicial" % ", ".join(map(str, y)),
-            )
-        sol = solve_linear([[v[k] for v in face] for k in range(fan.dim)], y)
-        return [(fan.ray_index(v), t) for v, t in zip(face, sol)]
-    return None
+    face = _fan_face(fan, [y])
+    if face is None:
+        return None
+    if rank(face) < len(face):
+        raise DomainError(
+            "unsupported_shape",
+            "the lift of (%s) is not unique: the smallest cone of the shape "
+            "fan holding it is not simplicial" % ", ".join(map(str, y)),
+        )
+    sol = solve_linear([[v[k] for v in face] for k in range(fan.dim)], y)
+    return [(fan.ray_index(v), t) for v, t in zip(face, sol)]
 
 
 def verify_embedding(scaf):

@@ -16,7 +16,7 @@ from .errors import DomainError
 from .exact import dot, identity_matrix, integer_solution, solve_linear, to_int_vector
 from .inversion import _relation_basis, ambient_rays
 from .mutations import mutate_polytope
-from .polyhedra import Cone, Polytope, _smallest_face, lattice_isomorphic, spanning_fan
+from .polyhedra import Cone, Polytope, _fan_face, lattice_isomorphic, spanning_fan
 from .scaffolding import _pieces, product_structure
 from .toric import git_to_stacky_fan, positivity, sections_polytope
 
@@ -126,21 +126,6 @@ def fano_nef_partition_from_inversion(inv):
     return FanoNefPartition(inv.git, inv.recovered.S, f_part)
 
 
-def _is_fan_cone(fan, sigma):
-    """Whether the cone sigma is a cone of the fan: a face of a maximal cone.
-
-    sigma is a face of a maximal cone C containing it exactly when the
-    smallest face of C holding sigma's rays has sigma's own rays.
-    """
-    for c in fan.max_cones:
-        cone = Cone.from_rays([fan.rays[i] for i in c], dim=fan.dim)
-        if cone.lineality != sigma.lineality or not cone.contains_cone(sigma):
-            continue
-        if _smallest_face(cone, sigma.rays) == sigma.rays:
-            return True
-    return False
-
-
 def check_fano_nef_partition(fnp):
     """Ampleness, nef-ness and the Gorenstein condition for a ray partition.
 
@@ -160,7 +145,8 @@ def check_fano_nef_partition(fnp):
     nef_parts = tuple(nef for nef, _ in verdicts)
     spanning = [i for p in fnp.e_parts for i in p]
     sigma = Cone.from_rays([fan.rays[i] for i in spanning], dim=fan.dim)
-    in_fan = _is_fan_cone(fan, sigma)
+    # sigma is a cone of the fan exactly when it is the smallest one holding its rays.
+    in_fan = sigma.is_pointed() and _fan_face(fan, sigma.rays) == sigma.rays
     level = None
     if sigma.is_pointed() and sigma.rays:
         level = integer_solution(sigma.rays, (1,) * len(sigma.rays))

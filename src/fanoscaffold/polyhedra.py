@@ -23,9 +23,12 @@ Polytopes, 1.5): from_points is Cone.from_rays of the points (p, 1),
 from_hrep is Cone.from_hrep of the homogenized constraints and t >= 0,
 and both dehomogenize the cone.  A Polytope keeps both descriptions, so
 its polar dual swaps them and transposes the incidences with no
-conversion; the spanning fan and the normal fan only read them, as
-Fan.is_complete reads its cones' incidences.  A placing triangulation
-is the lower facets of one conversion of the lifted points.  Lattice
+conversion; the spanning fan and the normal fan only read them.  So do
+the fan questions: Fan.is_complete reads its cones' incidences and facet
+normals to see that each ridge lies on two cones, one on either side,
+and _fan_face reads the smallest cone of a fan holding some points off
+one maximal cone's incidences.  A placing triangulation is the lower
+facets of one conversion of the lifted points.  Lattice
 points are enumerated on integer rows by a depth-first walk over the
 coordinates that bounds each one by the rows' partial sums and the most
 the later coordinates can add, in bounding boxes of at most
@@ -727,18 +730,25 @@ def _in_hrep(normals, equations, v):
     return all(dot(a, v) >= 0 for a in normals) and all(dot(e, v) == 0 for e in equations)
 
 
-def _smallest_face(cone, points):
-    """The rays of the smallest face of a cone that holds the given points.
+def _fan_face(fan, points):
+    """The rays of the smallest cone of a fan that holds the given points.
 
-    The points lie in the cone.  The face is cut out by the facets on
-    which every point lies, and its rays are those on all of these facets,
-    read off the incidences (Kaibel and Pfetsch, Comput. Geom. 2002).
+    fan has rays, max_cones and dim (a Fan or a StackyFan).  The face is
+    taken in the first maximal cone that holds the points; the cones of a
+    fan meet in faces, so any such cone gives the same one.  It is cut out
+    by the facets on which every point lies, and its rays are those on all
+    of these facets, read off the incidences (Kaibel and Pfetsch, Comput.
+    Geom. 2002).  None when no maximal cone holds the points.
     """
-    on = (1 << len(cone.rays)) - 1
-    for a, mask in zip(cone.ineq_normals, cone.incidence):
-        if not any(dot(a, p) for p in points):
-            on &= mask
-    return tuple(v for i, v in enumerate(cone.rays) if on >> i & 1)
+    for c in fan.max_cones:
+        cone = Cone.from_rays([fan.rays[i] for i in c], dim=fan.dim)
+        if all(cone.contains(p) for p in points):
+            on = (1 << len(cone.rays)) - 1
+            for a, mask in zip(cone.ineq_normals, cone.incidence):
+                if not any(dot(a, p) for p in points):
+                    on &= mask
+            return tuple(v for i, v in enumerate(cone.rays) if on >> i & 1)
+    return None
 
 
 def cone_over(polytope):
@@ -805,23 +815,25 @@ class Fan:
     def is_complete(self):
         """Whether the fan covers the whole space.
 
-        Checks that all maximal cones are full dimensional (no equations)
-        and that every codimension one face is shared by exactly two of
-        them.  This is the right criterion for fans whose cones meet along
-        faces.  A facet of a pointed cone is keyed by its own rays, read
-        off the cone's incidences.
+        Checks that all maximal cones are full dimensional and pointed, and
+        that every codimension one face is shared by exactly two of them,
+        lying on opposite sides of it: their inner normals there sum to 0.
+        This is the right criterion for fans whose cones meet along faces;
+        without the sides, cones folded back over a ridge would pass.  A
+        facet of a pointed cone is keyed by its own rays, read off the
+        cone's incidences.
         """
         if not self.max_cones:
             return False
-        ridge_counts = {}
+        ridges = {}
         for c in self.max_cones:
             cone = self.cone(c)
             if cone.eq_normals or not cone.is_pointed():
                 return False
-            for mask in cone.incidence:
+            for a, mask in zip(cone.ineq_normals, cone.incidence):
                 key = tuple(cone.rays[i] for i in _bits(mask))
-                ridge_counts[key] = ridge_counts.get(key, 0) + 1
-        return all(v == 2 for v in ridge_counts.values())
+                ridges.setdefault(key, []).append(a)
+        return all(len(n) == 2 and n[0] == vneg(n[1]) for n in ridges.values())
 
 
 def spanning_fan(polytope):

@@ -231,35 +231,25 @@ def product_structure(fan):
     """The factors exhibiting the fan as a product of projective spaces.
 
     One (block, ray indices) pair per factor: the coordinate positions it
-    occupies and the indices of the fan's rays supported there.  Raises
-    when the fan is not such a product in its given coordinates.
+    occupies and the indices of the fan's rays supported there.  A factor
+    has exactly one ray with a negative entry, minus the sum of its units,
+    so the blocks are the supports of those rays; the fan is a product
+    when they partition the coordinates and it is their product_fan.
+    Raises when the fan is not such a product in its given coordinates.
     """
-    dim = fan.dim
-    parent = list(range(dim))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ray in fan.rays:
-        support = [p for p, c in enumerate(ray) if c]
-        for p in support[1:]:
-            parent[find(p)] = find(support[0])
-    blocks = {}
-    for p in range(dim):
-        blocks.setdefault(find(p), []).append(p)
-    result = tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
-    expected = product_fan(result)
-    if fan.rays != expected.rays or fan.max_cones != expected.max_cones:
+    blocks = sorted(
+        tuple(p for p, c in enumerate(ray) if c) for ray in fan.rays if min(ray) < 0
+    )
+    if sorted(p for b in blocks for p in b) != list(range(fan.dim)) or (
+        fan != product_fan(blocks)
+    ):
         raise DomainError(
             "unsupported_shape", "shape is not a product of projective spaces"
         )
     # Each ray of a product fan is nonzero in exactly one block.
     return tuple(
         (b, tuple(j for j, ray in enumerate(fan.rays) if any(ray[p] for p in b)))
-        for b in result
+        for b in blocks
     )
 
 

@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+from functools import cmp_to_key
+
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
     as_exact_vector,
@@ -14,6 +16,7 @@ from fanoscaffold.exact import (
 )
 from fanoscaffold.mutations import _checked_heights
 from fanoscaffold.polyhedra import Cone, Fan, Polytope, dd_cone
+from fanoscaffold.scaffolding import product_fan
 
 
 def contains(polytope, point):
@@ -149,6 +152,59 @@ def proper_faces(polytope):
 
 def _det2(a, b):
     return a[0] * b[1] - a[1] * b[0]
+
+
+def angular_order(vectors):
+    """Indices of nonzero plane vectors sorted counterclockwise, starting in
+    the upper half plane at the positive x axis.
+
+    The reference order of the plane fan and polygon questions: the tikz
+    cycle, the wall relations and Fan.is_complete on plane fans.
+    """
+
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+    def cmp(i, j):
+        a, b = vectors[i], vectors[j]
+        if half(a) != half(b):
+            return -1 if half(a) < half(b) else 1
+        cross = _det2(a, b)
+        return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+    return tuple(sorted(range(len(vectors)), key=cmp_to_key(cmp)))
+
+
+def product_structure_union_find(fan):
+    """scaffolding.product_structure by joining the coordinates each ray
+    touches: the blocks are the classes of a union-find over the rays'
+    supports.  The reference oracle of product_structure, with the same
+    result and the same error."""
+    parent = list(range(fan.dim))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for ray in fan.rays:
+        support = [p for p, c in enumerate(ray) if c]
+        for p in support[1:]:
+            parent[find(p)] = find(support[0])
+    blocks = {}
+    for p in range(fan.dim):
+        blocks.setdefault(find(p), []).append(p)
+    result = tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
+    expected = product_fan(result)
+    if fan.rays != expected.rays or fan.max_cones != expected.max_cones:
+        raise DomainError(
+            "unsupported_shape", "shape is not a product of projective spaces"
+        )
+    return tuple(
+        (b, tuple(j for j, ray in enumerate(fan.rays) if any(ray[p] for p in b)))
+        for b in result
+    )
 
 
 def triangulate_2d(points):

@@ -82,6 +82,16 @@ def test_collection_shape_is_validated():
     assert exc.value.kind == "bad_partition"
 
 
+def test_a_vector_off_a_shift_column_is_reported():
+    # The collection of test_twisted_collection_on_the_bundle_fixture with
+    # 2 more on e_5, the ray of the shift column 6.
+    git, part = bundle_data()
+    ok, report = validate_amenable(git, part, ((-1, -1, 1, 0, 2), (0, 0, -1, -1, 0)))
+    assert not ok
+    assert report["failures"] == ["vector 0 does not vanish on shift column 6"]
+    assert report["pairings"][0] == (0, 0, -1, -1, 1, 0, 2)
+
+
 def test_tower_of_the_projective_space_fixture():
     git, part, vectors = projective_space_data()
     tower = tower_from_amenable(git, part, vectors)

@@ -4,19 +4,22 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanoscaffold import jsonio
-from fanoscaffold.cli import _INPUTS, run
+from fanoscaffold.cli import _INPUTS, _tikz_cycle, run
 from fanoscaffold.fixtures import fixture
 from fanoscaffold.laurent import LaurentPolynomial, algebraic_mutation
 from fanoscaffold.mutations import segment_factor
 from fanoscaffold.polyhedra import Polytope
 from fanoscaffold.scaffolding import Scaffolding
+
+from helpers import angular_order
 
 
 def invoke(capsys, *argv):
@@ -506,6 +509,34 @@ def test_tikz_cycle_around_a_non_integral_centroid(tmp_path, capsys):
     code, out, _ = invoke(capsys, "newton", "--f", f, "--emit-tikz")
     assert code == 0
     assert out.strip() == "(2,2) -- (0,1) -- (0,0) -- (1,0) -- cycle"
+
+
+def tikz_cycle_by_angles(polygon):
+    """The vertices in the angular order around their centroid."""
+    vertices = polygon.vertices
+    cx = Fraction(sum(v[0] for v in vertices), len(vertices))
+    cy = Fraction(sum(v[1] for v in vertices), len(vertices))
+    order = angular_order([(v[0] - cx, v[1] - cy) for v in vertices])
+    return " -- ".join("(%s,%s)" % vertices[i] for i in order) + " -- cycle"
+
+
+# Lattice polygons, and polygons with rational vertices.
+POLYGON_POINTS = st.one_of(
+    st.lists(st.tuples(c, c), min_size=3, max_size=8)
+    for c in (st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLYGON_POINTS)
+@example([(-2, 0), (1, -1), (1, 1)])
+@example([(2, 0), (-1, 1), (-1, -1)])
+def test_tikz_cycle_against_the_angular_order(points):
+    # The examples have a vertex level with the centroid (0, 0), on its
+    # left and on its right.
+    polygon = Polytope.from_points(points)
+    assume(polygon.is_full_dimensional())
+    assert _tikz_cycle(polygon) == tikz_cycle_by_angles(polygon)
 
 
 def test_forward_can_drop_the_constant_term(tmp_path, capsys):

@@ -178,6 +178,20 @@ def test_invalid_partition_reported():
     assert exc.value.kind == "invalid_partition"
 
 
+def test_normalized_matrix_needs_a_partition_of_the_columns():
+    # A basis block of the wrong size, and blocks that leave column 5 out.
+    git = bundle_git()
+    for part, failure in (
+        (ConvexPartitionWithBasis((0,), [(2, 3), (4, 5)], (1, 6), (2, 4)),
+         "basis block has 1 columns, expected 2"),
+        (ConvexPartitionWithBasis((0, 1), [(2, 3), (4,)], (6,), (2, 4)),
+         "blocks do not partition the coordinate set"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            normalized_matrix(git, part)
+        assert (exc.value.kind, exc.value.detail) == ("invalid_partition", failure)
+
+
 def test_convexity_runs_once_per_git_data_and_partition(monkeypatch):
     # The model, the scaffolding and the normalized matrix of one partition
     # share the GitData's one convexity pass; a second partition or a fresh

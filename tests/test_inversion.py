@@ -49,6 +49,8 @@ from fanoscaffold.scaffolding import (
 from fanoscaffold.toric import GitData
 
 from helpers import (
+    _det2,
+    angular_order,
     count_calls,
     proper_faces,
     random_unimodular_matrix,
@@ -226,6 +228,55 @@ def test_wall_relations_start_with_a_positive_entry():
     ]
     for w in rels:
         assert [dot(w, col) for col in zip(*fan.rays)] == [0, 0]
+
+
+def wall_relations_by_angles(fan):
+    """The wall relation of each ray of a complete plane fan, with the ray's
+    neighbours in the angular order of the rays, first nonzero entry
+    positive, sorted."""
+    rays = fan.rays
+    order = angular_order(rays)
+    n = len(order)
+    rels = set()
+    for t in range(n):
+        i, j, k = order[t - 1], order[t], order[(t + 1) % n]
+        w = [0] * n
+        w[i] = _det2(rays[j], rays[k])
+        w[j] = -_det2(rays[i], rays[k])
+        w[k] = _det2(rays[i], rays[j])
+        if next(c for c in w if c) < 0:
+            w = [-c for c in w]
+        rels.add(tuple(w))
+    return sorted(rels)
+
+
+@st.composite
+def complete_plane_fans(draw):
+    """The normal or the spanning fan of a lattice polygon around the origin."""
+    small = st.integers(-3, 3)
+    pts = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    pts += draw(st.lists(st.tuples(small, small), max_size=6))
+    p = Polytope.from_points(pts)
+    return spanning_fan(p) if draw(st.booleans()) else normal_fan(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complete_plane_fans())
+def test_wall_relations_against_the_angular_order(fan):
+    assert _ray_relations(fan) == wall_relations_by_angles(fan)
+
+
+def test_wall_relations_need_two_cones_on_each_ray():
+    # Without the cone (0, 4), the rays (1, 0) and (-2, -3) lie on one
+    # 2-cone each.
+    rays = [(1, 0), (0, 1), (-1, 0), (-2, -1), (-2, -3)]
+    open_fan = Fan(2, rays, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    with pytest.raises(DomainError) as exc:
+        _ray_relations(open_fan)
+    assert (exc.value.kind, exc.value.detail) == (
+        "unsupported_shape",
+        "ray (-2, -3) of the plane shape does not lie on exactly two 2-cones",
+    )
 
 
 def test_verify_embedding_fixtures():

@@ -22,6 +22,7 @@ from fanoscaffold.scaffolding import (
     Strut,
     product_fan,
     scaffolding_from_forward,
+    strut_polytope,
     validate_scaffolding,
 )
 from fanoscaffold.toric import GitData
@@ -179,6 +180,34 @@ def test_shape_transport_detects_crease():
         mutate_shape(shape, (1, 1), factor, 0)
     assert exc.value.kind == "not_mutable"
     assert "not complete" in exc.value.detail
+
+
+def test_mutate_scaffolding_rejects_a_folded_shape():
+    # The transported P^2 fan has the rays (0, 1), (1, -3) and (1, 0), all
+    # in the half plane x >= 0: every ridge lies on two cones, but the two
+    # cones on (0, 1) lie on the same side of it.  Before ridges were
+    # checked for sides, the point strut's sections polytope on that fan
+    # raised unbounded.
+    shape = product_fan([(0, 1)])
+    scaf = Scaffolding(shape, 0, [Strut((0, 0, 0))], Polytope.from_points([(0, 0)]))
+    factor = Polytope.from_points([(0, 0), (1, 1)])
+    for mutate in (mutate_scaffolding, lambda s, w, f: mutate_shape(s.shape, w, f, 0)):
+        with pytest.raises(DomainError) as exc:
+            mutate(scaf, (1, -1), factor)
+        assert (exc.value.kind, exc.value.detail) == (
+            "not_mutable", "transported shape fan is not complete")
+
+
+def test_mutate_scaffolding_passes_on_a_strut_error_of_another_kind():
+    # The target triangle is a lattice polygon, but the strut's piece has
+    # the vertex (-1, 1/2), so mutating it raises not_lattice, unchanged.
+    fan = Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+    target = Polytope.from_points([(-1, 0), (-1, 1), (0, 0)])
+    scaf = Scaffolding(fan, 0, [Strut((0, 0, 1))], target)
+    with pytest.raises(DomainError) as exc:
+        mutate_scaffolding(scaf, (0, 1), segment_factor((0, 1)))
+    assert (exc.value.kind, exc.value.detail) == (
+        "not_lattice", "mutation needs a lattice polytope")
 
 
 def test_mutate_scaffolding_dp6_squares():
@@ -405,6 +434,17 @@ def test_strut_mutability_point_strut_is_vacuous():
     good, table = strut_mutability(scaf, [(1, 0)])
     assert good
     assert table == ((True,), (True,), (True,))
+
+
+def test_strut_mutability_passes_a_strut_with_no_sections():
+    # The divisor -1 on every ray of P^1 x P^1 has no sections, so its row
+    # holds True for every weight, like a point strut's.
+    shape = product_fan([(0,), (1,)])
+    struts = [Strut((0, 1, 0, 1)), Strut((1, 0, 1, 0)), Strut((-1, -1, -1, -1))]
+    scaf = Scaffolding(shape, 0, struts, hexagon())
+    assert strut_polytope(scaf, 2) is None
+    assert strut_mutability(scaf, [(1, 0), (1, 1)]) == (
+        False, ((True, False), (True, False), (True, True)))
 
 
 def test_strut_mutability_raises_in_the_order_of_its_loop():

@@ -12,7 +12,6 @@ from fanoscaffold.laurent import LaurentPolynomial
 from fanoscaffold.mutations import mutate_scaffolding, segment_factor
 from fanoscaffold.nefpart import (
     FanoNefPartition,
-    _is_fan_cone,
     cayley,
     check_fano_nef_partition,
     check_nef_partition,
@@ -24,6 +23,7 @@ from fanoscaffold.nefpart import (
 )
 from fanoscaffold.polyhedra import (
     Cone,
+    _fan_face,
     Polytope,
     lattice_isomorphic,
     normal_fan,
@@ -235,7 +235,8 @@ def test_face_test_against_face_enumeration(fan, data):
         else:
             subset = data.draw(st.lists(index, min_size=1, max_size=4, unique=True))
         sigma = Cone.from_rays([fan.rays[i] for i in subset], dim=fan.dim)
-        assert _is_fan_cone(fan, sigma) == (sigma in cones)
+        in_fan = sigma.is_pointed() and _fan_face(fan, sigma.rays) == sigma.rays
+        assert in_fan == (sigma in cones)
 
 
 def test_fano_partition_struct_is_validated():

@@ -37,8 +37,12 @@ from fanoscaffold.polyhedra import (
     spanning_fan,
 )
 
+from fanoscaffold.mutations import _transport_ray
+
 from helpers import (
+    _det2,
     affine_rank,
+    angular_order,
     contains,
     erode,
     proper_faces,
@@ -756,6 +760,70 @@ def test_spanning_and_normal_fans():
     nt = normal_fan(tri)
     assert set(nt.rays) == {(1, 0), (0, 1), (-1, -1)}
     assert nt.is_complete()
+
+
+def test_is_complete_rejects_a_folded_fan():
+    # w = (1, -1) and the factor from (0, 0) to (1, 1) move the P^2 fan's
+    # rays to (0, 1), (1, -3) and (1, 0), all in the half plane x >= 0.
+    # Every ridge still lies on two cones, but the cones on (0, 1) lie on
+    # the same side of it.
+    p2 = Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    factor = Polytope.from_points([(0, 0), (1, 1)])
+    folded = Fan(2, [_transport_ray(r, (1, -1), factor, 0) for r in p2.rays], p2.max_cones)
+    assert folded.rays == ((0, 1), (1, -3), (1, 0))
+    assert p2.is_complete()
+    assert not folded.is_complete()
+
+
+def complete_by_angles(fan):
+    """Whether a plane fan is complete: its cones are the consecutive pairs
+    of the angular order of its rays, each turning by less than pi."""
+    order = angular_order(fan.rays)
+    pairs = [(order[t - 1], order[t]) for t in range(len(order))]
+    return (
+        len(order) >= 3
+        and set(fan.max_cones) == {tuple(sorted(pair)) for pair in pairs}
+        and all(_det2(fan.rays[i], fan.rays[j]) > 0 for i, j in pairs)
+    )
+
+
+@st.composite
+def moved_plane_fans(draw):
+    """Normal or spanning fans of lattice polygons around the origin, moved
+    by the piecewise linear map of a random mutation, some with a cone
+    dropped."""
+    small = st.integers(-3, 3)
+    pts = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    pts += draw(st.lists(st.tuples(small, small), max_size=5))
+    p = Polytope.from_points(pts)
+    fan = spanning_fan(p) if draw(st.booleans()) else normal_fan(p)
+    w = draw(st.tuples(small, small).filter(any))
+    g = primitive_vector((-w[1], w[0]))
+    a, b = sorted(draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
+    factor = Polytope.from_points([vscale(a, g), vscale(b, g)])
+    rays = [_transport_ray(r, w, factor, 0) for r in fan.rays]
+    cones = list(fan.max_cones)
+    if draw(st.booleans()):
+        del cones[draw(st.integers(0, len(cones) - 1))]
+    return Fan(2, rays, cones)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moved_plane_fans())
+@example(Fan(2, [(0, 1), (1, -3), (1, 0)], [(0, 1), (0, 2), (1, 2)]))
+def test_plane_is_complete_against_the_angular_order(fan):
+    assert fan.is_complete() == complete_by_angles(fan)
+
+
+def test_lattice_isomorphism_is_capped_at_12_vertices():
+    # The points (i, i^2) are in convex position.
+    big = Polytope.from_points([(i, i * i) for i in range(13)])
+    assert len(big.vertices) == 13
+    for p, q in ((big, big), (big, Polytope.from_points([(0, 0), (1, 0), (0, 1)]))):
+        with pytest.raises(DomainError) as exc:
+            lattice_isomorphic(p, q)
+        assert (exc.value.kind, exc.value.detail) == (
+            "too_many_vertices", "lattice comparison capped at 12 vertices")
 
 
 RADII = st.fractions(1, 2, max_denominator=3)

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanoscaffold import mutations, nefpart, scaffolding, toric
 from fanoscaffold.errors import DomainError
@@ -16,7 +18,7 @@ from fanoscaffold.forward import (
 from fanoscaffold.inversion import laurent_inversion
 from fanoscaffold.mutations import mutate_scaffolding
 from fanoscaffold.nefpart import p_tilde
-from fanoscaffold.polyhedra import Polytope
+from fanoscaffold.polyhedra import Fan, Polytope, normal_fan
 from fanoscaffold.scaffolding import (
     Scaffolding,
     Strut,
@@ -32,7 +34,7 @@ from fanoscaffold.scaffolding import (
 )
 from fanoscaffold.toric import GitData, sections_polytope
 
-from helpers import count_calls, random_unimodular_matrix
+from helpers import count_calls, product_structure_union_find, random_unimodular_matrix
 
 
 def cubic_data():
@@ -93,6 +95,76 @@ def test_product_structure_rejects_other_fans():
     with pytest.raises(DomainError) as exc:
         product_structure(f1)
     assert exc.value.kind == "unsupported_shape"
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the kind and detail of its DomainError."""
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return exc.kind, exc.detail
+
+
+@st.composite
+def product_and_other_fans(draw):
+    """Product fans on shuffled coordinate blocks, and fans near them: a
+    unimodular image, one cone dropped, one ray moved, or the normal fan of
+    a lattice polytope."""
+    dim = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(dim)))
+    cuts = [t for t in range(1, dim) if draw(st.booleans())]
+    blocks = [tuple(perm[a:b]) for a, b in zip([0] + cuts, cuts + [dim])]
+    fan = product_fan(blocks)
+    rays, cones = list(fan.rays), list(fan.max_cones)
+    change = draw(st.sampled_from(["none", "image", "drop", "move", "normal"]))
+    if change == "image":
+        u = random_unimodular_matrix(dim, random.Random(draw(st.integers(0, 2**32))))
+        rays = [mat_vec(u, r) for r in rays]
+    elif change == "drop" and len(cones) > 1:
+        del cones[draw(st.integers(0, len(cones) - 1))]
+    elif change == "move":
+        j = draw(st.integers(0, len(rays) - 1))
+        t = draw(st.integers(0, dim - 1))
+        moved = list(rays[j])
+        moved[t] += draw(st.sampled_from([-1, 1]))
+        if any(moved):
+            rays[j] = tuple(moved)
+    elif change == "normal":
+        units = [tuple(s if k == i else 0 for k in range(dim)) for i in range(dim) for s in (1, -1)]
+        points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=4))
+        return normal_fan(Polytope.from_points(units + points))
+    return Fan(dim, rays, cones)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_and_other_fans())
+@example(product_fan([(2, 0), (3,), (1,)]))
+@example(Fan(2, [(1, 0), (0, 1), (-1, 1), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)]))
+def test_product_structure_against_the_union_find(fan):
+    # The same factors, or the same error kind and detail.
+    assert outcome(product_structure, fan) == outcome(product_structure_union_find, fan)
+
+
+def test_unbounded_pieces_raise():
+    # On a fan of one quadrant the point strut's sections polytope is the
+    # quadrant itself, so reading the piece raises unbounded, not None.
+    quadrant = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
+    scaf = Scaffolding(quadrant, 0, [Strut((0, 0))], Polytope.from_points([(0, 0)]))
+    for read in (lambda: strut_polytope(scaf, 0), lambda: validate_scaffolding(scaf)):
+        with pytest.raises(DomainError) as exc:
+            read()
+        assert (exc.value.kind, exc.value.detail) == ("unbounded", "recession direction (0, 1)")
+
+
+def test_laurent_polynomial_needs_nonnegative_degrees():
+    # The strut is 1 on (0, -1) and -2 on (0, 1), degree -1 on that factor.
+    scaf = Scaffolding(
+        product_fan([(0,), (1,)]), 0, [Strut((0, 1, -2, 1))], Polytope.from_points([(0, 0)])
+    )
+    with pytest.raises(DomainError) as exc:
+        laurent_from_scaffolding(scaf)
+    assert (exc.value.kind, exc.value.detail) == (
+        "negative_degree", "strut 0 has degree -1 on a factor")
 
 
 def test_cubic_scaffolding():

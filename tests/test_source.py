@@ -91,6 +91,14 @@ def cap_sentence():
     return re.search(r"Inputs that would blow up are capped.*?\.\s", readme, re.S).group(0)
 
 
+def test_every_cap_kind_appears_in_a_test():
+    # Each cap kind the README sentence names is pinned by some test module
+    # other than this one.
+    tests = [p.read_text() for p in ROOT.glob("tests/test_*.py") if p.name != "test_source.py"]
+    listed = {k for k in re.findall(r"`(\w+)`", cap_sentence()) if CAP.fullmatch(k)}
+    assert sorted(k for k in listed if not any(k in t for t in tests)) == []
+
+
 # The constant each cap compares with, for the caps that have one.
 CAP_CONSTANTS = {
     "degree_too_large": laurent.MAX_PERIOD_DEPTH,

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from fanoscaffold import exact, polyhedra, toric
 from fanoscaffold.errors import DomainError
-from fanoscaffold.exact import dot, kernel_basis, mat_vec, rank, solve_linear, transpose
+from fanoscaffold.exact import (
+    dot,
+    identity_matrix,
+    kernel_basis,
+    mat_vec,
+    rank,
+    solve_linear,
+    transpose,
+)
 from fanoscaffold.fixtures import fixture
 from fanoscaffold.polyhedra import Cone
 from fanoscaffold.toric import (
@@ -434,6 +442,14 @@ def test_subset_enumerations_are_capped_on_every_call():
     assert ei.value.kind == "too_many_coordinates"
 
 
+def test_secondary_fan_is_capped_at_rank_4():
+    # P^5 as a quotient of rank 5: the weights e_1, ..., e_5 and their sum.
+    git = GitData(5, 6, list(identity_matrix(5)) + [(1,) * 5], (1,) * 5)
+    with pytest.raises(DomainError) as ei:
+        secondary_fan(git)
+    assert (ei.value.kind, ei.value.detail) == ("rank_too_large", "secondary fan capped at rank 4")
+
+
 def test_positivity_on_p2():
     # The hyperplane class, the anticanonical class, the trivial class and
     # minus the hyperplane class.
@@ -480,6 +496,14 @@ def test_projective_bundle_tower_to_f2():
     # The twist convention only depends on summand differences.
     f2b = projective_bundle_fan(line, [(3, 1), (1, 1)])
     assert f2b == f2
+
+
+def test_projective_bundle_needs_integral_summand_differences():
+    point = StackyFan(0, [], [()])
+    line = projective_bundle_fan(point, [(), ()])
+    with pytest.raises(DomainError) as ei:
+        projective_bundle_fan(line, [(0, 0), (Fraction(1, 2), 0)])
+    assert (ei.value.kind, ei.value.detail) == ("not_cartier", "summand difference is not integral")
 
 
 def test_bundle_fan_nef_ample():
