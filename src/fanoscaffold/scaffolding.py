@@ -45,10 +45,13 @@ class Scaffolding:
     The private slot ``_pieces`` holds the vertices of each strut's piece
     (None for a divisor with no sections), computed on first use by
     ``_pieces`` or stored by ``scaffolding_from_rows``, which already has
-    them; every reader of a piece reads that one tuple.
+    them; every reader of a piece reads that one tuple.  The private slot
+    ``_hull`` holds the Polytope of the pieces' hull, converted on first
+    use by ``validate_scaffolding`` or stored by ``scaffolding_from_rows``,
+    whose target is that hull.
     """
 
-    __slots__ = ("shape", "u", "struts", "target", "_pieces")
+    __slots__ = ("shape", "u", "struts", "target", "_pieces", "_hull")
 
     def __init__(self, shape, u, struts, target):
         if not isinstance(shape, Fan):
@@ -81,6 +84,7 @@ class Scaffolding:
         self.struts = struts
         self.target = target
         self._pieces = None
+        self._hull = None
 
     def __repr__(self):
         return (
@@ -147,7 +151,8 @@ def validate_scaffolding(scaf):
 
     Returns (ok, report).  Beyond the hull test, a lattice basis of shifts
     must be available among the unit struts.  Struts contributing no vertex
-    of the target are legal but reported.
+    of the target are legal but reported.  The hull is converted once per
+    Scaffolding and kept in ``_hull``.
     """
     report = {"failures": [], "vertexless_struts": (), "unit_basis": None}
     basis = unit_strut_basis(scaf)
@@ -159,8 +164,9 @@ def validate_scaffolding(scaf):
     if not points:
         report["failures"].append("every strut is empty")
         return False, report
-    hull = Polytope.from_points(points)
-    if hull.vertices != scaf.target.vertices:
+    if scaf._hull is None:
+        scaf._hull = Polytope.from_points(points)
+    if scaf._hull.vertices != scaf.target.vertices:
         report["failures"].append("strut hull differs from the target")
     target_vertices = set(scaf.target.vertices)
     vertexless = []
@@ -259,7 +265,7 @@ def scaffolding_from_rows(shape, rows, position, shift_columns):
     Entry j of a row is the divisor coefficient on the shape ray with index
     position[j], and the negated entries on the shift columns form the
     strut's shift.  One unit strut per shift column follows, and the target
-    is the hull of the strut pieces.
+    is the hull of the strut pieces, so it is also kept as their hull.
     """
     nrays = len(shape.rays)
     struts = []
@@ -273,6 +279,7 @@ def scaffolding_from_rows(shape, rows, position, shift_columns):
     target = Polytope.from_points(_piece_vertices(pieces))
     scaf = Scaffolding(shape, len(shift_columns), struts, target)
     scaf._pieces = pieces
+    scaf._hull = target
     return scaf
 
 

@@ -19,7 +19,6 @@ from .exact import (
     identity_matrix,
     kernel_basis,
     primitive_vector,
-    rank,
     to_int_vector,
     transpose,
     unimodular_inverse,
@@ -36,16 +35,20 @@ class GitData:
 
     The character cone must be pointed and full dimensional and omega must
     lie inside it; this keeps every downstream construction well posed.
-    cone_normals: the rays of the dual of the character cone, from one DD
-    pass.  The cone is pointed exactly when they have rank r, and a
-    character lies in it exactly when it pairs >= 0 with each of them.
+    The private slot ``_cone`` keeps that cone, from one Cone.from_rays
+    pass over the characters: it is full dimensional exactly when it has
+    no equation and pointed exactly when it has no lineality, and
+    ``secondary_fan`` reads the support's rays and facets off it.
+    cone_normals: its facet normals, the rays of the dual cone; a
+    character lies in the cone exactly when it pairs >= 0 with each.
 
-    Three private slots hold derived data, each computed on first use and
-    then reused by every later question about the same data: ``_covers``,
-    the minimal covers of ``irrelevant_collection`` (one dd_cone pass over
-    the fiber polytope); ``_bases``, the table of bases that
-    ``secondary_fan`` and ``in_chamber_interior`` share (``_chamber_bases``:
-    one elimination per r-subset of weights, no conversion); and
+    Three more private slots hold derived data, each computed on first use
+    and then reused by every later question about the same data:
+    ``_covers``, the minimal covers of ``irrelevant_collection`` (one
+    dd_cone pass over the fiber polytope); ``_bases``, the table of bases
+    that ``secondary_fan`` and ``in_chamber_interior`` share
+    (``_chamber_bases``: one small elimination per (r - 1)-subset of
+    weights, no conversion); and
     ``_convex``, a dict from each partition asked about to the
     ``forward._convexity`` pair (failures as a tuple, coordinates), which
     ``forward.normalized_matrix`` fills, so the model and the scaffolding
@@ -54,7 +57,8 @@ class GitData:
     """
 
     __slots__ = (
-        "r", "R", "characters", "omega", "cone_normals", "_covers", "_bases", "_convex"
+        "r", "R", "characters", "omega", "cone_normals",
+        "_cone", "_covers", "_bases", "_convex",
     )
 
     def __init__(self, r, R, characters, omega):
@@ -67,18 +71,19 @@ class GitData:
             raise DomainError("bad_git_data", "character or omega length differs from r")
         if any(not any(d) for d in characters):
             raise DomainError("zero_character", "every coordinate needs a nonzero weight")
-        if rank(list(characters)) != r:
+        cone = Cone.from_rays(characters, dim=r)
+        if cone.eq_normals:
             raise DomainError("not_full_rank", "characters do not span the weight space")
-        normals = dd_cone(characters, dim=r)[0]
-        if rank(list(normals)) != r:
+        if cone.lineality:
             raise DomainError("not_pointed", "character cone contains a line")
-        if any(dot(a, omega) < 0 for a in normals):
+        if any(dot(a, omega) < 0 for a in cone.ineq_normals):
             raise DomainError("omega_outside", "omega is not in the character cone")
         self.r = r
         self.R = R
         self.characters = characters
         self.omega = omega
-        self.cone_normals = normals
+        self.cone_normals = cone.ineq_normals
+        self._cone = cone
         self._covers = None
         self._bases = None
         self._convex = {}
@@ -243,35 +248,54 @@ def basis_coordinates(git, basis, vectors):
 def _chamber_bases(git):
     """(normals, bases): the bases of weights and their cones, once per GitData.
 
-    A basis is an r-subset B of weights that spans.  One elimination of
-    [W_B | I], W_B holding the weights of B as columns, has its pivots in
-    the first r columns exactly when B spans, and then gives
-    [p I | p W_B^-1].  Row j of the right block times p (so scaled by p^2 > 0), made
-    primitive, is h_j: positive on the j-th weight of B and zero on the
-    others, so cone(W_B) = {w : <h_j, w> >= 0 for all j}.  normals are
-    the h_j up to sign, first nonzero entry positive, sorted: the normals
-    of the hyperplanes that weights span.  bases holds one (rows, facets,
-    positive) per basis: its h_j, the bits of their normals, and the bits
-    of those normals that equal an h_j.  Capped at R <= 16.
+    A basis is an r-subset B of weights that spans.  Each (r - 1)-subset
+    of independent weights spans a hyperplane, and one elimination of its
+    (r - 1) x r block gives the kernel: pivots p on r - 1 columns and one
+    free column f, so the vector with p at f and, at each pivot column,
+    minus the entry of column f in that pivot's row, made primitive, is
+    the hyperplane's normal; a dependent subset has none.  normals are these, first nonzero entry positive, sorted.
+    B spans exactly when the normal of B minus its j-th weight exists and
+    is nonzero on that weight for every j, and then h_j, that normal
+    signed to be positive on the j-th weight, is zero on the others, so
+    cone(W_B) = {w : <h_j, w> >= 0 for all j}.  bases holds one (rows,
+    facets, positive) per basis, in the order of the subsets: its h_j, the
+    bits of their normals, and the bits of those normals that equal an
+    h_j.  Capped at R <= 16.
     """
     _check_subset_cap(git)
     if git._bases is None:
         r = git.r
-        eye = identity_matrix(r)
-        table = []
-        for basis in combinations(range(git.R), r):
-            M, pivots, _, p = _row_reduce(
-                [tuple(git.characters[i][k] for i in basis) + eye[k] for k in range(r)]
-            )
-            if pivots == list(range(r)):
-                table.append(tuple(primitive_vector([p * c for c in row[r:]]) for row in M))
-        # Of h and -h, the lex larger has its first nonzero entry positive.
-        normals = tuple(sorted({max(h, vneg(h)) for rows in table for h in rows}))
+        # normal maps each independent (r - 1)-subset to its normal; at
+        # r = 0 there is no hyperplane.
+        normal = {}
+        for sub in combinations(range(git.R), r - 1) if r else ():
+            M, pivots, _, p = _row_reduce([git.characters[i] for i in sub])
+            if len(pivots) == r - 1:
+                f = next(k for k in range(r) if k not in pivots)
+                h = [0] * r
+                h[f] = p
+                for row, k in zip(M, pivots):
+                    h[k] = -row[f]
+                h = primitive_vector(h)
+                # Of h and -h, the lex larger has its first nonzero entry positive.
+                normal[sub] = max(h, vneg(h))
+        normals = tuple(sorted(set(normal.values())))
         bit = {h: 1 << k for k, h in enumerate(normals)}
-        bases = [
-            (rows, sum(bit[max(h, vneg(h))] for h in rows), sum(bit.get(h, 0) for h in rows))
-            for rows in table
-        ]
+        bases = []
+        for basis in combinations(range(git.R), r):
+            rows = []
+            facets = positive = 0
+            for j, i in enumerate(basis):
+                h = normal.get(basis[:j] + basis[j + 1:])
+                side = dot(h, git.characters[i]) if h else 0
+                if not side:
+                    break
+                facets |= bit[h]
+                if side > 0:
+                    positive |= bit[h]
+                rows.append(h if side > 0 else vneg(h))
+            else:
+                bases.append((tuple(rows), facets, positive))
         git._bases = (normals, tuple(bases))
     return git._bases
 
@@ -303,13 +327,14 @@ def secondary_fan(git):
     pairs: bit k of a mask says the ray lies on hyperplane k, for every
     hyperplane processed so far, and the bits above those of the
     hyperplanes mark the support's facets (git.cone_normals) the ray lies
-    on, so a cell's masks always come from an H-description of it.  A
-    hyperplane that cuts a cell splits it in one double description step
-    (polyhedra._dd_step).  A cell lies in the cone of a basis exactly
-    when its side mask matches the basis's positive bits on its facet
-    bits, and its chamber is the intersection of the basis cones that
-    contain it (Gelfand, Kapranov and Zelevinsky, ch. 7): cells in the
-    same bases make one chamber.  Returns the chambers as canonical
+    on, so a cell's masks always come from an H-description of it.  The
+    support's rays and facet bits are read off the incidences of the cone
+    GitData keeps, with no conversion.  A hyperplane that cuts a cell
+    splits it in one double description step (polyhedra._dd_step).  A
+    cell lies in the cone of a basis exactly when its side mask matches
+    the basis's positive bits on its facet bits, and its chamber is the
+    intersection of the basis cones that contain it (Gelfand, Kapranov
+    and Zelevinsky, ch. 7): cells in the same bases make one chamber.  Returns the chambers as canonical
     cones, sorted by their ray tuples.  Capped at rank 4, then at R <= 16.
     """
     r = git.r
@@ -317,10 +342,11 @@ def secondary_fan(git):
         raise DomainError("rank_too_large", "secondary fan capped at rank 4")
     normals, bases = _chamber_bases(git)
     top = len(normals)
+    support = git._cone
     cells = {
         0: [
-            (v, sum(1 << (top + j) for j, a in enumerate(git.cone_normals) if not dot(a, v)))
-            for v in dd_cone(git.cone_normals, dim=r)[0]
+            (v, sum(1 << (top + j) for j, on in enumerate(support.incidence) if on >> i & 1))
+            for i, v in enumerate(support.rays)
         ]
     }
     for k, h in enumerate(normals):
@@ -362,9 +388,12 @@ def positivity(git, classes):
     every class.  The weights D_I are independent, so their columns take
     the first |I| pivots, and L_j is a combination of them exactly when
     its entries below row |I| are 0; its coefficient on weight l is
-    M[l][col] / p.
+    M[l][col] / p.  A class whose length is not r raises
+    dimension_mismatch.
     """
     r = git.r
+    if any(len(c) != r for c in classes):
+        raise DomainError("dimension_mismatch", "class length differs from r")
     levels = [tuple(c[k] for c in classes) for k in range(r)]
     verdicts = [(True, True)] * len(classes)
     for cover in (irrelevant_collection(git) if classes else ()):

@@ -1,17 +1,21 @@
 """Helpers shared by the test modules."""
 
 from functools import cmp_to_key
+from itertools import combinations
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
+    _row_reduce,
     as_exact_vector,
     dot,
     identity_matrix,
+    primitive_vector,
     rank,
     solve_linear,
     to_int_vector,
     vadd,
     vscale,
+    vneg,
     vsub,
 )
 from fanoscaffold.mutations import _checked_heights
@@ -65,6 +69,36 @@ def count_calls(monkeypatch, name, *modules, record=lambda *args: args[0]):
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def chamber_bases_per_basis(git):
+    """The (normals, bases) table of toric._chamber_bases, one elimination per basis.
+
+    The reference oracle of the table.  For each r-subset B of weights,
+    one elimination of [W_B | I] (W_B holds the weights of B as columns)
+    has its pivots in the first r columns exactly when B spans, and then
+    gives [p I | p W_B^-1].  Row j of the right block times p, made
+    primitive, is h_j: positive on the j-th weight of B and zero on the
+    others.  normals are the h_j up to sign, first nonzero entry positive,
+    sorted; bases holds (rows, facets, positive) per basis as the table
+    does.
+    """
+    r = git.r
+    eye = identity_matrix(r)
+    table = []
+    for basis in combinations(range(git.R), r):
+        M, pivots, _, p = _row_reduce(
+            [tuple(git.characters[i][k] for i in basis) + eye[k] for k in range(r)]
+        )
+        if pivots == list(range(r)):
+            table.append(tuple(primitive_vector([p * c for c in row[r:]]) for row in M))
+    normals = tuple(sorted({max(h, vneg(h)) for rows in table for h in rows}))
+    bit = {h: 1 << k for k, h in enumerate(normals)}
+    bases = [
+        (rows, sum(bit[max(h, vneg(h))] for h in rows), sum(bit.get(h, 0) for h in rows))
+        for rows in table
+    ]
+    return normals, tuple(bases)
 
 
 def pl_positivity(fan, coeffs):

@@ -381,6 +381,26 @@ def test_forward_scaffolding_keeps_its_pieces(monkeypatch, name):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", CORPUS_PARTITIONS)
+def test_forward_scaffolding_converts_the_pieces_hull_once(monkeypatch, name):
+    # scaffolding_from_rows converts the pieces' hull into the target and
+    # keeps it as the hull, so the validation inside laurent_inversion
+    # converts no hull again; a scaffolding built without it converts
+    # its hull on the first validation only.
+    fx = fixture(name)
+    calls = count_calls(monkeypatch, "from_points", Polytope)
+    scaf = scaffolding_from_forward(fx["git"], fx["partition"])
+    laurent_inversion(scaf)
+    points = sorted(v for piece in scaf._pieces for v in piece)
+    assert [sorted(c) for c in calls].count(points) == 1
+    assert scaf._hull is scaf.target
+    fresh = Scaffolding(scaf.shape, scaf.u, scaf.struts, scaf.target)
+    del calls[:]
+    assert validate_scaffolding(fresh)[0] and validate_scaffolding(fresh)[0]
+    assert [sorted(c) for c in calls] == [points]
+    assert fresh._hull == scaf.target
+
+
 def piece_readers(scaf):
     return validate_scaffolding(scaf), dual_cone_check(scaf), p_tilde(scaf)
 
@@ -404,6 +424,7 @@ def test_stored_pieces_read_like_fresh_ones(name, source):
     assert fresh._pieces is None
     assert piece_readers(fresh) == piece_readers(scaf) == first
     assert fresh._pieces == scaf._pieces
+    assert fresh._hull == scaf._hull
 
 
 @pytest.mark.parametrize("name", CORPUS_PARTITIONS)

@@ -17,7 +17,7 @@ from fanoscaffold.exact import (
     solve_linear,
     transpose,
 )
-from fanoscaffold.fixtures import fixture
+from fanoscaffold.fixtures import fixture, fixture_names
 from fanoscaffold.polyhedra import Cone
 from fanoscaffold.toric import (
     GitData,
@@ -31,7 +31,12 @@ from fanoscaffold.toric import (
     sections_polytope,
 )
 
-from helpers import count_calls, pl_positivity, random_unimodular_matrix
+from helpers import (
+    chamber_bases_per_basis,
+    count_calls,
+    pl_positivity,
+    random_unimodular_matrix,
+)
 
 
 def covers(git, subset):
@@ -107,6 +112,40 @@ def test_git_validation():
     with pytest.raises(DomainError) as ei:
         GitData(1, 2, [(1,), (0,)], (1,))
     assert ei.value.kind == "zero_character"
+
+
+@st.composite
+def small_characters(draw):
+    """(r, characters, omega) in [-2, 2], often not full rank or not pointed."""
+    r = draw(st.integers(1, 3))
+    weight = st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any)
+    chars = draw(st.lists(weight, min_size=1, max_size=5))
+    omega = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+    return r, chars, omega
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_characters())
+def test_git_validation_against_ranks(data):
+    # GitData reads full rank and pointedness off its one conversion of
+    # the characters: no equation and no lineality.  The reference takes
+    # the rank of the characters and of the dual cone's rays.
+    r, chars, omega = data
+    normals = polyhedra.dd_cone(chars, dim=r)[0]
+    if rank(chars) != r:
+        expected = "not_full_rank"
+    elif rank(list(normals)) != r:
+        expected = "not_pointed"
+    elif any(dot(a, omega) < 0 for a in normals):
+        expected = "omega_outside"
+    else:
+        git = GitData(r, len(chars), chars, omega)
+        assert git.cone_normals == normals
+        assert git._cone.rays == polyhedra.dd_cone(normals, dim=r)[0]
+        return
+    with pytest.raises(DomainError) as ei:
+        GitData(r, len(chars), chars, omega)
+    assert ei.value.kind == expected
 
 
 def test_integral_numbers_are_stored_as_ints():
@@ -242,10 +281,11 @@ def test_chamber_data_conversion_counts(monkeypatch):
     irrelevant_collection(git)
     assert len(dd) == 1 and solves == []
     del dd[:]
-    # One conversion for each of the 13 chambers and one for the support's
-    # rays; the table of bases and the cells take none.
+    # One conversion for each of the 13 chambers; the support's rays come
+    # from the cone GitData keeps, and the table of bases and the cells
+    # take none.
     assert len(secondary_fan(fresh)) == 13
-    assert len(dd) == 14
+    assert len(dd) == 13
 
 
 def test_git_to_stacky_fan_p2():
@@ -398,6 +438,40 @@ def test_chamber_bases_against_the_walls(git, probe, chosen):
         )
 
 
+@settings(max_examples=150, deadline=None)
+@given(git_up_to_rank_four())
+def test_chamber_bases_against_one_elimination_per_basis(git):
+    # Same normals, and the same rows and masks of each basis in the same
+    # order, as the elimination of [W_B | I] per r-subset.
+    assert toric._chamber_bases(git) == chamber_bases_per_basis(git)
+
+
+@pytest.mark.parametrize("name", [n for n in fixture_names() if "git" in fixture(n)])
+def test_chamber_bases_of_the_corpus_under_lattice_changes(name):
+    git = fixture(name)["git"]
+    rng = random.Random(name)
+    for _ in range(3):
+        u = random_unimodular_matrix(git.r, rng)
+        moved = GitData(git.r, git.R, [mat_vec(u, d) for d in git.characters],
+                        mat_vec(u, git.omega))
+        assert toric._chamber_bases(moved) == chamber_bases_per_basis(moved)
+
+
+def test_chamber_bases_at_the_edges():
+    # r = 0 has one empty basis and no normal.
+    point = GitData(0, 0, [], ())
+    assert toric._chamber_bases(point) == chamber_bases_per_basis(point) == ((), (((), 0, 0),))
+    # R = r has one basis, whose rows are all the normals.
+    for git in (
+        GitData(1, 1, [(2,)], (1,)),
+        GitData(2, 2, [(1, 0), (1, 2)], (1, 1)),
+        GitData(3, 3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)], (0, 0, 0)),
+    ):
+        normals, bases = toric._chamber_bases(git)
+        assert (normals, bases) == chamber_bases_per_basis(git)
+        assert len(bases) == 1 and len(normals) == git.r
+
+
 def test_in_chamber_interior_takes_no_conversion(monkeypatch):
     # GitData keeps the dual rays it validates omega against, and the
     # table of bases is eliminations only.
@@ -409,24 +483,26 @@ def test_in_chamber_interior_takes_no_conversion(monkeypatch):
 
 
 def test_secondary_fan_reads_the_support_off_the_cone_normals(monkeypatch):
-    # The support's rays come from one pass over the normals GitData
-    # keeps; the characters are not converted again.
-    git = weighted_flag_git()
-    calls = count_calls(monkeypatch, "dd_cone", polyhedra, toric)
-    secondary_fan(git)
-    assert git.characters not in [tuple(map(tuple, a)) for a in calls]
-    assert sum(a is git.cone_normals for a in calls) == 1
+    # The support's rays and facets are the incidences of the cone GitData
+    # keeps, so the support takes no conversion: on P^1 x P^1 the only
+    # chamber is the support itself, and the one conversion is that
+    # chamber's canonical cone.
+    git = p1p1_git()
+    dd = count_calls(monkeypatch, "_dd_core", polyhedra)
+    assert [c.rays for c in secondary_fan(git)] == [((0, 1), (1, 0))]
+    assert len(dd) == 1
 
 
 def test_chamber_bases_are_computed_once_per_git_data(monkeypatch):
-    # One elimination per 2-subset of the 7 weights, on the first question.
+    # One elimination per 1-subset of the 7 weights, on the first question;
+    # GitData itself eliminates nothing.
     eliminations = count_calls(monkeypatch, "_row_reduce", toric)
     git = weighted_flag_git()
     chambers = secondary_fan(git)
-    assert len(eliminations) == 21
+    assert len(eliminations) == 7
     assert in_chamber_interior(git, git.omega)
     assert secondary_fan(git) == chambers
-    assert len(eliminations) == 21
+    assert len(eliminations) == 7
 
 
 def test_subset_enumerations_are_capped_on_every_call():
@@ -478,6 +554,17 @@ def test_positivity_needs_a_linear_piece():
     verdicts = [(False, False), (False, False), (True, True), (True, False)]
     assert positivity(git, [c for c, _ in cases]) == verdicts
     assert [pl_positivity(sf, coeffs) for _, coeffs in cases] == verdicts
+
+
+@pytest.mark.parametrize("cls", [(1, 1, -5), (1,), ()], ids=["longer", "shorter", "empty"])
+def test_positivity_rejects_a_class_of_the_wrong_length(cls):
+    # A class longer than r used to be read as its first r entries, so
+    # (1, 1, -5) got the verdict of (1, 1); a shorter one raised IndexError.
+    git = GitData(2, 3, [(1, 0), (0, 1), (1, 1)], (1, 1))
+    with pytest.raises(DomainError) as ei:
+        positivity(git, [(1, 1), cls])
+    assert (ei.value.kind, ei.value.detail) == ("dimension_mismatch", "class length differs from r")
+    assert positivity(git, [(1, 1)]) == [(True, True)]
 
 
 def test_projective_bundle_tower_to_f2():
