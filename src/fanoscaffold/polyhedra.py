@@ -20,10 +20,13 @@ the rays off them, and Cone.from_hrep takes as facets the inequalities
 whose tight ray sets are inclusion-maximal among the proper ones.  A
 Polytope is the pointed cone over P x {1} (Ziegler, Lectures on
 Polytopes, 1.5): from_points is Cone.from_rays of the points (p, 1),
-from_hrep is Cone.from_hrep of the homogenized constraints and t >= 0,
-and both dehomogenize the cone.  A Polytope keeps both descriptions, so
-its polar dual swaps them and transposes the incidences with no
-conversion; the spanning fan and the normal fan only read them.  So do
+from_hrep is Cone.from_hrep of the homogenized constraints and t >= 0.
+A Polytope keeps that cone and dehomogenizes its vertices, facets and
+incidences on first read.  Its polar dual is the same cone with the rays
+and facet normals swapped and the incidences transposed, with no
+conversion and no arithmetic, and the cone over the dual is that cone;
+lattice and interior-origin questions read the cone's last coordinate,
+and the spanning fan and the normal fan only read the incidences.  So do
 the fan questions: Fan.is_complete reads its cones' incidences and facet
 normals to see that each ridge lies on two cones, one on either side,
 and _fan_face reads the smallest cone of a fan holding some points off
@@ -280,35 +283,52 @@ def _bits(mask):
     return out
 
 
-class Polytope:
-    """A bounded rational polytope carrying both of its descriptions.
+def _transpose(masks, count):
+    """The transposed incidences: bit k of the i-th of count masks is set
+    when bit i of masks[k] is."""
+    out = [0] * count
+    for k, mask in enumerate(masks):
+        for i in _bits(mask):
+            out[i] |= 1 << k
+    return tuple(out)
 
-    vertices: lex-sorted tuple of vertex tuples.
+
+class Polytope:
+    """A bounded rational polytope P, kept as the cone over P x {1}.
+
+    dim: the ambient dimension n of P.
+    cone: the pointed Cone in dimension n + 1 over P x {1}, from the one
+        conversion of from_points or from_hrep.  Its rays are the
+        primitive integer multiples of the points (v, 1) and its facet
+        normals the primitive integer rows (a, -rhs) of <a, x> >= rhs.
+
+    Four read-only properties dehomogenize the cone on first read and
+    keep the result:
+    vertices: lex-sorted tuple of vertex tuples, v = r[:n] / r[n].
+    incidence: one int bit mask per facet inequality; bit i is set when
+        vertex i lies on that facet, the cone's incidences re-indexed
+        to the vertex order.
     inequalities: facet inequalities (normal, rhs), <normal, x> >= rhs,
         irredundant within the affine hull.
     equations: affine hull equations (normal, rhs), <normal, x> = rhs.
-    incidence: one int bit mask per facet inequality; bit i is set when
-        vertex i lies on that facet.  It is made by the same conversion as
-        the rest and never recomputed.
 
-    The constructor checks nothing: incidence must be the exact
-    vertex-facet incidence of the given vertices and inequalities, since
-    every face, fan and dual query reads it as it is.  Build a Polytope
-    with from_points or from_hrep (or an operation on one), not directly.
+    Polytope(dim, cone) checks nothing: cone must be a pointed Cone over
+    P x {1} with exact incidences, since every face, fan and dual query
+    reads it as it is.  Build a Polytope with from_points or from_hrep (or
+    an operation on one), not directly.
 
-    Normals are integer tuples.  Every vertex coordinate and every rhs is
-    an ``int`` when it is integral and a ``Fraction`` otherwise
+    Normals are integer tuples, and every rhs is an ``int``, as the cone's
+    normals are primitive integer rows.  Every vertex coordinate is an
+    ``int`` when it is integral and a ``Fraction`` otherwise
     (``exact.as_exact``), so a lattice polytope stores only ints.
     """
 
-    __slots__ = ("dim", "vertices", "inequalities", "equations", "incidence")
+    __slots__ = ("dim", "cone", "_vertices", "_incidence", "_inequalities", "_equations")
 
-    def __init__(self, dim, vertices, inequalities, equations, incidence):
+    def __init__(self, dim, cone):
         self.dim = dim
-        self.vertices = vertices
-        self.inequalities = inequalities
-        self.equations = equations
-        self.incidence = incidence
+        self.cone = cone
+        self._vertices = self._incidence = self._inequalities = self._equations = None
 
     @classmethod
     def from_points(cls, points):
@@ -322,7 +342,7 @@ class Polytope:
         for p in pts:
             if len(p) != n:
                 raise DomainError("dimension_mismatch", "points of mixed length")
-        return cls._from_cone(n, Cone.from_rays([p + (1,) for p in pts], dim=n + 1))
+        return cls(n, Cone.from_rays([p + (1,) for p in pts], dim=n + 1))
 
     @classmethod
     def from_hrep(cls, inequalities, equations=(), dim=None):
@@ -352,26 +372,46 @@ class Polytope:
             # Only recession rays and no vertex: the polyhedron is empty and
             # the homogenization degenerated to the recession cone.
             raise DomainError("empty_polytope", "inconsistent constraints")
-        return cls._from_cone(n, cone)
+        return cls(n, cone)
 
-    @classmethod
-    def _from_cone(cls, n, cone):
-        """The polytope P in dimension n whose cone over P x {1} is cone.
+    @property
+    def vertices(self):
+        if self._vertices is None:
+            self._dehomogenize()
+        return self._vertices
 
-        The ray r gives the vertex r[:n] / r[n], and the normal (a, -rhs)
-        the facet <a, x> >= rhs.  When every vertex is a lattice point, the
-        rays are the points (v, 1), already in the vertices' lex order.
+    @property
+    def incidence(self):
+        if self._incidence is None:
+            self._dehomogenize()
+        return self._incidence
+
+    @property
+    def inequalities(self):
+        if self._inequalities is None:
+            self._inequalities = tuple((a[:-1], -a[-1]) for a in self.cone.ineq_normals)
+        return self._inequalities
+
+    @property
+    def equations(self):
+        if self._equations is None:
+            self._equations = tuple((e[:-1], -e[-1]) for e in self.cone.eq_normals)
+        return self._equations
+
+    def _dehomogenize(self):
+        """Keep the vertices r[:n] / r[n] of the cone's rays r, lex sorted.
+
+        A ray (v, 1) gives v with no division.  When every vertex is a
+        lattice point, the rays are the points (v, 1), already in the
+        vertices' lex order, and the cone's incidences are the polytope's.
         """
-        rays, incidence = cone.rays, cone.incidence
-        verts = [r[:n] for r in rays]
-        if any(r[n] != 1 for r in rays):
-            verts = [tuple(exact_ratio(c, r[n]) for c in r[:n]) for r in rays]
+        n, rays, incidence = self.dim, self.cone.rays, self.cone.incidence
+        verts = [r[:n] if r[n] == 1 else tuple(exact_ratio(c, r[n]) for c in r[:n]) for r in rays]
+        if not self.is_lattice():
             order = sorted(range(len(verts)), key=verts.__getitem__)
             verts = [verts[i] for i in order]
             incidence = _reindex(incidence, order)
-        ineqs = tuple((a[:n], -a[n]) for a in cone.ineq_normals)
-        eqs = tuple((e[:n], -e[n]) for e in cone.eq_normals)
-        return cls(n, tuple(verts), ineqs, eqs, incidence)
+        self._vertices, self._incidence = tuple(verts), incidence
 
     def __eq__(self, other):
         return (
@@ -387,10 +427,12 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
 
     def is_full_dimensional(self):
-        return not self.equations
+        return not self.cone.eq_normals
 
     def is_lattice(self):
-        return all(type(c) is int for v in self.vertices for c in v)
+        """Whether every ray of the cone is (v, 1): a primitive (v q, q) with
+        q > 1 has some coordinate that q does not divide."""
+        return all(r[-1] == 1 for r in self.cone.rays)
 
     def dilate(self, k):
         k = as_exact(k)
@@ -498,51 +540,34 @@ class Polytope:
         return tuple(pts)
 
     def has_interior_origin(self):
-        if self.equations:
-            return False
-        return all(rhs < 0 for _, rhs in self.inequalities)
+        """Whether 0 is interior: full dimensional, every rhs = -a[n] < 0."""
+        return self.is_full_dimensional() and all(a[-1] > 0 for a in self.cone.ineq_normals)
 
     def dual(self):
         """The polar dual {y : <y, x> >= -1 for all x in self}.
 
-        Requires the origin strictly in the interior.  Duality swaps the two
-        stored descriptions, so no conversion is made.  The irredundant facet
-        <a, x> >= rhs, with rhs < 0, gives the dual vertex a / -rhs
-        (_dual_vertex).  The vertex v gives the dual facet <v, y> >= -1,
-        stored as from_points stores it: r is the primitive integer
-        multiple of (v, 1), split as (r[:n], -r[n]), and the facets are
-        sorted by r.  A dual with 0 in its interior is full dimensional, so
-        it has no equations.  The incidences are the transpose of the
-        stored ones: the dual vertex of a facet lies on the dual facet of
-        a vertex exactly when the vertex lies on the facet.
+        Requires the origin strictly in the interior.  Polarity swaps the
+        rays of the cone over P x {1} with its facet normals (Ziegler,
+        Lectures on Polytopes, Lecture 2): the facet normal (a, -rhs) is the
+        primitive multiple of the dual vertex a / -rhs lifted to (a / -rhs,
+        1), and the ray r of the vertex v is the normal of the dual facet
+        <v, y> >= -1.  Both lists are already primitive and lex sorted, so
+        no arithmetic is made.  A dual with 0 in its interior is full
+        dimensional and pointed.  The incidences are the transpose of the
+        cone's: the dual vertex of a facet lies on the dual facet of a
+        vertex exactly when the vertex lies on the facet.
         """
         if not self.has_interior_origin():
             raise DomainError("origin_not_interior", "polar dual undefined")
-        n = self.dim
-        verts = sorted(
-            (_dual_vertex(a, rhs), mask) for (a, rhs), mask in zip(self.inequalities, self.incidence)
-        )
-        # Bit k of on_vertex[i] is set when vertex i lies on the facet that
-        # becomes dual vertex k.
-        on_vertex = [0] * len(self.vertices)
-        for k, (_, mask) in enumerate(verts):
-            for i in _bits(mask):
-                on_vertex[i] |= 1 << k
-        rows = sorted(zip((_normalize_constraint(v + (1,)) for v in self.vertices), on_vertex))
-        return Polytope(
-            n,
-            tuple(v for v, _ in verts),
-            tuple((r[:n], -r[n]) for r, _ in rows),
-            (),
-            tuple(mask for _, mask in rows),
-        )
+        cone = self.cone
+        on_ray = _transpose(cone.incidence, len(cone.rays))
+        return Polytope(self.dim, Cone(cone.dim, cone.ineq_normals, (), cone.rays, (), on_ray))
 
     def is_reflexive(self):
-        return (
-            self.is_lattice()
-            and self.has_interior_origin()
-            and self.dual().is_lattice()
-        )
+        """Whether P is a lattice polytope whose facets are all <a, x> >= -1:
+        the dual's vertices are then the primitive integer normals a."""
+        normals = self.cone.ineq_normals
+        return self.is_lattice() and self.is_full_dimensional() and all(a[-1] == 1 for a in normals)
 
     def minkowski_sum(self, other):
         if self.dim != other.dim:
@@ -554,24 +579,21 @@ class Polytope:
 def _dual_vertex(a, rhs):
     """The point a / -rhs dual to the facet <a, x> >= rhs, where rhs < 0.
 
-    a is an integer normal.  The point is a itself when rhs = -1; otherwise
-    each coordinate a_i q / p, for rhs = -p / q, is an int exactly when it
-    is integral.
+    a is an integer normal and rhs an int, as a polytope stores them.  The
+    point is a itself when rhs = -1; otherwise each coordinate a_i / -rhs
+    is an int exactly when it is integral.
     """
-    if rhs == -1:
-        return a
-    q, p = rhs.denominator, -rhs.numerator
-    return tuple(exact_ratio(q * c, p) for c in a)
+    return a if rhs == -1 else tuple(exact_ratio(c, -rhs) for c in a)
 
 
 def _integer_row(a, rhs):
     """Primitive integer (a', b) with the same lattice points as <a, x> >= rhs.
 
-    a may be zero (the one inequality of a point is 0 >= -1); then a' is.
+    a and rhs are integers, read off a primitive integer cone normal.  a
+    may be zero (the one inequality of a point is 0 >= -1); then a' is.
     """
-    row = _clear_denominators(tuple(a) + (rhs,))
-    g = gcd(*row[:-1]) or 1
-    return tuple(c // g for c in row[:-1]), -(-row[-1] // g)
+    g = gcd(*a) or 1
+    return tuple(c // g for c in a), -(-rhs // g)
 
 
 class Cone:
@@ -677,10 +699,7 @@ class Cone:
             dim = len((ineqs or eqs)[0])
         rays, masks, lineality = _dd_core(ineqs, eqs, dim)
         # Bit i of tight[j] is set when rays[i] lies on inequality j.
-        tight = [0] * len(ineqs)
-        for i, z in enumerate(masks):
-            for j in _bits(z):
-                tight[j] |= 1 << i
+        tight = _transpose(masks, len(ineqs))
         everything = (1 << len(rays)) - 1
         # first maps each proper tight set to its first inequality.
         first = {}
@@ -749,11 +768,6 @@ def _fan_face(fan, points):
                     on &= mask
             return tuple(v for i, v in enumerate(cone.rays) if on >> i & 1)
     return None
-
-
-def cone_over(polytope):
-    """The cone over polytope x {1} in one more dimension."""
-    return Cone.from_rays([v + (1,) for v in polytope.vertices], dim=polytope.dim + 1)
 
 
 class Fan:

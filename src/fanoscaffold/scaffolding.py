@@ -10,7 +10,7 @@ from itertools import combinations, product
 from .errors import DomainError
 from .exact import det, identity_matrix, to_int_vector
 from .laurent import _bracket_sum
-from .polyhedra import Cone, Fan, Polytope, cone_over
+from .polyhedra import Cone, Fan, Polytope
 from .toric import sections_polytope
 from .forward import normalized_matrix
 
@@ -189,13 +189,14 @@ def dual_cone_check(scaf):
     """Dual route: intersect the strut cones, compare with the target's.
 
     Equivalent to the hull test when the target contains the origin in its
-    interior, but computed entirely on the dual side.
+    interior, but computed entirely on the dual side.  The target's polar
+    dual keeps its cone, so only the strut side is converted.
     """
     normals = [q + (1,) for q in _piece_vertices(_pieces(scaf))]
     if not normals:
         return False
     lhs = Cone.from_hrep(normals)
-    rhs = cone_over(scaf.target.dual())
+    rhs = scaf.target.dual().cone
     return lhs.contains_cone(rhs) and rhs.contains_cone(lhs)
 
 

@@ -1,11 +1,14 @@
 """Helpers shared by the test modules."""
 
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from math import lcm
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
     _row_reduce,
+    as_exact,
     as_exact_vector,
     dot,
     identity_matrix,
@@ -357,3 +360,62 @@ def mutate_polytope_per_level(polytope, w, factor):
                 vadd(p, vscale(h, q)) for p in piece.vertices for q in factor.vertices
             )
     return Polytope.from_points(points)
+
+
+def dehomogenized(n, cone):
+    """(vertices, inequalities, equations, incidence) of the polytope P in
+    dimension n whose cone over P x {1} is cone, all computed at once.
+
+    The oracle of Polytope's first-read properties, as the former
+    Polytope._from_cone built them: the ray r gives the vertex
+    r[:n] / r[n], by Fraction division, and the normal (a, -rhs) the facet
+    <a, x> >= rhs; the vertices are lex sorted and the incidences
+    re-indexed to that order.
+    """
+    verts = [tuple(as_exact(Fraction(c, r[n])) for c in r[:n]) for r in cone.rays]
+    order = sorted(range(len(verts)), key=verts.__getitem__)
+    incidence = tuple(
+        sum(1 << k for k, i in enumerate(order) if mask >> i & 1) for mask in cone.incidence
+    )
+    return (
+        tuple(verts[i] for i in order),
+        tuple((a[:n], -a[n]) for a in cone.ineq_normals),
+        tuple((e[:n], -e[n]) for e in cone.eq_normals),
+        incidence,
+    )
+
+
+def polar_by_fractions(n, described):
+    """The (vertices, inequalities, equations, incidence) of the polar dual
+    of the polytope that described gives, as the former Polytope.dual
+    computed them.
+
+    The facet <a, x> >= rhs, rhs < 0, gives the dual vertex a / -rhs, a
+    Fraction division; the vertices are sorted with their incidence masks.
+    The vertex v gives the dual facet <v, y> >= -1, stored as the
+    primitive integer multiple r of (v, 1) split as (r[:n], -r[n]), and
+    the facets are sorted by r.  The incidences are transposed.
+    """
+    vertices, inequalities, _, incidence = described
+    verts = sorted(
+        (tuple(as_exact(Fraction(c) / -rhs) for c in a), mask)
+        for (a, rhs), mask in zip(inequalities, incidence)
+    )
+    on_vertex = [0] * len(vertices)
+    for k, (_, mask) in enumerate(verts):
+        for i in range(len(vertices)):
+            if mask >> i & 1:
+                on_vertex[i] |= 1 << k
+    rows = sorted(zip((_primitive_row(v + (1,)) for v in vertices), on_vertex))
+    return (
+        tuple(v for v, _ in verts),
+        tuple((r[:n], -r[n]) for r, _ in rows),
+        (),
+        tuple(mask for _, mask in rows),
+    )
+
+
+def _primitive_row(v):
+    """The primitive integer multiple of a rational vector."""
+    den = lcm(*(Fraction(c).denominator for c in v))
+    return primitive_vector(tuple((Fraction(c) * den).numerator for c in v))

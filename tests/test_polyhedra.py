@@ -29,7 +29,6 @@ from fanoscaffold.polyhedra import (
     Cone,
     Fan,
     Polytope,
-    cone_over,
     dd_cone,
     lattice_isomorphic,
     normal_fan,
@@ -44,7 +43,10 @@ from helpers import (
     affine_rank,
     angular_order,
     contains,
+    count_calls,
+    dehomogenized,
     erode,
+    polar_by_fractions,
     proper_faces,
     random_unimodular_matrix,
     restrict_fan_pairwise,
@@ -651,17 +653,42 @@ def test_each_constructor_makes_one_conversion(monkeypatch):
     triangle = Polytope.from_points([(1, 0), (0, 1), (-1, -1)])
     core = polyhedra._dd_core
     monkeypatch.setattr(polyhedra, "_dd_core", counted)
+    # The cone over the dual is the triangle's own cone with rays and
+    # normals swapped, so it takes no conversion.
     builds = [
-        lambda: Cone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 2, 1), (0, 1, 1)]),
-        lambda: Cone.from_hrep([(0, 1, 0), (0, 0, 1), (0, 1, -1)], [(1, 1, 1)]),
-        lambda: Polytope.from_points([(0, 0), (2, 0), (0, 2), (1, 1), (Fraction(1, 2), 0)]),
-        lambda: Polytope.from_hrep([((1, 0), 0), ((0, 1), 0), ((-2, -1), Fraction(-3, 2))]),
-        lambda: cone_over(triangle),
+        (lambda: Cone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 2, 1), (0, 1, 1)]), 1),
+        (lambda: Cone.from_hrep([(0, 1, 0), (0, 0, 1), (0, 1, -1)], [(1, 1, 1)]), 1),
+        (lambda: Polytope.from_points([(0, 0), (2, 0), (0, 2), (1, 1), (Fraction(1, 2), 0)]), 1),
+        (lambda: Polytope.from_hrep([((1, 0), 0), ((0, 1), 0), ((-2, -1), Fraction(-3, 2))]), 1),
+        (lambda: triangle.dual().cone, 0),
     ]
-    for build in builds:
+    for build, conversions in builds:
         del calls[:]
         build()
-        assert len(calls) == 1
+        assert len(calls) == conversions
+
+
+def test_dual_makes_no_conversion_and_no_fraction(monkeypatch):
+    # A lattice polytope whose dual has rational vertices: the dual and its
+    # dual are read off the kept cone, with no conversion and no Fraction,
+    # and the dual's vertices are still the Fractions of a / -rhs.
+    p = Polytope.from_points([(2, 0), (1, 2), (-1, 1), (-1, -1), (1, -2), (0, 0)])
+    expected = polar_by_fractions(p.dim, dehomogenized(p.dim, p.cone))
+    calls = count_calls(monkeypatch, "_dd_core", polyhedra)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    d = p.dual()
+    assert d.dual() == p
+    monkeypatch.setattr(Fraction, "__new__", new)
+    assert (calls, made) == ([], [])
+    assert (d.vertices, d.inequalities, d.equations, d.incidence) == expected
+    assert any(type(c) is Fraction for v in d.vertices for c in v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1017,7 +1044,7 @@ def test_pulled_back_normal_fan_is_the_normal_fan_of_the_projection(p, seed, dat
 
 def test_cone_over():
     square = Polytope.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    c = cone_over(square)
+    c = square.cone
     assert c.dim == 3 and c.eq_normals == ()
     assert c.contains((0, 0, 1)) and not c.contains((3, 0, 1))
     assert set(c.rays) == {(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)}
@@ -1127,3 +1154,61 @@ def test_lattice_isomorphic_finds_the_oracles_map(p, seed):
     assert abs(det(found)) == 1
     assert {mat_vec(found, v) for v in p.vertices} == set(q.vertices)
     assert lattice_isomorphic(p, p.dilate(2)) is None
+
+
+def built_from_hrep(system):
+    """The polytope of an hrep_systems draw, or None when it raises."""
+    n, ineqs, eqs = system
+    try:
+        return Polytope.from_hrep(ineqs, eqs, dim=n)
+    except DomainError:
+        return None
+
+
+LATTICE_POINT_SETS = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=8)
+)
+
+
+def assert_fields(p, described):
+    """p's first-read properties and the queries on them against described,
+    types included, and its cone field by field against a conversion of
+    its vertices."""
+    vertices, inequalities, equations, incidence = described
+    assert repr((p.vertices, p.inequalities, p.equations, p.incidence)) == repr(described)
+    assert p.facet_vertex_sets() == tuple(
+        frozenset(i for i in range(len(vertices)) if mask >> i & 1) for mask in incidence
+    )
+    assert p.is_lattice() == all(type(c) is int for v in vertices for c in v)
+    assert p.has_interior_origin() == (not equations and all(b < 0 for _, b in inequalities))
+    cone = Cone.from_rays([v + (1,) for v in p.vertices], dim=p.dim + 1)
+    for field in Cone.__slots__:
+        assert getattr(p.cone, field) == getattr(cone, field), field
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    LATTICE_POINT_SETS.map(Polytope.from_points),
+    point_sets().map(Polytope.from_points),
+    hrep_systems().map(built_from_hrep),
+    origin_polytopes(),
+    rational_origin_polytopes(),
+    st.builds(lambda: Polytope.from_hrep([], dim=0)),
+))
+def test_polytope_fields_against_the_eager_oracles(p):
+    # Every property a Polytope dehomogenizes on first read, and its polar
+    # dual read off the kept cone, against the former eager builds.
+    assume(p is not None)
+    expected = dehomogenized(p.dim, p.cone)
+    assert_fields(p, expected)
+    if not p.has_interior_origin():
+        assert not p.is_reflexive()
+        return
+    polar = polar_by_fractions(p.dim, expected)
+    lattice_dual = all(type(c) is int for v in polar[0] for c in v)
+    assert p.is_reflexive() == (p.is_lattice() and lattice_dual)
+    d = p.dual()
+    assert_fields(d, polar)
+    assert polar_by_fractions(p.dim, polar) == expected
+    assert_fields(d.dual(), expected)
+    assert d.dual() == p

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanoscaffold import mutations, nefpart, scaffolding, toric
+from fanoscaffold import mutations, nefpart, polyhedra, scaffolding, toric
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import mat_vec
 from fanoscaffold.fixtures import fixture, fixture_names
@@ -18,7 +18,7 @@ from fanoscaffold.forward import (
 from fanoscaffold.inversion import laurent_inversion
 from fanoscaffold.mutations import mutate_scaffolding
 from fanoscaffold.nefpart import p_tilde
-from fanoscaffold.polyhedra import Fan, Polytope, normal_fan
+from fanoscaffold.polyhedra import Cone, Fan, Polytope, normal_fan
 from fanoscaffold.scaffolding import (
     Scaffolding,
     Strut,
@@ -379,6 +379,20 @@ def test_forward_scaffolding_keeps_its_pieces(monkeypatch, name):
     assert validate_scaffolding(scaf)[0]
     dual_cone_check(scaf)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", [n for n in fixture_names() if "scaffolding" in fixture(n)])
+def test_dual_cone_check_converts_only_the_strut_side(monkeypatch, name):
+    # The target's polar dual keeps its cone, so once the pieces are known
+    # the check makes one conversion, the intersection of the strut cones,
+    # and answers as it did with the cone over the dual converted anew.
+    scaf = fixture(name)["scaffolding"]
+    _pieces(scaf)
+    lhs = Cone.from_hrep([q + (1,) for piece in scaf._pieces if piece for q in piece])
+    rhs = Cone.from_rays([v + (1,) for v in scaf.target.dual().vertices])
+    calls = count_calls(monkeypatch, "_dd_core", polyhedra)
+    assert dual_cone_check(scaf) == (lhs.contains_cone(rhs) and rhs.contains_cone(lhs))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", CORPUS_PARTITIONS)

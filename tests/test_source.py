@@ -69,6 +69,22 @@ def test_no_module_casts_with_int_or_float():
     assert casts == []
 
 
+def test_only_polyhedra_calls_the_unchecked_constructors():
+    # Polytope(dim, cone) and Cone(...) check nothing, so every other
+    # module builds them through from_points, from_hrep or from_rays, or
+    # an operation on a polytope.
+    direct = [
+        "%s:%d" % (path.stem, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "polyhedra"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        in ("Polytope", "Cone")
+    ]
+    assert direct == []
+
+
 def test_readme_lists_every_cap_kind():
     # The caps are the DomainError kinds named *_too_large or too_many_*;
     # the README sentence on capped inputs names each one and no other.
