@@ -26,11 +26,11 @@ from .exact import (
 )
 from .forward import ConvexPartitionWithBasis
 from .polyhedra import (
+    Cone,
     Fan,
     Polytope,
-    _dual_vertex,
+    _affine,
     _fan_face,
-    _in_hrep,
     dd_cone,
     normal_fan,
     placing_triangulation,
@@ -382,10 +382,11 @@ def _face_cones_check(scaf, basis, rhos, theta, preimages):
     dim = u + len(scaf.shape.rays)
     target = scaf.target
     # lift the dual vertex of every facet of the target; spanning_fan has
-    # already required 0 in its interior, so every rhs is negative
+    # already required 0 in its interior, so every facet normal (a, -rhs)
+    # has -rhs > 0
     lifts = []
-    for a, rhs in target.inequalities:
-        lifted = _lift_facet_normal(scaf, basis, _dual_vertex(a, rhs))
+    for a in target.cone.ineq_normals:
+        lifted = _lift_facet_normal(scaf, basis, _affine(a))
         if lifted is None:
             return False
         lifts.append(lifted)
@@ -443,7 +444,7 @@ def _in_cone(gens, point):
     One elimination of [gens | point]: a pivot in the last column means
     point is outside their span, and when every generator column is a
     pivot the unique coefficients decide.  Dependent generators take one
-    dd_cone pass for the cone's H-description and a sign test.
+    conversion for the cone's H-description and a sign test.
     """
     m = len(gens)
     M, pivots, _, piv = _row_reduce(transpose(list(gens) + [point]))
@@ -451,7 +452,7 @@ def _in_cone(gens, point):
         return False
     if len(pivots) == m:
         return all(M[i][m] * piv >= 0 for i in range(m))
-    return _in_hrep(*dd_cone(gens, dim=len(point)), point)
+    return Cone.from_rays(gens, dim=len(point)).contains(point)
 
 
 def ci_data(scaf):

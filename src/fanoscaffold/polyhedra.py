@@ -14,27 +14,29 @@ One step of it, the cut of a cone's rays by one hyperplane, is _dd_step;
 it gives both halves, so toric.secondary_fan splits its cells with it.
 Its core, _dd_core, also returns each ray's exact tight mask.
 
-Every Cone comes from one _dd_core pass and keeps its tight masks as the
-ray-facet incidences, one int bit mask per facet: Cone.from_rays reads
-the rays off them, and Cone.from_hrep takes as facets the inequalities
-whose tight ray sets are inclusion-maximal among the proper ones.  A
-Polytope is the pointed cone over P x {1} (Ziegler, Lectures on
-Polytopes, 1.5): from_points is Cone.from_rays of the points (p, 1),
-from_hrep is Cone.from_hrep of the homogenized constraints and t >= 0.
-A Polytope keeps that cone and dehomogenizes its vertices, facets and
-incidences on first read.  Its polar dual is the same cone with the rays
-and facet normals swapped and the incidences transposed, with no
-conversion and no arithmetic, and the cone over the dual is that cone;
-lattice and interior-origin questions read the cone's last coordinate,
-and the spanning fan and the normal fan only read the incidences.  So do
-the fan questions: Fan.is_complete reads its cones' incidences and facet
-normals to see that each ridge lies on two cones, one on either side,
-and _fan_face reads the smallest cone of a fan holding some points off
-one maximal cone's incidences.  A placing triangulation is the lower
-facets of one conversion of the lifted points.  Lattice
-points are enumerated on integer rows by a depth-first walk over the
-coordinates that bounds each one by the rows' partial sums and the most
-the later coordinates can add, in bounding boxes of at most
+Every Cone comes from one _dd_core pass, read once by _convert from both
+sides of polarity: the pass cuts out the cone of its rows, whose polar
+the rows span, and a row is kept when the facets of that span through it
+meet only in it.  Cone.from_rays stores the kept generators as the rays
+and the pass's rays as the facet normals, with the tight masks as the
+ray-facet incidences, one int bit mask per facet; Cone.from_hrep stores
+the same reading the other way round, its masks transposed once; and
+Cone.polar swaps the two sides with no conversion.  A Polytope is the
+pointed cone over P x {1} (Ziegler, Lectures on Polytopes, 1.5):
+from_points is Cone.from_rays of the points (p, 1), from_hrep is
+Cone.from_hrep of the homogenized constraints and t >= 0.  A Polytope
+keeps that cone and dehomogenizes its vertices, facets and incidences on
+first read.  Its polar dual is the polytope over the polar cone, with no
+conversion and no arithmetic; lattice and interior-origin questions read
+the cone's last coordinate, and the spanning fan and the normal fan only
+read the incidences.  So do the fan questions: Fan.is_complete reads its
+cones' incidences and facet normals to see that each ridge lies on two
+cones, one on either side, and _fan_face reads the smallest cone of a
+fan holding some points off one maximal cone's incidences.  A placing
+triangulation is the lower facets of one conversion of the lifted
+points.  Lattice points are enumerated on integer rows by a depth-first
+walk over the coordinates that bounds each one by the rows' partial sums
+and the most the later coordinates can add, in bounding boxes of at most
 MAX_LATTICE_BOX points (larger ones raise lattice_box_too_large).
 Intended for small instances (ambient dimension up to about 10); no
 attempt is made at large-scale performance.
@@ -167,34 +169,25 @@ def _dd_core(inequalities, equations, dim):
     all processed inequalities, so the masks stay exact.  A pointed cone
     returns its rays as they stand, with no kernel computation.
     """
+    rows = list(inequalities)
+    eqs = list(equations)
+    if dim is None:
+        if not (rows or eqs):
+            raise DomainError("dimension_unknown", "no constraints and no dim given")
+        dim = len((rows or eqs)[0])
+    n = dim
+    _check_lengths(rows + eqs, n)
     # Each nonzero inequality keeps the bit of its position; the zero ones
     # are tight everywhere and are set on every ray at the end.
     ineqs = []
     zero = 0
-    for j, a in enumerate(inequalities):
+    for j, a in enumerate(rows):
         v = _normalize_constraint(a)
         if v is None:
             zero |= 1 << j
         else:
             ineqs.append((v, 1 << j))
-    eqs = []
-    for e in equations:
-        v = _normalize_constraint(e)
-        if v is not None:
-            eqs.append(v)
-    if dim is None:
-        if ineqs:
-            dim = len(ineqs[0][0])
-        elif eqs:
-            dim = len(eqs[0])
-        else:
-            raise DomainError("dimension_unknown", "no constraints and no dim given")
-    n = dim
-    for v in [a for a, _ in ineqs] + eqs:
-        if len(v) != n:
-            raise DomainError(
-                "dimension_mismatch", f"constraint has length {len(v)}, expected {n}"
-            )
+    eqs = [v for v in map(_normalize_constraint, eqs) if v is not None]
 
     # Running description: cone = span(lin) + cone(r for r, _ in rays).
     # Each ray carries the mask of the processed inequalities where it is
@@ -261,6 +254,70 @@ def _dd_core(inequalities, equations, dim):
         tight = dict(rays)
     out = tuple(sorted(tight))
     return out, tuple(tight[r] | zero for r in out), tuple(lineality)
+
+
+def _check_lengths(vectors, n):
+    """Raise dimension_mismatch unless every vector, zero or not, has length n."""
+    for v in vectors:
+        if len(v) != n:
+            raise DomainError("dimension_mismatch", f"constraint has length {len(v)}, expected {n}")
+
+
+def _convert(rows, eqs, dim):
+    """One _dd_core pass, read from both sides of polarity.
+
+    The pass cuts out C = {x : <a, x> >= 0 for a in rows, <e, x> = 0 for
+    e in eqs}, whose polar C* is spanned by the rows and +-eqs (Ziegler,
+    Lectures on Polytopes, Lecture 2).  Returns (kept, kernel, rays,
+    lineality, masks):
+    kept: the extreme rows, the rays of C* and the facet normals of C,
+        primitive, reduced modulo the kernel and lex sorted;
+    kernel: the canonical basis of the kernel of C's rays and lineality,
+        the lineality of C* and the equations of C;
+    rays, lineality: those of C, as _dd_core gives them;
+    masks: one int bit mask per ray; bit k is set when the ray lies on
+        kept[k].
+    The kernel is computed, and the rows reduced modulo it, only when
+    equations are given or some row vanishes on every ray.  A row is kept
+    when it is the first copy of a reduced row outside the kernel and no
+    other such first copy lies on every ray on which it does: the facets
+    of C* through it meet only in it.
+    """
+    # Each distinct row once, in order, primitive when nonzero; a zero row
+    # stays, so that _dd_core checks its length.
+    rows = list(dict.fromkeys(_normalize_constraint(a) or tuple(a) for a in rows))
+    rays, masks, lineality = _dd_core(rows, eqs, dim)
+    reps = common = (1 << len(rows)) - 1
+    for mask in masks:
+        common &= mask
+    kernel = ()
+    if eqs or common:
+        kernel = tuple(kernel_basis(rays + lineality, ncols=dim))
+        pivots = _pivot_columns(kernel)
+        rows = [_reduce_mod_rows(a, kernel, pivots) for a in rows]
+        # reps keeps the first of each reduced row outside the kernel.
+        first = {}
+        for i, a in enumerate(rows):
+            first.setdefault(a, i)
+        first.pop((0,) * dim, None)
+        reps = sum(1 << i for i in first.values())
+    # A row in the kernel is not in reps, and a later copy of a reduced row
+    # meets the first copy, so neither is kept.  With no kernel, no row is
+    # zero, as a zero row lies on every ray.
+    keep = []
+    for i in range(len(rows)):
+        meet = reps
+        for mask in masks:
+            if mask >> i & 1:
+                meet &= mask
+        if meet == 1 << i:
+            keep.append(i)
+    keep.sort(key=rows.__getitem__)
+    # When every row is kept, in order, the masks are already indexed by
+    # the kept rows; skipping the re-index there is faster.
+    if keep != list(range(len(rows))):
+        masks = _reindex(masks, keep)
+    return tuple(map(rows.__getitem__, keep)), kernel, rays, lineality, masks
 
 
 def _pivot_columns(rows):
@@ -361,6 +418,7 @@ class Polytope:
                 raise DomainError("dimension_unknown", "no constraints and no dim")
             dim = len((ineqs or eqs)[0]) - 1
         n = dim
+        _check_lengths([r[:-1] for r in ineqs + eqs], n)
         ineqs.append((0,) * n + (1,))
         cone = Cone.from_hrep(ineqs, eqs, dim=n + 1)
         if cone.lineality:
@@ -405,8 +463,8 @@ class Polytope:
         lattice point, the rays are the points (v, 1), already in the
         vertices' lex order, and the cone's incidences are the polytope's.
         """
-        n, rays, incidence = self.dim, self.cone.rays, self.cone.incidence
-        verts = [r[:n] if r[n] == 1 else tuple(exact_ratio(c, r[n]) for c in r[:n]) for r in rays]
+        verts = [_affine(r) for r in self.cone.rays]
+        incidence = self.cone.incidence
         if not self.is_lattice():
             order = sorted(range(len(verts)), key=verts.__getitem__)
             verts = [verts[i] for i in order]
@@ -546,22 +604,16 @@ class Polytope:
     def dual(self):
         """The polar dual {y : <y, x> >= -1 for all x in self}.
 
-        Requires the origin strictly in the interior.  Polarity swaps the
-        rays of the cone over P x {1} with its facet normals (Ziegler,
-        Lectures on Polytopes, Lecture 2): the facet normal (a, -rhs) is the
-        primitive multiple of the dual vertex a / -rhs lifted to (a / -rhs,
-        1), and the ray r of the vertex v is the normal of the dual facet
-        <v, y> >= -1.  Both lists are already primitive and lex sorted, so
-        no arithmetic is made.  A dual with 0 in its interior is full
-        dimensional and pointed.  The incidences are the transpose of the
-        cone's: the dual vertex of a facet lies on the dual facet of a
-        vertex exactly when the vertex lies on the facet.
+        Requires the origin strictly in the interior.  Its cone is the
+        polar of the cone over P x {1} (Cone.polar), with no conversion and
+        no arithmetic: the facet normal (a, -rhs) is the primitive multiple
+        of the dual vertex a / -rhs lifted to (a / -rhs, 1), and the ray of
+        the vertex v is the normal of the dual facet <v, y> >= -1.  A dual
+        with 0 in its interior is full dimensional and pointed.
         """
         if not self.has_interior_origin():
             raise DomainError("origin_not_interior", "polar dual undefined")
-        cone = self.cone
-        on_ray = _transpose(cone.incidence, len(cone.rays))
-        return Polytope(self.dim, Cone(cone.dim, cone.ineq_normals, (), cone.rays, (), on_ray))
+        return Polytope(self.dim, self.cone.polar())
 
     def is_reflexive(self):
         """Whether P is a lattice polytope whose facets are all <a, x> >= -1:
@@ -576,14 +628,15 @@ class Polytope:
         return Polytope.from_points(pts)
 
 
-def _dual_vertex(a, rhs):
-    """The point a / -rhs dual to the facet <a, x> >= rhs, where rhs < 0.
+def _affine(ray):
+    """The point v = r[:-1] / r[-1] of an integer ray r with r[-1] > 0.
 
-    a is an integer normal and rhs an int, as a polytope stores them.  The
-    point is a itself when rhs = -1; otherwise each coordinate a_i / -rhs
-    is an int exactly when it is integral.
+    It is r[:-1] itself when r[-1] = 1; otherwise each coordinate is an
+    int exactly when it is integral.  The ray of a vertex v of a polytope
+    gives v, and the facet normal (a, -rhs) gives the dual vertex a / -rhs.
     """
-    return a if rhs == -1 else tuple(exact_ratio(c, -rhs) for c in a)
+    q = ray[-1]
+    return ray[:-1] if q == 1 else tuple(exact_ratio(c, q) for c in ray[:-1])
 
 
 def _integer_row(a, rhs):
@@ -606,8 +659,10 @@ class Cone:
     incidence: one int bit mask per facet normal; bit i is set when
         rays[i] lies on that facet.
 
-    The constructor checks nothing: build a Cone with from_rays or
-    from_hrep, each one double description pass, not directly.
+    Both descriptions come from one reading of one double description
+    pass (_convert), so the two sides are stored in the same canonical
+    form and polar() only swaps them.  The constructor checks nothing:
+    build a Cone with from_rays, from_hrep or polar, not directly.
     """
 
     __slots__ = ("dim", "rays", "lineality", "ineq_normals", "eq_normals", "incidence")
@@ -624,99 +679,44 @@ class Cone:
     def from_rays(cls, generators, dim=None):
         """The cone the generators span, from one double description pass.
 
-        The pass gives the facet normals, the equations and each facet's
-        tight set among the generators.  Only when a generator lies on
-        every facet is the lineality computed, as the kernel of the
-        normals and equations, and the generators reduced modulo it.  A
-        reduced generator is a ray exactly when no other one lies on
-        every facet it lies on.
+        The pass cuts out the polar cone, whose rays are the facet normals
+        and whose lineality gives the equations; the generators it keeps
+        (_convert) are the rays, and its kernel the lineality.
         """
         gens = list(generators)
         if dim is None:
             if not gens:
                 raise DomainError("dimension_unknown", "no generators and no dim")
             dim = len(gens[0])
-        # Each distinct nonzero generator once, in order.
-        cleaned = {}
-        for g in gens:
-            if len(g) != dim:
-                raise DomainError("dimension_mismatch", "generators of mixed length")
-            v = _normalize_constraint(g)
-            if v is not None:
-                cleaned[v] = None
-        cleaned = list(cleaned)
-        # Bit i of on_facet[j] is set when cleaned[i] lies on facet j.
-        normals, on_facet, eq_normals = _dd_core(cleaned, (), dim)
-        reps = common = (1 << len(cleaned)) - 1
-        for mask in on_facet:
-            common &= mask
-        lineality = ()
-        if common:
-            lineality = tuple(kernel_basis(normals + eq_normals, ncols=dim))
-            pivots = _pivot_columns(lineality)
-            cleaned = [_reduce_mod_rows(g, lineality, pivots) for g in cleaned]
-            # reps keeps the first of each reduced generator outside the
-            # lineality.
-            first = {}
-            for i, g in enumerate(cleaned):
-                first.setdefault(g, i)
-            first.pop((0,) * dim, None)
-            reps = sum(1 << i for i in first.values())
-        # A generator in the lineality is not in reps, and a later copy of a
-        # reduced generator meets the first copy, so neither is kept.
-        keep = []
-        for i in range(len(cleaned)):
-            meet = reps
-            for mask in on_facet:
-                if mask >> i & 1:
-                    meet &= mask
-            if meet == 1 << i:
-                keep.append(i)
-        keep.sort(key=cleaned.__getitem__)
-        # When every generator is a ray, in order, the masks are already
-        # indexed by the rays; skipping the re-index there is faster.
-        if keep != list(range(len(cleaned))):
-            on_facet = _reindex(on_facet, keep)
-        rays = tuple(map(cleaned.__getitem__, keep))
-        return cls(dim, rays, lineality, normals, eq_normals, on_facet)
+        rays, lineality, normals, eq_normals, incidence = _convert(gens, (), dim)
+        return cls(dim, rays, lineality, normals, eq_normals, incidence)
 
     @classmethod
     def from_hrep(cls, ineq_normals, eq_normals=(), dim=None):
         """The cone {x : <a, x> >= 0, <e, x> = 0}, from one conversion.
 
-        The facets are the inequalities whose tight ray sets are
-        inclusion-maximal among the proper ones, the first of each set.
-        Each is stored as from_rays stores it: primitive, and reduced
-        modulo the canonical kernel of the rays and lineality (whose rows
-        are the equations) when the cone is flat, that is, when equations
-        are given or an inequality is tight at every ray.
+        The pass gives the rays and the lineality; the inequalities it
+        keeps (_convert) are the facet normals, and its kernel the
+        equations.  The incidences are the transpose of its masks.
         """
-        ineqs = [tuple(a) for a in ineq_normals]
-        eqs = [tuple(e) for e in eq_normals]
+        ineqs = list(ineq_normals)
+        eqs = list(eq_normals)
         if dim is None:
             if not (ineqs or eqs):
                 raise DomainError("dimension_unknown", "no constraints and no dim")
             dim = len((ineqs or eqs)[0])
-        rays, masks, lineality = _dd_core(ineqs, eqs, dim)
-        # Bit i of tight[j] is set when rays[i] lies on inequality j.
-        tight = _transpose(masks, len(ineqs))
-        everything = (1 << len(rays)) - 1
-        # first maps each proper tight set to its first inequality.
-        first = {}
-        for j, mask in enumerate(tight):
-            if mask != everything:
-                first.setdefault(mask, j)
-        hull = ()
-        if eqs or everything in tight:
-            hull = tuple(kernel_basis(rays + lineality, ncols=dim))
-        pivots = _pivot_columns(hull)
-        facets = sorted(
-            (_reduce_mod_rows(_normalize_constraint(ineqs[j]), hull, pivots), mask)
-            for mask, j in first.items()
-            if not any(mask != other and mask & other == mask for other in first)
-        )
-        normals = tuple(a for a, _ in facets)
-        return cls(dim, rays, lineality, normals, hull, tuple(mask for _, mask in facets))
+        normals, hull, rays, lineality, on_ray = _convert(ineqs, eqs, dim)
+        return cls(dim, rays, lineality, normals, hull, _transpose(on_ray, len(normals)))
+
+    def polar(self):
+        """The polar cone {y : <y, x> >= 0 for all x in self}.
+
+        Polarity swaps the rays with the facet normals and the lineality
+        with the equations, and transposes the incidences, with no
+        conversion: both sides are stored in the same canonical form.
+        """
+        on_ray = _transpose(self.incidence, len(self.rays))
+        return Cone(self.dim, self.ineq_normals, self.eq_normals, self.rays, self.lineality, on_ray)
 
     def __eq__(self, other):
         return (
@@ -733,20 +733,13 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={self.rays})"
 
     def contains(self, v):
-        return _in_hrep(self.ineq_normals, self.eq_normals, v)
-
-    def contains_cone(self, other):
-        return all(self.contains(r) for r in other.rays) and all(
-            self.contains(l) and self.contains(vneg(l)) for l in other.lineality
+        """Whether v lies in the cone: <a, v> >= 0 and <e, v> = 0."""
+        return all(dot(a, v) >= 0 for a in self.ineq_normals) and all(
+            dot(e, v) == 0 for e in self.eq_normals
         )
 
     def is_pointed(self):
         return not self.lineality
-
-
-def _in_hrep(normals, equations, v):
-    """Whether v lies in the cone {x : <a, x> >= 0, <e, x> = 0}."""
-    return all(dot(a, v) >= 0 for a in normals) and all(dot(e, v) == 0 for e in equations)
 
 
 def _fan_face(fan, points):

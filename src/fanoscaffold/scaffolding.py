@@ -190,14 +190,13 @@ def dual_cone_check(scaf):
 
     Equivalent to the hull test when the target contains the origin in its
     interior, but computed entirely on the dual side.  The target's polar
-    dual keeps its cone, so only the strut side is converted.
+    dual keeps its cone, so only the strut side is converted, and the two
+    cones are equal exactly when their canonical rays and lineality are.
     """
     normals = [q + (1,) for q in _piece_vertices(_pieces(scaf))]
     if not normals:
         return False
-    lhs = Cone.from_hrep(normals)
-    rhs = scaf.target.dual().cone
-    return lhs.contains_cone(rhs) and rhs.contains_cone(lhs)
+    return Cone.from_hrep(normals) == scaf.target.dual().cone
 
 
 def product_fan(blocks):

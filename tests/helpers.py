@@ -12,6 +12,7 @@ from fanoscaffold.exact import (
     as_exact_vector,
     dot,
     identity_matrix,
+    kernel_basis,
     primitive_vector,
     rank,
     solve_linear,
@@ -22,7 +23,18 @@ from fanoscaffold.exact import (
     vsub,
 )
 from fanoscaffold.mutations import _checked_heights
-from fanoscaffold.polyhedra import Cone, Fan, Polytope, dd_cone
+from fanoscaffold.polyhedra import (
+    Cone,
+    Fan,
+    Polytope,
+    _dd_core,
+    _normalize_constraint,
+    _pivot_columns,
+    _reduce_mod_rows,
+    _reindex,
+    _transpose,
+    dd_cone,
+)
 from fanoscaffold.scaffolding import product_fan
 
 
@@ -35,6 +47,97 @@ def contains(polytope, point):
     return all(dot(a, p) >= rhs for a, rhs in polytope.inequalities) and all(
         dot(a, p) == rhs for a, rhs in polytope.equations
     )
+
+
+def contains_cone(cone, other):
+    """Whether cone contains other: every ray of other, and both signs of
+    every lineality direction of other, satisfy cone's H-description.
+
+    The containment oracle of the cone comparisons (dual_cone_check).
+    """
+    return all(cone.contains(r) for r in other.rays) and all(
+        cone.contains(l) and cone.contains(vneg(l)) for l in other.lineality
+    )
+
+
+def cone_from_rays_by_meets(generators, dim):
+    """Cone.from_rays as it was built before the two constructors shared
+    one reading of the pass: the oracle of the generator side.
+
+    One _dd_core pass over the distinct nonzero generators gives the facet
+    normals, the equations and each facet's tight set among the
+    generators.  Only when a generator lies on every facet is the
+    lineality computed, as the kernel of the normals and equations, and
+    the generators reduced modulo it.  A reduced generator is a ray exactly
+    when no other one lies on every facet it lies on.
+    """
+    cleaned = {}
+    for g in generators:
+        if len(g) != dim:
+            raise DomainError("dimension_mismatch", "generators of mixed length")
+        v = _normalize_constraint(g)
+        if v is not None:
+            cleaned[v] = None
+    cleaned = list(cleaned)
+    normals, on_facet, eq_normals = _dd_core(cleaned, (), dim)
+    reps = common = (1 << len(cleaned)) - 1
+    for mask in on_facet:
+        common &= mask
+    lineality = ()
+    if common:
+        lineality = tuple(kernel_basis(normals + eq_normals, ncols=dim))
+        pivots = _pivot_columns(lineality)
+        cleaned = [_reduce_mod_rows(g, lineality, pivots) for g in cleaned]
+        first = {}
+        for i, g in enumerate(cleaned):
+            first.setdefault(g, i)
+        first.pop((0,) * dim, None)
+        reps = sum(1 << i for i in first.values())
+    keep = []
+    for i in range(len(cleaned)):
+        meet = reps
+        for mask in on_facet:
+            if mask >> i & 1:
+                meet &= mask
+        if meet == 1 << i:
+            keep.append(i)
+    keep.sort(key=cleaned.__getitem__)
+    on_facet = _reindex(on_facet, keep)
+    rays = tuple(map(cleaned.__getitem__, keep))
+    return Cone(dim, rays, lineality, normals, eq_normals, on_facet)
+
+
+def cone_from_hrep_by_maximal_sets(ineq_normals, eq_normals, dim):
+    """Cone.from_hrep as it was built before the two constructors shared
+    one reading of the pass: the oracle of the constraint side.
+
+    One _dd_core pass gives the rays and their tight sets.  The facets are
+    the inequalities whose tight ray sets are inclusion-maximal among the
+    proper ones, the first of each set, found by a pairwise scan; each is
+    made primitive and reduced modulo the kernel of the rays and
+    lineality, computed when equations are given or an inequality is
+    tight at every ray.
+    """
+    ineqs = [tuple(a) for a in ineq_normals]
+    eqs = [tuple(e) for e in eq_normals]
+    rays, masks, lineality = _dd_core(ineqs, eqs, dim)
+    tight = _transpose(masks, len(ineqs))
+    everything = (1 << len(rays)) - 1
+    first = {}
+    for j, mask in enumerate(tight):
+        if mask != everything:
+            first.setdefault(mask, j)
+    hull = ()
+    if eqs or everything in tight:
+        hull = tuple(kernel_basis(rays + lineality, ncols=dim))
+    pivots = _pivot_columns(hull)
+    facets = sorted(
+        (_reduce_mod_rows(_normalize_constraint(ineqs[j]), hull, pivots), mask)
+        for mask, j in first.items()
+        if not any(mask != other and mask & other == mask for other in first)
+    )
+    normals = tuple(a for a, _ in facets)
+    return Cone(dim, rays, lineality, normals, hull, tuple(mask for _, mask in facets))
 
 
 def random_unimodular_matrix(n, rng, steps=8):
@@ -149,8 +252,8 @@ def restrict_fan_pairwise(fan, basis):
     kept = [
         s for s in set(cones)
         if not any(
-            t != s and Cone.from_rays(sorted(t), dim=k).contains_cone(
-                Cone.from_rays(sorted(s), dim=k))
+            t != s and contains_cone(
+                Cone.from_rays(sorted(t), dim=k), Cone.from_rays(sorted(s), dim=k))
             for t in set(cones)
         )
     ]

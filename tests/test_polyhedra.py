@@ -22,8 +22,10 @@ from fanoscaffold.exact import (
     solve_linear,
     unimodular_inverse,
     vadd,
+    vneg,
     vscale,
 )
+from fanoscaffold.fixtures import fixture
 from fanoscaffold.polyhedra import (
     MAX_LATTICE_BOX,
     Cone,
@@ -37,11 +39,14 @@ from fanoscaffold.polyhedra import (
 )
 
 from fanoscaffold.mutations import _transport_ray
+from fanoscaffold.scaffolding import _pieces, dual_cone_check
 
 from helpers import (
     _det2,
     affine_rank,
     angular_order,
+    cone_from_hrep_by_maximal_sets,
+    cone_from_rays_by_meets,
     contains,
     count_calls,
     dehomogenized,
@@ -195,10 +200,11 @@ def brute_cone(inequalities, equations, n):
 
 
 @st.composite
-def constraint_systems(draw):
-    """Cone constraints in dims 1-4 with lineality, implicit equalities,
-    duplicate, zero and Fraction rows, and equations, in any order."""
-    n = draw(st.integers(1, 4))
+def constraint_systems(draw, max_dim=4):
+    """Cone constraints in dims 1 to max_dim with lineality, implicit
+    equalities, duplicate, negated, zero and Fraction rows, and equations,
+    in any order."""
+    n = draw(st.integers(1, max_dim))
     entry = st.integers(-2, 2)
     if draw(st.booleans()):
         entry = st.fractions(-2, 2, max_denominator=3)
@@ -298,6 +304,51 @@ def test_one_pass_cones_against_two_passes(system):
     ):
         assert (cone.rays, cone.lineality, cone.ineq_normals, cone.eq_normals) == oracle
         assert cone.incidence == incidences_by_dot_products(cone)
+
+
+def cone_fields(cone):
+    return (cone.dim, cone.rays, cone.lineality, cone.ineq_normals, cone.eq_normals,
+            cone.incidence)
+
+
+# Opposite, doubled and zero rows; a flat cone given by an equation, and a
+# zero equation; {0} and the whole space.
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, 2, 2), (0, 0, 0)], []))
+@example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(0, 0, 1), (0, 0, 0)]))
+@example((2, [], []))
+@settings(max_examples=300, deadline=None)
+@given(constraint_systems(max_dim=5))
+def test_one_reading_of_the_pass_against_the_former_constructors(system):
+    # The rows span one cone and cut out another with the equations, and
+    # the two are polar when there is no equation: both constructors read
+    # one pass, and polar() swaps the sides with no conversion.
+    n, rows, eqs = system
+    spanned = Cone.from_rays(rows, dim=n)
+    cut = Cone.from_hrep(rows, eqs, dim=n)
+    assert cone_fields(spanned) == cone_fields(cone_from_rays_by_meets(rows, n))
+    assert cone_fields(cut) == cone_fields(cone_from_hrep_by_maximal_sets(rows, eqs, n))
+    for cone in (spanned, cut):
+        assert cone_fields(cone.polar().polar()) == cone_fields(cone)
+    assert cone_fields(spanned) == cone_fields(Cone.from_hrep(rows, dim=n).polar())
+    both_signs = rows + eqs + [vneg(e) for e in eqs]
+    assert cone_fields(cut.polar()) == cone_fields(Cone.from_rays(both_signs, dim=n))
+
+
+def test_rows_of_the_wrong_length_raise_with_the_callers_lengths():
+    # A zero row or an equation of the wrong length is checked as any other
+    # row is, and Polytope.from_hrep names the lengths it was given, not
+    # those of the homogenized rows.
+    triangle = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]
+    for build, length in (
+        (lambda: Cone.from_hrep([(0, 0, 0), (1, 0)], dim=2), 3),
+        (lambda: dd_cone([(1, 0), (0, 0, 0, 0)]), 4),
+        (lambda: Polytope.from_hrep(triangle, [((0, 0, 0), 0)]), 3),
+        (lambda: Polytope.from_hrep([((1, 0), 0), ((0, 0, 0), -1)]), 3),
+    ):
+        with pytest.raises(DomainError) as ei:
+            build()
+        detail = f"constraint has length {length}, expected 2"
+        assert (ei.value.kind, ei.value.detail) == ("dimension_mismatch", detail)
 
 
 @st.composite
@@ -442,8 +493,9 @@ def point_sets(draw):
     """Rational points in dims 1-4, often repeated, often on an affine subspace.
 
     A lower-dimensional set is drawn in m < n coordinates and mapped by
-    x -> (x, A x + t) with rational A and t, so its affine hull has
-    equations whose right-hand sides need not be integers.
+    x -> (x, A x + t) with rational A and t.  Its affine hull equations,
+    scaled to primitive integer rows (a, -rhs), store an int rhs, but the
+    normal a need not be primitive, nor rhs a multiple of gcd(a).
     """
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, n)) if draw(st.booleans()) else n
@@ -468,8 +520,9 @@ def box_filter(p):
 def test_integral_points_against_the_box_filter(pts, data):
     p = Polytope.from_points(pts)
     assert p.integral_points() == box_filter(p)
-    # A translate by a fraction keeps the normals and makes the right-hand
-    # sides non-integral.
+    # A translate by a fraction keeps the normals' directions; scaled to
+    # primitive integer rows (a, -rhs), its facets have an int rhs, but a
+    # need not be primitive, nor rhs a multiple of gcd(a).
     shift = data.draw(st.tuples(*[COORDS] * p.dim))
     q = translate(p, shift)
     assert q.integral_points() == box_filter(q)
@@ -651,16 +704,23 @@ def test_each_constructor_makes_one_conversion(monkeypatch):
         return core(*args)
 
     triangle = Polytope.from_points([(1, 0), (0, 1), (-1, -1)])
+    cone = Cone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 2, 1)])
+    scaf = fixture("cubic-surface")["scaffolding"]
+    _pieces(scaf)
     core = polyhedra._dd_core
     monkeypatch.setattr(polyhedra, "_dd_core", counted)
     # The cone over the dual is the triangle's own cone with rays and
-    # normals swapped, so it takes no conversion.
+    # normals swapped, and a polar cone is any cone's, so neither takes a
+    # conversion; once its pieces are known, dual_cone_check converts only
+    # the strut side.
     builds = [
         (lambda: Cone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 2, 1), (0, 1, 1)]), 1),
         (lambda: Cone.from_hrep([(0, 1, 0), (0, 0, 1), (0, 1, -1)], [(1, 1, 1)]), 1),
         (lambda: Polytope.from_points([(0, 0), (2, 0), (0, 2), (1, 1), (Fraction(1, 2), 0)]), 1),
         (lambda: Polytope.from_hrep([((1, 0), 0), ((0, 1), 0), ((-2, -1), Fraction(-3, 2))]), 1),
         (lambda: triangle.dual().cone, 0),
+        (lambda: cone.polar(), 0),
+        (lambda: dual_cone_check(scaf), 1),
     ]
     for build, conversions in builds:
         del calls[:]
@@ -863,7 +923,8 @@ def rational_origin_polytopes(draw):
 
     A cross polytope of radius c >= 1 plus a few rational points; half of
     them are translated by t with |t_i| <= 1/5, so sum |t_i| < 1 <= c keeps
-    the origin inside and makes the right-hand sides non-integral.
+    the origin inside.  Every rhs is stored as an int, from a primitive
+    integer row (a, -rhs) whose normal a need not be primitive.
     """
     n = draw(st.integers(1, 4))
     c = draw(RADII)

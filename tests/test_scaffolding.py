@@ -34,7 +34,12 @@ from fanoscaffold.scaffolding import (
 )
 from fanoscaffold.toric import GitData, sections_polytope
 
-from helpers import count_calls, product_structure_union_find, random_unimodular_matrix
+from helpers import (
+    contains_cone,
+    count_calls,
+    product_structure_union_find,
+    random_unimodular_matrix,
+)
 
 
 def cubic_data():
@@ -385,13 +390,14 @@ def test_forward_scaffolding_keeps_its_pieces(monkeypatch, name):
 def test_dual_cone_check_converts_only_the_strut_side(monkeypatch, name):
     # The target's polar dual keeps its cone, so once the pieces are known
     # the check makes one conversion, the intersection of the strut cones,
-    # and answers as it did with the cone over the dual converted anew.
+    # and its equality of canonical cones answers as mutual containment
+    # does with the cone over the dual converted anew.
     scaf = fixture(name)["scaffolding"]
     _pieces(scaf)
     lhs = Cone.from_hrep([q + (1,) for piece in scaf._pieces if piece for q in piece])
     rhs = Cone.from_rays([v + (1,) for v in scaf.target.dual().vertices])
     calls = count_calls(monkeypatch, "_dd_core", polyhedra)
-    assert dual_cone_check(scaf) == (lhs.contains_cone(rhs) and rhs.contains_cone(lhs))
+    assert dual_cone_check(scaf) == (contains_cone(lhs, rhs) and contains_cone(rhs, lhs))
     assert len(calls) == 1
 
 

@@ -85,6 +85,37 @@ def test_only_polyhedra_calls_the_unchecked_constructors():
     assert direct == []
 
 
+def test_only_dd_cone_and_convert_read_the_dd_pass():
+    # dd_cone drops the tight masks, and polyhedra._convert reads them once
+    # for both Cone constructors; no other function reads _dd_core, so a
+    # second post-processing of the pass cannot creep back.
+    readers = []
+
+    class Readers(ast.NodeVisitor):
+        def __init__(self, stem):
+            self.scope = [stem]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if node.id == "_dd_core":
+                readers.append(".".join(self.scope))
+
+        def visit_Attribute(self, node):
+            if node.attr == "_dd_core":
+                readers.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in sorted(SRC.glob("*.py")):
+        Readers(path.stem).visit(ast.parse(path.read_text()))
+    assert sorted(readers) == ["polyhedra._convert", "polyhedra.dd_cone"]
+
+
 def test_readme_lists_every_cap_kind():
     # The caps are the DomainError kinds named *_too_large or too_many_*;
     # the README sentence on capped inputs names each one and no other.
