@@ -5,8 +5,10 @@ stored number (a vertex coordinate or a right-hand side) is an ``int``
 exactly when it is integral (``exact.as_exact``), so lattice polytopes are
 handled in the integers throughout.  The workhorse
 is :func:`dd_cone`, an incremental double description conversion that is
-integer-only: constraints are scaled to primitive integer vectors on entry,
-and every ray and lineality direction stays a primitive integer vector.
+integer-only: every conversion enters through _conversion_input, which
+infers the dimension, checks every row's length, drops the zero rows and
+the repeats and scales the rest to primitive integer vectors, once, and
+every ray and lineality direction stays a primitive integer vector.
 Tight sets are int bit masks, a pair of rays sharing too few tight
 inequalities to span a 2-face skips the adjacency scan, and a pointed
 cone's lineality is read off the running basis with no kernel computation.
@@ -32,7 +34,8 @@ the cone's last coordinate, and the spanning fan and the normal fan only
 read the incidences.  So do the fan questions: Fan.is_complete reads its
 cones' incidences and facet normals to see that each ridge lies on two
 cones, one on either side, and _fan_face reads the smallest cone of a
-fan holding some points off one maximal cone's incidences.  A placing
+fan holding some points off one maximal cone's incidences.  Fan and
+toric.StackyFan read their input through one door, _fan_input.  A placing
 triangulation is the lower facets of one conversion of the lifted
 points.  Lattice points are enumerated on integer rows by a depth-first
 walk over the coordinates that bounds each one by the rows' partial sums
@@ -68,14 +71,6 @@ from .exact import (
 
 # Largest bounding box, in lattice points, that integral_points enumerates.
 MAX_LATTICE_BOX = 10**6
-
-
-def _normalize_constraint(vec):
-    """Integer primitive form of a constraint normal, or None if zero."""
-    v = _clear_denominators(vec)
-    if not any(v):
-        return None
-    return primitive_vector(v)
 
 
 def _reduce_mod_rows(vec, rows, pivots):
@@ -130,12 +125,36 @@ def _dd_step(rays, vals, bit, need):
     return [rays[i] for i in pos], [rays[i] for i in neg], on
 
 
+def _conversion_input(inequalities, equations, dim):
+    """The one door into a conversion: (rows, eqs, dim) ready for _dd_core.
+
+    dim, when None, is the length of the first inequality, or of the first
+    equation when there is none; with neither it raises dimension_unknown.
+    Every inequality and equation, zero or not, must have length dim
+    (dimension_mismatch).  Each is then scaled to a primitive integer
+    vector once; the zero ones are dropped, and so is each later copy of
+    an earlier one, the rest keeping their order.
+    """
+    rows = list(inequalities)
+    eqs = list(equations)
+    if dim is None:
+        if not (rows or eqs):
+            raise DomainError("dimension_unknown", "no constraints and no dim given")
+        dim = len((rows or eqs)[0])
+    _check_lengths(rows + eqs, dim)
+    rows, eqs = (
+        list(dict.fromkeys(primitive_vector(v) for v in map(_clear_denominators, vs) if any(v)))
+        for vs in (rows, eqs)
+    )
+    return rows, eqs, dim
+
+
 def dd_cone(inequalities, equations=(), dim=None):
     """Extreme rays and lineality space of a cone given by linear constraints.
 
     The cone is {x : <a, x> >= 0 for a in inequalities,
     <e, x> = 0 for e in equations}.  Constraints may have Fraction entries;
-    they are scaled to primitive integer vectors internally.  This is
+    _conversion_input scales them to primitive integer vectors.  This is
     _dd_core without the tight masks.
 
     Args:
@@ -149,49 +168,30 @@ def dd_cone(inequalities, equations=(), dim=None):
         canonical (Hermite form, saturated) basis of the largest linear
         subspace contained in the cone.
     """
-    rays, _, lineality = _dd_core(inequalities, equations, dim)
+    rays, _, lineality = _dd_core(*_conversion_input(inequalities, equations, dim))
     return rays, lineality
 
 
-def _dd_core(inequalities, equations, dim):
-    """dd_cone's conversion, returning (rays, masks, lineality).
+def _dd_core(rows, eqs, n):
+    """dd_cone's conversion of clean rows, returning (rays, masks, lineality).
 
-    masks[k] is the tight set of rays[k]: bit j is set exactly when
-    <inequalities[j], rays[k]> = 0 (a zero inequality is tight at every
-    ray).  Each ray's tight set is kept as an int bit mask while the
-    inequalities are processed.  An inequality that vanishes on the
-    running lineality is one _dd_step, which keeps the half >= 0: a
-    positive and a negative ray are combined only when they are adjacent,
-    and they share at least span_dim - len(lin) - 2 tight inequalities
-    (span_dim is the dimension left after the equations; Fukuda and
-    Prodon, "Double description method revisited", 1996).  Every later
-    change to a ray is a positive multiple or adds a direction tight at
-    all processed inequalities, so the masks stay exact.  A pointed cone
-    returns its rays as they stand, with no kernel computation.
+    rows and eqs are lists of distinct nonzero primitive integer vectors of
+    length n, as _conversion_input gives them.  masks[k] is the tight set
+    of rays[k]: bit j is set exactly when <rows[j], rays[k]> = 0.  Each
+    ray's tight set is kept as an int bit mask while the rows are
+    processed.  A row that vanishes on the running lineality is one
+    _dd_step, which keeps the half >= 0: a positive and a negative ray are
+    combined only when they are adjacent, and they share at least
+    span_dim - len(lin) - 2 tight rows (span_dim is the dimension left
+    after the equations; Fukuda and Prodon, "Double description method
+    revisited", 1996).  Every later change to a ray is a positive multiple
+    or adds a direction tight at all processed rows, so the masks stay
+    exact.  A pointed cone returns its rays as they stand, with no kernel
+    computation.
     """
-    rows = list(inequalities)
-    eqs = list(equations)
-    if dim is None:
-        if not (rows or eqs):
-            raise DomainError("dimension_unknown", "no constraints and no dim given")
-        dim = len((rows or eqs)[0])
-    n = dim
-    _check_lengths(rows + eqs, n)
-    # Each nonzero inequality keeps the bit of its position; the zero ones
-    # are tight everywhere and are set on every ray at the end.
-    ineqs = []
-    zero = 0
-    for j, a in enumerate(rows):
-        v = _normalize_constraint(a)
-        if v is None:
-            zero |= 1 << j
-        else:
-            ineqs.append((v, 1 << j))
-    eqs = [v for v in map(_normalize_constraint, eqs) if v is not None]
-
     # Running description: cone = span(lin) + cone(r for r, _ in rays).
-    # Each ray carries the mask of the processed inequalities where it is
-    # tight.  Every vector in lin is tight at all processed constraints.
+    # Each ray carries the mask of the processed rows where it is tight.
+    # Every vector in lin is tight at all processed constraints.
     lin = list(identity_matrix(n))
     rays = []
 
@@ -226,7 +226,8 @@ def _dd_core(inequalities, equations, dim):
     span_dim = len(lin)
 
     seen = 0
-    for a, bit in ineqs:
+    for j, a in enumerate(rows):
+        bit = 1 << j
         popped = _project_off(a)
         if popped is not None:
             # All survivors are tight at a except the popped direction.
@@ -242,7 +243,7 @@ def _dd_core(inequalities, equations, dim):
     # cone is pointed and its rays need no reduction.  A ray met twice has
     # the same values, so the same mask, both times.
     if lin:
-        lineality = kernel_basis([a for a, _ in ineqs] + eqs, ncols=n)
+        lineality = kernel_basis(rows + eqs, ncols=n)
         pivots = _pivot_columns(lineality)
         tight = {}
         for r, z in rays:
@@ -253,7 +254,7 @@ def _dd_core(inequalities, equations, dim):
         lineality = ()
         tight = dict(rays)
     out = tuple(sorted(tight))
-    return out, tuple(tight[r] | zero for r in out), tuple(lineality)
+    return out, tuple(tight[r] for r in out), tuple(lineality)
 
 
 def _check_lengths(vectors, n):
@@ -266,10 +267,11 @@ def _check_lengths(vectors, n):
 def _convert(rows, eqs, dim):
     """One _dd_core pass, read from both sides of polarity.
 
-    The pass cuts out C = {x : <a, x> >= 0 for a in rows, <e, x> = 0 for
-    e in eqs}, whose polar C* is spanned by the rows and +-eqs (Ziegler,
-    Lectures on Polytopes, Lecture 2).  Returns (kept, kernel, rays,
-    lineality, masks):
+    The rows and eqs enter through _conversion_input, which also gives dim
+    when it is None.  The pass cuts out C = {x : <a, x> >= 0 for a in
+    rows, <e, x> = 0 for e in eqs}, whose polar C* is spanned by the rows
+    and +-eqs (Ziegler, Lectures on Polytopes, Lecture 2).  Returns (dim,
+    kept, kernel, rays, lineality, masks):
     kept: the extreme rows, the rays of C* and the facet normals of C,
         primitive, reduced modulo the kernel and lex sorted;
     kernel: the canonical basis of the kernel of C's rays and lineality,
@@ -283,9 +285,7 @@ def _convert(rows, eqs, dim):
     other such first copy lies on every ray on which it does: the facets
     of C* through it meet only in it.
     """
-    # Each distinct row once, in order, primitive when nonzero; a zero row
-    # stays, so that _dd_core checks its length.
-    rows = list(dict.fromkeys(_normalize_constraint(a) or tuple(a) for a in rows))
+    rows, eqs, dim = _conversion_input(rows, eqs, dim)
     rays, masks, lineality = _dd_core(rows, eqs, dim)
     reps = common = (1 << len(rows)) - 1
     for mask in masks:
@@ -302,8 +302,8 @@ def _convert(rows, eqs, dim):
         first.pop((0,) * dim, None)
         reps = sum(1 << i for i in first.values())
     # A row in the kernel is not in reps, and a later copy of a reduced row
-    # meets the first copy, so neither is kept.  With no kernel, no row is
-    # zero, as a zero row lies on every ray.
+    # meets the first copy, so neither is kept.  With no kernel, the rows
+    # are the distinct nonzero ones _conversion_input gave.
     keep = []
     for i in range(len(rows)):
         meet = reps
@@ -317,7 +317,7 @@ def _convert(rows, eqs, dim):
     # the kept rows; skipping the re-index there is faster.
     if keep != list(range(len(rows))):
         masks = _reindex(masks, keep)
-    return tuple(map(rows.__getitem__, keep)), kernel, rays, lineality, masks
+    return dim, tuple(map(rows.__getitem__, keep)), kernel, rays, lineality, masks
 
 
 def _pivot_columns(rows):
@@ -683,13 +683,7 @@ class Cone:
         and whose lineality gives the equations; the generators it keeps
         (_convert) are the rays, and its kernel the lineality.
         """
-        gens = list(generators)
-        if dim is None:
-            if not gens:
-                raise DomainError("dimension_unknown", "no generators and no dim")
-            dim = len(gens[0])
-        rays, lineality, normals, eq_normals, incidence = _convert(gens, (), dim)
-        return cls(dim, rays, lineality, normals, eq_normals, incidence)
+        return cls(*_convert(generators, (), dim))
 
     @classmethod
     def from_hrep(cls, ineq_normals, eq_normals=(), dim=None):
@@ -699,13 +693,7 @@ class Cone:
         keeps (_convert) are the facet normals, and its kernel the
         equations.  The incidences are the transpose of its masks.
         """
-        ineqs = list(ineq_normals)
-        eqs = list(eq_normals)
-        if dim is None:
-            if not (ineqs or eqs):
-                raise DomainError("dimension_unknown", "no constraints and no dim")
-            dim = len((ineqs or eqs)[0])
-        normals, hull, rays, lineality, on_ray = _convert(ineqs, eqs, dim)
+        dim, normals, hull, rays, lineality, on_ray = _convert(ineq_normals, eq_normals, dim)
         return cls(dim, rays, lineality, normals, hull, _transpose(on_ray, len(normals)))
 
     def polar(self):
@@ -763,10 +751,38 @@ def _fan_face(fan, points):
     return None
 
 
+def _fan_input(dim, rays, max_cones):
+    """The one door into a fan: (dim, rays, cones), checked.
+
+    dim and every ray go through to_int_vector, so 3/2 raises
+    not_integral.  Each ray in turn raises dimension_mismatch when its
+    length is not dim, then zero_vector when it is zero; then each cone
+    raises bad_index when it names no ray.  The rays keep their order,
+    and the cones come back as the sorted distinct tuples of their sorted
+    distinct indices.
+    """
+    (dim,) = to_int_vector((dim,))
+    rays = tuple(map(to_int_vector, rays))
+    for v in rays:
+        if len(v) != dim:
+            raise DomainError("dimension_mismatch", "ray length differs from dim")
+        if not any(v):
+            raise DomainError("zero_vector", "fan ray must be nonzero")
+    cones = set()
+    for c in max_cones:
+        c = tuple(sorted(set(c)))
+        if c and (c[0] < 0 or c[-1] >= len(rays)):
+            raise DomainError("bad_index", "cone index out of range")
+        cones.add(c)
+    return dim, rays, tuple(sorted(cones))
+
+
 class Fan:
     """A fan recorded as primitive rays plus index sets of maximal cones.
 
-    Rays are deduplicated and lex sorted; each maximal cone is a sorted
+    The input is checked by _fan_input, as toric.StackyFan's is: rays are
+    nonzero integer vectors of length dim.  Each ray is made primitive,
+    the rays are deduplicated and lex sorted, each maximal cone is a sorted
     tuple of ray indices and the list of cones is sorted.  Validity (that
     cones intersect in faces) is the caller's responsibility.
     """
@@ -774,26 +790,12 @@ class Fan:
     __slots__ = ("dim", "rays", "max_cones")
 
     def __init__(self, dim, rays, max_cones):
-        (dim,) = to_int_vector((dim,))
-        prim = []
-        for r in rays:
-            v = _normalize_constraint(r)
-            if v is None:
-                raise DomainError("zero_vector", "fan ray must be nonzero")
-            if len(v) != dim:
-                raise DomainError("dimension_mismatch", "ray length differs from dim")
-            prim.append(v)
-        order = sorted(set(prim))
-        lookup = {r: i for i, r in enumerate(order)}
+        self.dim, rays, cones = _fan_input(dim, rays, max_cones)
+        prim = list(map(primitive_vector, rays))
+        self.rays = tuple(sorted(set(prim)))
+        lookup = {r: i for i, r in enumerate(self.rays)}
         remap = [lookup[r] for r in prim]
-        cones = set()
-        for c in max_cones:
-            if any(i < 0 or i >= len(remap) for i in c):
-                raise DomainError("bad_index", "cone index out of range")
-            cones.add(tuple(sorted(set(remap[i] for i in c))))
-        self.dim = dim
-        self.rays = tuple(order)
-        self.max_cones = tuple(sorted(cones))
+        self.max_cones = tuple(sorted({tuple(sorted({remap[i] for i in c})) for c in cones}))
 
     def __eq__(self, other):
         return (
@@ -810,9 +812,10 @@ class Fan:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
     def ray_index(self, v):
-        r = _normalize_constraint(v)
+        """The index of the ray through v, an integer vector as a fan ray is."""
+        r = to_int_vector(v)
         try:
-            return self.rays.index(r)
+            return self.rays.index(primitive_vector(r) if any(r) else r)
         except ValueError:
             raise DomainError("unknown_ray", f"{tuple(v)} is not a ray of the fan")
 

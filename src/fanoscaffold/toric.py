@@ -24,7 +24,7 @@ from .exact import (
     unimodular_inverse,
     vneg,
 )
-from .polyhedra import Cone, Fan, Polytope, _dd_step, dd_cone
+from .polyhedra import Cone, Fan, Polytope, _dd_step, _fan_input, dd_cone
 
 
 class GitData:
@@ -147,28 +147,14 @@ class StackyFan:
 
     rays: tuple of integer vectors, one per coordinate, in coordinate order
     (not re-sorted, so coordinate identity survives).  max_cones: sorted
-    tuples of coordinate indices spanning the maximal cones.
+    tuples of coordinate indices spanning the maximal cones.  The input is
+    checked by polyhedra._fan_input, as a Fan's is.
     """
 
     __slots__ = ("dim", "rays", "max_cones")
 
     def __init__(self, dim, rays, max_cones):
-        (dim,) = to_int_vector((dim,))
-        rays = tuple(map(to_int_vector, rays))
-        for v in rays:
-            if len(v) != dim:
-                raise DomainError("dimension_mismatch", "ray length differs from dim")
-            if not any(v):
-                raise DomainError("zero_vector", "fan ray must be nonzero")
-        cones = set()
-        for c in max_cones:
-            c = tuple(sorted(set(c)))
-            if any(i < 0 or i >= len(rays) for i in c):
-                raise DomainError("bad_index", "cone index out of range")
-            cones.add(c)
-        self.dim = dim
-        self.rays = rays
-        self.max_cones = tuple(sorted(cones))
+        self.dim, self.rays, self.max_cones = _fan_input(dim, rays, max_cones)
 
     def fan(self):
         """Forget coordinate labels: canonical Fan with deduplicated rays."""

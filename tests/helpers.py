@@ -7,6 +7,7 @@ from math import lcm
 
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
+    _clear_denominators,
     _row_reduce,
     as_exact,
     as_exact_vector,
@@ -28,7 +29,6 @@ from fanoscaffold.polyhedra import (
     Fan,
     Polytope,
     _dd_core,
-    _normalize_constraint,
     _pivot_columns,
     _reduce_mod_rows,
     _reindex,
@@ -60,6 +60,16 @@ def contains_cone(cone, other):
     )
 
 
+def primitive_row(vec):
+    """vec scaled to a primitive integer vector, or None when it is zero.
+
+    The oracles clean their rows with this, not with the conversion door
+    polyhedra._conversion_input, so that they stay independent of it.
+    """
+    v = _clear_denominators(vec)
+    return primitive_vector(v) if any(v) else None
+
+
 def cone_from_rays_by_meets(generators, dim):
     """Cone.from_rays as it was built before the two constructors shared
     one reading of the pass: the oracle of the generator side.
@@ -75,11 +85,11 @@ def cone_from_rays_by_meets(generators, dim):
     for g in generators:
         if len(g) != dim:
             raise DomainError("dimension_mismatch", "generators of mixed length")
-        v = _normalize_constraint(g)
+        v = primitive_row(g)
         if v is not None:
             cleaned[v] = None
     cleaned = list(cleaned)
-    normals, on_facet, eq_normals = _dd_core(cleaned, (), dim)
+    normals, on_facet, eq_normals = _dd_core(cleaned, [], dim)
     reps = common = (1 << len(cleaned)) - 1
     for mask in on_facet:
         common &= mask
@@ -111,18 +121,22 @@ def cone_from_hrep_by_maximal_sets(ineq_normals, eq_normals, dim):
     """Cone.from_hrep as it was built before the two constructors shared
     one reading of the pass: the oracle of the constraint side.
 
-    One _dd_core pass gives the rays and their tight sets.  The facets are
-    the inequalities whose tight ray sets are inclusion-maximal among the
-    proper ones, the first of each set, found by a pairwise scan; each is
-    made primitive and reduced modulo the kernel of the rays and
+    One _dd_core pass over the distinct nonzero primitive rows gives the
+    rays and their tight sets; a zero inequality is tight at every ray.
+    The facets are the inequalities whose tight ray sets are
+    inclusion-maximal among the proper ones, the first of each set, found
+    by a pairwise scan; each is reduced modulo the kernel of the rays and
     lineality, computed when equations are given or an inequality is
     tight at every ray.
     """
-    ineqs = [tuple(a) for a in ineq_normals]
-    eqs = [tuple(e) for e in eq_normals]
-    rays, masks, lineality = _dd_core(ineqs, eqs, dim)
-    tight = _transpose(masks, len(ineqs))
+    ineqs = [primitive_row(a) for a in ineq_normals]
+    eqs = list(eq_normals)
+    cleaned = list(dict.fromkeys(a for a in ineqs if a is not None))
+    given = list(dict.fromkeys(e for e in map(primitive_row, eqs) if e is not None))
+    rays, masks, lineality = _dd_core(cleaned, given, dim)
     everything = (1 << len(rays)) - 1
+    by_row = dict(zip(cleaned, _transpose(masks, len(cleaned))))
+    tight = [everything if a is None else by_row[a] for a in ineqs]
     first = {}
     for j, mask in enumerate(tight):
         if mask != everything:
@@ -132,7 +146,7 @@ def cone_from_hrep_by_maximal_sets(ineq_normals, eq_normals, dim):
         hull = tuple(kernel_basis(rays + lineality, ncols=dim))
     pivots = _pivot_columns(hull)
     facets = sorted(
-        (_reduce_mod_rows(_normalize_constraint(ineqs[j]), hull, pivots), mask)
+        (_reduce_mod_rows(ineqs[j], hull, pivots), mask)
         for mask, j in first.items()
         if not any(mask != other and mask & other == mask for other in first)
     )

@@ -40,6 +40,7 @@ from fanoscaffold.polyhedra import (
 
 from fanoscaffold.mutations import _transport_ray
 from fanoscaffold.scaffolding import _pieces, dual_cone_check
+from fanoscaffold.toric import StackyFan
 
 from helpers import (
     _det2,
@@ -256,12 +257,38 @@ def test_dd_cone_against_subset_enumeration(system):
 @settings(max_examples=300, deadline=None)
 @given(constraint_systems())
 def test_dd_core_masks_are_the_tight_sets(system):
+    # _dd_core reads the clean rows the conversion door gives it, and each
+    # mask is the tight set of the ray among those rows.
     n, ineqs, eqs = system
-    rays, masks, lineality = polyhedra._dd_core(ineqs, eqs, n)
+    rows, clean_eqs, dim = polyhedra._conversion_input(ineqs, eqs, n)
+    rays, masks, lineality = polyhedra._dd_core(rows, clean_eqs, dim)
     assert (rays, lineality) == dd_cone(ineqs, eqs, dim=n)
     assert masks == tuple(
-        sum(1 << j for j, a in enumerate(ineqs) if not dot(a, r)) for r in rays
+        sum(1 << j for j, a in enumerate(rows) if not dot(a, r)) for r in rays
     )
+
+
+def test_each_row_is_made_primitive_once(monkeypatch):
+    # A zero row, a repeated row, a Fraction row and one equation: the
+    # conversion door scales each given row and equation once, and nothing
+    # after it scales them again.
+    calls = count_calls(monkeypatch, "_clear_denominators", polyhedra)
+    ineqs = [(1, 0, 0), (0, 0, 0), (0, 2, 0), (0, 1, 0), (Fraction(1, 2), 0, Fraction(-1, 3))]
+    cone = Cone.from_hrep(ineqs, [(0, 0, 1)], dim=3)
+    assert len(calls) == len(ineqs) + 1
+    assert (cone.rays, cone.ineq_normals, cone.eq_normals) == (
+        ((0, 1, 0), (1, 0, 0)), ((0, 1, 0), (1, 0, 0)), ((0, 0, 1),))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: dd_cone([]), lambda: Cone.from_rays([]), lambda: Cone.from_hrep([])],
+    ids=["dd_cone", "Cone.from_rays", "Cone.from_hrep"],
+)
+def test_no_rows_and_no_dim_is_one_error(build):
+    with pytest.raises(DomainError) as ei:
+        build()
+    assert (ei.value.kind, ei.value.detail) == (
+        "dimension_unknown", "no constraints and no dim given")
 
 
 def two_pass_cone_from_rays(generators, n):
@@ -1057,6 +1084,52 @@ def test_fan_canonicalization_and_equality():
         with pytest.raises(DomainError) as ei:
             Fan(2, rays, cones)
         assert ei.value.kind == kind
+
+
+@st.composite
+def fan_inputs(draw):
+    """(dim, rays, cones) for a fan, often bad: a dim of 1 to 3, rays of
+    any length from 0 to 4 with integer, integral Fraction, 3/2 or float
+    entries, zero rays among them, and cones that may index past the
+    rays or below 0."""
+    dim = draw(st.integers(1, 3))
+    entry = st.one_of(
+        st.integers(-2, 2), st.just(Fraction(2, 1)), st.just(Fraction(3, 2)), st.just(1.5))
+    length = st.integers(0, 4) if draw(st.booleans()) else st.just(dim)
+    rays = draw(st.lists(length.flatmap(lambda k: st.tuples(*[entry] * k)), max_size=4))
+    index = st.integers(-1, len(rays))
+    cones = draw(st.lists(st.lists(index, max_size=3), max_size=3))
+    return dim, rays, cones
+
+
+@settings(max_examples=300, deadline=None)
+@given(fan_inputs())
+def test_fan_and_stacky_fan_check_their_input_alike(case):
+    # Both read their input through one door, so on the same input they
+    # raise the same kind with the same detail, or both build.
+    dim, rays, cones = case
+
+    def outcome(build):
+        try:
+            build(dim, rays, cones)
+        except DomainError as e:
+            return e.kind, e.detail
+        return None
+
+    assert outcome(Fan) == outcome(StackyFan)
+
+
+def test_ray_index_reads_its_query_as_a_fan_ray():
+    # The query is integer input, as a ray is (INTEGER_ENTRY_POINTS in
+    # test_exact checks the rays), and the zero vector is no ray.
+    fan = Fan(1, [(2,), (-1,)], [(0,), (1,)])
+    assert fan.ray_index((Fraction(4),)) == 1
+    with pytest.raises(DomainError) as ei:
+        fan.ray_index((Fraction(3, 2),))
+    assert ei.value.kind == "not_integral"
+    with pytest.raises(DomainError) as ei:
+        fan.ray_index((0,))
+    assert ei.value.kind == "unknown_ray"
 
 
 @st.composite

@@ -85,13 +85,14 @@ def test_only_polyhedra_calls_the_unchecked_constructors():
     assert direct == []
 
 
-def test_only_dd_cone_and_convert_read_the_dd_pass():
-    # dd_cone drops the tight masks, and polyhedra._convert reads them once
-    # for both Cone constructors; no other function reads _dd_core, so a
-    # second post-processing of the pass cannot creep back.
-    readers = []
+def names_by_scope():
+    """The pairs (scope, name) over src/, one per read: each function
+    (module.Class.func, a nested one by its own path) with each name its
+    own body reads, as a Name or an attribute, so that map(f, ...) calls f
+    and raising a DomainError reads DomainError."""
+    found = []
 
-    class Readers(ast.NodeVisitor):
+    class Names(ast.NodeVisitor):
         def __init__(self, stem):
             self.scope = [stem]
 
@@ -103,17 +104,38 @@ def test_only_dd_cone_and_convert_read_the_dd_pass():
         visit_ClassDef = visit_FunctionDef
 
         def visit_Name(self, node):
-            if node.id == "_dd_core":
-                readers.append(".".join(self.scope))
+            found.append((".".join(self.scope), node.id))
 
         def visit_Attribute(self, node):
-            if node.attr == "_dd_core":
-                readers.append(".".join(self.scope))
+            found.append((".".join(self.scope), node.attr))
             self.generic_visit(node)
 
     for path in sorted(SRC.glob("*.py")):
-        Readers(path.stem).visit(ast.parse(path.read_text()))
-    assert sorted(readers) == ["polyhedra._convert", "polyhedra.dd_cone"]
+        Names(path.stem).visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_only_dd_cone_and_convert_read_the_dd_pass():
+    # dd_cone drops the tight masks, and polyhedra._convert reads them once
+    # for both Cone constructors; no other function reads _dd_core, so a
+    # second post-processing of the pass cannot creep back.
+    readers = sorted(s for s, n in names_by_scope() if n == "_dd_core")
+    assert readers == ["polyhedra._convert", "polyhedra.dd_cone"]
+
+
+def test_each_conversion_row_and_fan_ray_is_checked_once():
+    # Rows enter a conversion through polyhedra._conversion_input, which
+    # checks and scales them, and fan input through polyhedra._fan_input;
+    # so _dd_core reads clean rows, and the fan classes check nothing.
+    found = names_by_scope()
+    dd_core = {n for s, n in found if s.startswith("polyhedra._dd_core")}
+    assert not {"_check_lengths", "_clear_denominators"} & dd_core
+    scalers = [s for s, n in found if n == "_clear_denominators" and s.startswith("polyhedra.")]
+    assert scalers == ["polyhedra._conversion_input"]
+    for init in ("polyhedra.Fan.__init__", "toric.StackyFan.__init__"):
+        names = {n for s, n in found if s == init}
+        assert "_fan_input" in names
+        assert not {"to_int_vector", "DomainError"} & names
 
 
 def test_readme_lists_every_cap_kind():
