@@ -12,7 +12,7 @@ whose struts come from the basis rows of the weight matrix.
 from .errors import DomainError
 from .exact import dot, to_int_vector
 from .forward import normalized_matrix
-from .scaffolding import scaffolding_from_rows
+from .scaffolding import scaffolding_from_tower
 from .toric import StackyFan, git_to_stacky_fan, projective_bundle_fan
 
 
@@ -114,13 +114,13 @@ def amenable_binomials(git, part, vectors):
 def scaffolding_from_amenable(git, part, vectors):
     """The scaffolding on the tower shape induced by the collection.
 
-    Each basis row of the normalized weight matrix becomes one strut: its
-    group entries are divisor coefficients on the matching tower rays and
-    its negated shift entries form the shift, with one unit strut per
-    shift column.  The target is the hull of the strut pieces.
+    Each basis row of the normalized weight matrix becomes one strut
+    (scaffolding_from_tower): its group entries are divisor coefficients
+    on the tower rays of their columns, the tower's coordinates being the
+    concatenated groups, and its negated shift entries form the shift,
+    with one unit strut per shift column.  The target is the hull of the
+    strut pieces.
     """
     tower = tower_from_amenable(git, part, vectors)
-    shape = tower.fan()
-    order = [j for group in part.S for j in group]
-    position = {j: shape.ray_index(tower.rays[t]) for t, j in enumerate(order)}
-    return scaffolding_from_rows(shape, normalized_matrix(git, part), position, part.U)
+    labels = [j for group in part.S for j in group]
+    return scaffolding_from_tower(tower, labels, normalized_matrix(git, part), part.U)

@@ -187,12 +187,20 @@ def encode_scaffolding(scaf):
 
 
 def decode_scaffolding(obj):
+    """A Scaffolding; its shape's rays must be in canonical order.
+
+    Strut coefficients follow the rays as written, so rays that Fan would
+    make primitive, merge or reorder raise ValueError instead.
+    """
+    shape = decode_fan(_field(obj, "shape"))
+    if [list(r) for r in shape.rays] != obj["shape"]["rays"]:
+        raise ValueError("shape rays must be primitive, distinct and lex sorted")
     struts = [
         Strut(_int_vector(_field(s, "coeffs")), _int_vector(s.get("chi", [])))
         for s in _list(_field(obj, "struts"), "struts")
     ]
     return Scaffolding(
-        decode_fan(_field(obj, "shape")),
+        shape,
         _decode_int(_field(obj, "u")),
         struts,
         decode_polytope(_field(obj, "target")),

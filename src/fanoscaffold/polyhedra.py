@@ -754,12 +754,12 @@ def _fan_face(fan, points):
 def _fan_input(dim, rays, max_cones):
     """The one door into a fan: (dim, rays, cones), checked.
 
-    dim and every ray go through to_int_vector, so 3/2 raises
-    not_integral.  Each ray in turn raises dimension_mismatch when its
-    length is not dim, then zero_vector when it is zero; then each cone
-    raises bad_index when it names no ray.  The rays keep their order,
-    and the cones come back as the sorted distinct tuples of their sorted
-    distinct indices.
+    dim, every ray and every cone go through to_int_vector, so 3/2
+    raises not_integral and a bool or a float index not_exact.  Each ray
+    in turn raises dimension_mismatch when its length is not dim, then
+    zero_vector when it is zero; then each cone raises bad_index when it
+    names no ray.  The rays keep their order, and the cones come back as
+    the sorted distinct tuples of their sorted distinct indices.
     """
     (dim,) = to_int_vector((dim,))
     rays = tuple(map(to_int_vector, rays))
@@ -770,7 +770,7 @@ def _fan_input(dim, rays, max_cones):
             raise DomainError("zero_vector", "fan ray must be nonzero")
     cones = set()
     for c in max_cones:
-        c = tuple(sorted(set(c)))
+        c = tuple(sorted(set(to_int_vector(c))))
         if c and (c[0] < 0 or c[-1] >= len(rays)):
             raise DomainError("bad_index", "cone index out of range")
         cones.add(c)

@@ -5,13 +5,13 @@ hull of pieces {chi} x P_D, one per strut (D, chi).  The N_U block comes
 first, matching the variable order of the forward construction.
 """
 
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import DomainError
 from .exact import det, identity_matrix, to_int_vector
 from .laurent import _bracket_sum
 from .polyhedra import Cone, Fan, Polytope
-from .toric import sections_polytope
+from .toric import StackyFan, projective_bundle_fan, sections_polytope
 from .forward import normalized_matrix
 
 
@@ -44,11 +44,12 @@ class Scaffolding:
 
     The private slot ``_pieces`` holds the vertices of each strut's piece
     (None for a divisor with no sections), computed on first use by
-    ``_pieces`` or stored by ``scaffolding_from_rows``, which already has
+    ``_pieces`` or stored by ``scaffolding_from_tower``, which already has
     them; every reader of a piece reads that one tuple.  The private slot
     ``_hull`` holds the Polytope of the pieces' hull, converted on first
-    use by ``validate_scaffolding`` or stored by ``scaffolding_from_rows``,
-    whose target is that hull.
+    use by ``validate_scaffolding`` or stored by ``scaffolding_from_tower``,
+    whose target is that hull.  Both tower scaffoldings, forward and
+    amenable, are built there.
     """
 
     __slots__ = ("shape", "u", "struts", "target", "_pieces", "_hull")
@@ -200,37 +201,32 @@ def dual_cone_check(scaf):
 
 
 def product_fan(blocks):
-    """Fan of a product of projective spaces.
+    """Fan of a product of projective spaces: the trivial tower.
 
-    blocks lists, per factor, the coordinate positions it occupies; each
-    factor contributes its unit rays plus the negated sum.
+    blocks lists, per factor, the coordinate positions it occupies.  The
+    product is the tower of projective bundles whose summands are all zero,
+    one stage per block (_trivial_tower), so each factor contributes its
+    negated-sum ray and its unit rays; the tower's coordinates, block after
+    block, then move to the block positions.
     """
-    dim = sum(len(b) for b in blocks)
-    seen = set()
-    for b in blocks:
-        for t in b:
-            if t in seen or not 0 <= t < dim:
-                raise DomainError("bad_index", "blocks must partition 0..dim-1")
-            seen.add(t)
-    units = identity_matrix(dim)
-    rays = []
-    factor_rays = []
-    for b in blocks:
-        mine = []
-        for t in b:
-            mine.append(len(rays))
-            rays.append(units[t])
-        neg = tuple(-1 if p in b else 0 for p in range(dim))
-        mine.append(len(rays))
-        rays.append(neg)
-        factor_rays.append(mine)
-    cones = []
-    for omitted in product(*[range(len(m)) for m in factor_rays]):
-        cone = []
-        for m, om in zip(factor_rays, omitted):
-            cone.extend(idx for k, idx in enumerate(m) if k != om)
-        cones.append(tuple(cone))
-    return Fan(dim, rays, cones)
+    order = [t for b in blocks for t in b]
+    if not all(blocks) or sorted(order) != list(range(len(order))):
+        raise DomainError("bad_index", "blocks must be nonempty and partition 0..dim-1")
+    slot = sorted(range(len(order)), key=order.__getitem__)
+    tower = _trivial_tower(len(b) + 1 for b in blocks)
+    return Fan(len(order), [tuple(v[p] for p in slot) for v in tower.rays], tower.max_cones)
+
+
+def _trivial_tower(sizes):
+    """The tower of projective spaces, one stage of k zero summands per k in sizes.
+
+    Stage coordinates follow one another, the first summand of each stage
+    taking the negated-sum ray.
+    """
+    tower = StackyFan(0, (), ((),))
+    for k in sizes:
+        tower = projective_bundle_fan(tower, [(0,) * len(tower.rays)] * k)
+    return tower
 
 
 def product_structure(fan):
@@ -259,19 +255,23 @@ def product_structure(fan):
     )
 
 
-def scaffolding_from_rows(shape, rows, position, shift_columns):
+def scaffolding_from_tower(tower, labels, rows, shift_columns):
     """The scaffolding whose struts are the rows of a normalized weight matrix.
 
-    Entry j of a row is the divisor coefficient on the shape ray with index
-    position[j], and the negated entries on the shift columns form the
-    strut's shift.  One unit strut per shift column follows, and the target
-    is the hull of the strut pieces, so it is also kept as their hull.
+    tower is a StackyFan whose coordinate t is the weight-matrix column
+    labels[t], and its fan is the shape: entry labels[t] of a row is the
+    divisor coefficient on the shape ray through tower ray t, and the
+    negated entries on the shift columns form the strut's shift.  One unit
+    strut per shift column follows, and the target is the hull of the
+    strut pieces, so it is also kept as their hull.
     """
+    shape = tower.fan()
+    position = [shape.ray_index(v) for v in tower.rays]
     nrays = len(shape.rays)
     struts = []
     for row in rows:
         coeffs = [0] * nrays
-        for j, k in position.items():
+        for j, k in zip(labels, position):
             coeffs[k] = row[j]
         struts.append(Strut(coeffs, (-row[j] for j in shift_columns)))
     struts += [Strut((0,) * nrays, e) for e in identity_matrix(len(shift_columns))]
@@ -286,35 +286,24 @@ def scaffolding_from_rows(shape, rows, position, shift_columns):
 def scaffolding_from_forward(git, part):
     """The scaffolding presenting the model of a convex partition.
 
-    One strut per basis row, whose divisor polytope is the row's bracket
-    polytope shifted by the row's variable exponents: a group's unit ray
-    carries the row's entry on its column, and the group's negated-sum ray
-    the entry on the chosen column (every group level is nonnegative).  Its
-    shift collects the exponents on the U block.  One unit strut per U
-    column.  With no variable column the model is a constant, and this
-    raises dimension_unknown.
+    The shape is the trivial tower over the groups with more than one
+    column, a product of projective spaces: each such group is one stage,
+    its chosen column first, so that column labels the negated-sum ray and
+    each other column its own unit ray.  One strut per basis row, whose
+    divisor polytope is the row's bracket polytope shifted by the row's
+    variable exponents (every group level is nonnegative), and whose shift
+    collects the exponents on the U block; one unit strut per U column
+    (scaffolding_from_tower).  With no variable column the model is a
+    constant, and this raises dimension_unknown.
     """
     norm = normalized_matrix(git, part)
-    var_cols = part.variable_columns()
-    if not var_cols:
+    if not part.variable_columns():
         raise DomainError(
             "dimension_unknown", "no variable column, so the ambient dimension is zero"
         )
-    u = len(part.U)
-    coord = {j: p - u for p, j in enumerate(var_cols)}
-    groups = [(s, c) for s, c in zip(part.S, part.choices) if len(s) > 1]
-    blocks = [tuple(coord[j] for j in s if j != c) for s, c in groups]
-    shape = product_fan(blocks)
-    units = identity_matrix(shape.dim)
-    position = {}
-    for (s, c), block in zip(groups, blocks):
-        for j in s:
-            if j == c:
-                ray = tuple(-1 if p in block else 0 for p in range(shape.dim))
-            else:
-                ray = units[coord[j]]
-            position[j] = shape.ray_index(ray)
-    return scaffolding_from_rows(shape, norm, position, part.U)
+    stages = [(c, *(j for j in s if j != c)) for s, c in zip(part.S, part.choices) if len(s) > 1]
+    tower = _trivial_tower(map(len, stages))
+    return scaffolding_from_tower(tower, [j for g in stages for j in g], norm, part.U)
 
 
 def laurent_from_scaffolding(scaf):

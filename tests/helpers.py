@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from fanoscaffold.errors import DomainError
@@ -23,6 +23,7 @@ from fanoscaffold.exact import (
     vneg,
     vsub,
 )
+from fanoscaffold.forward import normalized_matrix
 from fanoscaffold.mutations import _checked_heights
 from fanoscaffold.polyhedra import (
     Cone,
@@ -35,7 +36,7 @@ from fanoscaffold.polyhedra import (
     _transpose,
     dd_cone,
 )
-from fanoscaffold.scaffolding import product_fan
+from fanoscaffold.scaffolding import product_fan, scaffolding_from_forward
 
 
 def contains(polytope, point):
@@ -350,7 +351,7 @@ def product_structure_union_find(fan):
     for p in range(fan.dim):
         blocks.setdefault(find(p), []).append(p)
     result = tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
-    expected = product_fan(result)
+    expected = product_fan_by_enumeration(result)
     if fan.rays != expected.rays or fan.max_cones != expected.max_cones:
         raise DomainError(
             "unsupported_shape", "shape is not a product of projective spaces"
@@ -359,6 +360,80 @@ def product_structure_union_find(fan):
         (b, tuple(j for j, ray in enumerate(fan.rays) if any(ray[p] for p in b)))
         for b in result
     )
+
+
+def product_fan_by_enumeration(blocks):
+    """scaffolding.product_fan by listing the rays and cones: each factor
+    contributes its unit rays plus the negated sum, and a maximal cone
+    omits one ray of each factor.  The reference oracle of the trivial
+    tower."""
+    dim = sum(len(b) for b in blocks)
+    seen = set()
+    for b in blocks:
+        for t in b:
+            if t in seen or not 0 <= t < dim:
+                raise DomainError("bad_index", "blocks must partition 0..dim-1")
+            seen.add(t)
+    units = identity_matrix(dim)
+    rays = []
+    factor_rays = []
+    for b in blocks:
+        mine = []
+        for t in b:
+            mine.append(len(rays))
+            rays.append(units[t])
+        mine.append(len(rays))
+        rays.append(tuple(-1 if p in b else 0 for p in range(dim)))
+        factor_rays.append(mine)
+    cones = []
+    for omitted in product(*[range(len(m)) for m in factor_rays]):
+        cone = []
+        for m, om in zip(factor_rays, omitted):
+            cone.extend(idx for k, idx in enumerate(m) if k != om)
+        cones.append(tuple(cone))
+    return Fan(dim, rays, cones)
+
+
+def assert_forward_columns(git, part):
+    """Check scaffolding_from_forward against the columns of the partition.
+
+    The shape is product_fan of the blocks of each group's non-chosen
+    columns, at their places among the variable columns after the U
+    block.  Column j's ray is the unit ray of its place, or for a group's
+    chosen column minus the sum of the group's units, and each strut's
+    coefficient on it is its row's entry j; each strut's shift is its
+    row's negated U entries.
+    """
+    scaf = scaffolding_from_forward(git, part)
+    norm = normalized_matrix(git, part)
+    u = len(part.U)
+    place = {j: p - u for p, j in enumerate(part.variable_columns())}
+    units = identity_matrix(scaf.shape.dim)
+    rays = {}
+    blocks = []
+    for s, c in zip(part.S, part.choices):
+        block = [place[j] for j in s if j != c]
+        if block:
+            blocks.append(block)
+            rays[c] = tuple(-1 if p in block else 0 for p in range(scaf.shape.dim))
+            rays.update((j, units[place[j]]) for j in s if j != c)
+    assert scaf.shape == product_fan(blocks)
+    for row, strut in zip(norm, scaf.struts):
+        for j, ray in rays.items():
+            assert strut.coeffs[scaf.shape.ray_index(ray)] == row[j]
+        assert strut.chi == tuple(-row[j] for j in part.U)
+
+
+def reverse_shape_rays(obj):
+    """A scaffolding encoding with its shape's rays written in reverse, the
+    cones and each strut's coefficients moved along: the same scaffolding,
+    but not in the order the encoder writes."""
+    n = len(obj["shape"]["rays"])
+    obj["shape"]["rays"].reverse()
+    obj["shape"]["max_cones"] = [sorted(n - 1 - i for i in c) for c in obj["shape"]["max_cones"]]
+    for strut in obj["struts"]:
+        strut["coeffs"].reverse()
+    return obj
 
 
 def triangulate_2d(points):

@@ -19,7 +19,7 @@ from fanoscaffold.mutations import segment_factor
 from fanoscaffold.polyhedra import Polytope
 from fanoscaffold.scaffolding import Scaffolding
 
-from helpers import angular_order
+from helpers import angular_order, reverse_shape_rays
 
 
 def invoke(capsys, *argv):
@@ -182,6 +182,16 @@ def test_embed_check_of_a_zero_strut(tmp_path, capsys):
         '{"ambient_rays": false, "face_cones": true, "ok": false, '
         '"restricted_fan": true}\n'
     )
+
+
+def test_shape_rays_out_of_order_exit_with_two(tmp_path, capsys):
+    # The same scaffolding with its rays reversed would validate against
+    # coefficients moved to other rays; the decoder refuses the file.
+    obj = reverse_shape_rays(jsonio.encode_scaffolding(fixture("circulant-two")["scaffolding"]))
+    path = write_json(tmp_path, "reversed.json", obj)
+    for command in ("scaffold-validate", "invert"):
+        code, out, err = invoke(capsys, command, "--scaffolding", path)
+        assert (code, out) == (2, "") and "lex sorted" in err, command
 
 
 def test_period_reports_the_zero_polynomial(tmp_path, capsys):

@@ -299,6 +299,8 @@ INTEGER_ENTRY_POINTS = {
     "GitData characters": lambda x: GitData(1, 2, [(x,), (1,)], (1,)),
     "StackyFan rays": lambda x: StackyFan(1, [(x,), (-1,)], [(0,), (1,)]),
     "Fan rays": lambda x: Fan(1, [(x,), (-1,)], [(0,), (1,)]),
+    "Fan cone indices": lambda x: Fan(1, [(1,), (-1,)], [(x,), (1,)]),
+    "StackyFan cone indices": lambda x: StackyFan(1, [(1,), (-1,)], [(x,), (1,)]),
     "Strut coeffs": lambda x: Strut((x, 1)),
     "Strut chi": lambda x: Strut((0, 1), (x,)),
     "Scaffolding u": lambda x: Scaffolding(LINE, x, [Strut((0, 0), (0,))], SEGMENT),

@@ -27,7 +27,12 @@ from fanoscaffold.laurent import LaurentPolynomial, monomial_substitution
 from fanoscaffold.scaffolding import laurent_from_scaffolding, scaffolding_from_forward
 from fanoscaffold.toric import GitData, git_to_stacky_fan, positivity
 
-from helpers import count_calls, pl_positivity, random_unimodular_matrix
+from helpers import (
+    assert_forward_columns,
+    count_calls,
+    pl_positivity,
+    random_unimodular_matrix,
+)
 
 
 def mono(n, c=1, **positions):
@@ -322,6 +327,25 @@ def test_nef_verdict_matches_the_piecewise_linear_oracle(case):
     for i, s in enumerate(part.S):
         nef, _ = pl_positivity(sfan, [1 if j in s else 0 for j in range(git.R)])
         assert (f"group {i} total divisor is not nef" not in failures) == nef
+
+
+@settings(max_examples=500, deadline=None)
+@given(git_with_groups(), st.data())
+def test_forward_struts_read_each_column_on_its_ray(case, data):
+    # Random quotients and choices: the columns of a convex partition land
+    # on their rays of the product shape, whatever the group sizes; any
+    # other partition, or one with no variable column, raises before a
+    # shape is built.
+    git, part = case
+    choices = [data.draw(st.sampled_from(s)) for s in part.S]
+    part = ConvexPartitionWithBasis(part.B, part.S, part.U, choices)
+    failures = _convexity(git, part)[0]
+    if failures or not part.variable_columns():
+        with pytest.raises(DomainError) as exc:
+            scaffolding_from_forward(git, part)
+        assert exc.value.kind == ("invalid_partition" if failures else "dimension_unknown")
+    else:
+        assert_forward_columns(git, part)
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,6 +11,8 @@ from fanoscaffold.laurent import LaurentPolynomial
 from fanoscaffold.polyhedra import Fan, Polytope
 from fanoscaffold.toric import GitData
 
+from helpers import reverse_shape_rays
+
 
 def test_polytope_round_trip_with_rational_vertices():
     p = Polytope.from_points([(0, 0), (1, 0), (0, Fraction(3, 2))])
@@ -91,6 +93,22 @@ def test_scaffolding_round_trip():
     assert back.u == scaf.u
     assert back.struts == scaf.struts
     assert back.target == scaf.target
+
+
+@pytest.mark.parametrize("name", ["circulant-two", "dp6-triangles"])
+def test_scaffolding_shape_rays_must_be_in_canonical_order(name):
+    # Strut coefficients follow the rays as written, and Fan sorts the rays
+    # and moves only the cones: reversed rays would move the coefficients
+    # to other rays, so the decoder refuses them, as it does a ray that Fan
+    # would make primitive.
+    obj = reverse_shape_rays(jsonio.encode_scaffolding(fixture(name)["scaffolding"]))
+    assert jsonio.decode_fan(obj["shape"]) == fixture(name)["scaffolding"].shape
+    with pytest.raises(ValueError, match="lex sorted"):
+        jsonio.decode_scaffolding(obj)
+    obj = jsonio.encode_scaffolding(fixture(name)["scaffolding"])
+    obj["shape"]["rays"][-1] = [2 * x for x in obj["shape"]["rays"][-1]]
+    with pytest.raises(ValueError, match="lex sorted"):
+        jsonio.decode_scaffolding(obj)
 
 
 def test_mutation_decoding():

@@ -35,8 +35,10 @@ from fanoscaffold.scaffolding import (
 from fanoscaffold.toric import GitData, sections_polytope
 
 from helpers import (
+    assert_forward_columns,
     contains_cone,
     count_calls,
+    product_fan_by_enumeration,
     product_structure_union_find,
     random_unimodular_matrix,
 )
@@ -84,6 +86,40 @@ def test_product_fan_p1xp1():
     assert fan.rays == ((-1, 0), (0, -1), (0, 1), (1, 0))
     assert len(fan.max_cones) == 4
     assert fan.is_complete()
+
+
+@st.composite
+def block_partitions(draw):
+    """Partitions of 0..dim-1, dim 1 to 6, into blocks of 1 to 3 shuffled
+    coordinates, so that a block need not be contiguous or sorted."""
+    rest = draw(st.permutations(range(draw(st.integers(1, 6)))))
+    blocks = []
+    while rest:
+        k = draw(st.integers(1, min(3, len(rest))))
+        blocks.append(tuple(rest[:k]))
+        rest = rest[k:]
+    return blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_partitions())
+@example([])
+@example([(4, 1), (0, 5, 2), (3,)])
+def test_product_fan_is_the_enumerated_product(blocks):
+    # The trivial tower, moved to the block positions, is the product fan
+    # listed ray by ray and cone by cone.
+    assert product_fan(blocks) == product_fan_by_enumeration(blocks)
+
+
+@pytest.mark.parametrize("blocks", [[(0,), ()], [()], [(0,), (0,)], [(0, 2)], [(1,)]])
+def test_product_fan_rejects_blocks_that_are_no_partition(blocks):
+    # An empty block would be a tower stage with one summand; product_fan
+    # raises before any stage is built.
+    with pytest.raises(DomainError) as exc:
+        product_fan(blocks)
+    assert (exc.value.kind, exc.value.detail) == (
+        "bad_index", "blocks must be nonempty and partition 0..dim-1")
+    assert exc.traceback[-1].name == "product_fan"
 
 
 def test_product_structure_roundtrip():
@@ -470,3 +506,15 @@ def test_forward_struts_match_bracket_polytopes(name):
             assert scaf.shape == shape
             assert scaf.struts == struts
             assert scaf.target == target
+
+
+@pytest.mark.parametrize("name", CORPUS_PARTITIONS)
+def test_forward_struts_read_each_column_on_its_ray(name):
+    # Every choice of eliminated columns: the trivial tower labels each
+    # column's ray, and the struts carry the rows' entries there.
+    fx = fixture(name)
+    part = fx["partition"]
+    for choices in product(*part.S):
+        assert_forward_columns(
+            fx["git"], ConvexPartitionWithBasis(part.B, part.S, part.U, choices)
+        )

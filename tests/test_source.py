@@ -138,6 +138,39 @@ def test_each_conversion_row_and_fan_ray_is_checked_once():
         assert not {"to_int_vector", "DomainError"} & names
 
 
+def test_every_shape_is_a_tower_of_projective_bundles():
+    # A product of projective spaces is the trivial tower: product_fan and
+    # scaffolding_from_forward reach toric.projective_bundle_fan, and
+    # scaffolding does not import the itertools.product a second listing
+    # of a product's cones would need.  The one tower builder is the only
+    # reader of ray_index in scaffolding and amenable, so no second map
+    # from weight-matrix columns to shape rays is built by hand.
+    tree = ast.parse((SRC / "scaffolding.py").read_text())
+    from_itertools = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+        for alias in node.names
+    ]
+    assert "product" not in from_itertools
+    found = names_by_scope()
+    reads = {}
+    for scope, name in found:
+        reads.setdefault(scope, set()).add(name)
+    for start in ("product_fan", "scaffolding_from_forward"):
+        todo, seen = ["scaffolding." + start], set()
+        while todo:
+            scope = todo.pop()
+            if scope not in seen:
+                seen.add(scope)
+                todo += ["scaffolding." + name for name in reads.get(scope, ())]
+        assert "scaffolding.projective_bundle_fan" in seen, start
+    readers = sorted(
+        s for s, n in found if n == "ray_index" and s.split(".")[0] in ("scaffolding", "amenable")
+    )
+    assert readers == ["scaffolding.scaffolding_from_tower"]
+
+
 def test_readme_lists_every_cap_kind():
     # The caps are the DomainError kinds named *_too_large or too_many_*;
     # the README sentence on capped inputs names each one and no other.
