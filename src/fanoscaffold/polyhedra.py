@@ -41,11 +41,13 @@ points.  Lattice points are enumerated on integer rows by a depth-first
 walk over the coordinates that bounds each one by the rows' partial sums
 and the most the later coordinates can add, in bounding boxes of at most
 MAX_LATTICE_BOX points (larger ones raise lattice_box_too_large).
+lattice_isomorphic keys each vertex by the facets through it, read off
+the incidences, and tries only the vertex tuples whose keys match.
 Intended for small instances (ambient dimension up to about 10); no
 attempt is made at large-scale performance.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, product
 from math import gcd
 from operator import mul
 
@@ -758,8 +760,9 @@ def _fan_input(dim, rays, max_cones):
     raises not_integral and a bool or a float index not_exact.  Each ray
     in turn raises dimension_mismatch when its length is not dim, then
     zero_vector when it is zero; then each cone raises bad_index when it
-    names no ray.  The rays keep their order, and the cones come back as
-    the sorted distinct tuples of their sorted distinct indices.
+    names no ray.  The rays and the cones keep their order, unsorted:
+    Fan sorts its cones once after re-indexing them, with _sorted_cones,
+    and toric.StackyFan sorts them once as they are.
     """
     (dim,) = to_int_vector((dim,))
     rays = tuple(map(to_int_vector, rays))
@@ -768,13 +771,18 @@ def _fan_input(dim, rays, max_cones):
             raise DomainError("dimension_mismatch", "ray length differs from dim")
         if not any(v):
             raise DomainError("zero_vector", "fan ray must be nonzero")
-    cones = set()
+    cones = []
     for c in max_cones:
-        c = tuple(sorted(set(to_int_vector(c))))
-        if c and (c[0] < 0 or c[-1] >= len(rays)):
+        c = to_int_vector(c)
+        if c and (min(c) < 0 or max(c) >= len(rays)):
             raise DomainError("bad_index", "cone index out of range")
-        cones.add(c)
-    return dim, rays, tuple(sorted(cones))
+        cones.append(c)
+    return dim, rays, cones
+
+
+def _sorted_cones(cones):
+    """The sorted distinct tuples of the cones' sorted distinct indices."""
+    return tuple(sorted({tuple(sorted(set(c))) for c in cones}))
 
 
 class Fan:
@@ -795,7 +803,7 @@ class Fan:
         self.rays = tuple(sorted(set(prim)))
         lookup = {r: i for i, r in enumerate(self.rays)}
         remap = [lookup[r] for r in prim]
-        self.max_cones = tuple(sorted({tuple(sorted({remap[i] for i in c})) for c in cones}))
+        self.max_cones = _sorted_cones([remap[i] for i in c] for c in cones)
 
     def __eq__(self, other):
         return (
@@ -917,12 +925,36 @@ def placing_triangulation(points):
     ))
 
 
+def _vertex_keys(polytope):
+    """Each vertex's sorted tuple of (rhs, gcd(a)) over the facets
+    <a, x> >= rhs through it, read off the stored incidences."""
+    keys = [[] for _ in polytope.vertices]
+    for (a, rhs), mask in zip(polytope.inequalities, polytope.incidence):
+        for i in _bits(mask):
+            keys[i].append((rhs, gcd(*a)))
+    return [tuple(sorted(k)) for k in keys]
+
+
 def lattice_isomorphic(p, q):
     """Search for a unimodular map sending polytope p onto polytope q.
 
     Returns the matrix U (tuple of rows, acting on column vectors) with
     U * p = q as vertex sets, or None.  Both polytopes must be full
     dimensional lattice polytopes with at most 12 vertices.
+
+    The search fixes the first independent d-tuple bp of vertices of p and
+    tries the ordered d-tuples bq of vertices of q in lex order of their
+    indices, as permutations would, keeping the first U with U bp = bq that
+    is integral, has |det U| = 1 and maps the vertices of p onto those of
+    q.  It tries only the bq that match bp's vertex keys (_vertex_keys)
+    position by position.  A unimodular U fixes the origin and sends each
+    facet <a, x> >= rhs of p to the facet <a U^-1, y> >= rhs of U p, and
+    gcd(a U^-1) = gcd(a), so it sends each vertex to one with the same key
+    (the invariants of the vertex-facet pairing that PALP's normal form is
+    built on: Kreuzer and Skarke, Comput. Phys. Commun. 2004).  A bq that
+    does not match cannot give an isomorphism, so skipping it leaves the
+    first map found, and the result, unchanged; and two polytopes whose
+    sorted keys differ are not isomorphic.
     """
     if not (p.is_lattice() and q.is_lattice()):
         raise DomainError("not_lattice", "lattice comparison of rational polytopes")
@@ -932,19 +964,26 @@ def lattice_isomorphic(p, q):
         raise DomainError("too_many_vertices", "lattice comparison capped at 12 vertices")
     if p.dim != q.dim or len(p.vertices) != len(q.vertices):
         return None
+    pkeys, qkeys = _vertex_keys(p), _vertex_keys(q)
+    if sorted(pkeys) != sorted(qkeys):
+        return None
     d = p.dim
     pv = p.vertices
     qv = q.vertices
     qset = set(qv)
-    # Fix one independent d-tuple bp of vertices of p, then try to match it
-    # with every ordered d-tuple bq of vertices of q.  U maps the rows of bp
-    # to the rows of bq: U[j][k] = sum_i bp^-1[k][i] * bq[i][j].  One
-    # reduction of M = [bp | I] gives [D I | D bp^-1] with D = +-det bp, so
-    # each candidate costs one integer product and an exact division by D.
-    bp = next(c for c in combinations(pv, d) if rank(c) == d)
+    # U maps the rows of bp to the rows of bq: U[j][k] = sum_i bp^-1[k][i] *
+    # bq[i][j].  One reduction of M = [bp | I] gives [D I | D bp^-1] with
+    # D = +-det bp, so each candidate costs one integer product and an
+    # exact division by D.
+    base = next(c for c in combinations(range(len(pv)), d) if rank([pv[i] for i in c]) == d)
+    bp = [pv[i] for i in base]
     M, _, _, D = _row_reduce([v + e for v, e in zip(bp, identity_matrix(d))])
     inv = [row[d:] for row in M]
-    for bq in permutations(qv, d):
+    matches = [[j for j, key in enumerate(qkeys) if key == pkeys[i]] for i in base]
+    for index in product(*matches):
+        if len(set(index)) < d:
+            continue
+        bq = [qv[j] for j in index]
         scaled = [[dot(row, col) for row in inv] for col in zip(*bq)]
         if any(c % D for row in scaled for c in row):
             continue

@@ -24,7 +24,7 @@ from .exact import (
     unimodular_inverse,
     vneg,
 )
-from .polyhedra import Cone, Fan, Polytope, _dd_step, _fan_input, dd_cone
+from .polyhedra import Cone, Fan, Polytope, _dd_step, _fan_input, _sorted_cones, dd_cone
 
 
 class GitData:
@@ -154,7 +154,8 @@ class StackyFan:
     __slots__ = ("dim", "rays", "max_cones")
 
     def __init__(self, dim, rays, max_cones):
-        self.dim, self.rays, self.max_cones = _fan_input(dim, rays, max_cones)
+        self.dim, self.rays, cones = _fan_input(dim, rays, max_cones)
+        self.max_cones = _sorted_cones(cones)
 
     def fan(self):
         """Forget coordinate labels: canonical Fan with deduplicated rays."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fanoscaffold import polyhedra
+from fanoscaffold import exact, polyhedra
 from fanoscaffold.errors import DomainError
 from fanoscaffold.exact import (
     as_exact,
@@ -1119,6 +1119,33 @@ def test_fan_and_stacky_fan_check_their_input_alike(case):
     assert outcome(Fan) == outcome(StackyFan)
 
 
+@settings(max_examples=200, deadline=None)
+@given(fan_inputs())
+def test_fan_cones_come_back_sorted_and_distinct(case):
+    # _fan_input keeps the cones as given; Fan sorts them once after
+    # re-indexing them by its sorted primitive rays, StackyFan as they are.
+    dim, rays, cones = case
+    try:
+        stacky = StackyFan(dim, rays, cones)
+    except DomainError:
+        return
+    assert stacky.max_cones == tuple(sorted({tuple(sorted(set(c))) for c in cones}))
+    fan = Fan(dim, rays, cones)
+    index = [fan.ray_index(r) for r in rays]
+    assert fan.max_cones == tuple(sorted({tuple(sorted({index[i] for i in c})) for c in cones}))
+
+
+def test_fan_input_checks_the_cones_in_order():
+    # Each cone is read and range checked before the next one.
+    for build in (Fan, StackyFan):
+        with pytest.raises(DomainError) as ei:
+            build(1, [(1,), (-1,)], [(2, 0), (0.5,)])
+        assert ei.value.kind == "bad_index"
+        with pytest.raises(DomainError) as ei:
+            build(1, [(1,), (-1,)], [(0.5,), (2, 0)])
+        assert ei.value.kind == "not_exact"
+
+
 def test_ray_index_reads_its_query_as_a_fan_ray():
     # The query is integer input, as a ray is (INTEGER_ENTRY_POINTS in
     # test_exact checks the rays), and the zero vector is no ray.
@@ -1288,6 +1315,90 @@ def test_lattice_isomorphic_finds_the_oracles_map(p, seed):
     assert abs(det(found)) == 1
     assert {mat_vec(found, v) for v in p.vertices} == set(q.vertices)
     assert lattice_isomorphic(p, p.dilate(2)) is None
+
+
+def random_lattice_polytope(rng, n, vertices):
+    """A full dimensional lattice polytope in [-2, 2]^n with the given
+    number of vertices, from the first of 200 draws that has it, or None."""
+    for _ in range(200):
+        pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, 12))]
+        p = Polytope.from_points(pts)
+        if p.is_full_dimensional() and len(p.vertices) == vertices:
+            return p
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_lattice_polytopes(), st.integers(0, 2**32 - 1))
+@example(CUBE, 7)
+def test_vertex_keys_are_invariant_under_unimodular_maps(p, seed):
+    # U sends the facet <a, x> >= rhs to <a U^-1, y> >= rhs, and
+    # gcd(a U^-1) = gcd(a): each vertex v of p has the key of U v in U p.
+    u = random_unimodular_matrix(p.dim, random.Random(seed))
+    q = Polytope.from_points([mat_vec(u, v) for v in p.vertices])
+    qkeys = dict(zip(q.vertices, polyhedra._vertex_keys(q)))
+    for v, key in zip(p.vertices, polyhedra._vertex_keys(p)):
+        assert qkeys[mat_vec(u, v)] == key
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_lattice_polytopes(), st.integers(0, 2**32 - 1))
+@example(SQUARE, 1)
+@example(CUBE, 2)
+def test_lattice_isomorphic_matches_the_oracle_on_other_pairs(p, seed):
+    # Pairs with equal vertex counts that are mostly not isomorphic: an
+    # independent draw, a translate by a unit vector, and the dilate.  The
+    # search gives the oracle's answer, a matrix or None, on each.
+    rng = random.Random(seed)
+    unit = tuple(int(i == rng.randrange(p.dim)) for i in range(p.dim))
+    others = [
+        random_lattice_polytope(rng, p.dim, len(p.vertices)),
+        Polytope.from_points([vadd(v, unit) for v in p.vertices]),
+        p.dilate(2),
+    ]
+    for q in others:
+        if q is not None:
+            assert len(q.vertices) == len(p.vertices)
+            assert lattice_isomorphic(p, q) == search_by_solving(p, q)
+
+
+HEXAGON = Polytope.from_points([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)])
+OCTAHEDRON = Polytope.from_points([(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                   (-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+
+
+@pytest.mark.parametrize("p", [CUBE, OCTAHEDRON, HEXAGON], ids=["cube", "octahedron", "hexagon"])
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_isomorphic_when_every_vertex_has_one_key(p, seed):
+    # Nothing is pruned: every ordered d-tuple is tried, in the oracle's order.
+    assert len(set(polyhedra._vertex_keys(p))) == 1
+    u = random_unimodular_matrix(p.dim, random.Random(seed))
+    q = Polytope.from_points([mat_vec(u, v) for v in p.vertices])
+    found = lattice_isomorphic(p, q)
+    assert found is not None
+    assert found == search_by_solving(p, q)
+
+
+# A simplex around the origin with three more points: its keys prune the
+# search, which made 7 eliminations on it when it tried every d-tuple.
+PRUNED = Polytope.from_points([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1),
+                               (2, -1, 0), (0, 2, -2), (-2, 1, 1)])
+FIXED_U = ((1, 2, 0), (0, 1, -1), (1, 1, 0))
+
+
+@pytest.mark.parametrize("p, eliminations", [(CUBE, 3), (PRUNED, 3)], ids=["cube", "pruned"])
+def test_lattice_isomorphic_counts_its_eliminations(monkeypatch, p, eliminations):
+    # Counts do not depend on the machine.  A pair whose sorted keys differ
+    # takes no elimination; a match takes the rank of p's base, the
+    # reduction of [bp | I], and one det per integral candidate tried.
+    q = Polytope.from_points([mat_vec(FIXED_U, v) for v in p.vertices])
+    dilate = p.dilate(2)
+    expected = search_by_solving(p, q)
+    calls = count_calls(monkeypatch, "_row_reduce", exact, polyhedra)
+    assert lattice_isomorphic(p, dilate) is None
+    assert calls == []
+    assert lattice_isomorphic(p, q) == expected
+    assert len(calls) <= eliminations
 
 
 def built_from_hrep(system):
